@@ -176,10 +176,6 @@ class SpaceTimeField:
         ns = timegrid.n_steps + (1 if on_nodes else 0)
         return cls(timegrid, grid, np.zeros((ns, grid.n_cells)))
 
-    @classmethod
-    def from_values(cls, timegrid, grid, values) -> "SpaceTimeField":
-        return cls(timegrid, grid, values)
-
 
 @dataclass(frozen=True)
 class StateTriple:
@@ -303,23 +299,33 @@ def norm(a) -> float:
     return math.sqrt(max(inner(a, a), 0.0))
 
 
+def group_norms(values: np.ndarray, axis: int, weight: float) -> np.ndarray:
+    """Weighted Euclidean norm sqrt(weight * <g, g>) of every group along axis.
+
+    np.vecdot reduces each group exactly as np.dot does, so every norm equals
+    the per-group sqrt(weight * np.dot(g, g)) bit for bit; the prox's
+    zero-group law (a group vanishes iff its norm <= eta * kappa) relies on
+    that.  Note that np.dot itself rounds a strided group differently from a
+    contiguous copy of it.
+    """
+    return np.sqrt(weight * np.vecdot(values, values, axis=axis))
+
+
 def slice_norms(u: SpaceTimeField, direction: str) -> np.ndarray:
     """Per-slice L^2 norms of a space-time field.
 
     direction "time": one spatial L^2(Omega) norm per time slice.
-    direction "space": one temporal L^2(0,T) norm per cell.
+    direction "space": one temporal L^2(0,T) norm per cell (trapezoidal
+    weights on node fields).
     """
-    vol = u.grid.cell_volume
     if direction == "time":
-        return np.sqrt(vol * np.sum(u.values ** 2, axis=1))
+        return group_norms(u.values, 1, u.grid.cell_volume)
     if direction == "space":
-        w = u.time_weights()
-        return np.sqrt(np.einsum("i,ij->j", w, u.values ** 2))
+        if u.on_nodes:
+            return group_norms(np.sqrt(u.time_weights())[:, None] * u.values,
+                               0, 1.0)
+        return group_norms(u.values, 0, u.timegrid.tau)
     raise ValueError(f"direction must be 'time' or 'space', got {direction!r}")
-
-
-def spacetime_from_slices(timegrid, grid, slices) -> SpaceTimeField:
-    return SpaceTimeField(timegrid, grid, np.stack([s for s in slices]))
 
 
 def write_field_csv(path, u: SpaceTimeField, name: str) -> None:

@@ -222,9 +222,6 @@ class BoxBounds:
             if np.any(np.asarray(lo) > np.asarray(hi)):
                 raise ValueError(f"bounds for control {i} violate lo <= hi")
 
-    def pair(self, i: int):
-        return (self.lo1, self.hi1) if i == 1 else (self.lo2, self.hi2)
-
     def is_signed(self) -> bool:
         """True iff both boxes are scalar with lo < 0 < hi (certificate hypothesis)."""
         for lo, hi in ((self.lo1, self.hi1), (self.lo2, self.hi2)):

@@ -19,12 +19,18 @@ from .fields import SpaceTimeField, StateTriple, inner
 from .model import BoxBounds, InterpolantSpec, ModelParams, PotentialSpec
 from .solver import (AdjointTriple, ControlPair, Targets, Trajectory,
                      adjoint_mismatch_fields, solve_adjoint, solve_state)
-from .sparsity import (SparsityMode, SubgradientPair, eval_g, mode_norms,
-                       prox_pair, select_subgradient)
+from .sparsity import (SparsityMode, SubgradientPair, eval_g, group_layout,
+                       mode_norms, prox_pair, select_subgradient)
 
 
 class StepsizeCollapse(RuntimeError):
     """Backtracking reduced the step size below its floor."""
+
+    def __init__(self, iteration: int, eta: float):
+        self.iteration = iteration
+        self.eta = eta
+        super().__init__(
+            f"step size {eta:.3e} below floor at iteration {iteration}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +68,6 @@ class OptimizeResult:
     cost_history: np.ndarray
     vi_history: np.ndarray
     eta_history: np.ndarray
-    support1: np.ndarray
-    support2: np.ndarray
     n_iters: int
     converged: bool
 
@@ -162,7 +166,7 @@ def _q_norm(u: ControlPair, a1: np.ndarray, a2: np.ndarray) -> float:
 def _vi_residual_from(params, mode, bounds: BoxBounds, u: ControlPair,
                       d1: np.ndarray, d2: np.ndarray) -> float:
     kappa = params.kappa if mode is not SparsityMode.NONE else 0.0
-    lam = select_subgradient(mode, u, (d1, d2), kappa, params.nu)
+    lam = select_subgradient(mode, u, (d1, d2), kappa)
     t1 = np.clip(-(d1 + kappa * lam.lam1.values) / params.nu,
                  bounds.lo1, bounds.hi1)
     t2 = np.clip(-(d2 + kappa * lam.lam2.values) / params.nu,
@@ -184,34 +188,16 @@ def vi_residual(params: ModelParams, pot: PotentialSpec,
 
 def support_measure(mode: SparsityMode, u: ControlPair,
                     tol: float = 1e-8) -> tuple[float, float]:
-    """Measure of the nonzero set of each control, in mode units."""
-    tau = u.timegrid.tau
-    vol = u.grid.cell_volume
-    out = []
-    for comp in (u.u1, u.u2):
-        if mode is SparsityMode.TIME:
-            nrm = np.sqrt(vol * np.sum(comp.values ** 2, axis=1))
-            out.append(tau * float(np.count_nonzero(nrm > tol)))
-        elif mode is SparsityMode.SPACE:
-            nrm = np.sqrt(tau * np.sum(comp.values ** 2, axis=0))
-            out.append(vol * float(np.count_nonzero(nrm > tol)))
-        else:
-            out.append(tau * vol
-                       * float(np.count_nonzero(np.abs(comp.values) > tol)))
-    return tuple(out)
+    """Measure of the nonzero set of each control, in mode units.
 
-
-def _support_pattern(mode: SparsityMode, u: ControlPair, tol: float = 1e-12):
-    tau, vol = u.timegrid.tau, u.grid.cell_volume
-    pats = []
-    for comp in (u.u1, u.u2):
-        if mode is SparsityMode.TIME:
-            pats.append(np.sqrt(vol * np.sum(comp.values ** 2, axis=1)) > tol)
-        elif mode is SparsityMode.SPACE:
-            pats.append(np.sqrt(tau * np.sum(comp.values ** 2, axis=0)) > tol)
-        else:
-            pats.append(np.abs(comp.values) > tol)
-    return pats
+    A group counts as nonzero when its mode norm exceeds tol; mode NONE
+    measures the pointwise support.
+    """
+    if mode is SparsityMode.NONE:
+        mode = SparsityMode.FULL_Q
+    measure = group_layout(mode, u.u1)[2]
+    return tuple(measure * float(np.count_nonzero(mode_norms(mode, c) > tol))
+                 for c in (u.u1, u.u2))
 
 
 def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
@@ -272,8 +258,7 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
                 break
             eta *= opts.backtrack
             if eta < opts.eta_min:
-                raise StepsizeCollapse(
-                    f"step size {eta:.3e} below floor at iteration {it}")
+                raise StepsizeCollapse(it, eta)
         stalled = (opts.tol_cost > 0.0
                    and cost - cost_trial <= opts.tol_cost * (1.0 + abs(cost)))
         u, cost = u_trial, cost_trial
@@ -293,16 +278,14 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
         vis.append(_vi_residual_from(params, mode, bounds, u,
                                      bundle.d1, bundle.d2))
 
-    lam = select_subgradient(mode, u, (bundle.d1, bundle.d2), kappa, params.nu)
-    sup1, sup2 = _support_pattern(mode, u)
+    lam = select_subgradient(mode, u, (bundle.d1, bundle.d2), kappa)
     return OptimizeResult(
         control=u, trajectory=bundle.trajectory, adjoint=bundle.adjoint,
         subgradient=lam,
         d1=SpaceTimeField(tg, grid, bundle.d1),
         d2=SpaceTimeField(tg, grid, bundle.d2),
         cost_history=np.asarray(costs), vi_history=np.asarray(vis),
-        eta_history=np.asarray(etas), support1=sup1, support2=sup2,
-        n_iters=n_iters, converged=converged)
+        eta_history=np.asarray(etas), n_iters=n_iters, converged=converged)
 
 
 def zero_control_threshold(params: ModelParams, pot: PotentialSpec,

@@ -120,9 +120,6 @@ class Problem:
         s["n_steps"] = int(s["n_steps"]) * int(time_scale)
         return make_problem(s)
 
-    def solver_args(self):
-        return (self.params, self.pot, self.hspec)
-
 
 DEFAULT_SETTINGS = {
     "name": "custom",

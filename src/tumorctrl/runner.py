@@ -503,8 +503,7 @@ def run(config: ExperimentConfig, out_dir) -> RunManifest:
              f"artifact_count = {len(manifest.artifacts)}"]
     lines += [f"artifact.{i} = {name}"
               for i, name in enumerate(manifest.artifacts)]
-    lines += [f"timing.total_s = {elapsed:.3f}",
-              f"version.tumorctrl = {__version__}",
+    lines += [f"version.tumorctrl = {__version__}",
               f"version.numpy = {np.__version__}"]
     lines += [f"config.{s}.{k} = {v}" for (s, k), v in config.values]
     (out / "manifest.txt").write_text("\n".join(lines) + "\n",

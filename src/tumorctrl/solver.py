@@ -41,6 +41,12 @@ NEWTON_MAX_ITER = 50
 class NewtonDivergence(RuntimeError):
     """The phi-step nonlinear solve failed to converge."""
 
+    def __init__(self, step: int, residual: float):
+        self.step = step
+        self.residual = residual
+        super().__init__(
+            f"phi-step Newton stalled at step {step}: |G| = {residual:.3e}")
+
 
 class SeparationLoss(RuntimeError):
     """phi left the admissible interval of a singular potential."""
@@ -255,8 +261,7 @@ def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
                                    np.min(pot.r_plus - p)))
                 if margin <= 1e-5:
                     raise SeparationLoss(step, margin)
-            raise NewtonDivergence(
-                f"phi-step Newton stalled at step {step}: |G| = {gnorm:.3e}")
+            raise NewtonDivergence(step, gnorm)
 
     if pot.is_singular:
         margin = float(min(np.min(p - pot.r_minus), np.min(pot.r_plus - p)))

@@ -12,12 +12,11 @@ weighted slice norm of the input is <= eta * kappa.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, SpaceTimeField, slice_norms
+from .fields import Field, SpaceTimeField, group_norms
 from .model import BoxBounds
 from .solver import AdjointTriple, ControlPair, Trajectory, adjoint_mismatch_fields
 
@@ -76,21 +75,40 @@ class CertificateReport:
     coords: tuple
 
 
+def group_layout(mode: SparsityMode, u: SpaceTimeField) -> tuple:
+    """(axis, weight, measure) of the groups a sparsity mode splits u into.
+
+    A group's norm is sqrt(weight * <g, g>) over its members along axis
+    (axis None: single points, norm |g|), and measure is the quadrature
+    weight of one group in g(u) and in support measures.  TIME groups are
+    time slices with the cells as members, SPACE groups are cells with the
+    time steps as members.
+    """
+    tau, vol = u.timegrid.tau, u.grid.cell_volume
+    if mode is SparsityMode.FULL_Q:
+        return None, 1.0, tau * vol
+    if mode is SparsityMode.TIME:
+        return 1, vol, tau
+    if mode is SparsityMode.SPACE:
+        return 0, tau, vol
+    raise ValueError("sparsity mode 'none' has no control groups")
+
+
+def mode_norms(mode: SparsityMode, d: SpaceTimeField) -> np.ndarray:
+    """Per-group norms of d in the mode's layout (see group_layout)."""
+    axis, weight, _ = group_layout(mode, d)
+    if axis is None:
+        return np.abs(d.values)
+    return group_norms(d.values, axis, weight)
+
+
 def eval_g(mode: SparsityMode, u: ControlPair) -> float:
     """Discrete sparsity functional g(u1) + g(u2) for the chosen mode."""
     if mode is SparsityMode.NONE:
         return 0.0
-    tau = u.timegrid.tau
-    vol = u.grid.cell_volume
-    total = 0.0
-    for comp in (u.u1, u.u2):
-        if mode is SparsityMode.FULL_Q:
-            total += tau * vol * float(np.sum(np.abs(comp.values)))
-        elif mode is SparsityMode.TIME:
-            total += tau * float(np.sum(slice_norms(comp, "time")))
-        else:
-            total += vol * float(np.sum(slice_norms(comp, "space")))
-    return total
+    measure = group_layout(mode, u.u1)[2]
+    return sum(measure * float(np.sum(mode_norms(mode, comp)))
+               for comp in (u.u1, u.u2))
 
 
 def project_box(s, lo, hi):
@@ -106,40 +124,11 @@ def project_box(s, lo, hi):
     return np.clip(np.asarray(s, dtype=float), lo, hi)
 
 
-def _group_prox(v: np.ndarray, weight: float, eta_kappa: float, lo, hi,
-                tol: float = 1e-12, maxiter: int = 200) -> np.ndarray:
-    """Exact box-constrained group-soft-threshold of one slice.
-
-    Solves argmin_u 1/2 ||u - v||_w^2 + eta_kappa ||u||_w + box indicator,
-    with ||.||_w the weight-scaled Euclidean norm.  The minimizer is
-    P_box(v * theta / (theta + eta_kappa)) where theta = ||u||_w solves a
-    strictly decreasing scalar fixed-point equation, found by bisection.
-    """
-    nv = math.sqrt(weight * float(np.dot(v, v)))
-    if nv <= eta_kappa:
-        return np.zeros_like(v)
-
-    def u_of(theta):
-        return np.clip(v * (theta / (theta + eta_kappa)), lo, hi)
-
-    def excess(theta):
-        u = u_of(theta)
-        return math.sqrt(weight * float(np.dot(u, u))) - theta
-
-    a, b = 0.0, nv
-    # invariant: excess(a) >= 0 >= excess(b); the positive root is unique
-    for _ in range(maxiter):
-        if b - a <= tol * max(1.0, nv):
-            break
-        mid = 0.5 * (a + b)
-        if excess(mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-    else:
-        raise BisectionFailure(
-            f"group prox bisection stalled: interval {b - a:.3e}")
-    return u_of(0.5 * (a + b))
+def _shrink(v: np.ndarray, theta: np.ndarray, eta_kappa: float, lo,
+            hi) -> np.ndarray:
+    """Box-clipped shrinkage P_box(v * theta / (theta + eta_kappa)) per row."""
+    out = v * (theta / (theta + eta_kappa))[:, None]
+    return np.clip(out, lo, hi, out=out)
 
 
 def prox(mode: SparsityMode, v: SpaceTimeField, eta: float, kappa: float,
@@ -149,7 +138,8 @@ def prox(mode: SparsityMode, v: SpaceTimeField, eta: float, kappa: float,
     FULL_Q soft-thresholds pointwise by eta*kappa and clips.  TIME treats
     each time slice as one group (SPACE swaps the roles of t and x); the
     slice is exactly zero iff its weighted norm is <= eta*kappa, otherwise
-    the box-constrained group shrinkage is solved to 1e-12 by bisection.
+    the box-constrained group shrinkage is solved to 1e-12 by one bisection
+    over all groups.
     """
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta!r}")
@@ -166,18 +156,35 @@ def prox(mode: SparsityMode, v: SpaceTimeField, eta: float, kappa: float,
         shrunk = np.sign(vals) * np.maximum(np.abs(vals) - ek, 0.0)
         return SpaceTimeField(v.timegrid, v.grid, np.clip(shrunk, lo, hi))
 
-    lo_a = np.broadcast_to(np.asarray(lo, dtype=float), vals.shape)
-    hi_a = np.broadcast_to(np.asarray(hi, dtype=float), vals.shape)
-    out = np.empty_like(vals)
-    if mode is SparsityMode.TIME:
-        w = v.grid.cell_volume
-        for n in range(vals.shape[0]):
-            out[n] = _group_prox(vals[n], w, ek, lo_a[n], hi_a[n])
+    # Box-constrained group soft threshold: a group with ||v||_w <= eta*kappa
+    # vanishes; otherwise the minimizer is P_box(v theta / (theta + eta
+    # kappa)) with theta = ||u||_w the root of a strictly decreasing scalar
+    # equation.  All groups bisect together, each in its own bracket
+    # [0, ||v||_w] and to its own tolerance; a converged group stops moving.
+    axis, w, _ = group_layout(mode, v)
+    nv = group_norms(vals, axis, w)
+    live = nv > ek
+    # live groups as contiguous rows, so each row reduces like np.dot(u, u)
+    rows, lo_r, hi_r = (
+        np.moveaxis(np.broadcast_to(x, vals.shape), axis, -1)[live]
+        for x in (vals, lo, hi))
+    b = nv[live]
+    a = np.zeros_like(b)
+    stop = 1e-12 * np.maximum(1.0, b)
+    for _ in range(200):
+        moving = b - a > stop
+        if not moving.any():
+            break
+        mid = 0.5 * (a + b)
+        up = group_norms(_shrink(rows, mid, ek, lo_r, hi_r), -1, w) > mid
+        a = np.where(moving & up, mid, a)
+        b = np.where(moving & ~up, mid, b)
     else:
-        w = v.timegrid.tau
-        for j in range(vals.shape[1]):
-            out[:, j] = _group_prox(vals[:, j], w, ek, lo_a[:, j], hi_a[:, j])
-    return SpaceTimeField(v.timegrid, v.grid, out)
+        raise BisectionFailure(
+            f"group prox bisection stalled: interval {np.max(b - a):.3e}")
+    out = np.zeros(nv.shape + (vals.shape[axis],))
+    out[live] = _shrink(rows, 0.5 * (a + b), ek, lo_r, hi_r)
+    return SpaceTimeField(v.timegrid, v.grid, np.moveaxis(out, -1, axis))
 
 
 def prox_pair(mode: SparsityMode, v1: SpaceTimeField, v2: SpaceTimeField,
@@ -187,48 +194,42 @@ def prox_pair(mode: SparsityMode, v1: SpaceTimeField, v2: SpaceTimeField,
             prox(mode, v2, eta, kappa, bounds.lo2, bounds.hi2))
 
 
-def _select_component(mode: SparsityMode, u: np.ndarray, d: np.ndarray,
-                      kappa: float, weight_time: float,
-                      weight_space: float) -> np.ndarray:
-    lam = np.zeros_like(u)
+def _select_component(mode: SparsityMode, u: SpaceTimeField, d: np.ndarray,
+                      kappa: float) -> np.ndarray:
+    vals = u.values
     if mode is SparsityMode.NONE or kappa == 0.0:
-        return lam
+        return np.zeros_like(vals)
     if mode is SparsityMode.FULL_Q:
-        nz = u != 0.0
-        lam[nz] = np.sign(u[nz])
+        lam = np.zeros_like(vals)
+        nz = vals != 0.0
+        lam[nz] = np.sign(vals[nz])
         lam[~nz] = np.clip(-d[~nz] / kappa, -1.0, 1.0)
         return lam
-    axis, w = ((1, weight_space) if mode is SparsityMode.TIME
-               else (0, weight_time))
-    norms = np.sqrt(w * np.sum(u ** 2, axis=axis, keepdims=True))
-    nz = np.broadcast_to(norms > 0.0, u.shape)
+    axis, w, _ = group_layout(mode, u)
+    norms = np.expand_dims(group_norms(vals, axis, w), axis)
+    nz = np.broadcast_to(norms > 0.0, vals.shape)
     with np.errstate(invalid="ignore", divide="ignore"):
-        lam = np.where(nz, u / norms, 0.0)
+        lam = np.where(nz, vals / norms, 0.0)
     # zero groups: project -d/kappa onto the weighted unit ball
     wball = -d / kappa
-    bnorm = np.sqrt(w * np.sum(wball ** 2, axis=axis, keepdims=True))
+    bnorm = np.expand_dims(group_norms(wball, axis, w), axis)
     shrink = np.where(bnorm > 1.0, 1.0 / np.maximum(bnorm, 1e-300), 1.0)
-    lam = np.where(nz, lam, wball * shrink)
-    return lam
+    return np.where(nz, lam, wball * shrink)
 
 
 def select_subgradient(mode: SparsityMode, u: ControlPair, d: tuple,
-                       kappa: float, nu: float = 1.0) -> SubgradientPair:
+                       kappa: float) -> SubgradientPair:
     """Pick the stationarity-relevant subgradient of g at u.
 
     On nonzero slices/points the subdifferential is a singleton (sign or
     normalized slice).  On the zero set we take the projection of -d/kappa
     onto the unit ball (interval for full sparsity), which minimizes the
-    variational-inequality residual among admissible selections; nu is
-    accepted for signature compatibility but the minimizer does not depend
-    on it.
+    variational-inequality residual among admissible selections.
     """
     d1 = d[0].values if isinstance(d[0], SpaceTimeField) else np.asarray(d[0])
     d2 = d[1].values if isinstance(d[1], SpaceTimeField) else np.asarray(d[1])
-    tau = u.timegrid.tau
-    vol = u.grid.cell_volume
-    lam1 = _select_component(mode, u.u1.values, d1, kappa, tau, vol)
-    lam2 = _select_component(mode, u.u2.values, d2, kappa, tau, vol)
+    lam1 = _select_component(mode, u.u1, d1, kappa)
+    lam2 = _select_component(mode, u.u2, d2, kappa)
     return SubgradientPair(SpaceTimeField(u.timegrid, u.grid, lam1),
                            SpaceTimeField(u.timegrid, u.grid, lam2))
 
@@ -241,24 +242,9 @@ def prox_kkt_residual(mode: SparsityMode, u_prox: SpaceTimeField,
     The lambda is selected from the prox problem itself (d = -v/eta), so a
     small residual certifies that prox returned the slice-wise minimizer.
     """
-    dummy = ControlPair(u_prox, u_prox)
-    if kappa > 0.0 and mode is not SparsityMode.NONE:
-        lam = select_subgradient(mode, dummy, (-v.values / eta, -v.values / eta),
-                                 kappa).lam1.values
-    else:
-        lam = np.zeros_like(u_prox.values)
+    lam = _select_component(mode, u_prox, -v.values / eta, kappa)
     target = np.clip(v.values - eta * kappa * lam, lo, hi)
     return float(np.max(np.abs(u_prox.values - target)))
-
-
-def mode_norms(mode: SparsityMode, d: SpaceTimeField) -> np.ndarray:
-    if mode is SparsityMode.FULL_Q:
-        return np.abs(d.values)
-    if mode is SparsityMode.TIME:
-        return slice_norms(d, "time")
-    if mode is SparsityMode.SPACE:
-        return slice_norms(d, "space")
-    raise ValueError("certificates need a sparsity mode other than 'none'")
 
 
 def certificate(mode: SparsityMode, adjoint: AdjointTriple, base: Trajectory,

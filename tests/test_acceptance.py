@@ -330,7 +330,7 @@ def test_c10_determinism(tmp_path):
         cfg = load_config(cfgp)
         m1 = run(cfg, tmp_path / "a")
         m2 = run(cfg, tmp_path / "b")
-        for name in m1.artifacts:
+        for name in m1.artifacts + ("manifest.txt",):
             same = filecmp.cmp(m1.out_dir / name, m2.out_dir / name,
                                shallow=False)
             identical &= same

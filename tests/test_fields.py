@@ -138,6 +138,19 @@ class TestSliceNorms:
         assert by_time == pytest.approx(total, rel=1e-12)
         assert by_space == pytest.approx(total, rel=1e-12)
 
+    @pytest.mark.parametrize("steps,cells", [(1, 1), (5, 7), (16, 120),
+                                             (3, 1024)])
+    def test_rounds_like_per_group_dot(self, rng, steps, cells):
+        # the prox's zero-group law relies on exactly this rounding
+        tg, g = TimeGrid(0.8, steps), grid1d(cells, 1.3)
+        vals = rng.standard_normal((steps, cells))
+        u = SpaceTimeField(tg, g, vals)
+        by_time = [np.sqrt(g.cell_volume * np.dot(r, r)) for r in vals]
+        by_space = [np.sqrt(tg.tau * np.dot(c, c)) for c in vals.T]
+        assert slice_norms(u, "time").tobytes() == np.array(by_time).tobytes()
+        assert (slice_norms(u, "space").tobytes()
+                == np.array(by_space).tobytes())
+
     def test_direction_validation(self):
         u = SpaceTimeField.zeros(TimeGrid(1.0, 2), grid1d(2))
         with pytest.raises(ValueError):

@@ -5,9 +5,10 @@ import pytest
 from tumorctrl.fields import (Field, SpaceTimeField, StateTriple, TimeGrid,
                               grid1d)
 from tumorctrl.model import ModelParams, regular_potential, smoothstep7
-from tumorctrl.optim import (kappa_sweep, proximal_gradient_solve,
-                             reduced_cost, smooth_gradient, support_measure,
-                             vi_residual, zero_control_threshold)
+from tumorctrl.optim import (OptimizeOptions, StepsizeCollapse, kappa_sweep,
+                             proximal_gradient_solve, reduced_cost,
+                             smooth_gradient, support_measure, vi_residual,
+                             zero_control_threshold)
 from tumorctrl.presets import preset_problem, random_admissible_controls
 from tumorctrl.solver import ControlPair, Targets, solve_state
 from tumorctrl.sparsity import SparsityMode
@@ -147,6 +148,19 @@ class TestOptimizer:
         # the small box must actually bind for the test to have content
         assert np.any(np.isclose(res.control.u1.values, 0.02)) \
             or np.any(np.isclose(res.control.u1.values, -0.02))
+
+    def test_stepsize_collapse_names_iteration_and_eta(self):
+        # an unmeetable sufficient decrease rejects every trial: 1.0 and 0.5
+        # fail, and the next step 0.25 lies below the floor 0.3
+        p = preset_problem("time-sparsity-demo")
+        u0 = random_admissible_controls(p, seed=3)
+        opts = OptimizeOptions(eta0=1.0, eta_min=0.3, decrease=1e6)
+        with pytest.raises(StepsizeCollapse) as exc:
+            proximal_gradient_solve(p.params, p.pot, p.hspec, p.targets,
+                                    p.mode, p.bounds, u0, opts, p.init)
+        assert (exc.value.iteration, exc.value.eta) == (0, 0.25)
+        assert "step size 2.500e-01 below floor at iteration 0" \
+            in str(exc.value)
 
     def test_history_lengths(self):
         p = preset_problem("time-sparsity-demo")

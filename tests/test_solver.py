@@ -6,9 +6,10 @@ from tumorctrl.fields import (Field, SpaceTimeField, StateTriple, TimeGrid,
 from tumorctrl.model import (ModelParams, logarithmic_potential,
                              regular_potential, smoothstep7)
 from tumorctrl.presets import preset_problem
-from tumorctrl.solver import (ControlPair, LinearizedSpec, SeparationLoss,
-                              ShapeMismatch, Targets, solve_adjoint,
-                              solve_linearized, solve_state,
+from tumorctrl import solver
+from tumorctrl.solver import (ControlPair, LinearizedSpec, NewtonDivergence,
+                              SeparationLoss, ShapeMismatch, Targets,
+                              solve_adjoint, solve_linearized, solve_state,
                               state_balance_report)
 
 HS = smoothstep7()
@@ -137,6 +138,15 @@ class TestStateSolver:
             solve_state(prob.params, prob.pot, prob.hspec, prob.u0, prob.init)
         assert exc.value.step >= 0
         assert exc.value.margin < 1e-6
+
+    def test_newton_divergence_names_step_and_residual(self, monkeypatch):
+        monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 1)
+        prob = preset_problem("1D-logarithmic-default")
+        with pytest.raises(NewtonDivergence) as exc:
+            solve_state(prob.params, prob.pot, prob.hspec, prob.u0, prob.init)
+        assert exc.value.step == 0
+        assert exc.value.residual > solver.NEWTON_TOL
+        assert f"|G| = {exc.value.residual:.3e}" in str(exc.value)
 
     def test_grid_mismatch_rejected(self):
         pr = params()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tumorctrl.fields import Field, SpaceTimeField, TimeGrid, grid1d
+from tumorctrl.fields import Field, SpaceTimeField, TimeGrid, grid1d, grid2d
 from tumorctrl.model import BoxBounds
 from tumorctrl.presets import preset_problem
 from tumorctrl.solver import ControlPair, solve_adjoint, solve_state
@@ -176,6 +176,32 @@ class TestProx:
         with pytest.raises(BadBounds):
             prox(SparsityMode.TIME, v, 1.0, 1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("mode", [SparsityMode.TIME, SparsityMode.SPACE])
+    def test_batched_equals_one_group_calls(self, rng, mode):
+        # 2D 32x32, 8 steps, per-(step, cell) bounds.  Each reference call
+        # keeps one group and zeroes the others: a one-cell field would store
+        # a SPACE group contiguously, and np.dot rounds a contiguous group
+        # differently from the strided column the batched prox reduces.
+        tg, g = TimeGrid(0.25, 8), grid2d(32, 32)
+        vals = (rng.uniform(-1, 1, (8, 1024)) * rng.uniform(0.05, 1.0, (8, 1))
+                * rng.uniform(0.1, 1.0, 1024))
+        lo = -rng.uniform(0.05, 0.6, vals.shape)
+        hi = rng.uniform(0.05, 0.6, vals.shape)
+        eta, kappa = 0.5, 0.15
+        batched = prox(mode, SpaceTimeField(tg, g, vals), eta, kappa,
+                       lo, hi).values
+        by_time = mode is SparsityMode.TIME
+        zero_groups = 0
+        for k in range(vals.shape[0] if by_time else vals.shape[1]):
+            sel = np.s_[k, :] if by_time else np.s_[:, k]
+            one = np.zeros_like(vals)
+            one[sel] = vals[sel]
+            ref = prox(mode, SpaceTimeField(tg, g, one), eta, kappa,
+                       lo, hi).values
+            assert ref[sel].tobytes() == batched[sel].tobytes()
+            zero_groups += bool(np.all(ref[sel] == 0.0))
+        assert 0 < zero_groups < (8 if by_time else 1024)
+
     def test_kappa_zero_is_projection(self, rng):
         vals = rng.uniform(-2, 2, (4, 3))
         v = SpaceTimeField(self.tg, self.grid, vals)
@@ -192,7 +218,7 @@ class TestSelectSubgradient:
         u = ControlPair.zeros(self.tg, self.grid)
         z = np.zeros((4, 3))
         for mode in MODES:
-            lam = select_subgradient(mode, u, (z, z), 1.0, 0.5)
+            lam = select_subgradient(mode, u, (z, z), 1.0)
             assert np.all(lam.lam1.values == 0.0)
             assert np.all(lam.lam2.values == 0.0)
 
@@ -200,7 +226,7 @@ class TestSelectSubgradient:
         vals = np.array([[0.5, -0.2, 0.0]] * 4)
         u = pair_from(self.tg, self.grid, vals)
         d = np.zeros((4, 3))
-        lam = select_subgradient(SparsityMode.FULL_Q, u, (d, d), 1.0, 0.5)
+        lam = select_subgradient(SparsityMode.FULL_Q, u, (d, d), 1.0)
         assert np.all(lam.lam1.values[:, 0] == 1.0)
         assert np.all(lam.lam1.values[:, 1] == -1.0)
         assert np.all(lam.lam1.values[:, 2] == 0.0)
@@ -209,7 +235,7 @@ class TestSelectSubgradient:
         kappa = 0.8
         d = rng.uniform(-2, 2, (4, 3))
         u = ControlPair.zeros(self.tg, self.grid)
-        lam = select_subgradient(SparsityMode.FULL_Q, u, (d, d), kappa, 0.5)
+        lam = select_subgradient(SparsityMode.FULL_Q, u, (d, d), kappa)
         assert np.array_equal(lam.lam1.values, np.clip(-d / kappa, -1, 1))
 
     def test_time_mode_unit_ball(self, rng):
@@ -218,7 +244,7 @@ class TestSelectSubgradient:
         vals[1] = 0.0
         u = pair_from(self.tg, self.grid, vals)
         d = rng.uniform(-3, 3, (4, 3))
-        lam = select_subgradient(SparsityMode.TIME, u, (d, d), 0.7, 0.5)
+        lam = select_subgradient(SparsityMode.TIME, u, (d, d), 0.7)
         norms = np.sqrt(vol * np.sum(lam.lam1.values ** 2, axis=1))
         assert np.all(norms <= 1.0 + 1e-10)
         for n in (0, 2, 3):
