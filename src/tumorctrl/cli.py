@@ -1,7 +1,7 @@
 """Command-line interface.
 
     tumorctrl simulate|optimize|verify|sweep-kappa|threshold \
-        --config <path> [--out <dir>] [--command-override <cmd>]
+        --config <path> [--out <dir>]
 
 Exit codes: 0 success, 1 check failure, 2 config error.
 """
@@ -23,14 +23,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="command to run (overrides the config's run.command)")
     p.add_argument("--config", required=True, help="experiment config file")
     p.add_argument("--out", default="runs", help="output directory root")
-    p.add_argument("--command-override", default=None, choices=COMMANDS,
-                   help="replace the positional command (scripting hook)")
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command = args.command_override or args.command
     try:
         cfg = load_config(args.config)
     except FileNotFoundError as exc:
@@ -41,7 +38,7 @@ def main(argv=None) -> int:
             print(f"config error: {issue}", file=sys.stderr)
         return 2
     # the positional command wins over the file's run.command
-    values = tuple((sk, command if sk == ("run", "command") else v)
+    values = tuple((sk, args.command if sk == ("run", "command") else v)
                    for sk, v in cfg.values)
     cfg = type(cfg)(values)
     try:
@@ -50,7 +47,7 @@ def main(argv=None) -> int:
         for issue in exc.issues:
             print(f"config error: {issue}", file=sys.stderr)
         return 2
-    print(f"{command}: wrote {len(manifest.artifacts)} artifacts to "
+    print(f"{args.command}: wrote {len(manifest.artifacts)} artifacts to "
           f"{manifest.out_dir} ({manifest.elapsed_s:.2f}s)")
     if not manifest.passed:
         print("verification checks FAILED", file=sys.stderr)

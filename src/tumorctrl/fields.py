@@ -52,10 +52,6 @@ class GridSpec:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.length))
-
     def cell_centers(self) -> tuple[np.ndarray, ...]:
         """Per-axis center coordinates broadcast to flat cell order."""
         axes = [(np.arange(m) + 0.5) * h for m, h in zip(self.n, self.spacing)]
@@ -217,10 +213,6 @@ class Trajectory:
     def timegrid(self) -> TimeGrid:
         return self.mu.timegrid
 
-    def final_state(self) -> StateTriple:
-        return StateTriple(self.mu.slice(-1), self.phi.slice(-1),
-                           self.sigma.slice(-1))
-
 
 def make_laplacian(grid: GridSpec):
     """Return a callable applying the mirrored-ghost Neumann Laplacian.
@@ -328,15 +320,50 @@ def slice_norms(u: SpaceTimeField, direction: str) -> np.ndarray:
     raise ValueError(f"direction must be 'time' or 'space', got {direction!r}")
 
 
+def _format_cell(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    return str(int(x))
+
+
+def _format_column(col):
+    if isinstance(col, np.ndarray):
+        if col.dtype.kind == "f":
+            return map(repr, col.tolist())
+        col = col.tolist()
+    return map(_format_cell, col)
+
+
+# rows formatted at a time: bounds the writer's memory on large fields
+_CSV_BLOCK_ROWS = 1024
+
+
+def write_csv(path, header, columns) -> None:
+    """Write a CSV table given column by column, all columns of one length.
+
+    The one cell format of every artifact: a float is written as
+    repr(float(x)), so the text round-trips exactly; an int (or bool) as its
+    digits; None as an empty cell; a string as itself.  A float array column
+    is formatted in bulk.  Columns of unequal length raise ValueError.
+    """
+    n_rows = max(map(len, columns), default=0)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = (_format_column(c[lo:lo + _CSV_BLOCK_ROWS])
+                     for c in columns)
+            fh.writelines(",".join(row) + "\n"
+                          for row in zip(*block, strict=True))
+
+
 def write_field_csv(path, u: SpaceTimeField, name: str) -> None:
     """CSV export: one row per cell per snapshot, columns t, x[, y], value."""
-    coords = u.grid.cell_centers()
     times = u.timegrid.node_times() if u.on_nodes else u.timegrid.slice_times()
-    cols = ["t", "x"] + (["y"] if u.grid.dim == 2 else []) + [name]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k, t in enumerate(times):
-            row = u.values[k]
-            for j in range(u.grid.n_cells):
-                xy = ",".join(repr(float(c[j])) for c in coords)
-                fh.write(f"{float(t)!r},{xy},{float(row[j])!r}\n")
+    coords = [np.tile(c, u.n_slices) for c in u.grid.cell_centers()]
+    header = ["t", "x", "y"][: 1 + u.grid.dim] + [name]
+    write_csv(path, header,
+              [np.repeat(times, u.grid.n_cells), *coords, u.values.ravel()])

@@ -212,7 +212,8 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
     by at least (decrease/eta) ||u+ - u||_Q^2, so the cost history is
     nonincreasing up to a rounding pad of 4 eps (1 + |cost|).  Stops at VI
     residual <= tol_vi, at a relative cost stagnation below tol_cost (if
-    enabled), or at max_iters.
+    enabled), or at max_iters; on every exit, converged means the last VI
+    residual is <= tol_vi.
     """
     tg, grid = u0.timegrid, u0.grid
     kappa = params.kappa if mode is not SparsityMode.NONE else 0.0
@@ -232,13 +233,12 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
 
     costs, vis, etas = [cost], [], []
     eta = eta0
-    converged = False
-    n_iters = 0
-    for it in range(opts.max_iters):
-        vi = _vi_residual_from(params, mode, bounds, u, bundle.d1, bundle.d2)
-        vis.append(vi)
-        if vi <= opts.tol_vi:
-            converged = True
+    stalled = False
+    # it counts accepted steps; every pass first records the VI residual
+    for it in range(opts.max_iters + 1):
+        vis.append(_vi_residual_from(params, mode, bounds, u,
+                                     bundle.d1, bundle.d2))
+        if vis[-1] <= opts.tol_vi or stalled or it == opts.max_iters:
             break
         # backtracking on the full nonsmooth cost
         while True:
@@ -266,17 +266,7 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
                                   traj=traj_trial)
         costs.append(cost)
         etas.append(eta)
-        n_iters = it + 1
         eta = min(eta / opts.backtrack, eta0)
-        if stalled:
-            break
-    else:
-        vi = _vi_residual_from(params, mode, bounds, u, bundle.d1, bundle.d2)
-        vis.append(vi)
-        converged = vi <= opts.tol_vi
-    if len(vis) == n_iters:  # stalled exit: record the final residual
-        vis.append(_vi_residual_from(params, mode, bounds, u,
-                                     bundle.d1, bundle.d2))
 
     lam = select_subgradient(mode, u, (bundle.d1, bundle.d2), kappa)
     return OptimizeResult(
@@ -285,7 +275,8 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
         d1=SpaceTimeField(tg, grid, bundle.d1),
         d2=SpaceTimeField(tg, grid, bundle.d2),
         cost_history=np.asarray(costs), vi_history=np.asarray(vis),
-        eta_history=np.asarray(etas), n_iters=n_iters, converged=converged)
+        eta_history=np.asarray(etas), n_iters=it,
+        converged=vis[-1] <= opts.tol_vi)
 
 
 def zero_control_threshold(params: ModelParams, pot: PotentialSpec,

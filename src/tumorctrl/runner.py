@@ -20,12 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fields import write_field_csv
+from .fields import write_csv, write_field_csv
 from .model import validate_setup
 from .optim import (kappa_sweep, proximal_gradient_solve, support_measure,
                     zero_control_threshold)
-from .presets import (Problem, make_problem, preset_names, preset_settings,
-                      random_admissible_controls)
+from .presets import Problem, make_problem, preset_names, preset_settings
 from .solver import solve_state, state_balance_report
 from .sparsity import SparsityMode, certificate, certificate_to_csv
 from .verify import (CheckReport, duality_gap, fd_gradient_check,
@@ -324,21 +323,14 @@ class RunManifest:
         return self.out_dir / "manifest.txt"
 
 
-def _write_controls(out, tag, control):
-    files = []
-    for name, comp in (("u1", control.u1), ("u2", control.u2)):
-        p = out / f"{tag}{name}.csv"
-        write_field_csv(p, comp, name)
-        files.append(p)
-    return files
+_STATE_NAMES = ("mu", "phi", "sigma")
 
 
-def _write_trajectory(out, traj):
-    files = []
-    for name in ("mu", "phi", "sigma"):
-        p = out / f"{name}.csv"
-        write_field_csv(p, getattr(traj, name), name)
-        files.append(p)
+def _write_fields(out, owner, names, prefix=""):
+    """One field CSV per named attribute of owner; returns the paths."""
+    files = [out / f"{prefix}{name}.csv" for name in names]
+    for p, name in zip(files, names):
+        write_field_csv(p, getattr(owner, name), name)
     return files
 
 
@@ -346,20 +338,16 @@ def _run_simulate(problem: Problem, out: Path):
     stats: dict = {}
     traj = solve_state(problem.params, problem.pot, problem.hspec, problem.u0,
                        problem.init, stats=stats)
-    files = _write_trajectory(out, traj)
+    files = _write_fields(out, traj, _STATE_NAMES)
     p = out / "solver_manifest.json"
     p.write_text(json.dumps(stats, sort_keys=True, indent=1) + "\n",
                  encoding="utf-8")
     files.append(p)
     bal = state_balance_report(traj, problem.params, problem.u0, problem.hspec)
     p = out / "balance.csv"
-    with open(p, "w", encoding="utf-8") as fh:
-        fh.write("step,residual_mu,residual_sigma,relative_mu,relative_sigma\n")
-        for i in range(bal["residual_mu"].size):
-            fh.write(f"{i},{float(bal['residual_mu'][i])!r},"
-                     f"{float(bal['residual_sigma'][i])!r},"
-                     f"{float(bal['relative_mu'][i])!r},"
-                     f"{float(bal['relative_sigma'][i])!r}\n")
+    names = ("residual_mu", "residual_sigma", "relative_mu", "relative_sigma")
+    write_csv(p, ("step",) + names,
+              [np.arange(bal["residual_mu"].size)] + [bal[k] for k in names])
     files.append(p)
     sep = separation_monitor(traj, problem.pot)
     p = out / "separation.csv"
@@ -373,18 +361,18 @@ def _run_optimize(problem: Problem, out: Path):
                                   problem.targets, problem.mode,
                                   problem.bounds, problem.u0, problem.opts,
                                   problem.init)
-    files = _write_controls(out, "control_", res.control)
-    files += _write_trajectory(out, res.trajectory)
+    files = _write_fields(out, res.control, ("u1", "u2"), "control_")
+    files += _write_fields(out, res.trajectory, _STATE_NAMES)
     p = out / "convergence.csv"
-    s1, s2 = support_measure(problem.mode, res.control)
-    with open(p, "w", encoding="utf-8") as fh:
-        fh.write("iter,cost,vi_residual,step_size,support1,support2\n")
-        for i in range(res.vi_history.size):
-            cost = float(res.cost_history[min(i, res.cost_history.size - 1)])
-            eta = float(res.eta_history[min(i, res.eta_history.size - 1)]) \
-                if res.eta_history.size else float("nan")
-            fh.write(f"{i},{cost!r},{float(res.vi_history[i])!r},{eta!r},"
-                     f"{s1!r},{s2!r}\n")
+    # one row per VI evaluation; the last row repeats the last accepted step
+    etas = res.eta_history
+    n = res.vi_history.size
+    write_csv(p, ("iter", "cost", "vi_residual", "step_size", "support1",
+                  "support2"),
+              [np.arange(n), res.cost_history, res.vi_history,
+               np.append(etas, etas[-1] if etas.size else np.nan),
+               *(np.full(n, s)
+                 for s in support_measure(problem.mode, res.control))])
     files.append(p)
     if problem.mode is not SparsityMode.NONE:
         cert = certificate(problem.mode, res.adjoint, res.trajectory,
@@ -399,11 +387,9 @@ def _run_threshold(problem: Problem, out: Path):
     rep = zero_control_threshold(problem.params, problem.pot, problem.hspec,
                                  problem.targets, problem.mode, problem.init)
     p = out / "threshold.csv"
-    with open(p, "w", encoding="utf-8") as fh:
-        fh.write("quantity,value\n")
-        fh.write(f"kappa1,{rep.kappa1!r}\n")
-        fh.write(f"kappa2,{rep.kappa2!r}\n")
-        fh.write(f"kappa0_estimate,{rep.kappa0_estimate!r}\n")
+    write_csv(p, ("quantity", "value"),
+              [("kappa1", "kappa2", "kappa0_estimate"),
+               (rep.kappa1, rep.kappa2, rep.kappa0_estimate)])
     return [p], True
 
 
@@ -419,13 +405,9 @@ def _run_sweep(problem: Problem, kappas, out: Path):
                        problem.targets, problem.mode, problem.bounds,
                        problem.u0, problem.opts, ks, problem.init)
     p = out / "kappa_sweep.csv"
-    with open(p, "w", encoding="utf-8") as fh:
-        fh.write("kappa,cost,vi_residual,support1,support2,control_norm,"
-                 "iterations\n")
-        for r in rows:
-            fh.write(f"{r['kappa']!r},{r['cost']!r},{r['vi_residual']!r},"
-                     f"{r['support1']!r},{r['support2']!r},"
-                     f"{r['control_norm']!r},{r['iterations']}\n")
+    names = ("kappa", "cost", "vi_residual", "support1", "support2",
+             "control_norm", "iterations")
+    write_csv(p, names, [[r[k] for r in rows] for k in names])
     return [p], True
 
 
@@ -443,13 +425,10 @@ def _run_verify(problem: Problem, out: Path):
         write_check_csv(rep, p)
         files.append(p)
     p = out / "verify_summary.csv"
-    passed = all(c.passed for c in checks)
-    with open(p, "w", encoding="utf-8") as fh:
-        fh.write("check,passed\n")
-        for c in checks:
-            fh.write(f"{c.name},{int(c.passed)}\n")
+    write_csv(p, ("check", "passed"),
+              [[c.name for c in checks], [c.passed for c in checks]])
     files.append(p)
-    return files, passed
+    return files, all(c.passed for c in checks)
 
 
 def run(config: ExperimentConfig, out_dir) -> RunManifest:

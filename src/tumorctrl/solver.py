@@ -225,10 +225,11 @@ def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
         if gnorm <= max(NEWTON_TOL * scale, floor):
             break
         f1dd = pot.split_eval(p, 2)[0]
-        # one-ulp changes of p move the residual by about diag * |p|, which
-        # caps the attainable residual when F1'' blows up near the wall
-        floor = 8.0 * np.finfo(float).eps \
-            * float(np.max((beta_tau + f1dd) * np.maximum(np.abs(p), 1.0)))
+        # one-ulp changes of p move the residual by about diag * |p|, with
+        # the stencil's 2 * lap_diag (about 4/h^2) in diag: that caps the
+        # attainable residual on fine grids and where F1'' blows up
+        floor = 8.0 * np.finfo(float).eps * float(np.max(
+            (beta_tau + f1dd + 2.0 * hh.lap_diag) * np.maximum(np.abs(p), 1.0)))
         delta = hh.solve(beta_tau + f1dd, -g)
         step_len = 1.0
         if pot.is_singular:
@@ -253,6 +254,8 @@ def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
             if g_trial_norm <= gnorm or g_trial_norm <= NEWTON_TOL * scale:
                 break
             step_len *= 0.5
+        else:
+            raise NewtonDivergence(step, gnorm)
         p, g, gnorm = trial, g_trial, g_trial_norm
     else:
         if gnorm > max(NEWTON_TOL * scale, floor):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, SpaceTimeField, group_norms
+from .fields import Field, SpaceTimeField, group_norms, write_csv
 from .model import BoxBounds
 from .solver import AdjointTriple, ControlPair, Trajectory, adjoint_mismatch_fields
 
@@ -279,10 +279,6 @@ def certificate(mode: SparsityMode, adjoint: AdjointTriple, base: Trajectory,
 def certificate_to_csv(report: CertificateReport, path) -> None:
     """Rows: slice id, slice coordinate(s), |d| norms, flags, kappa."""
     mode = report.mode
-    n1 = np.ravel(report.norms1)
-    n2 = np.ravel(report.norms2)
-    f1 = np.ravel(report.flagged1).astype(int)
-    f2 = np.ravel(report.flagged2).astype(int)
     if mode is SparsityMode.TIME:
         coord_names, coord_cols = ["t"], [report.coords[0]]
     elif mode is SparsityMode.SPACE:
@@ -295,10 +291,9 @@ def certificate_to_csv(report: CertificateReport, path) -> None:
         coord_names = ["t", "x", "y"][: 1 + len(cells)]
         coord_cols = [np.repeat(times, ncells)]
         coord_cols += [np.tile(c, nslices) for c in cells]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("slice," + ",".join(coord_names)
-                 + ",norm_d1,norm_d2,flagged1,flagged2,kappa\n")
-        for i in range(n1.size):
-            cc = ",".join(repr(float(c[i])) for c in coord_cols)
-            fh.write(f"{i},{cc},{float(n1[i])!r},{float(n2[i])!r},"
-                     f"{f1[i]},{f2[i]},{report.kappa!r}\n")
+    per_slice = [np.ravel(a) for a in (report.norms1, report.norms2,
+                                       report.flagged1, report.flagged2)]
+    n = per_slice[0].size
+    write_csv(path, ["slice", *coord_names, "norm_d1", "norm_d2", "flagged1",
+                     "flagged2", "kappa"],
+              [np.arange(n), *coord_cols, *per_slice, np.full(n, report.kappa)])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import SpaceTimeField
+from .fields import SpaceTimeField, write_csv
 from .optim import reduced_cost, smooth_gradient
 from .presets import Problem
 from .solver import (ControlPair, LinearizedSpec, Targets, solve_adjoint,
@@ -61,18 +61,18 @@ class CheckReport:
 
 
 def write_check_csv(report: CheckReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("row_type,name,value,tolerance,passed,level,h,tau,error\n")
-        for k, v, tol, ok in report.metrics:
-            tol_s = "" if tol is None else repr(float(tol))
-            ok_s = "" if ok is None else int(bool(ok))
-            fh.write(f"metric,{k},{float(v)!r},{tol_s},{ok_s},,,,\n")
-        for lev, h, tau, err in report.refinement:
-            fh.write(f"refinement,,,,,{lev},{float(h)!r},{float(tau)!r},"
-                     f"{float(err)!r}\n")
-        if report.observed_order is not None:
-            fh.write(f"metric,observed_order,{report.observed_order!r},,,,,,\n")
-        fh.write(f"metric,passed,{int(report.passed)},,,,,,\n")
+    rows = [("metric", k, float(v), None if tol is None else float(tol),
+             None if ok is None else bool(ok)) + (None,) * 4
+            for k, v, tol, ok in report.metrics]
+    rows += [("refinement",) + (None,) * 4
+             + (lev, float(h), float(tau), float(err))
+             for lev, h, tau, err in report.refinement]
+    if report.observed_order is not None:
+        rows.append(("metric", "observed_order", report.observed_order)
+                    + (None,) * 6)
+    rows.append(("metric", "passed", int(report.passed)) + (None,) * 6)
+    write_csv(path, ("row_type", "name", "value", "tolerance", "passed",
+                     "level", "h", "tau", "error"), list(zip(*rows)))
 
 
 def _loglog_slope(xs, errs) -> float:

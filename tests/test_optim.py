@@ -1,4 +1,6 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,18 @@ class TestOptimizer:
         assert (exc.value.iteration, exc.value.eta) == (0, 0.25)
         assert "step size 2.500e-01 below floor at iteration 0" \
             in str(exc.value)
+
+    def test_stalled_exit_reports_last_residual(self):
+        # with eta = 1/nu the first step lands on the zero control, and the
+        # huge tol_cost marks that step as a stall
+        p = preset_problem("time-sparsity-demo", beta1=0.0, beta2=0.0)
+        u0 = random_admissible_controls(p, seed=11)
+        opts = dataclasses.replace(p.opts, tol_cost=1e6)
+        res = proximal_gradient_solve(p.params, p.pot, p.hspec, p.targets,
+                                      p.mode, p.bounds, u0, opts, p.init)
+        assert res.n_iters == 1 and res.vi_history.size == 2
+        assert res.vi_residual <= opts.tol_vi
+        assert res.converged
 
     def test_history_lengths(self):
         p = preset_problem("time-sparsity-demo")

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from tumorctrl.cli import main as cli_main
@@ -82,6 +84,31 @@ class TestRun:
         vals = {line.split(",")[-1] for line in lines}
         assert vals == {"1.0"}
 
+    def test_simulate_golden_bytes(self, tmp_path):
+        # stationary-trivial's solution is exactly (0, 1, 0), so these bytes
+        # do not depend on BLAS rounding; manifest.txt names the numpy version
+        golden = {
+            "balance.csv": "4b39570b9794e7b99eaa91ba1aeed361"
+                           "64412b08ef74180fcf2f0ec2d14691bd",
+            "config.echo.cfg": "44d1358dbf5dbbf2855cdf2fc6a5013c"
+                               "a9ef4b2ff80d9f6377ef2861e21e7250",
+            "mu.csv": "e7083cad40facb8977fc3087239f4635"
+                      "77007f04724868fa60e5878190d35351",
+            "phi.csv": "fd6887d01ed64d53ceedb92bb0ebb919"
+                       "4201a62bbbddedcf82edc3db25346670",
+            "separation.csv": "7f3ec3bcb08bb2dcd6bf5c9b24136e14"
+                              "a80677437d7f6db31550518b4ed71421",
+            "sigma.csv": "708e58b2435b4987ff57c43d5d241205"
+                         "23ce9c7c5c220f3758e2a4fc80dfc2bf",
+            "solver_manifest.json": "bd4829e129884724cd8876fba49e8ba7"
+                                    "84ae7e17f7061b0958f1ac2cb9a20e1e",
+        }
+        manifest = run(parse_config_text(MINIMAL), tmp_path / "out")
+        assert set(manifest.artifacts) == set(golden)
+        for name, digest in golden.items():
+            data = (manifest.out_dir / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+
     def test_optimize_zero_target_writes_zero_controls(self, tmp_path):
         text = ("[run]\ncommand = optimize\npreset = time-sparsity-demo\n"
                 "[model]\nbeta1 = 0\nbeta2 = 0\n")
@@ -158,11 +185,9 @@ class TestCli:
     def test_command_override(self, tmp_path):
         # stationary preset has mode none: threshold must refuse it cleanly
         cfgp = write_cfg(tmp_path, MINIMAL)
-        assert cli_main(["simulate", "--command-override", "threshold",
-                         "--config", str(cfgp),
+        assert cli_main(["threshold", "--config", str(cfgp),
                          "--out", str(tmp_path / "o")]) == 2
         cfgp2 = write_cfg(tmp_path, "[run]\npreset = time-sparsity-demo\n",
                           name="t.cfg")
-        assert cli_main(["simulate", "--command-override", "threshold",
-                         "--config", str(cfgp2),
+        assert cli_main(["threshold", "--config", str(cfgp2),
                          "--out", str(tmp_path / "o")]) == 0

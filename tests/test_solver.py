@@ -148,6 +148,21 @@ class TestStateSolver:
         assert exc.value.residual > solver.NEWTON_TOL
         assert f"|G| = {exc.value.residual:.3e}" in str(exc.value)
 
+    @pytest.mark.parametrize("potential", ["logarithmic", "regular"])
+    @pytest.mark.parametrize("preset,n", [
+        ("1D-logarithmic-default", (1024,)),
+        ("1D-logarithmic-default", (2048,)),
+        ("2D-regular-default", (48, 48)),
+        ("2D-regular-default", (96, 96))])
+    def test_resolution_ladder(self, preset, n, potential):
+        # the Newton stopping test must stay attainable on fine grids, where
+        # the stencil's 4/h^2 diagonal dominates the rounding of the residual
+        prob = preset_problem(preset, n=n, n_steps=2, potential=potential)
+        traj = solve_state(prob.params, prob.pot, prob.hspec, prob.u0,
+                           prob.init)
+        rep = state_balance_report(traj, prob.params, prob.u0, prob.hspec)
+        assert rep["max_relative"] <= 1e-12
+
     def test_grid_mismatch_rejected(self):
         pr = params()
         tg = TimeGrid(0.1, 2)
