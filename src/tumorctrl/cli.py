@@ -3,7 +3,9 @@
     tumorctrl simulate|optimize|verify|sweep-kappa|threshold \
         --config <path> [--out <dir>]
 
-Exit codes: 0 success, 1 check failure, 2 config error.
+Exit codes: 0 success, 1 check failure, 2 config error: a bad key, value or
+section, or a problem the settings cannot build.  Every config key, its
+section and its default are in tumorctrl.presets.SETTINGS.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ satisfying the first-order conditions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -312,8 +312,6 @@ def kappa_sweep(params: ModelParams, pot: PotentialSpec,
     kappa = 0 runs the unregularized box-constrained problem (g disabled).
     Support monotonicity in kappa is reported, never asserted.
     """
-    import dataclasses
-
     ks = [float(k) for k in kappas]
     if any(b < a for a, b in zip(ks, ks[1:])):
         raise ValueError("kappa list must be ascending")
@@ -322,7 +320,7 @@ def kappa_sweep(params: ModelParams, pot: PotentialSpec,
         if k == 0.0:
             pr, md = params, SparsityMode.NONE
         else:
-            pr, md = dataclasses.replace(params, kappa=k), mode
+            pr, md = replace(params, kappa=k), mode
         res = proximal_gradient_solve(pr, pot, hspec, targets, md, bounds,
                                       u0, opts, init)
         s1, s2 = support_measure(md if k > 0.0 else mode, res.control)

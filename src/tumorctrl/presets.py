@@ -1,4 +1,8 @@
-"""Problem bundles, field recipes and the named experiment presets.
+"""Settings table, problem bundles, field recipes and the named presets.
+
+SETTINGS declares every problem setting once: its config section and key,
+its default and the converter that validates its config text.  Converters
+report failures as located ConfigIssues, collected into one ConfigError.
 
 A Problem collects everything one experiment needs (parameters, potential,
 interpolant, grids, initial data, targets, bounds, sparsity mode, starting
@@ -20,7 +24,7 @@ midpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import MappingProxyType
 
 import numpy as np
@@ -87,10 +91,160 @@ def eval_spacetime_recipe(recipe: str, grid: GridSpec, timegrid: TimeGrid,
 
 _POTENTIALS = {
     "regular": lambda s: regular_potential(),
-    "logarithmic": lambda s: logarithmic_potential(float(s.get("log_k", 2.0))),
+    "logarithmic": lambda s: logarithmic_potential(float(s["log_k"])),
 }
 
 _INTERPOLANTS = {"smoothstep7": smoothstep7}
+
+
+@dataclass(frozen=True)
+class ConfigIssue:
+    key: str
+    line: int
+    message: str
+    kind: str  # parse | unknown-key | unknown-value | range
+
+    def __str__(self):
+        where = f" (line {self.line})" if self.line else ""
+        return f"{self.kind}: {self.key}{where}: {self.message}"
+
+
+class ConfigError(ValueError):
+    """Carries every located config problem at once."""
+
+    def __init__(self, issues):
+        self.issues = tuple(issues)
+        super().__init__("; ".join(str(i) for i in self.issues))
+
+
+# Converters turn one config string into a setting value; on failure they
+# append a located ConfigIssue and return None.
+
+def _float_key(lo=None, lo_strict=False):
+    def conv(raw, key, line, issues):
+        try:
+            v = float(raw)
+        except ValueError:
+            issues.append(ConfigIssue(key, line, f"not a number: {raw!r}",
+                                      "parse"))
+            return None
+        if not np.isfinite(v):
+            issues.append(ConfigIssue(key, line, "must be finite", "range"))
+            return None
+        if lo is not None and (v < lo or (lo_strict and v == lo)):
+            cmp = ">" if lo_strict else ">="
+            issues.append(ConfigIssue(key, line, f"must be {cmp} {lo}",
+                                      "range"))
+            return None
+        return v
+    return conv
+
+
+def _int_key(lo=None):
+    def conv(raw, key, line, issues):
+        try:
+            v = int(raw)
+        except ValueError:
+            issues.append(ConfigIssue(key, line, f"not an integer: {raw!r}",
+                                      "parse"))
+            return None
+        if lo is not None and v < lo:
+            issues.append(ConfigIssue(key, line, f"must be >= {lo}", "range"))
+            return None
+        return v
+    return conv
+
+
+def _choice_key(options):
+    def conv(raw, key, line, issues):
+        if raw not in options:
+            issues.append(ConfigIssue(
+                key, line, f"unknown value {raw!r}; one of {sorted(options)}",
+                "unknown-value"))
+            return None
+        return raw
+    return conv
+
+
+def _str_key(raw, key, line, issues):
+    return raw
+
+
+def _tuple_key(conv_item, max_len=2):
+    def conv(raw, key, line, issues):
+        parts = raw.split()
+        if not 1 <= len(parts) <= max_len:
+            issues.append(ConfigIssue(key, line,
+                                      f"expected 1..{max_len} values", "parse"))
+            return None
+        out = []
+        for p in parts:
+            v = conv_item(p, key, line, issues)
+            if v is None:
+                return None
+            out.append(v)
+        return tuple(out)
+    return conv
+
+
+def _floats_key(raw, key, line, issues):
+    try:
+        return tuple(float(p) for p in raw.split())
+    except ValueError:
+        issues.append(ConfigIssue(key, line, "expected numbers", "parse"))
+        return None
+
+
+_POSITIVE = _float_key(lo=0, lo_strict=True)
+_NONNEG = _float_key(lo=0)
+
+# setting name -> (config section, config key, default, converter); the one
+# declaration of every problem setting
+SETTINGS = {
+    "seed": ("run", "seed", 20260808, _int_key(lo=0)),
+    "alpha": ("model", "alpha", 1.0, _POSITIVE),
+    "beta": ("model", "beta", 1.0, _POSITIVE),
+    "chi": ("model", "chi", 0.3, _NONNEG),
+    "p_rate": ("model", "p_rate", 0.5, _NONNEG),
+    "a_rate": ("model", "a_rate", 0.1, _NONNEG),
+    "b_rate": ("model", "b_rate", 0.5, _NONNEG),
+    "e_rate": ("model", "e_rate", 0.5, _NONNEG),
+    "sigma_s": ("model", "sigma_s", 0.6, _NONNEG),
+    "nu": ("model", "nu", 0.1, _POSITIVE),
+    "kappa": ("model", "kappa", 0.02, _POSITIVE),
+    "beta1": ("model", "beta1", 1.0, _NONNEG),
+    "beta2": ("model", "beta2", 0.0, _NONNEG),
+    "potential": ("potential", "variant", "regular", _choice_key(_POTENTIALS)),
+    "log_k": ("potential", "log_k", 2.0, _float_key(lo=1, lo_strict=True)),
+    "h": ("potential", "h", "smoothstep7", _choice_key(_INTERPOLANTS)),
+    "dim": ("grid", "dim", 1, _int_key(lo=1)),
+    "n": ("grid", "n", (32,), _tuple_key(_int_key(lo=1))),
+    "length": ("grid", "length", (1.0,), _tuple_key(_POSITIVE)),
+    "t_final": ("time", "t_final", 0.25, _POSITIVE),
+    "n_steps": ("time", "n_steps", 64, _int_key(lo=1)),
+    "init_mu": ("init", "mu", "constant 0", _str_key),
+    "init_phi": ("init", "phi", "constant 0", _str_key),
+    "init_sigma": ("init", "sigma", "constant 0.5", _str_key),
+    "target_phi_q": ("targets", "phi_q", "constant 0", _str_key),
+    "target_phi_omega": ("targets", "phi_omega", "constant 0", _str_key),
+    "lo1": ("bounds", "lo1", -1.0, _float_key()),
+    "hi1": ("bounds", "hi1", 1.0, _float_key()),
+    "lo2": ("bounds", "lo2", -1.0, _float_key()),
+    "hi2": ("bounds", "hi2", 1.0, _float_key()),
+    "mode": ("sparsity", "mode", "none",
+             _choice_key([m.value for m in SparsityMode])),
+    "u0_1": ("controls", "u0_1", "constant 0", _str_key),
+    "u0_2": ("controls", "u0_2", "constant 0", _str_key),
+    "max_iters": ("optimizer", "max_iters", 400, _int_key(lo=1)),
+    "eta0": ("optimizer", "eta0", 0.0, _NONNEG),
+    "backtrack": ("optimizer", "backtrack", 0.5, _float_key()),
+    "decrease": ("optimizer", "decrease", 1e-4, _POSITIVE),
+    "tol_vi": ("optimizer", "tol_vi", 1e-8, _POSITIVE),
+    "tol_cost": ("optimizer", "tol_cost", 0.0, _NONNEG),
+}
+
+DEFAULT_SETTINGS = {"name": "custom",
+                    **{name: d for name, (_, _, d, _) in SETTINGS.items()}}
 
 
 @dataclass(frozen=True)
@@ -121,41 +275,18 @@ class Problem:
         return make_problem(s)
 
 
-DEFAULT_SETTINGS = {
-    "name": "custom",
-    "alpha": 1.0, "beta": 1.0, "chi": 0.3,
-    "p_rate": 0.5, "a_rate": 0.1, "b_rate": 0.5, "e_rate": 0.5,
-    "sigma_s": 0.6, "nu": 0.1, "kappa": 0.02, "beta1": 1.0, "beta2": 0.0,
-    "potential": "regular", "log_k": 2.0, "h": "smoothstep7",
-    "dim": 1, "n": (32,), "length": (1.0,),
-    "t_final": 0.25, "n_steps": 64,
-    "init_mu": "constant 0", "init_phi": "constant 0",
-    "init_sigma": "constant 0.5",
-    "target_phi_q": "constant 0", "target_phi_omega": "constant 0",
-    "lo1": -1.0, "hi1": 1.0, "lo2": -1.0, "hi2": 1.0,
-    "mode": "none",
-    "u0_1": "constant 0", "u0_2": "constant 0",
-    "seed": 20260808,
-    "max_iters": 400, "eta0": 0.0, "backtrack": 0.5, "decrease": 1e-4,
-    "tol_vi": 1e-8, "tol_cost": 0.0,
-}
+def _from_fields(cls, s):
+    return cls(**{f.name: float(s[f.name]) for f in fields(cls)})
 
 
 def make_problem(settings: dict) -> Problem:
     """Build a Problem from flat settings (missing keys take defaults)."""
-    s = dict(DEFAULT_SETTINGS)
-    s.update(settings)
+    s = {**DEFAULT_SETTINGS, **settings}
     unknown = set(s) - set(DEFAULT_SETTINGS)
     if unknown:
         raise ValueError(f"unknown settings: {sorted(unknown)}")
 
-    params = ModelParams(
-        alpha=float(s["alpha"]), beta=float(s["beta"]), chi=float(s["chi"]),
-        p_rate=float(s["p_rate"]), a_rate=float(s["a_rate"]),
-        b_rate=float(s["b_rate"]), e_rate=float(s["e_rate"]),
-        sigma_s=float(s["sigma_s"]), nu=float(s["nu"]),
-        kappa=float(s["kappa"]), beta1=float(s["beta1"]),
-        beta2=float(s["beta2"]))
+    params = _from_fields(ModelParams, s)
     if s["potential"] not in _POTENTIALS:
         raise ValueError(f"unknown potential {s['potential']!r}")
     pot = _POTENTIALS[s["potential"]](s)
@@ -178,8 +309,7 @@ def make_problem(settings: dict) -> Problem:
     targets = Targets(
         eval_spacetime_recipe(s["target_phi_q"], grid, timegrid, True, rng),
         Field(grid, eval_space_recipe(s["target_phi_omega"], grid, rng)))
-    bounds = BoxBounds(float(s["lo1"]), float(s["hi1"]),
-                       float(s["lo2"]), float(s["hi2"]))
+    bounds = _from_fields(BoxBounds, s)
     mode = SparsityMode.from_name(str(s["mode"]))
     u0 = ControlPair(
         eval_spacetime_recipe(s["u0_1"], grid, timegrid, False, rng),
@@ -245,7 +375,7 @@ PRESET_SETTINGS = {
         "name": "time-sparsity-demo",
         "alpha": 1.0, "beta": 1.0, "chi": 0.2, "p_rate": 0.5, "a_rate": 0.1,
         "b_rate": 0.5, "e_rate": 0.4, "sigma_s": 0.5, "nu": 0.05,
-        "kappa": 0.01, "beta1": 1.0, "beta2": 0.0,
+        "beta1": 1.0, "beta2": 0.0,
         "potential": "regular",
         "dim": 1, "n": (16,), "length": (1.0,),
         "t_final": 0.5, "n_steps": 40,

@@ -1,10 +1,12 @@
 """Configuration ingestion, experiment orchestration and persistence.
 
 Experiments are described by a sectioned key = value text file; a config may
-name a preset whose values are merged underneath the explicit keys.  Every
-run writes its CSV artifacts into a subdirectory of the output directory
-named by the hash of the fully-defaulted config, plus a flat key = value
-manifest listing the artifacts, timings, versions and the config echo.
+name a preset whose values are merged underneath the explicit keys.  The
+problem settings' sections, keys and defaults are declared in
+presets.SETTINGS; this module adds the run keys (command, preset, kappas).
+Every run writes its CSV artifacts into a subdirectory of the output
+directory named by the hash of the fully-defaulted config, plus a flat
+key = value manifest listing the artifacts, versions and the config echo.
 Artifacts are deterministic: two runs of one config produce byte-identical
 files.
 """
@@ -24,161 +26,150 @@ from .fields import write_csv, write_field_csv
 from .model import validate_setup
 from .optim import (kappa_sweep, proximal_gradient_solve, support_measure,
                     zero_control_threshold)
-from .presets import Problem, make_problem, preset_names, preset_settings
+from .presets import (SETTINGS, ConfigError, ConfigIssue, Problem, _choice_key,
+                      _floats_key, make_problem, preset_names,
+                      preset_settings)
 from .solver import solve_state, state_balance_report
 from .sparsity import SparsityMode, certificate, certificate_to_csv
 from .verify import (CheckReport, duality_gap, fd_gradient_check,
                      linearized_fd_refinement, separation_monitor,
                      write_check_csv)
 
-COMMANDS = ("simulate", "optimize", "verify", "sweep-kappa", "threshold")
+_STATE_NAMES = ("mu", "phi", "sigma")
 
 
-@dataclass(frozen=True)
-class ConfigIssue:
-    key: str
-    line: int
-    message: str
-    kind: str  # parse | unknown-key | unknown-value | missing-key | range
-
-    def __str__(self):
-        where = f" (line {self.line})" if self.line else ""
-        return f"{self.kind}: {self.key}{where}: {self.message}"
+def _write_fields(out, owner, names, prefix=""):
+    """One field CSV per named attribute of owner; returns the paths."""
+    files = [out / f"{prefix}{name}.csv" for name in names]
+    for p, name in zip(files, names):
+        write_field_csv(p, getattr(owner, name), name)
+    return files
 
 
-class ConfigError(ValueError):
-    """Carries every located config problem at once."""
-
-    def __init__(self, issues):
-        self.issues = tuple(issues)
-        super().__init__("; ".join(str(i) for i in self.issues))
-
-
-def _float_key(lo=None, lo_strict=False):
-    def conv(raw, key, line, issues):
-        try:
-            v = float(raw)
-        except ValueError:
-            issues.append(ConfigIssue(key, line, f"not a number: {raw!r}",
-                                      "parse"))
-            return None
-        if not np.isfinite(v):
-            issues.append(ConfigIssue(key, line, "must be finite", "range"))
-            return None
-        if lo is not None and (v < lo or (lo_strict and v == lo)):
-            cmp = ">" if lo_strict else ">="
-            issues.append(ConfigIssue(key, line, f"must be {cmp} {lo}",
-                                      "range"))
-            return None
-        return v
-    return conv
+def _run_simulate(problem: Problem, out: Path, kappas):
+    stats: dict = {}
+    traj = solve_state(problem.params, problem.pot, problem.hspec, problem.u0,
+                       problem.init, stats=stats)
+    files = _write_fields(out, traj, _STATE_NAMES)
+    p = out / "solver_manifest.json"
+    p.write_text(json.dumps(stats, sort_keys=True, indent=1) + "\n",
+                 encoding="utf-8")
+    files.append(p)
+    bal = state_balance_report(traj, problem.params, problem.u0, problem.hspec)
+    p = out / "balance.csv"
+    names = ("residual_mu", "residual_sigma", "relative_mu", "relative_sigma")
+    write_csv(p, ("step",) + names,
+              [np.arange(bal["residual_mu"].size)] + [bal[k] for k in names])
+    files.append(p)
+    sep = separation_monitor(traj, problem.pot)
+    p = out / "separation.csv"
+    write_check_csv(sep, p)
+    files.append(p)
+    return files, sep.passed
 
 
-def _int_key(lo=None):
-    def conv(raw, key, line, issues):
-        try:
-            v = int(raw)
-        except ValueError:
-            issues.append(ConfigIssue(key, line, f"not an integer: {raw!r}",
-                                      "parse"))
-            return None
-        if lo is not None and v < lo:
-            issues.append(ConfigIssue(key, line, f"must be >= {lo}", "range"))
-            return None
-        return v
-    return conv
+def _run_optimize(problem: Problem, out: Path, kappas):
+    res = proximal_gradient_solve(problem.params, problem.pot, problem.hspec,
+                                  problem.targets, problem.mode,
+                                  problem.bounds, problem.u0, problem.opts,
+                                  problem.init)
+    files = _write_fields(out, res.control, ("u1", "u2"), "control_")
+    files += _write_fields(out, res.trajectory, _STATE_NAMES)
+    p = out / "convergence.csv"
+    # one row per VI evaluation; the last row repeats the last accepted step
+    etas = res.eta_history
+    n = res.vi_history.size
+    write_csv(p, ("iter", "cost", "vi_residual", "step_size", "support1",
+                  "support2"),
+              [np.arange(n), res.cost_history, res.vi_history,
+               np.append(etas, etas[-1] if etas.size else np.nan),
+               *(np.full(n, s)
+                 for s in support_measure(problem.mode, res.control))])
+    files.append(p)
+    if problem.mode is not SparsityMode.NONE:
+        cert = certificate(problem.mode, res.adjoint, res.trajectory,
+                           problem.hspec, problem.params.kappa, problem.bounds)
+        p = out / "certificate.csv"
+        certificate_to_csv(cert, p)
+        files.append(p)
+    return files, True
 
 
-def _choice_key(options):
-    def conv(raw, key, line, issues):
-        if raw not in options:
-            issues.append(ConfigIssue(
-                key, line, f"unknown value {raw!r}; one of {sorted(options)}",
-                "unknown-value"))
-            return None
-        return raw
-    return conv
+def _run_threshold(problem: Problem, out: Path, kappas):
+    rep = zero_control_threshold(problem.params, problem.pot, problem.hspec,
+                                 problem.targets, problem.mode, problem.init)
+    p = out / "threshold.csv"
+    write_csv(p, ("quantity", "value"),
+              [("kappa1", "kappa2", "kappa0_estimate"),
+               (rep.kappa1, rep.kappa2, rep.kappa0_estimate)])
+    return [p], True
 
 
-def _str_key(raw, key, line, issues):
-    return raw
+def _run_sweep(problem: Problem, out: Path, kappas):
+    ks = list(kappas)
+    if not ks:
+        rep = zero_control_threshold(problem.params, problem.pot,
+                                     problem.hspec, problem.targets,
+                                     problem.mode, problem.init)
+        k0 = rep.kappa0_estimate
+        ks = [0.0, 0.5 * k0, 2.0 * k0] if k0 > 0 else [0.0]
+    rows = kappa_sweep(problem.params, problem.pot, problem.hspec,
+                       problem.targets, problem.mode, problem.bounds,
+                       problem.u0, problem.opts, ks, problem.init)
+    p = out / "kappa_sweep.csv"
+    names = ("kappa", "cost", "vi_residual", "support1", "support2",
+             "control_norm", "iterations")
+    write_csv(p, names, [[r[k] for r in rows] for k in names])
+    return [p], True
 
 
-def _tuple_key(conv_item, max_len=2):
-    def conv(raw, key, line, issues):
-        parts = raw.split()
-        if not 1 <= len(parts) <= max_len:
-            issues.append(ConfigIssue(key, line,
-                                      f"expected 1..{max_len} values", "parse"))
-            return None
-        out = []
-        for p in parts:
-            v = conv_item(p, key, line, issues)
-            if v is None:
-                return None
-            out.append(v)
-        return tuple(out)
-    return conv
+def _run_verify(problem: Problem, out: Path, kappas):
+    checks: list[CheckReport] = []
+    checks.append(fd_gradient_check(problem, n_directions=3))
+    checks.append(linearized_fd_refinement(problem, levels=3))
+    checks.append(duality_gap(problem, levels=3))
+    traj = solve_state(problem.params, problem.pot, problem.hspec, problem.u0,
+                       problem.init)
+    checks.append(separation_monitor(traj, problem.pot))
+    files = []
+    for rep in checks:
+        p = out / f"check_{rep.name}.csv"
+        write_check_csv(rep, p)
+        files.append(p)
+    p = out / "verify_summary.csv"
+    write_csv(p, ("check", "passed"),
+              [[c.name for c in checks], [c.passed for c in checks]])
+    files.append(p)
+    return files, all(c.passed for c in checks)
 
 
-def _floats_key(raw, key, line, issues):
-    try:
-        return tuple(float(p) for p in raw.split())
-    except ValueError:
-        issues.append(ConfigIssue(key, line, "expected numbers", "parse"))
-        return None
+# command name -> handler(problem, out, kappas) -> (artifact paths, passed)
+_COMMANDS = {"simulate": _run_simulate, "optimize": _run_optimize,
+             "verify": _run_verify, "sweep-kappa": _run_sweep,
+             "threshold": _run_threshold}
+COMMANDS = tuple(_COMMANDS)
 
 
-# (section, key) -> (settings name or None, converter, default-from-presets)
-SCHEMA = {
-    ("run", "command"): ("command", _choice_key(COMMANDS)),
-    ("run", "preset"): ("preset", _str_key),
-    ("run", "seed"): ("seed", _int_key(lo=0)),
-    ("run", "kappas"): ("kappas", _floats_key),
-    ("model", "alpha"): ("alpha", _float_key(lo=0, lo_strict=True)),
-    ("model", "beta"): ("beta", _float_key(lo=0, lo_strict=True)),
-    ("model", "chi"): ("chi", _float_key(lo=0)),
-    ("model", "p_rate"): ("p_rate", _float_key(lo=0)),
-    ("model", "a_rate"): ("a_rate", _float_key(lo=0)),
-    ("model", "b_rate"): ("b_rate", _float_key(lo=0)),
-    ("model", "e_rate"): ("e_rate", _float_key(lo=0)),
-    ("model", "sigma_s"): ("sigma_s", _float_key(lo=0)),
-    ("model", "nu"): ("nu", _float_key(lo=0, lo_strict=True)),
-    ("model", "kappa"): ("kappa", _float_key(lo=0, lo_strict=True)),
-    ("model", "beta1"): ("beta1", _float_key(lo=0)),
-    ("model", "beta2"): ("beta2", _float_key(lo=0)),
-    ("potential", "variant"): ("potential",
-                               _choice_key(("regular", "logarithmic"))),
-    ("potential", "log_k"): ("log_k", _float_key(lo=1, lo_strict=True)),
-    ("potential", "h"): ("h", _choice_key(("smoothstep7",))),
-    ("grid", "dim"): ("dim", _int_key(lo=1)),
-    ("grid", "n"): ("n", _tuple_key(_int_key(lo=1))),
-    ("grid", "length"): ("length", _tuple_key(_float_key(lo=0,
-                                                         lo_strict=True))),
-    ("time", "t_final"): ("t_final", _float_key(lo=0, lo_strict=True)),
-    ("time", "n_steps"): ("n_steps", _int_key(lo=1)),
-    ("init", "mu"): ("init_mu", _str_key),
-    ("init", "phi"): ("init_phi", _str_key),
-    ("init", "sigma"): ("init_sigma", _str_key),
-    ("targets", "phi_q"): ("target_phi_q", _str_key),
-    ("targets", "phi_omega"): ("target_phi_omega", _str_key),
-    ("bounds", "lo1"): ("lo1", _float_key()),
-    ("bounds", "hi1"): ("hi1", _float_key()),
-    ("bounds", "lo2"): ("lo2", _float_key()),
-    ("bounds", "hi2"): ("hi2", _float_key()),
-    ("sparsity", "mode"): ("mode", _choice_key(("none", "full", "time",
-                                                "space"))),
-    ("controls", "u0_1"): ("u0_1", _str_key),
-    ("controls", "u0_2"): ("u0_2", _str_key),
-    ("optimizer", "max_iters"): ("max_iters", _int_key(lo=1)),
-    ("optimizer", "eta0"): ("eta0", _float_key(lo=0)),
-    ("optimizer", "backtrack"): ("backtrack", _float_key()),
-    ("optimizer", "decrease"): ("decrease", _float_key(lo=0, lo_strict=True)),
-    ("optimizer", "tol_vi"): ("tol_vi", _float_key(lo=0, lo_strict=True)),
-    ("optimizer", "tol_cost"): ("tol_cost", _float_key(lo=0)),
+def _canonical(value) -> str:
+    if isinstance(value, tuple):
+        return " ".join(_canonical(v) for v in value)
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+# the run keys, declared like presets.SETTINGS; they select what to run and
+# are not problem settings
+_RUN_KEYS = {
+    "command": ("run", "command", "simulate", _choice_key(COMMANDS)),
+    "preset": ("run", "preset", "", _choice_key(("",) + preset_names())),
+    "kappas": ("run", "kappas", (), _floats_key),
 }
-
-_DEFAULT_COMMAND = "simulate"
+_KEYS = {**SETTINGS, **_RUN_KEYS}
+# (section, key) -> (settings name, converter)
+SCHEMA = {(sec, key): (name, conv)
+          for name, (sec, key, _, conv) in _KEYS.items()}
+_DEFAULTS = {(sec, key): _canonical(d) for sec, key, d, _ in _KEYS.values()}
 
 
 @dataclass(frozen=True)
@@ -226,14 +217,6 @@ class ExperimentConfig:
         return command, kappas, out
 
 
-def _canonical(value) -> str:
-    if isinstance(value, tuple):
-        return " ".join(_canonical(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse and validate config text; raises ConfigError with locations."""
     issues = []
@@ -269,30 +252,14 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if issues:
         raise ConfigError(issues)
 
-    # merge preset defaults under explicit keys, then global defaults
-    merged: dict = {}
-    preset = raw.get(("run", "preset"), ("", 0))[0]
-    if preset:
-        if preset not in preset_names():
-            raise ConfigError([ConfigIssue("run.preset",
-                                           raw[("run", "preset")][1],
-                                           f"unknown preset {preset!r}",
-                                           "unknown-value")])
-        ps = preset_settings(preset)
-        ps.pop("name", None)
-        by_name = {name: (sec, key) for (sec, key), (name, _) in SCHEMA.items()}
-        for name, value in ps.items():
-            merged[by_name[name]] = _canonical(value)
-    from .presets import DEFAULT_SETTINGS
-    by_name = {name: (sec, key) for (sec, key), (name, _) in SCHEMA.items()}
-    for name, value in DEFAULT_SETTINGS.items():
-        if name in by_name and by_name[name] not in merged:
-            merged[by_name[name]] = _canonical(value)
-    merged.setdefault(("run", "command"), _DEFAULT_COMMAND)
-    merged.setdefault(("run", "preset"), preset)
-    merged.setdefault(("run", "kappas"), "")
-    for (sec, key), (val, _) in raw.items():
-        merged[(sec, key)] = val
+    # global defaults, then the preset, then the explicit keys as written
+    given = {sk: val for sk, (val, _) in raw.items()}
+    preset = given.get(("run", "preset"), "")
+    from_preset = preset_settings(preset) if preset else {}
+    merged = {**_DEFAULTS,
+              **{_KEYS[name][:2]: _canonical(v)
+                 for name, v in from_preset.items() if name != "name"},
+              **given}
     values = tuple(sorted(merged.items()))
     return ExperimentConfig(values)
 
@@ -318,124 +285,16 @@ class RunManifest:
     passed: bool
     elapsed_s: float
 
-    @property
-    def manifest_path(self) -> Path:
-        return self.out_dir / "manifest.txt"
-
-
-_STATE_NAMES = ("mu", "phi", "sigma")
-
-
-def _write_fields(out, owner, names, prefix=""):
-    """One field CSV per named attribute of owner; returns the paths."""
-    files = [out / f"{prefix}{name}.csv" for name in names]
-    for p, name in zip(files, names):
-        write_field_csv(p, getattr(owner, name), name)
-    return files
-
-
-def _run_simulate(problem: Problem, out: Path):
-    stats: dict = {}
-    traj = solve_state(problem.params, problem.pot, problem.hspec, problem.u0,
-                       problem.init, stats=stats)
-    files = _write_fields(out, traj, _STATE_NAMES)
-    p = out / "solver_manifest.json"
-    p.write_text(json.dumps(stats, sort_keys=True, indent=1) + "\n",
-                 encoding="utf-8")
-    files.append(p)
-    bal = state_balance_report(traj, problem.params, problem.u0, problem.hspec)
-    p = out / "balance.csv"
-    names = ("residual_mu", "residual_sigma", "relative_mu", "relative_sigma")
-    write_csv(p, ("step",) + names,
-              [np.arange(bal["residual_mu"].size)] + [bal[k] for k in names])
-    files.append(p)
-    sep = separation_monitor(traj, problem.pot)
-    p = out / "separation.csv"
-    write_check_csv(sep, p)
-    files.append(p)
-    return files, sep.passed
-
-
-def _run_optimize(problem: Problem, out: Path):
-    res = proximal_gradient_solve(problem.params, problem.pot, problem.hspec,
-                                  problem.targets, problem.mode,
-                                  problem.bounds, problem.u0, problem.opts,
-                                  problem.init)
-    files = _write_fields(out, res.control, ("u1", "u2"), "control_")
-    files += _write_fields(out, res.trajectory, _STATE_NAMES)
-    p = out / "convergence.csv"
-    # one row per VI evaluation; the last row repeats the last accepted step
-    etas = res.eta_history
-    n = res.vi_history.size
-    write_csv(p, ("iter", "cost", "vi_residual", "step_size", "support1",
-                  "support2"),
-              [np.arange(n), res.cost_history, res.vi_history,
-               np.append(etas, etas[-1] if etas.size else np.nan),
-               *(np.full(n, s)
-                 for s in support_measure(problem.mode, res.control))])
-    files.append(p)
-    if problem.mode is not SparsityMode.NONE:
-        cert = certificate(problem.mode, res.adjoint, res.trajectory,
-                           problem.hspec, problem.params.kappa, problem.bounds)
-        p = out / "certificate.csv"
-        certificate_to_csv(cert, p)
-        files.append(p)
-    return files, True
-
-
-def _run_threshold(problem: Problem, out: Path):
-    rep = zero_control_threshold(problem.params, problem.pot, problem.hspec,
-                                 problem.targets, problem.mode, problem.init)
-    p = out / "threshold.csv"
-    write_csv(p, ("quantity", "value"),
-              [("kappa1", "kappa2", "kappa0_estimate"),
-               (rep.kappa1, rep.kappa2, rep.kappa0_estimate)])
-    return [p], True
-
-
-def _run_sweep(problem: Problem, kappas, out: Path):
-    ks = list(kappas)
-    if not ks:
-        rep = zero_control_threshold(problem.params, problem.pot,
-                                     problem.hspec, problem.targets,
-                                     problem.mode, problem.init)
-        k0 = rep.kappa0_estimate
-        ks = [0.0, 0.5 * k0, 2.0 * k0] if k0 > 0 else [0.0]
-    rows = kappa_sweep(problem.params, problem.pot, problem.hspec,
-                       problem.targets, problem.mode, problem.bounds,
-                       problem.u0, problem.opts, ks, problem.init)
-    p = out / "kappa_sweep.csv"
-    names = ("kappa", "cost", "vi_residual", "support1", "support2",
-             "control_norm", "iterations")
-    write_csv(p, names, [[r[k] for r in rows] for k in names])
-    return [p], True
-
-
-def _run_verify(problem: Problem, out: Path):
-    checks: list[CheckReport] = []
-    checks.append(fd_gradient_check(problem, n_directions=3))
-    checks.append(linearized_fd_refinement(problem, levels=3))
-    checks.append(duality_gap(problem, levels=3))
-    traj = solve_state(problem.params, problem.pot, problem.hspec, problem.u0,
-                       problem.init)
-    checks.append(separation_monitor(traj, problem.pot))
-    files = []
-    for rep in checks:
-        p = out / f"check_{rep.name}.csv"
-        write_check_csv(rep, p)
-        files.append(p)
-    p = out / "verify_summary.csv"
-    write_csv(p, ("check", "passed"),
-              [[c.name for c in checks], [c.passed for c in checks]])
-    files.append(p)
-    return files, all(c.passed for c in checks)
-
 
 def run(config: ExperimentConfig, out_dir) -> RunManifest:
     """Execute the configured command and persist artifacts + manifest."""
     t0 = time.perf_counter()
     command, kappas, settings = config.to_settings()
-    problem = make_problem(settings)
+    try:
+        problem = make_problem(settings)
+    except ValueError as exc:
+        raise ConfigError([ConfigIssue("<problem>", 0, str(exc), "range")]) \
+            from exc
 
     report = validate_setup(problem.params, problem.pot, problem.init,
                             problem.hspec)
@@ -453,20 +312,7 @@ def run(config: ExperimentConfig, out_dir) -> RunManifest:
     out = Path(out_dir) / config.config_hash()
     out.mkdir(parents=True, exist_ok=True)
 
-    if command == "simulate":
-        files, passed = _run_simulate(problem, out)
-    elif command == "optimize":
-        files, passed = _run_optimize(problem, out)
-    elif command == "threshold":
-        files, passed = _run_threshold(problem, out)
-    elif command == "sweep-kappa":
-        files, passed = _run_sweep(problem, kappas, out)
-    elif command == "verify":
-        files, passed = _run_verify(problem, out)
-    else:  # pragma: no cover - schema forbids
-        raise ConfigError([ConfigIssue("run.command", 0,
-                                       f"unknown command {command!r}",
-                                       "unknown-value")])
+    files, passed = _COMMANDS[command](problem, out, kappas)
 
     echo = out / "config.echo.cfg"
     echo.write_text(config.serialize(), encoding="utf-8")

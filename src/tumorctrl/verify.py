@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import SpaceTimeField, write_csv
 from .optim import reduced_cost, smooth_gradient
 from .presets import Problem
-from .solver import (ControlPair, LinearizedSpec, Targets, solve_adjoint,
-                     solve_linearized, solve_state)
+from .solver import (ControlPair, LinearizedSpec, Targets,
+                     adjoint_mismatch_fields, separation_margins,
+                     solve_adjoint, solve_linearized, solve_state)
 from .sparsity import SparsityMode
 
 DEFAULT_EPS_LADDER = tuple(10.0 ** (-k) for k in range(1, 8))
@@ -304,7 +305,6 @@ def _duality_gap_at(problem: Problem, u: ControlPair,
     lhs_t = pr.beta2 * vol * float(np.sum(diff_t * lin.phi.values[-1]))
     lhs = lhs_q + lhs_t
 
-    from .solver import adjoint_mismatch_fields
     d1, d2 = adjoint_mismatch_fields(problem.hspec, base, adj)
     rhs = tg.tau * vol * (float(np.sum(d1 * k1)) + float(np.sum(d2 * k2)))
     scale = max(abs(lhs), abs(rhs), 1e-300)
@@ -450,8 +450,6 @@ def separation_monitor(traj, pot, floor: float = 1e-6) -> CheckReport:
     failure the first offending step is named.  Reports "not applicable"
     for potentials on the whole real line.
     """
-    from .solver import separation_margins
-
     rep = separation_margins(traj, pot)
     if not rep["applicable"]:
         metrics = (("applicable", 0.0, None, None),)

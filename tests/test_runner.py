@@ -2,10 +2,13 @@ import hashlib
 
 import pytest
 
+from tumorctrl import runner
 from tumorctrl.cli import main as cli_main
-from tumorctrl.presets import preset_names, preset_problem
+from tumorctrl.presets import (_INTERPOLANTS, _POTENTIALS, PRESET_SETTINGS,
+                               SETTINGS, preset_names, preset_problem)
 from tumorctrl.runner import (ConfigError, load_config, parse_config_text,
                               run)
+from tumorctrl.sparsity import SparsityMode
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -59,12 +62,106 @@ class TestConfigParsing:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError) as exc:
             parse_config_text("[run]\npreset = nope\n")
-        assert exc.value.issues[0].kind == "unknown-value"
+        issue = exc.value.issues[0]
+        assert (issue.kind, issue.key, issue.line) == \
+            ("unknown-value", "run.preset", 2)
 
     def test_all_presets_buildable(self):
         for name in preset_names():
             prob = preset_problem(name)
             assert prob.grid.n_cells >= 1
+
+
+# config_hash() and sha256 of serialize() for each text, recorded before the
+# settings were declared in one table
+GOLDEN_CONFIGS = {
+    "stationary-trivial": (
+        "[run]\npreset = stationary-trivial\n", "44d1358dbf5d",
+        "44d1358dbf5dbbf2855cdf2fc6a5013ca9ef4b2ff80d9f6377ef2861e21e7250"),
+    "1D-logarithmic-default": (
+        "[run]\npreset = 1D-logarithmic-default\n", "0b69660709d3",
+        "0b69660709d39921724d5d1e2f3b2ebfe8b8f58de207c68c798a3b93944343c7"),
+    "2D-regular-default": (
+        "[run]\npreset = 2D-regular-default\n", "60d5613ec279",
+        "60d5613ec279c2a3de0b4d59f0c73460ff3725da9d7b907722ca88fdf729844f"),
+    "time-sparsity-demo": (
+        "[run]\npreset = time-sparsity-demo\n", "027bfb6e4874",
+        "027bfb6e48748120377f7667804a2b4d3848d7e321c9c578ae2fb10379bd8be0"),
+    "stress-separation": (
+        "[run]\npreset = stress-separation\n", "6737714bf951",
+        "6737714bf95109ff064ae3ce7186212e77217841d621e2fad9a58e94e40daa60"),
+    "kappa-1e-3": (
+        "[model]\nkappa = 1e-3\n", "59539be917f4",
+        "59539be917f404936ccb9b46d2a423f7bd5d07d79f03ecb21bb0af67c87c5572"),
+    # the optimize-2d-space benchmark op without its seed
+    "optimize-2d-space": (
+        "[run]\ncommand = optimize\npreset = time-sparsity-demo\n\n"
+        "[controls]\nu0_1 = random 0.5\nu0_2 = random 0.5\n\n"
+        "[grid]\ndim = 2\nn = 32 32\nlength = 1.0 1.0\n\n"
+        "[time]\nn_steps = 8\n\n[targets]\nphi_q = bump 0.0 0.6\n\n"
+        "[model]\nkappa = 0.0025\n\n[sparsity]\nmode = space\n",
+        "59a1bf0848c3",
+        "59a1bf0848c3594140c7804aff1ddbf48e77864d96ff5228b09d6d4c02e18026"),
+}
+
+# the fully-defaulted config; the explicit kappa is kept as written
+DEFAULT_KAPPA_TEXT = (
+    "[bounds]\nhi1 = 1.0\nhi2 = 1.0\nlo1 = -1.0\nlo2 = -1.0\n\n"
+    "[controls]\nu0_1 = constant 0\nu0_2 = constant 0\n\n"
+    "[grid]\ndim = 1\nlength = 1.0\nn = 32\n\n"
+    "[init]\nmu = constant 0\nphi = constant 0\nsigma = constant 0.5\n\n"
+    "[model]\na_rate = 0.1\nalpha = 1.0\nb_rate = 0.5\nbeta = 1.0\n"
+    "beta1 = 1.0\nbeta2 = 0.0\nchi = 0.3\ne_rate = 0.5\nkappa = 1e-3\n"
+    "nu = 0.1\np_rate = 0.5\nsigma_s = 0.6\n\n"
+    "[optimizer]\nbacktrack = 0.5\ndecrease = 0.0001\neta0 = 0.0\n"
+    "max_iters = 400\ntol_cost = 0.0\ntol_vi = 1e-08\n\n"
+    "[potential]\nh = smoothstep7\nlog_k = 2.0\nvariant = regular\n\n"
+    "[run]\ncommand = simulate\nkappas = \npreset = \nseed = 20260808\n\n"
+    "[sparsity]\nmode = none\n\n"
+    "[targets]\nphi_omega = constant 0\nphi_q = constant 0\n\n"
+    "[time]\nn_steps = 64\nt_final = 0.25\n")
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("text,config_hash,text_sha",
+                             GOLDEN_CONFIGS.values(), ids=GOLDEN_CONFIGS)
+    def test_golden_config_hash(self, text, config_hash, text_sha):
+        cfg = parse_config_text(text)
+        assert cfg.config_hash() == config_hash
+        digest = hashlib.sha256(cfg.serialize().encode()).hexdigest()
+        assert digest == text_sha
+
+    def test_golden_default_text(self):
+        cfg = parse_config_text("[model]\nkappa = 1e-3\n")
+        assert cfg.serialize() == DEFAULT_KAPPA_TEXT
+
+    def test_preset_keys_are_settings(self):
+        for name, preset in PRESET_SETTINGS.items():
+            assert set(preset) <= set(SETTINGS) | {"name"}, name
+
+    def test_defaults_round_trip(self):
+        for name, (sec, key, default, conv) in runner._KEYS.items():
+            issues = []
+            value = conv(runner._canonical(default), f"{sec}.{key}", 0,
+                         issues)
+            assert not issues and repr(value) == repr(default), name
+
+    @pytest.mark.parametrize("sec,key,owner", [
+        ("potential", "variant", _POTENTIALS),
+        ("potential", "h", _INTERPOLANTS),
+        ("sparsity", "mode", [m.value for m in SparsityMode]),
+        ("run", "command", runner._COMMANDS),
+        ("run", "preset", ("",) + preset_names()),
+    ], ids=["potential.variant", "potential.h", "sparsity.mode", "run.command",
+            "run.preset"])
+    def test_choices_come_from_owner(self, sec, key, owner):
+        _, conv = runner.SCHEMA[(sec, key)]
+        issues = []
+        for option in owner:
+            assert conv(option, key, 0, issues) == option
+        assert conv("banana", key, 0, issues) is None
+        # the rejection lists every accepted value
+        assert issues[0].message.endswith(f"one of {sorted(owner)}")
 
 
 class TestRun:
@@ -175,6 +272,21 @@ class TestCli:
         missing = tmp_path / "nope.cfg"
         assert cli_main(["simulate", "--config", str(missing),
                          "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "[grid]\ndim = 3\n",
+        "[grid]\ndim = 2\n",
+        "[init]\nphi = bogus 1\n",
+        "[bounds]\nlo1 = 2\n",
+        "[optimizer]\nbacktrack = 2\n",
+    ], ids=["dim-3", "dim-2-1d-n", "unknown-recipe", "lo1-above-hi1",
+            "backtrack-2"])
+    def test_invalid_problem_is_config_error(self, tmp_path, capsys, text):
+        # these pass the schema but fail when the problem is built
+        cfgp = write_cfg(tmp_path, text)
+        assert cli_main(["simulate", "--config", str(cfgp),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "config error: range: <problem>: " in capsys.readouterr().err
 
     def test_stress_preset_fails_loudly(self, tmp_path):
         cfgp = write_cfg(tmp_path, "[run]\npreset = stress-separation\n")
