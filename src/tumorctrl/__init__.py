@@ -21,8 +21,8 @@ from .optim import (OptimizeOptions, OptimizeResult, StepsizeCollapse,
 from .presets import (Problem, make_problem, preset_names, preset_problem,
                       preset_settings, random_admissible_controls)
 from .solver import (AdjointTriple, ControlPair, LinearizedSpec,
-                     NewtonDivergence, SeparationLoss, Targets,
-                     solve_adjoint, solve_linearized, solve_state,
+                     LinearSolveError, NewtonDivergence, SeparationLoss,
+                     Targets, solve_adjoint, solve_linearized, solve_state,
                      state_balance_report)
 from .sparsity import (BadBounds, BisectionFailure, BoundsNotSignedError,
                        CertificateReport, SparsityMode, SubgradientPair,

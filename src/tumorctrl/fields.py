@@ -360,10 +360,31 @@ def write_csv(path, header, columns) -> None:
                           for row in zip(*block, strict=True))
 
 
+class _RepeatedColumn:
+    """Column whose row i is values[(i // stride) % len(values)].
+
+    Slicing builds only the requested rows, so write_csv never holds more
+    than one block of a repeated coordinate column.
+    """
+
+    def __init__(self, values: np.ndarray, stride: int, n_rows: int):
+        self.values, self.stride, self.n_rows = values, stride, n_rows
+
+    def __len__(self):
+        return self.n_rows
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        i = np.arange(*rows.indices(self.n_rows))
+        return self.values[(i // self.stride) % self.values.size]
+
+
 def write_field_csv(path, u: SpaceTimeField, name: str) -> None:
     """CSV export: one row per cell per snapshot, columns t, x[, y], value."""
     times = u.timegrid.node_times() if u.on_nodes else u.timegrid.slice_times()
-    coords = [np.tile(c, u.n_slices) for c in u.grid.cell_centers()]
+    values = u.values.ravel()
+    coords = [_RepeatedColumn(c, 1, values.size)
+              for c in u.grid.cell_centers()]
     header = ["t", "x", "y"][: 1 + u.grid.dim] + [name]
     write_csv(path, header,
-              [np.repeat(times, u.grid.n_cells), *coords, u.values.ravel()])
+              [_RepeatedColumn(times, u.grid.n_cells, values.size), *coords,
+               values])

@@ -18,6 +18,8 @@ Field recipes are small textual descriptions evaluated on a grid:
   random AMP            uniform(-AMP, AMP), drawn from the problem seed
   values v1 v2 ...      inline cell values (space-only)
 
+A recipe with the wrong number of arguments raises ValueError.
+
 Node fields sample recipes at node times, interval fields at interval
 midpoints.
 """
@@ -46,10 +48,27 @@ def _spatial_profile(kind: str, grid: GridSpec) -> np.ndarray:
     return prof
 
 
+# recipe kind -> number of arguments it takes ("values" takes one per cell)
+_RECIPE_ARITY = {"constant": 1, "cosine": 2, "bump": 2, "pulse": 4,
+                 "random": 1}
+
+
+def _recipe_parts(recipe: str) -> list:
+    """Split a recipe into its kind and arguments, checking their count."""
+    parts = recipe.split()
+    if not parts:
+        raise ValueError("empty field recipe")
+    need = _RECIPE_ARITY.get(parts[0])
+    if need is not None and len(parts) - 1 != need:
+        raise ValueError(f"recipe {recipe!r} needs {need} argument(s) after "
+                         f"{parts[0]!r}, got {len(parts) - 1}")
+    return parts
+
+
 def eval_space_recipe(recipe: str, grid: GridSpec,
                       rng: np.random.Generator) -> np.ndarray:
     """Evaluate a space-only recipe to one value per cell."""
-    parts = recipe.split()
+    parts = _recipe_parts(recipe)
     kind = parts[0]
     if kind == "constant":
         return np.full(grid.n_cells, float(parts[1]))
@@ -73,10 +92,10 @@ def eval_spacetime_recipe(recipe: str, grid: GridSpec, timegrid: TimeGrid,
                           rng: np.random.Generator) -> SpaceTimeField:
     """Evaluate a recipe to a node or interval space-time field."""
     times = timegrid.node_times() if on_nodes else timegrid.slice_times()
-    parts = recipe.split()
+    parts = _recipe_parts(recipe)
     kind = parts[0]
     if kind == "pulse":
-        off, amp, t0, t1 = (float(v) for v in parts[1:5])
+        off, amp, t0, t1 = (float(v) for v in parts[1:])
         prof = _spatial_profile("bump", grid)
         gate = ((times >= t0) & (times <= t1)).astype(float)
         vals = off + amp * gate[:, None] * prof[None, :]

@@ -158,12 +158,23 @@ def _canonical(value) -> str:
     return str(value)
 
 
+def _kappas_key(raw, key, line, issues):
+    """sweep-kappa's list: non-negative and ascending, as kappa_sweep needs."""
+    ks = _floats_key(raw, key, line, issues)
+    if ks is not None and (any(k < 0.0 for k in ks)
+                           or any(b < a for a, b in zip(ks, ks[1:]))):
+        issues.append(ConfigIssue(key, line, "must be ascending and >= 0",
+                                  "range"))
+        return None
+    return ks
+
+
 # the run keys, declared like presets.SETTINGS; they select what to run and
 # are not problem settings
 _RUN_KEYS = {
     "command": ("run", "command", "simulate", _choice_key(COMMANDS)),
     "preset": ("run", "preset", "", _choice_key(("",) + preset_names())),
-    "kappas": ("run", "kappas", (), _floats_key),
+    "kappas": ("run", "kappas", (), _kappas_key),
 }
 _KEYS = {**SETTINGS, **_RUN_KEYS}
 # (section, key) -> (settings name, converter)

@@ -18,8 +18,10 @@ The linearized solver applies the same splitting to the switched linear
 system (flags lam1..lam4); the adjoint solver steps the continuous adjoint
 system backward with implicit diffusion, eliminating the time derivative of
 the first adjoint from the second equation.  All symmetric positive definite
-solves use Jacobi-preconditioned conjugate gradients to a relative residual
-of 1e-12.
+solves use conjugate gradients to a relative residual of 1e-12,
+preconditioned by an exact DCT-II solve at the mean coefficient; the
+orthonormal DCT-II diagonalizes the Neumann stencil, so a few iterations
+suffice on every grid and one when the coefficient is constant.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ class Targets:
 
 
 def _neg_lap_diag(grid: GridSpec) -> np.ndarray:
-    """Diagonal of -Laplacian for the mirrored-ghost stencil (Jacobi scaling)."""
+    """Diagonal of -Laplacian for the mirrored-ghost stencil (Newton floor)."""
 
     def axis_diag(n, h2):
         if n == 1:
@@ -166,8 +168,28 @@ def _neg_lap_diag(grid: GridSpec) -> np.ndarray:
     return (dx[:, None] + dy[None, :]).ravel()
 
 
+class LinearSolveError(RuntimeError):
+    """Preconditioned CG stopped at its iteration cap above tolerance."""
+
+    def __init__(self, iterations: int, residual: float):
+        self.iterations = iterations
+        self.residual = residual
+        super().__init__(
+            f"conjugate gradient did not reach tolerance after {iterations} "
+            f"iterations: relative residual {residual:.3e}")
+
+
 class _HelmholtzSolver:
-    """PCG for (diag(c) - Lap) x = b with c > 0, Jacobi preconditioning."""
+    """PCG for (diag(c) - Lap) x = b with c > 0, DCT preconditioning.
+
+    The orthonormal DCT-II Q diagonalizes the mirrored-ghost stencil:
+    -Lap = Q^T diag(eig) Q with eig = sum over axes of (2 - 2 cos(pi k/n))/h^2.
+    The preconditioner solves the system exactly at the mean coefficient,
+    z = Q^T (mean(c) + eig)^-1 Q r, so a constant c converges in one
+    iteration and a variable c in a few, independently of the grid size.
+    Q is built on the complex FFT with Makhoul's even/odd reordering and is
+    applied separably along each grid axis.
+    """
 
     def __init__(self, grid: GridSpec, rtol: float = CG_RTOL):
         self.lap = make_laplacian(grid)
@@ -175,16 +197,56 @@ class _HelmholtzSolver:
         self.rtol = rtol
         self.maxiter = 2 * grid.n_cells + 200
         self.iterations = 0
+        self.shape = grid.n
+        eig = np.zeros(grid.n)
+        self._forward, self._inverse = [], []
+        for axis, (n, h) in enumerate(zip(grid.n, grid.spacing)):
+            bshape = [1] * grid.dim
+            bshape[axis] = n
+            k = np.arange(n)
+            eig = eig + ((2.0 - 2.0 * np.cos(np.pi * k / n))
+                         / h ** 2).reshape(bshape)
+            # v[k] = x[perm[k]]: even entries ascending, odd ones descending
+            perm = np.concatenate([k[::2], k[1::2][::-1]])
+            scale = np.full(n, math.sqrt(0.5 / n))
+            scale[0] = math.sqrt(0.25 / n)
+            twiddle = 2.0 * scale * np.exp(-0.5j * np.pi * k / n)
+            # the inverse rebuilds the FFT of v from y[k] and y[n - k]
+            untwiddle = 1.0 / twiddle
+            untwiddle_rev = -1j * untwiddle
+            untwiddle_rev[0] = 0.0
+            self._forward.append((axis, perm, twiddle.reshape(bshape)))
+            self._inverse.append((axis, (n - k) % n, untwiddle.reshape(bshape),
+                                  untwiddle_rev.reshape(bshape),
+                                  np.argsort(perm)))
+        self.eig = eig.ravel()
+
+    def dct(self, x: np.ndarray) -> np.ndarray:
+        """Orthonormal DCT-II of a flat cell vector, along every axis."""
+        y = x.reshape(self.shape)
+        for axis, perm, twiddle in self._forward:
+            y = (twiddle * np.fft.fft(y.take(perm, axis), axis=axis)).real
+        return y.ravel()
+
+    def idct(self, y: np.ndarray) -> np.ndarray:
+        """Inverse of dct (the orthonormal DCT-III)."""
+        x = y.reshape(self.shape)
+        for axis, rev, untwiddle, untwiddle_rev, unperm in self._inverse:
+            v = np.fft.ifft(untwiddle * x + untwiddle_rev * x.take(rev, axis),
+                            axis=axis)
+            x = v.real.take(unperm, axis)
+        return x.ravel()
 
     def solve(self, coeff, b: np.ndarray, x0: np.ndarray | None = None):
         bnorm = math.sqrt(float(np.dot(b, b)))
         if bnorm == 0.0:
             return np.zeros_like(b)
         apply_a = lambda v: coeff * v - self.lap(v)
-        inv_m = 1.0 / (coeff + self.lap_diag)
+        inv_m = 1.0 / (float(np.mean(coeff)) + self.eig)
+        precondition = lambda v: self.idct(inv_m * self.dct(v))
         x = np.zeros_like(b) if x0 is None else x0.astype(float).copy()
         r = b - apply_a(x)
-        z = inv_m * r
+        z = precondition(r)
         p = z.copy()
         rz = float(np.dot(r, z))
         tol = self.rtol * bnorm
@@ -195,14 +257,15 @@ class _HelmholtzSolver:
             alpha = rz / float(np.dot(p, ap))
             x += alpha * p
             r -= alpha * ap
-            z = inv_m * r
+            z = precondition(r)
             rz_new = float(np.dot(r, z))
             p = z + (rz_new / rz) * p
             rz = rz_new
             self.iterations += 1
-        if math.sqrt(float(np.dot(r, r))) <= tol:
+        rnorm = math.sqrt(float(np.dot(r, r)))
+        if rnorm <= tol:
             return x
-        raise RuntimeError("conjugate gradient did not reach tolerance")
+        raise LinearSolveError(self.maxiter, rnorm / bnorm)
 
 
 def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,

@@ -50,7 +50,7 @@ def test_c2_gradient_fidelity():
     fd = tc.fd_gradient_check(prob, n_directions=5)
     gap = tc.duality_gap(prob, levels=3)
     elapsed = time.perf_counter() - t0
-    ok = (fd.metric("max_best_rel_error") <= 1e-3
+    ok = (fd.metric("max_best_rel_error") <= 1e-8
           and gap.observed_order >= 1.0
           and len(gap.refinement) >= 3
           and elapsed < 120.0)

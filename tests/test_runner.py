@@ -288,6 +288,39 @@ class TestCli:
                          "--out", str(tmp_path / "o")]) == 2
         assert "config error: range: <problem>: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        ("[init]\nphi = cosine 0\n",
+         "recipe 'cosine 0' needs 2 argument(s) after 'cosine', got 1"),
+        ("[init]\nphi = constant\n",
+         "recipe 'constant' needs 1 argument(s) after 'constant', got 0"),
+        ("[init]\nphi =\n", "empty field recipe"),
+        ("[targets]\nphi_q = pulse 0 0.6 0\n",
+         "recipe 'pulse 0 0.6 0' needs 4 argument(s) after 'pulse', got 3"),
+        ("[controls]\nu0_1 = random\n",
+         "recipe 'random' needs 1 argument(s) after 'random', got 0"),
+    ], ids=["cosine-0", "constant", "empty", "pulse-3", "random"])
+    def test_short_recipe_is_config_error(self, tmp_path, capsys, text,
+                                          message):
+        cfgp = write_cfg(tmp_path, text)
+        assert cli_main(["simulate", "--config", str(cfgp),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: range: <problem>: {message}" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kappas", ["0.01 0.001", "-0.001 0.01"])
+    def test_bad_kappas_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                        kappas):
+        def no_run(*args):
+            raise AssertionError("run() reached with an invalid kappa list")
+
+        monkeypatch.setattr("tumorctrl.cli.run", no_run)
+        cfgp = write_cfg(tmp_path, "[run]\npreset = time-sparsity-demo\n"
+                                   f"kappas = {kappas}\n")
+        assert cli_main(["sweep-kappa", "--config", str(cfgp),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert ("config error: range: run.kappas (line 3): must be ascending "
+                "and >= 0") in capsys.readouterr().err
+
     def test_stress_preset_fails_loudly(self, tmp_path):
         cfgp = write_cfg(tmp_path, "[run]\npreset = stress-separation\n")
         rc = cli_main(["simulate", "--config", str(cfgp),

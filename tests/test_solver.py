@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from tumorctrl.fields import (Field, SpaceTimeField, StateTriple, TimeGrid,
-                              grid1d, inner)
+                              grid1d, grid2d, inner)
 from tumorctrl.model import (ModelParams, logarithmic_potential,
                              regular_potential, smoothstep7)
 from tumorctrl.presets import preset_problem
 from tumorctrl import solver
-from tumorctrl.solver import (ControlPair, LinearizedSpec, NewtonDivergence,
-                              SeparationLoss, ShapeMismatch, Targets,
-                              solve_adjoint, solve_linearized, solve_state,
-                              state_balance_report)
+from tumorctrl.solver import (ControlPair, LinearizedSpec, LinearSolveError,
+                              NewtonDivergence, SeparationLoss, ShapeMismatch,
+                              Targets, solve_adjoint, solve_linearized,
+                              solve_state, state_balance_report)
 
 HS = smoothstep7()
 
@@ -32,6 +32,99 @@ def controls_from(tg, grid, u1=0.0, u2=0.0):
     shape = (tg.n_steps, grid.n_cells)
     return ControlPair(SpaceTimeField(tg, grid, np.full(shape, u1)),
                        SpaceTimeField(tg, grid, np.full(shape, u2)))
+
+
+def dense_dct(n):
+    """Orthonormal DCT-II matrix: row k samples cos(pi k (2j + 1) / 2n)."""
+    k, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    c = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * j + 1) / (2 * n))
+    c[0] /= np.sqrt(2.0)
+    return c
+
+
+def dense_neg_lap(hh, n_cells):
+    return -np.column_stack([hh.lap(e) for e in np.eye(n_cells)])
+
+
+class TestHelmholtzSolver:
+    @pytest.mark.parametrize("grid", [
+        grid1d(1), grid1d(2), grid1d(3), grid1d(63), grid1d(64),
+        grid2d(5, 8, 1.0, 2.0), grid2d(12, 1)], ids=str)
+    def test_dct_matches_dense_basis(self, grid, rng):
+        hh = solver._HelmholtzSolver(grid)
+        q = dense_dct(grid.n[0])
+        for m in grid.n[1:]:
+            q = np.kron(q, dense_dct(m))
+        x = rng.standard_normal(grid.n_cells)
+        assert np.max(np.abs(hh.dct(x) - q @ x)) <= 1e-13
+        assert np.max(np.abs(hh.idct(x) - q.T @ x)) <= 1e-13
+        # the basis diagonalizes the stencil with the stored eigenvalues
+        lam = q @ dense_neg_lap(hh, grid.n_cells) @ q.T
+        scale = max(1.0, float(np.max(hh.eig)))
+        assert np.max(np.abs(lam - np.diag(hh.eig))) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("grid", [grid1d(64), grid2d(24, 16)], ids=str)
+    def test_constant_coefficient_takes_one_iteration(self, grid, rng):
+        hh = solver._HelmholtzSolver(grid)
+        b = rng.standard_normal(grid.n_cells)
+        x = hh.solve(3.0, b)
+        assert hh.iterations <= 1
+        resid = b - (3.0 * x - hh.lap(x))
+        assert np.linalg.norm(resid) <= solver.CG_RTOL * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("preset,n", [
+        ("1D-logarithmic-default", (2048,)),
+        ("2D-regular-default", (96, 96))])
+    def test_iterations_per_solve_do_not_grow(self, preset, n, monkeypatch):
+        solves = []
+        solve = solver._HelmholtzSolver.solve
+
+        def counted(hh, *args, **kwargs):
+            solves.append(1)
+            return solve(hh, *args, **kwargs)
+
+        monkeypatch.setattr(solver._HelmholtzSolver, "solve", counted)
+        prob = preset_problem(preset, n=n, n_steps=2)
+        stats = {}
+        solve_state(prob.params, prob.pot, prob.hspec, prob.u0, prob.init,
+                    stats=stats)
+        assert stats["cg_iterations"] / len(solves) <= 8
+
+    def test_linear_solve_error_names_iterations_and_residual(self, rng):
+        grid = grid1d(64)
+        hh = solver._HelmholtzSolver(grid)
+        hh.maxiter = 1
+        coeff = np.linspace(1.0, 1e4, grid.n_cells)
+        with pytest.raises(LinearSolveError) as exc:
+            hh.solve(coeff, rng.standard_normal(grid.n_cells))
+        assert exc.value.iterations == 1
+        assert exc.value.residual > solver.CG_RTOL
+        assert "after 1 iterations" in str(exc.value)
+        assert f"relative residual {exc.value.residual:.3e}" in str(exc.value)
+
+    # norms of mu, phi, sigma at T and of psi2 at t = 0, recorded with the
+    # Jacobi-preconditioned solver this one replaced
+    @pytest.mark.parametrize("preset,norms", [
+        ("1D-logarithmic-default", (0.39556625438349646, 0.4523674399523599,
+                                    3.718385484449971, 0.4908854041312158)),
+        ("2D-regular-default", (0.28650803330192853, 0.3779914223932654,
+                                5.712969141470001, 0.4547953019819085)),
+        ("stationary-trivial", (0.0, 2.8284271247461903, 0.0, 0.0)),
+        ("stress-separation", (71.52618613628684, 5.656853772442588,
+                               5.656854249492381, 1.1924386152589852)),
+        ("time-sparsity-demo", (0.07762858209959293, 0.22409599735741823,
+                                1.8223133268929728, 0.1646705515888937)),
+    ])
+    def test_golden_final_norms(self, preset, norms):
+        prob = preset_problem(preset)
+        traj = solve_state(prob.params, prob.pot, prob.hspec, prob.u0,
+                           prob.init)
+        adj = solve_adjoint(prob.params, prob.pot, prob.hspec, traj, prob.u0,
+                            prob.targets)
+        got = [np.linalg.norm(v) for v in (
+            traj.mu.values[-1], traj.phi.values[-1], traj.sigma.values[-1],
+            adj.psi2.values[0])]
+        assert got == pytest.approx(norms, rel=1e-10, abs=0.0)
 
 
 class TestStateSolver:

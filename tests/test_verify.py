@@ -23,7 +23,7 @@ class TestFdGradientCheck:
     def test_passes_on_small_instance(self, small_problem):
         rep = fd_gradient_check(small_problem, n_directions=3)
         assert rep.passed
-        assert rep.metric("max_best_rel_error") <= 1e-3
+        assert rep.metric("max_best_rel_error") <= 1e-8
         # central differences decay quadratically before the floor
         assert 1.5 <= rep.metric("prefloor_slope") <= 2.5
 
@@ -34,7 +34,7 @@ class TestFdGradientCheck:
         for seed in (1, 2, 3):
             u = random_admissible_controls(small_problem, seed, scale=0.4)
             rep = fd_gradient_check(small_problem, u=u, n_directions=1)
-            assert rep.metric("max_best_rel_error") <= 1e-3
+            assert rep.metric("max_best_rel_error") <= 1e-8
 
     def test_two_dimensional_instance(self):
         prob = preset_problem("2D-regular-default")
