@@ -28,5 +28,5 @@ from .sparsity import (BadBounds, BisectionFailure, BoundsNotSignedError,
                        CertificateReport, SparsityMode, SubgradientPair,
                        certificate, eval_g, prox, select_subgradient)
 from .verify import (CheckReport, DimensionTooLarge, brute_force_optimize,
-                     duality_gap, fd_gradient_check, linearized_fd_check,
+                     duality_gap, fd_gradient_check,
                      linearized_fd_refinement, separation_monitor)

@@ -406,7 +406,11 @@ PRESET_SETTINGS = {
         "mode": "time", "kappa": 5e-4,
         "max_iters": 800, "tol_vi": 1e-9,
     },
-    # aggressive cytotoxic drive squeezing phi toward the singular wall
+    # aggressive cytotoxic drive squeezing phi toward the singular wall.
+    # `verify` is meant to fail here, and only in separation_monitor: phi
+    # comes within 8.4e-8 of the wall at step 81, under the monitor's 1e-6
+    # floor but above the solver's 1e-11, so the margin is kept and
+    # reported, never clamped.
     "stress-separation": {
         "name": "stress-separation",
         "alpha": 1.0, "beta": 1.0, "chi": 0.5, "p_rate": 10.0, "a_rate": 0.0,

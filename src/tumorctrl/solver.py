@@ -15,13 +15,14 @@ Nonlinear coefficients are lagged exactly as written, which makes the
 per-step integrated balances exact up to the linear-solver tolerance.
 
 The linearized solver applies the same splitting to the switched linear
-system (flags lam1..lam4); the adjoint solver steps the continuous adjoint
-system backward with implicit diffusion, eliminating the time derivative of
-the first adjoint from the second equation.  All symmetric positive definite
-solves use conjugate gradients to a relative residual of 1e-12,
-preconditioned by an exact DCT-II solve at the mean coefficient; the
-orthonormal DCT-II diagonalizes the Neumann stencil, so a few iterations
-suffice on every grid and one when the coefficient is constant.
+system (flags lam1..lam4) and is the exact tangent of this scheme; the
+adjoint solver is its exact transpose, stepping backward with implicit
+diffusion and eliminating the time derivative of the first adjoint from the
+second equation.  All symmetric positive definite solves use conjugate
+gradients to a relative residual of 1e-12, preconditioned by an exact
+DCT-II solve at the mean coefficient; the orthonormal DCT-II diagonalizes
+the Neumann stencil, so a few iterations suffice on every grid and one
+when the coefficient is constant.
 """
 
 from __future__ import annotations
@@ -407,13 +408,13 @@ def solve_linearized(params: ModelParams, pot: PotentialSpec,
                      spec: LinearizedSpec) -> Trajectory:
     """Solve the switched linear system around a base trajectory.
 
-    Coefficients h(phi), h'(phi), F''(phi) are frozen on the base trajectory
-    at each step's departure node; the time splitting mirrors the forward
-    scheme (implicit diffusion and convex reaction, lagged couplings).  The
-    result is a first-order-consistent discretization of the continuous
-    linearized system, not the exact discrete tangent of the forward solver;
-    the finite-difference cross-check in the verification module is the
-    arbiter of its fidelity.
+    Each step differentiates the forward step: coefficients are frozen on
+    the base trajectory at the node where the forward scheme evaluates them,
+    the arrival node for F1'' and for sigma in the consumption term (the
+    forward phi-step is implicit in F1', the sigma-step in its decay) and
+    the departure node otherwise.  With lam1 = lam2 = 1 and lam3 = lam4 = 0
+    the result is the exact discrete tangent of solve_state, so it pairs
+    with solve_adjoint in the duality identity up to round-off.
     """
     grid, tg = base.grid, base.timegrid
     tau = tg.tau
@@ -450,7 +451,7 @@ def solve_linearized(params: ModelParams, pot: PotentialSpec,
         b_phi = ((pr.beta / tau) * phi[n] + mu[n]
                  + l1 * (pr.chi * sig[n] - f2dd_all[n] * phi[n])
                  + l3 * slice_or_zero(spec.f2, n))
-        phi[n + 1] = hh.solve(pr.beta / tau + l1 * f1dd_all[n], b_phi,
+        phi[n + 1] = hh.solve(pr.beta / tau + l1 * f1dd_all[n + 1], b_phi,
                               x0=phi[n])
         # mu-step
         b_mu = ((pr.alpha / tau) * mu[n]
@@ -463,7 +464,7 @@ def solve_linearized(params: ModelParams, pot: PotentialSpec,
         mu[n + 1] = hh.solve(pr.alpha / tau, b_mu, x0=mu[n])
         # sigma-step
         b_sig = (sig[n] / tau - pr.chi * hh.lap(phi[n + 1])
-                 - l1 * pr.e_rate * sigb[n] * hp_all[n] * phi[n]
+                 - l1 * pr.e_rate * sigb[n + 1] * hp_all[n] * phi[n]
                  + l2 * slice_or_zero(spec.k2, n)
                  + l3 * slice_or_zero(spec.f3, n))
         coeff = 1.0 / tau + l1 * (pr.b_rate + pr.e_rate * h_all[n])
@@ -485,10 +486,12 @@ def solve_adjoint(params: ModelParams, pot: PotentialSpec,
     in that order); the time derivative of psi1 in the psi2-equation is
     eliminated via its own equation, remaining couplings are lagged, and
     coefficient fields are evaluated at the arrival node, mirroring the lag
-    pattern of the forward scheme so the optimize-then-discretize gradient
-    gap stays small.  The first backward step starts from a terminal layer
-    that adds the half-weight tracking contribution of the trapezoidal cost
-    quadrature and one implicit smoothing step to the terminal value.
+    pattern of the forward scheme, so the recursion is the exact transpose
+    of the discrete tangent and yields the exact gradient of the discrete
+    cost (discretize-then-optimize).  The first backward step starts from a
+    terminal layer that adds the half-weight tracking contribution of the
+    trapezoidal cost quadrature and one implicit smoothing step to the
+    terminal value.
     """
     grid, tg = base.grid, base.timegrid
     if targets.phi_q.grid != grid or targets.phi_q.timegrid != tg:

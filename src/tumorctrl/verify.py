@@ -3,8 +3,10 @@
 Every oracle here avoids the code path it checks: finite differences use
 only the forward solver and the reduced cost, the lattice search uses only
 the reduced cost, and the duality gap pairs the linearized and adjoint
-solvers against each other.  Reports carry measured values, tolerances and
-refinement tables with least-squares observed orders.
+solvers against each other.  The linearized and adjoint solvers are the
+exact discrete tangent and adjoint of the forward scheme, so each check
+passes on one absolute bound, a module constant, at every refinement level.
+Reports carry measured values, tolerances and refinement tables.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ from .solver import (ControlPair, LinearizedSpec, Targets,
 from .sparsity import SparsityMode
 
 DEFAULT_EPS_LADDER = tuple(10.0 ** (-k) for k in range(1, 8))
+# relative duality gap: the identity is exact up to round-off
+DUALITY_RTOL = 1e-10
+# best linearized-vs-FD error: central differences at eps = 1e-4 leave a
+# truncation error of up to about 1e-8
+LINEARIZED_RTOL = 1e-6
 
 
 class DimensionTooLarge(ValueError):
@@ -41,7 +48,6 @@ class CheckReport:
     name: str
     metrics: tuple
     refinement: tuple = ()
-    observed_order: float | None = None
     passed: bool = True
 
     def metric(self, key: str) -> float:
@@ -56,8 +62,6 @@ class CheckReport:
         for k, v, tol, ok in self.metrics:
             t = "" if tol is None else f" (tol {tol:g}, {'ok' if ok else 'VIOLATED'})"
             parts.append(f"  {k} = {v:.6g}{t}")
-        if self.observed_order is not None:
-            parts.append(f"  observed order = {self.observed_order:.3f}")
         return "\n".join(parts)
 
 
@@ -68,9 +72,6 @@ def write_check_csv(report: CheckReport, path) -> None:
     rows += [("refinement",) + (None,) * 4
              + (lev, float(h), float(tau), float(err))
              for lev, h, tau, err in report.refinement]
-    if report.observed_order is not None:
-        rows.append(("metric", "observed_order", report.observed_order)
-                    + (None,) * 6)
     rows.append(("metric", "passed", int(report.passed)) + (None,) * 6)
     write_csv(path, ("row_type", "name", "value", "tolerance", "passed",
                      "level", "h", "tau", "error"), list(zip(*rows)))
@@ -153,9 +154,10 @@ def fd_gradient_check(problem: Problem, u: ControlPair | None = None,
 
     For each random unit direction k, compares <grad J1(u), k> with
     (J1(u + eps k) - J1(u - eps k)) / (2 eps) over the epsilon ladder and
-    records the best relative error; the best-over-ladder selection guards
-    against the discretization floor of the optimize-then-discretize
-    gradient.
+    records the best relative error.  The adjoint gradient is the exact
+    derivative of the discrete cost, so the best-over-ladder selection only
+    steps past the central difference's eps^2 truncation and its round-off
+    floor.
     """
     u = problem.u0 if u is None else u
     rng = np.random.default_rng(problem.seed + 1)
@@ -222,35 +224,13 @@ def _linearized_vs_fd_error(problem: Problem, u: ControlPair,
     return errs
 
 
-def linearized_fd_check(problem: Problem, u: ControlPair | None = None,
-                        k=None, eps_ladder=DEFAULT_EPS_LADDER,
-                        tol: float = 1e-2) -> CheckReport:
-    """Linearized solver versus symmetric-difference trajectories.
-
-    Relative space-time L2 error over all three state components, best over
-    the epsilon ladder.
-    """
-    u = problem.u0 if u is None else u
-    if k is None:
-        rng = np.random.default_rng(problem.seed + 2)
-        k1, k2 = _unit_direction(problem, rng)
-    else:
-        k1, k2 = k
-    errs = _linearized_vs_fd_error(problem, u, k1, k2, eps_ladder)
-    best = float(min(errs))
-    metrics = (("best_rel_error", best, tol, best <= tol),
-               ("worst_rel_error", float(max(errs)), None, None))
-    return CheckReport("linearized_fd_check", metrics, passed=best <= tol)
-
-
-def _prolong(arr: np.ndarray, grid, time_scale: int, space_scale: int,
-             dim: int) -> np.ndarray:
-    out = np.repeat(arr, time_scale, axis=0)
-    if dim == 1:
-        return np.repeat(out, space_scale, axis=1)
-    nx, ny = grid.n
-    out = out.reshape(out.shape[0], nx, ny)
-    out = np.repeat(np.repeat(out, space_scale, axis=1), space_scale, axis=2)
+def _prolong(arr: np.ndarray, grid, scale: int) -> np.ndarray:
+    """Piecewise-constant prolongation to (h / scale, tau / scale)."""
+    out = np.repeat(arr, scale, axis=0)
+    if grid.dim == 1:
+        return np.repeat(out, scale, axis=1)
+    out = out.reshape(out.shape[0], *grid.n)
+    out = np.repeat(np.repeat(out, scale, axis=1), scale, axis=2)
     return out.reshape(out.shape[0], -1)
 
 
@@ -260,7 +240,8 @@ def linearized_fd_refinement(problem: Problem, levels: int = 3,
 
     The random direction is drawn once on the coarse grid and prolonged as a
     piecewise-constant function, so every level differentiates along the
-    same continuous perturbation.
+    same continuous perturbation.  Passes iff the error is at most
+    LINEARIZED_RTOL at every level.
     """
     rng = np.random.default_rng(problem.seed + 2)
     k1c, k2c = _unit_direction(problem, rng)
@@ -268,20 +249,15 @@ def linearized_fd_refinement(problem: Problem, levels: int = 3,
     for lev in range(levels):
         scale = 2 ** lev
         prob = problem.with_resolution(scale, scale) if lev else problem
-        k1 = _prolong(k1c, problem.grid, scale, scale, problem.grid.dim)
-        k2 = _prolong(k2c, problem.grid, scale, scale, problem.grid.dim)
+        k1, k2 = (_prolong(k, problem.grid, scale) for k in (k1c, k2c))
         errs = _linearized_vs_fd_error(prob, prob.u0, k1, k2, eps_ladder)
         rows.append((lev, max(prob.grid.spacing), prob.timegrid.tau,
                      float(min(errs))))
-    errors = [r[3] for r in rows]
-    order = _loglog_slope([r[2] for r in rows], errors)
-    decreasing = all(b < a for a, b in zip(errors, errors[1:]))
-    metrics = (("coarse_rel_error", errors[0], 1e-2, errors[0] <= 1e-2),
-               ("finest_rel_error", errors[-1], None, None),
-               ("monotone_decrease", float(decreasing), 1.0, decreasing))
-    return CheckReport("linearized_fd_refinement", metrics, tuple(rows),
-                       observed_order=order,
-                       passed=bool(errors[0] <= 1e-2 and decreasing))
+    worst = max(r[3] for r in rows)
+    ok = worst <= LINEARIZED_RTOL
+    return CheckReport("linearized_fd_refinement",
+                       (("max_rel_error", worst, LINEARIZED_RTOL, ok),),
+                       tuple(rows), passed=ok)
 
 
 def _duality_gap_at(problem: Problem, u: ControlPair,
@@ -311,55 +287,35 @@ def _duality_gap_at(problem: Problem, u: ControlPair,
     return abs(lhs - rhs), scale
 
 
-def duality_gap(problem: Problem, u: ControlPair | None = None, k=None,
-                levels: int = 3, refine: str = "tau",
-                order_tol: float = 0.95) -> CheckReport:
-    """Linearized-versus-adjoint duality identity with a refinement table.
+def duality_gap(problem: Problem, levels: int = 3) -> CheckReport:
+    """Linearized-versus-adjoint duality identity under tau-refinement.
 
     gap = |<beta1 (phi - phi_q), phi_lin>_Q + <beta2 (phi(T) - phi_omega),
-    phi_lin(T)> - <d, k>_Q|; the observed order is fit against tau.
-    refine = "tau" halves only the time step, "both" also halves h.
-
-    A base gap below 1e-4 of the pairing magnitude passes on size grounds
-    even if the fitted order dips under the tolerance: at that level the
-    identity already holds to within the linear-solver noise and the slope
-    is not meaningfully measurable.  The default order tolerance sits
-    slightly below 1 because the finite-level fit approaches first order
-    from either side; callers pinning a strict bound pass order_tol
-    explicitly or assert on the reported order.
+    phi_lin(T)> - <d, k>_Q| at the nominal control, with the control and
+    the random direction prolonged in time.  The refinement table holds the
+    gap relative to the larger pairing; the check passes iff it is at most
+    DUALITY_RTOL at every level.
     """
-    u = problem.u0 if u is None else u
-    if k is None:
-        rng = np.random.default_rng(problem.seed + 3)
-        k1c, k2c = _unit_direction(problem, rng)
-    else:
-        k1c, k2c = k
-    rows = []
-    rels = []
+    u = problem.u0
+    rng = np.random.default_rng(problem.seed + 3)
+    k = _unit_direction(problem, rng)
+    rows, gaps = [], []
     for lev in range(levels):
-        tscale = 2 ** lev
-        sscale = tscale if refine == "both" else 1
-        prob = problem.with_resolution(sscale, tscale) if lev else problem
-        k1 = _prolong(k1c, problem.grid, tscale, sscale, problem.grid.dim)
-        k2 = _prolong(k2c, problem.grid, tscale, sscale, problem.grid.dim)
-        u1 = _prolong(u.u1.values, problem.grid, tscale, sscale,
-                      problem.grid.dim)
-        u2 = _prolong(u.u2.values, problem.grid, tscale, sscale,
-                      problem.grid.dim)
+        scale = 2 ** lev
+        prob = problem.with_resolution(1, scale) if lev else problem
+        k1, k2, u1, u2 = (np.repeat(a, scale, axis=0)
+                          for a in k + (u.u1.values, u.u2.values))
         uu = ControlPair(SpaceTimeField(prob.timegrid, prob.grid, u1),
                          SpaceTimeField(prob.timegrid, prob.grid, u2))
-        gap, scale = _duality_gap_at(prob, uu, k1, k2)
-        rows.append((lev, max(prob.grid.spacing), prob.timegrid.tau, gap))
-        rels.append(gap / scale)
-    order = _loglog_slope([r[2] for r in rows], [r[3] for r in rows])
-    negligible = rels[0] <= 1e-4
-    ok = order >= order_tol or negligible
-    metrics = (("base_gap", rows[0][3], None, None),
-               ("base_relative_gap", rels[0], None, None),
-               ("gap_negligible", float(negligible), None, None),
-               ("observed_order_tau", order, order_tol, ok))
-    return CheckReport("duality_gap", metrics, tuple(rows),
-                       observed_order=order, passed=bool(ok))
+        gap, pairing = _duality_gap_at(prob, uu, k1, k2)
+        gaps.append(gap)
+        rows.append((lev, max(prob.grid.spacing), prob.timegrid.tau,
+                     gap / pairing))
+    worst = max(r[3] for r in rows)
+    ok = worst <= DUALITY_RTOL
+    metrics = (("base_gap", gaps[0], None, None),
+               ("max_relative_gap", worst, DUALITY_RTOL, ok))
+    return CheckReport("duality_gap", metrics, tuple(rows), passed=ok)
 
 
 def brute_force_optimize(params, pot, hspec, targets: Targets,

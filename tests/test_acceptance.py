@@ -50,20 +50,20 @@ def test_c2_gradient_fidelity():
     fd = tc.fd_gradient_check(prob, n_directions=5)
     gap = tc.duality_gap(prob, levels=3)
     elapsed = time.perf_counter() - t0
+    rel_gaps = [r[3] for r in gap.refinement]
     ok = (fd.metric("max_best_rel_error") <= 1e-8
-          and gap.observed_order >= 1.0
-          and len(gap.refinement) >= 3
+          and len(rel_gaps) >= 3 and max(rel_gaps) <= 1e-10
           and elapsed < 120.0)
     report(2, "gradient fidelity", ok,
            f" [fd {fd.metric('max_best_rel_error'):.2e}, "
-           f"duality order {gap.observed_order:.3f}, {elapsed:.1f}s]")
+           f"relative duality gap {max(rel_gaps):.2e}, {elapsed:.1f}s]")
 
 
 def test_c3_linearized_map_fidelity():
     prob = tc.preset_problem("1D-logarithmic-default")
     rep = tc.linearized_fd_refinement(prob, levels=2)
     errs = [r[3] for r in rep.refinement]
-    ok = errs[0] <= 1e-2 and errs[1] < errs[0]
+    ok = len(errs) == 2 and max(errs) <= 1e-6
     report(3, "linearized map fidelity", ok,
            f" [default {errs[0]:.2e} -> refined {errs[1]:.2e}]")
 
@@ -93,9 +93,15 @@ def test_c4_prox_oracle_equivalence():
     n_slices = 10**4
 
     # scaled candidates and per-mode slice objectives; the candidate block
-    # covers the box exactly, so its best value is the lattice/random oracle
+    # covers the box exactly, so its best value is the lattice/random oracle.
+    # Candidates are ordered in spatial tiles and cut into contiguous blocks
+    # of 1000, each with a small bounding box for the pruned scan below.
     per_d = {}
     for d, unit in caches.items():
+        if d > 1:
+            tiles = {2: 32, 3: 10}[d]
+            key = np.minimum(np.floor((unit + 1.0) * 0.5 * tiles), tiles - 1)
+            unit = unit[np.lexsort(key.T[::-1])]
         cand = np.empty_like(unit)
         for j in range(d):
             cand[:, j] = lo + (unit[:, j] + 1.0) * 0.5 * (hi - lo)
@@ -115,7 +121,10 @@ def test_c4_prox_oracle_equivalence():
         coef = {SparsityMode.FULL_Q: tau * vol / eta,
                 SparsityMode.TIME: tau * vol / eta,
                 SparsityMode.SPACE: vol * tau / eta}
-        per_d[d] = (cand, base, coef)
+        blocks = cand.reshape(-1, 1000, d)
+        base = {m: b.reshape(-1, 1000) for m, b in base.items()}
+        per_d[d] = (blocks, blocks.min(axis=1), blocks.max(axis=1), base,
+                    {m: b.min(axis=1) for m, b in base.items()}, coef)
 
     def objective(mode, u, v):
         usq = float(np.dot(u, u))
@@ -145,7 +154,7 @@ def test_c4_prox_oracle_equivalence():
            SparsityMode.SPACE: eta * kappa / np.sqrt(tau)}
     for s in range(n_slices):
         d = 1 + s % 3
-        cand, base, coef = per_d[d]
+        blocks, blo, bhi, base, base_min, coef = per_d[d]
         scale = 10.0 ** rng.uniform(-1.5, 0.6) * span
         v = rng.uniform(-1.0, 1.0, d) * scale
         if s % 10 == 0:  # plant a group-threshold boundary case
@@ -154,11 +163,22 @@ def test_c4_prox_oracle_equivalence():
                 mode_b = SparsityMode.TIME if s % 20 else SparsityMode.SPACE
                 target = thr[mode_b] * (1.0 + rng.choice([-1e-9, 1e-9]))
                 v = v / nv * target
-        t = cand @ v
+        # bounds of cand . v over each block's bounding box
+        t_max = np.maximum(blo * v, bhi * v).sum(axis=1)
+        t_abs = np.maximum(np.abs(blo), np.abs(bhi)) @ np.abs(v)
         for mode in (SparsityMode.FULL_Q, SparsityMode.TIME,
                      SparsityMode.SPACE):
-            oracle = float(np.min(base[mode] - coef[mode] * t))
-            oracle += 0.5 * coef[mode] * float(np.dot(v, v))
+            c = coef[mode]
+            # exact minimum of base - c * (cand . v): every block's lower
+            # bound, less a conservative slack for its rounding, is checked
+            # against the value attained in the block of least bound
+            bound = (base_min[mode] - c * t_max
+                     - 1e-12 * (np.abs(base_min[mode]) + c * t_abs))
+            b0 = int(np.argmin(bound))
+            best = np.min(base[mode][b0] - c * (blocks[b0] @ v))
+            scan = bound <= best
+            oracle = float(np.min(base[mode][scan] - c * (blocks[scan] @ v)))
+            oracle += 0.5 * c * float(np.dot(v, v))
             u = prox_field(mode, v)
             jp = objective(mode, u, v)
             worst_excess = max(worst_excess, jp - oracle)

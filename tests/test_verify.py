@@ -5,9 +5,8 @@ from tumorctrl.presets import preset_problem
 from tumorctrl.solver import solve_state
 from tumorctrl.verify import (CheckReport, DimensionTooLarge,
                               brute_force_optimize, duality_gap,
-                              fd_gradient_check, linearized_fd_check,
-                              linearized_fd_refinement, separation_monitor,
-                              write_check_csv)
+                              fd_gradient_check, linearized_fd_refinement,
+                              separation_monitor, write_check_csv)
 
 # a small instance keeps these oracle tests fast; the full-size preset runs
 # live in the acceptance suite
@@ -69,9 +68,10 @@ class TestFdGradientCheck:
 
 class TestLinearizedChecks:
     def test_single_level(self, small_problem):
-        rep = linearized_fd_check(small_problem)
+        rep = linearized_fd_refinement(small_problem, levels=1)
         assert rep.passed
-        assert rep.metric("best_rel_error") <= 1e-2
+        assert len(rep.refinement) == 1
+        assert rep.metric("max_rel_error") <= 1e-6
 
     def test_zero_direction_gives_zero(self, small_problem):
         shape = (small_problem.timegrid.n_steps, small_problem.grid.n_cells)
@@ -94,8 +94,7 @@ class TestLinearizedChecks:
     def test_refinement_table_three_levels(self, small_problem):
         rep = linearized_fd_refinement(small_problem, levels=3)
         assert len(rep.refinement) >= 3
-        errs = [r[3] for r in rep.refinement]
-        assert all(b < a for a, b in zip(errs, errs[1:]))
+        assert all(r[3] <= 1e-6 for r in rep.refinement)
         assert rep.passed
 
 
@@ -107,16 +106,28 @@ class TestDualityGap:
         assert rep.metric("base_gap") == 0.0
         assert rep.passed
 
-    def test_order_one_in_tau(self, small_problem):
+    def test_exact_under_tau_refinement(self, small_problem):
         rep = duality_gap(small_problem, levels=3)
         assert len(rep.refinement) >= 3
+        assert all(r[3] <= 1e-10 for r in rep.refinement)
         assert rep.passed
 
-    def test_simultaneous_refinement_decreases(self, small_problem):
-        rep = duality_gap(small_problem, levels=3, refine="both")
-        gaps = [r[3] for r in rep.refinement]
-        assert all(b < a for a, b in zip(gaps, gaps[1:]))
-        assert rep.observed_order >= 1.0
+    def test_exact_on_refined_space_grid(self, small_problem):
+        rep = duality_gap(small_problem.with_resolution(2, 2), levels=3)
+        assert len(rep.refinement) >= 3
+        assert all(r[3] <= 1e-10 for r in rep.refinement)
+        assert rep.passed
+
+
+@pytest.mark.parametrize("preset", ["stationary-trivial", "time-sparsity-demo",
+                                    "stress-separation",
+                                    "2D-regular-default"])
+def test_tangent_and_adjoint_exact_on_preset(preset):
+    prob = preset_problem(preset)
+    gap = duality_gap(prob, levels=2)
+    lin = linearized_fd_refinement(prob, levels=2)
+    assert gap.passed and gap.metric("max_relative_gap") <= 1e-10
+    assert lin.passed and lin.metric("max_rel_error") <= 1e-6
 
 
 class TestBruteForce:
@@ -167,7 +178,7 @@ class TestSeparationMonitor:
 def test_check_csv(tmp_path):
     rep = CheckReport("demo", (("a", 1.0, 2.0, True), ("b", 3.0, None, None)),
                       ((0, 0.1, 0.2, 1e-3), (1, 0.05, 0.1, 5e-4)),
-                      observed_order=1.0, passed=True)
+                      passed=True)
     path = tmp_path / "check.csv"
     write_check_csv(rep, path)
     text = path.read_text()
