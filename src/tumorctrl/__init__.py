@@ -23,7 +23,7 @@ from .presets import (Problem, make_problem, preset_names, preset_problem,
 from .solver import (AdjointTriple, ControlPair, LinearizedSpec,
                      LinearSolveError, NewtonDivergence, SeparationLoss,
                      Targets, solve_adjoint, solve_linearized, solve_state,
-                     state_balance_report)
+                     solve_states, state_balance_report)
 from .sparsity import (BadBounds, BisectionFailure, BoundsNotSignedError,
                        CertificateReport, SparsityMode, SubgradientPair,
                        certificate, eval_g, prox, select_subgradient)

@@ -93,18 +93,20 @@ class PotentialSpec:
         hi = self.r_plus - m if math.isfinite(self.r_plus) else math.inf
         return lo < r < hi
 
-    def _clamp(self, r: np.ndarray) -> tuple[np.ndarray, int]:
+    def clamp(self, r: np.ndarray) -> np.ndarray:
+        """r clipped to the evaluation interval (unchanged if regular)."""
         if not self.is_singular:
-            return r, 0
-        lo = self.r_minus + self.clamp_margin
-        hi = self.r_plus - self.clamp_margin
-        clamped = np.clip(r, lo, hi)
-        return clamped, int(np.count_nonzero(clamped != r))
+            return r
+        # np.clip's own definition, at a fraction of its per-call cost
+        return np.minimum(np.maximum(r, self.r_minus + self.clamp_margin),
+                          self.r_plus - self.clamp_margin)
 
     def split_eval(self, r: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray, int]:
         """(F1^(order), F2^(order)) at clamped r, plus the clamp count."""
-        rc, n_clamped = self._clamp(np.asarray(r, dtype=float))
-        return self.f1[order](rc), self.f2[order](rc), n_clamped
+        r = np.asarray(r, dtype=float)
+        rc = self.clamp(r)
+        return (self.f1[order](rc), self.f2[order](rc),
+                0 if rc is r else int(np.count_nonzero(rc != r)))
 
 
 def eval_potential(pot: PotentialSpec, r: float, margin: float = 1e-12):

@@ -112,14 +112,17 @@ def _control_cost(params, mode, u: ControlPair) -> float:
 
 def reduced_cost(params: ModelParams, pot: PotentialSpec,
                  hspec: InterpolantSpec, targets: Targets, mode: SparsityMode,
-                 u: ControlPair, init: StateTriple) -> float:
+                 u: ControlPair, init: StateTriple,
+                 traj: Trajectory | None = None) -> float:
     """Cost of the control u through the state solve.
 
     beta1/2 ||phi_u - phi_q||_Q^2 + beta2/2 ||phi_u(T) - phi_omega||^2
     + nu/2 ||u||_Q^2 + kappa g(u), with trapezoidal time quadrature for the
-    tracking term and interval quadrature for the control terms.
+    tracking term and interval quadrature for the control terms.  traj is
+    u's state trajectory if it is already solved.
     """
-    traj = solve_state(params, pot, hspec, u, init)
+    if traj is None:
+        traj = solve_state(params, pot, hspec, u, init)
     return _tracking_cost(params, targets, traj) + _control_cost(params, mode, u)
 
 

@@ -23,14 +23,29 @@ gradients to a relative residual of 1e-12, preconditioned by an exact
 DCT-II solve at the mean coefficient; the orthonormal DCT-II diagonalizes
 the Neumann stencil, so a few iterations suffice on every grid and one
 when the coefficient is constant.
+
+solve_states marches a sequence of independent controls through one time
+loop, as rows of one (members, cells) array per field, at most BATCH_BYTES
+of states at a time, and yields their trajectories chunk by chunk.  Every
+row keeps its own Newton and CG scalars, line search and stopping tests,
+so each member takes the iterations, and gets the bits, of its own
+solve_state, which runs the same loop on one unbatched field.  On the presets' 16-64-cell grids a solve's cost is
+per-call overhead, so a batch of B members costs far less than B solves.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
+# the gufuncs behind np.fft.fft and np.fft.ifft in numpy 2: called directly,
+# they skip the wrappers' argument handling, which takes longer than a whole
+# transform on the presets' grids
+from numpy.fft._pocketfft_umath import fft as _fft_gufunc
+from numpy.fft._pocketfft_umath import ifft as _ifft_gufunc
 
 from .fields import (Field, GridSpec, ShapeMismatch, SpaceTimeField,
                      StateTriple, TimeGrid, Trajectory, make_laplacian)
@@ -39,26 +54,49 @@ from .model import BoxBounds, InterpolantSpec, ModelParams, PotentialSpec
 CG_RTOL = 1e-12
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
+# phi's least distance to a singular potential's interval bounds
+MIN_MARGIN = 1e-11
+# solve_states marches at most this many bytes of states at once:
+# members x (steps + 1) x cells x 3 fields x 8 bytes
+BATCH_BYTES = 4 * 2 ** 20
 
 
-class NewtonDivergence(RuntimeError):
+class _SolveFailure(RuntimeError):
+    """A failed solve.  member is the failing control's index in the
+    solve_states list, None for an unbatched solve."""
+
+    def __init__(self, message: str, member: int | None):
+        self.member = member
+        if member is not None:
+            message += f" (member {member})"
+        super().__init__(message)
+
+
+class NewtonDivergence(_SolveFailure):
     """The phi-step nonlinear solve failed to converge."""
 
-    def __init__(self, step: int, residual: float):
+    def __init__(self, step: int, residual: float, member: int | None = None):
         self.step = step
         self.residual = residual
         super().__init__(
-            f"phi-step Newton stalled at step {step}: |G| = {residual:.3e}")
+            f"phi-step Newton stalled at step {step}: |G| = {residual:.3e}",
+            member)
 
 
-class SeparationLoss(RuntimeError):
+class SeparationLoss(_SolveFailure):
     """phi left the admissible interval of a singular potential."""
 
-    def __init__(self, step: int, margin: float):
+    def __init__(self, step: int, margin: float, member: int | None = None):
         self.step = step
         self.margin = margin
         super().__init__(
-            f"separation lost at time step {step}: margin {margin:.3e}")
+            f"separation lost at time step {step}: margin {margin:.3e}",
+            member)
+
+
+def _member(members: np.ndarray | None, row: int) -> int | None:
+    """The solve_states list index of a batch row (None if unbatched)."""
+    return None if members is None else int(members[row])
 
 
 @dataclass(frozen=True)
@@ -169,15 +207,36 @@ def _neg_lap_diag(grid: GridSpec) -> np.ndarray:
     return (dx[:, None] + dy[None, :]).ravel()
 
 
-class LinearSolveError(RuntimeError):
+class LinearSolveError(_SolveFailure):
     """Preconditioned CG stopped at its iteration cap above tolerance."""
 
-    def __init__(self, iterations: int, residual: float):
+    def __init__(self, iterations: int, residual: float,
+                 member: int | None = None):
         self.iterations = iterations
         self.residual = residual
         super().__init__(
             f"conjugate gradient did not reach tolerance after {iterations} "
-            f"iterations: relative residual {residual:.3e}")
+            f"iterations: relative residual {residual:.3e}",
+            member)
+
+
+def _fft(a: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:
+    """np.fft.fft(a, axis=axis), or np.fft.ifft if inverse, bit for bit."""
+    axes = [(axis,), (), (axis,)]
+    out = np.empty(a.shape, complex)
+    if inverse:  # np.fft.ifft's 1/n normalization
+        return _ifft_gufunc(a, 1.0 / a.shape[axis], axes=axes, out=out)
+    return _fft_gufunc(a, 1.0, axes=axes, out=out)
+
+
+def _rows(a, keep):
+    """The kept rows of a per-member array; scalars and shared rows pass."""
+    return a[keep] if np.ndim(a) == 2 else a
+
+
+def _at(values, row: int) -> float:
+    """Entry row of a per-member quantity (a number if unbatched)."""
+    return float(np.ravel(values)[row])
 
 
 class _HelmholtzSolver:
@@ -190,15 +249,21 @@ class _HelmholtzSolver:
     iteration and a variable c in a few, independently of the grid size.
     Q is built on the complex FFT with Makhoul's even/odd reordering and is
     applied separably along each grid axis.
+
+    Fields are flat cell vectors, or rows of a (members, cells) array that
+    are solved as independent systems in one iteration: each row keeps its
+    own CG scalars and stops on its own test, so it takes exactly the
+    iterations, and gets exactly the bits, of its unbatched solve.
     """
 
     def __init__(self, grid: GridSpec, rtol: float = CG_RTOL):
         self.lap = make_laplacian(grid)
-        self.lap_diag = _neg_lap_diag(grid)
+        self.lap_diag2 = 2.0 * _neg_lap_diag(grid)
         self.rtol = rtol
         self.maxiter = 2 * grid.n_cells + 200
         self.iterations = 0
         self.shape = grid.n
+        self._scalar_inv_m = (None, None)
         eig = np.zeros(grid.n)
         self._forward, self._inverse = [], []
         for axis, (n, h) in enumerate(zip(grid.n, grid.spacing)):
@@ -216,6 +281,8 @@ class _HelmholtzSolver:
             untwiddle = 1.0 / twiddle
             untwiddle_rev = -1j * untwiddle
             untwiddle_rev[0] = 0.0
+            # negative axes leave room for a leading member axis
+            axis -= grid.dim
             self._forward.append((axis, perm, twiddle.reshape(bshape)))
             self._inverse.append((axis, (n - k) % n, untwiddle.reshape(bshape),
                                   untwiddle_rev.reshape(bshape),
@@ -223,123 +290,262 @@ class _HelmholtzSolver:
         self.eig = eig.ravel()
 
     def dct(self, x: np.ndarray) -> np.ndarray:
-        """Orthonormal DCT-II of a flat cell vector, along every axis."""
-        y = x.reshape(self.shape)
+        """Orthonormal DCT-II of flat cell vectors, along every grid axis."""
+        y = x.reshape(x.shape[:-1] + self.shape)
         for axis, perm, twiddle in self._forward:
-            y = (twiddle * np.fft.fft(y.take(perm, axis), axis=axis)).real
-        return y.ravel()
+            y = (twiddle * _fft(y.take(perm, axis), axis)).real
+        return y.reshape(x.shape)
 
     def idct(self, y: np.ndarray) -> np.ndarray:
         """Inverse of dct (the orthonormal DCT-III)."""
-        x = y.reshape(self.shape)
+        x = y.reshape(y.shape[:-1] + self.shape)
         for axis, rev, untwiddle, untwiddle_rev, unperm in self._inverse:
-            v = np.fft.ifft(untwiddle * x + untwiddle_rev * x.take(rev, axis),
-                            axis=axis)
+            v = _fft(untwiddle * x + untwiddle_rev * x.take(rev, axis), axis,
+                     inverse=True)
             x = v.real.take(unperm, axis)
-        return x.ravel()
+        return x.reshape(y.shape)
 
-    def solve(self, coeff, b: np.ndarray, x0: np.ndarray | None = None):
-        bnorm = math.sqrt(float(np.dot(b, b)))
-        if bnorm == 0.0:
-            return np.zeros_like(b)
-        apply_a = lambda v: coeff * v - self.lap(v)
-        inv_m = 1.0 / (float(np.mean(coeff)) + self.eig)
-        precondition = lambda v: self.idct(inv_m * self.dct(v))
-        x = np.zeros_like(b) if x0 is None else x0.astype(float).copy()
-        r = b - apply_a(x)
-        z = precondition(r)
-        p = z.copy()
-        rz = float(np.dot(r, z))
+    def _inverse_mass(self, coeff):
+        """(mean(c) + eig)^-1 per row; a scalar c's inverse is kept."""
+        if not isinstance(coeff, np.ndarray):
+            key, inv_m = self._scalar_inv_m
+            if key != coeff:
+                inv_m = 1.0 / (float(coeff) + self.eig)
+                self._scalar_inv_m = (coeff, inv_m)
+            return inv_m
+        # np.mean's own reduction: each row's mean keeps its unbatched bits
+        mean = np.add.reduce(coeff, axis=-1, keepdims=True) / coeff.shape[-1]
+        return 1.0 / (mean + self.eig)
+
+    def solve(self, coeff, b: np.ndarray, x0: np.ndarray | None = None,
+              members: np.ndarray | None = None):
+        """x with (diag(coeff) - Lap) x = b: one system, or one per row.
+
+        b and x0 are a flat cell vector or a (members, cells) batch; coeff
+        is a scalar, a cell vector or one row per member.  A member with
+        b = 0 gets x = 0.  members holds the rows' solve_states list indices,
+        to name a row in a LinearSolveError.
+        """
+        # per-member scalars are numbers for one system, arrays for a batch
+        # (the CG coefficients as columns, to scale the rows)
+        column = b.ndim == 2
+        bnorm = np.sqrt(np.vecdot(b, b))
         tol = self.rtol * bnorm
-        for _ in range(self.maxiter):
-            if math.sqrt(float(np.dot(r, r))) <= tol:
-                return x
-            ap = apply_a(p)
-            alpha = rz / float(np.dot(p, ap))
+        # x holds the working rows; rows, once set, maps them onto out
+        x = out = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+        rows = None
+        x[bnorm == 0.0] = 0.0  # exact, so such a row stops before iterating
+        inv_m = self._inverse_mass(coeff)
+        r = b.copy() if x0 is None else b - (coeff * x - self.lap(x))
+        z = self.idct(inv_m * self.dct(r))
+        p = z
+        rz = np.vecdot(r, z, keepdims=column)
+        for it in range(self.maxiter + 1):
+            rnorm = np.sqrt(np.vecdot(r, r))
+            done = rnorm <= tol
+            n_done = np.count_nonzero(done)
+            if n_done == done.size:
+                break
+            if it == self.maxiter:
+                j = int(np.flatnonzero(~done)[0])
+                raise LinearSolveError(self.maxiter, _at(rnorm / bnorm, j),
+                                       _member(members, j))
+            if n_done:
+                # freeze the converged rows in out (x is out until the
+                # first freeze), iterate on the rest
+                if rows is None:
+                    rows = np.arange(done.size)
+                else:
+                    out[rows[done]] = x[done]
+                keep = np.flatnonzero(~done)
+                rows, x, r, p, rz, tol, bnorm = (
+                    rows[keep], x[keep], r[keep], p[keep], rz[keep],
+                    tol[keep], bnorm[keep])
+                coeff, inv_m = _rows(coeff, keep), _rows(inv_m, keep)
+                members = None if members is None else members[keep]
+            ap = coeff * p - self.lap(p)
+            alpha = rz / np.vecdot(p, ap, keepdims=column)
             x += alpha * p
             r -= alpha * ap
-            z = precondition(r)
-            rz_new = float(np.dot(r, z))
+            z = self.idct(inv_m * self.dct(r))
+            rz_new = np.vecdot(r, z, keepdims=column)
             p = z + (rz_new / rz) * p
             rz = rz_new
-            self.iterations += 1
-        rnorm = math.sqrt(float(np.dot(r, r)))
-        if rnorm <= tol:
-            return x
-        raise LinearSolveError(self.maxiter, rnorm / bnorm)
+            self.iterations += rz.size
+        if rows is not None:
+            out[rows] = x
+        return out
 
 
 def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
                      phi_n: np.ndarray, rhs: np.ndarray, step: int,
-                     min_margin: float) -> np.ndarray:
-    """Solve beta/tau (p - phi_n) - Lap p + F1'(p) = rhs by damped Newton."""
-    p = phi_n.copy()
+                     min_margin: float,
+                     members: np.ndarray | None = None) -> np.ndarray:
+    """Solve beta/tau (p - phi_n) - Lap p + F1'(p) = rhs by damped Newton.
+
+    phi_n and rhs are a flat cell vector or one row per member.  Each row
+    keeps its own scale, floor, fraction-to-boundary step and line search
+    and stops on its own test, so it takes the iterations, and gets the
+    bits, of its unbatched solve.
+    """
+    all_members = members
+
+    def norm(v):  # per-member max norm, as a column
+        return np.abs(v).max(axis=-1, keepdims=True)
+
     # beta/tau is the Jacobian's diagonal scale: the tolerance then bounds
     # the phi update error itself by NEWTON_TOL
-    scale = max(1.0, float(np.max(np.abs(rhs))), beta_tau)
+    tol = NEWTON_TOL * np.maximum(norm(rhs), max(1.0, beta_tau))
+    lo, hi = pot.r_minus + pot.clamp_margin, pot.r_plus - pot.clamp_margin
 
-    def residual(q):
-        f1d = pot.split_eval(q, 1)[0]
-        return beta_tau * (q - phi_n) - hh.lap(q) + f1d - rhs
+    def residual(q, pn, r):
+        return beta_tau * (q - pn) - hh.lap(q) + pot.f1[1](pot.clamp(q)) - r
 
-    g = residual(p)
-    gnorm = float(np.max(np.abs(g)))
-    floor = 0.0
-    for _ in range(NEWTON_MAX_ITER):
-        if gnorm <= max(NEWTON_TOL * scale, floor):
+    # p holds the working rows; rows, once set, maps them onto out
+    out = p = phi_n.copy()
+    rows = None
+    pn, r = phi_n, rhs
+    g = residual(p, pn, r)
+    gnorm = norm(g)
+    floor = np.zeros_like(gnorm)
+    for it in range(NEWTON_MAX_ITER + 1):
+        # np.fmax skips a NaN as Python's max does
+        done = gnorm <= np.fmax(tol, floor)
+        n_done = np.count_nonzero(done)
+        if n_done == done.size:
             break
-        f1dd = pot.split_eval(p, 2)[0]
-        # one-ulp changes of p move the residual by about diag * |p|, with
-        # the stencil's 2 * lap_diag (about 4/h^2) in diag: that caps the
-        # attainable residual on fine grids and where F1'' blows up
-        floor = 8.0 * np.finfo(float).eps * float(np.max(
-            (beta_tau + f1dd + 2.0 * hh.lap_diag) * np.maximum(np.abs(p), 1.0)))
-        delta = hh.solve(beta_tau + f1dd, -g)
-        step_len = 1.0
-        if pot.is_singular:
-            # fraction-to-boundary rule keeps iterates strictly interior
-            room_hi = pot.r_plus - pot.clamp_margin - p
-            room_lo = p - (pot.r_minus + pot.clamp_margin)
-            pos = delta > 0.0
-            neg = delta < 0.0
-            if np.any(pos):
-                step_len = min(step_len,
-                               0.9 * float(np.min(room_hi[pos] / delta[pos])))
-            if np.any(neg):
-                step_len = min(step_len,
-                               0.9 * float(np.min(room_lo[neg] / -delta[neg])))
-            if not (step_len > 0.0):
-                raise SeparationLoss(step, 0.0)
-        # halve on residual increase
-        for _ in range(40):
-            trial = p + step_len * delta
-            g_trial = residual(trial)
-            g_trial_norm = float(np.max(np.abs(g_trial)))
-            if g_trial_norm <= gnorm or g_trial_norm <= NEWTON_TOL * scale:
-                break
-            step_len *= 0.5
-        else:
-            raise NewtonDivergence(step, gnorm)
-        p, g, gnorm = trial, g_trial, g_trial_norm
-    else:
-        if gnorm > max(NEWTON_TOL * scale, floor):
+        if it == NEWTON_MAX_ITER:
+            j = int(np.flatnonzero(~done)[0])
             if pot.is_singular:
-                margin = float(min(np.min(p - pot.r_minus),
-                                   np.min(pot.r_plus - p)))
+                pj = p.reshape(done.size, -1)[j]  # row j, batched or not
+                margin = float(min(np.min(pj - pot.r_minus),
+                                   np.min(pot.r_plus - pj)))
                 if margin <= 1e-5:
-                    raise SeparationLoss(step, margin)
-            raise NewtonDivergence(step, gnorm)
+                    raise SeparationLoss(step, margin, _member(members, j))
+            raise NewtonDivergence(step, _at(gnorm, j), _member(members, j))
+        if n_done:
+            # freeze the converged rows in out, iterate on the rest
+            if rows is None:
+                rows = np.arange(done.size)
+            fin, keep = np.flatnonzero(done), np.flatnonzero(~done)
+            out[rows[fin]] = p[fin]
+            rows, p, g, gnorm, floor, tol, pn, r = (
+                rows[keep], p[keep], g[keep], gnorm[keep], floor[keep],
+                tol[keep], pn[keep], r[keep])
+            members = None if members is None else members[keep]
+        jac = beta_tau + pot.f1[2](pot.clamp(p))
+        # one-ulp changes of p move the residual by about diag * |p|, with
+        # the stencil's 2 diag(-Lap) (about 4/h^2) in diag: that caps the
+        # attainable residual on fine grids and where F1'' blows up
+        floor = 8.0 * np.finfo(float).eps * norm(
+            (jac + hh.lap_diag2) * np.maximum(np.abs(p), 1.0))
+        delta = hh.solve(jac, -g, members=members)
+        step_len = np.ones_like(gnorm)
+        if pot.is_singular:
+            # fraction-to-boundary rule keeps iterates strictly interior:
+            # the room towards the bound delta points at, over |delta|
+            room = np.where(delta > 0.0, hi - p, p - lo)
+            to_bound = np.divide(room, np.abs(delta),
+                                 out=np.full_like(p, np.inf),
+                                 where=delta != 0.0)
+            step_len = np.fmin(step_len, 0.9 * np.fmin.reduce(
+                to_bound, axis=-1, keepdims=True))
+            stuck = ~(step_len > 0.0)
+            if np.count_nonzero(stuck):
+                j = int(np.flatnonzero(stuck)[0])
+                raise SeparationLoss(step, 0.0, _member(members, j))
 
+        def attempt(sel):  # trial rows sel at their step lengths
+            t = p[sel] + step_len[sel] * delta[sel]
+            g_t = residual(t, pn[sel], r[sel])
+            return t, g_t, norm(g_t)
+
+        # halve on residual increase, up to 40 trials per row
+        trial, g_trial, trial_norm = attempt(...)
+        for halving in range(40):
+            better = trial_norm <= np.fmax(gnorm, tol)
+            n_better = np.count_nonzero(better)
+            if n_better == better.size:
+                break
+            j = np.flatnonzero(~better)
+            if halving == 39:
+                raise NewtonDivergence(step, _at(gnorm, j[0]),
+                                       _member(members, j[0]))
+            if n_better == 0:
+                step_len = 0.5 * step_len
+                trial, g_trial, trial_norm = attempt(...)
+            else:
+                step_len[j] *= 0.5
+                trial[j], g_trial[j], trial_norm[j] = attempt(j)
+        p, g, gnorm = trial, g_trial, trial_norm
+
+    if rows is not None:
+        out[rows] = p
+        p = out
     if pot.is_singular:
-        margin = float(min(np.min(p - pot.r_minus), np.min(pot.r_plus - p)))
-        if margin <= min_margin:
-            raise SeparationLoss(step, margin)
+        margin = np.minimum((p - pot.r_minus).min(axis=-1),
+                            (pot.r_plus - p).min(axis=-1))
+        low = margin <= min_margin
+        if np.count_nonzero(low):
+            j = int(np.flatnonzero(low)[0])
+            raise SeparationLoss(step, _at(margin, j),
+                                 _member(all_members, j))
     return p
+
+
+def _trajectory(tg: TimeGrid, grid: GridSpec, mu, phi, sig) -> Trajectory:
+    return Trajectory(SpaceTimeField(tg, grid, mu),
+                      SpaceTimeField(tg, grid, phi),
+                      SpaceTimeField(tg, grid, sig))
+
+
+def _march(params: ModelParams, pot: PotentialSpec, hspec: InterpolantSpec,
+           tg: TimeGrid, u1: np.ndarray, u2: np.ndarray, init: StateTriple,
+           min_margin: float, members: np.ndarray | None = None):
+    """The state scheme's time loop for controls shaped (steps, cells), or
+    (steps, members, cells) for a batch.
+
+    Returns mu, phi and sigma on the nodes, shaped (steps + 1, ...) like
+    the controls, and the number of CG iterations summed over members.
+    """
+    tau = tg.tau
+    nt = tg.n_steps
+    hh = _HelmholtzSolver(init.grid)
+
+    mu = np.empty((nt + 1,) + u1.shape[1:])
+    phi = np.empty_like(mu)
+    sig = np.empty_like(mu)
+    mu[0], phi[0], sig[0] = init.mu.values, init.phi.values, init.sigma.values
+
+    pr = params
+    for n in range(nt):
+        h_n = hspec.h(phi[n])
+        # (i) phi-step, implicit convex part
+        rhs_phi = mu[n] + pr.chi * sig[n] - pot.f2[1](pot.clamp(phi[n]))
+        phi[n + 1] = _phi_newton_step(pot, hh, pr.beta / tau, phi[n], rhs_phi,
+                                      n, min_margin, members)
+        # (ii) mu-step
+        source = (pr.p_rate * sig[n] - pr.a_rate - u1[n]) * h_n
+        b_mu = (pr.alpha / tau) * mu[n] + source - (phi[n + 1] - phi[n]) / tau
+        mu[n + 1] = hh.solve(pr.alpha / tau, b_mu, x0=mu[n], members=members)
+        # (iii) sigma-step, implicit supply/consumption decay
+        b_sig = (sig[n] / tau - pr.chi * hh.lap(phi[n + 1])
+                 + pr.b_rate * pr.sigma_s + u2[n])
+        coeff = 1.0 / tau + pr.b_rate + pr.e_rate * h_n
+        sig[n + 1] = hh.solve(coeff, b_sig, x0=sig[n], members=members)
+    return mu, phi, sig, hh.iterations
+
+
+def _record(stats: dict | None, tg: TimeGrid, cg_iterations: int) -> None:
+    if stats is not None:
+        stats.update(scheme="semi-implicit-euler", n_steps=tg.n_steps,
+                     tau=tg.tau, cg_rtol=CG_RTOL, newton_tol=NEWTON_TOL,
+                     cg_iterations=cg_iterations)
 
 
 def solve_state(params: ModelParams, pot: PotentialSpec,
                 hspec: InterpolantSpec, controls: ControlPair,
-                init: StateTriple, min_margin: float = 1e-11,
+                init: StateTriple, min_margin: float = MIN_MARGIN,
                 stats: dict | None = None) -> Trajectory:
     """March the nonlinear state system from the initial triple.
 
@@ -358,39 +564,48 @@ def solve_state(params: ModelParams, pot: PotentialSpec,
     grid, tg = init.grid, controls.timegrid
     if controls.grid != grid:
         raise ShapeMismatch("controls and initial data on different grids")
-    tau = tg.tau
-    nt = tg.n_steps
-    hh = _HelmholtzSolver(grid)
+    mu, phi, sig, iterations = _march(params, pot, hspec, tg,
+                                      controls.u1.values, controls.u2.values,
+                                      init, min_margin)
+    _record(stats, tg, iterations)
+    return _trajectory(tg, grid, mu, phi, sig)
 
-    mu = np.empty((nt + 1, grid.n_cells))
-    phi = np.empty_like(mu)
-    sig = np.empty_like(mu)
-    mu[0], phi[0], sig[0] = init.mu.values, init.phi.values, init.sigma.values
 
-    pr = params
-    for n in range(nt):
-        h_n = hspec.h(phi[n])
-        # (i) phi-step, implicit convex part
-        rhs_phi = mu[n] + pr.chi * sig[n] - pot.split_eval(phi[n], 1)[1]
-        phi[n + 1] = _phi_newton_step(pot, hh, pr.beta / tau, phi[n], rhs_phi,
-                                      n, min_margin)
-        # (ii) mu-step
-        source = (pr.p_rate * sig[n] - pr.a_rate - controls.u1.values[n]) * h_n
-        b_mu = (pr.alpha / tau) * mu[n] + source - (phi[n + 1] - phi[n]) / tau
-        mu[n + 1] = hh.solve(pr.alpha / tau, b_mu, x0=mu[n])
-        # (iii) sigma-step, implicit supply/consumption decay
-        b_sig = (sig[n] / tau - pr.chi * hh.lap(phi[n + 1])
-                 + pr.b_rate * pr.sigma_s + controls.u2.values[n])
-        coeff = 1.0 / tau + pr.b_rate + pr.e_rate * h_n
-        sig[n + 1] = hh.solve(coeff, b_sig, x0=sig[n])
+def solve_states(params: ModelParams, pot: PotentialSpec,
+                 hspec: InterpolantSpec, controls: Iterable[ControlPair],
+                 init: StateTriple,
+                 stats: dict | None = None) -> Iterator[Trajectory]:
+    """solve_state for each of a sequence of independent controls.
 
-    if stats is not None:
-        stats.update(scheme="semi-implicit-euler", n_steps=nt, tau=tau,
-                     cg_rtol=CG_RTOL, newton_tol=NEWTON_TOL,
-                     cg_iterations=hh.iterations)
-    return Trajectory(SpaceTimeField(tg, grid, mu),
-                      SpaceTimeField(tg, grid, phi),
-                      SpaceTimeField(tg, grid, sig))
+    Yields one trajectory per control, in order.  Takes controls in chunks
+    of at most BATCH_BYTES of states and marches each chunk as rows of one
+    array, so a lazy sequence is never held whole.  Every trajectory is
+    bitwise equal to its own solve_state; stats counts the CG iterations of
+    every chunk solved so far.  An error names the first failing control by
+    its index in the sequence (the exception's member attribute).
+    """
+    controls = iter(controls)
+    first = next(controls, None)
+    if first is None:
+        return
+    grid, tg = init.grid, first.timegrid
+    controls = itertools.chain([first], controls)
+    size = max(1, BATCH_BYTES // (24 * (tg.n_steps + 1) * grid.n_cells))
+    start = iterations = 0
+    while chunk := list(itertools.islice(controls, size)):
+        if any(c.grid != grid or c.timegrid != tg for c in chunk):
+            raise ShapeMismatch("controls and initial data on different grids")
+        mu, phi, sig, its = _march(
+            params, pot, hspec, tg,
+            np.stack([c.u1.values for c in chunk], axis=1),
+            np.stack([c.u2.values for c in chunk], axis=1),
+            init, MIN_MARGIN, np.arange(start, start + len(chunk)))
+        iterations += its
+        _record(stats, tg, iterations)
+        for j in range(len(chunk)):
+            yield _trajectory(tg, grid, mu[:, j], phi[:, j], sig[:, j])
+        del mu, phi, sig  # before the next chunk's march
+        start += len(chunk)
 
 
 def _base_coefficients(pot, hspec, base: Trajectory):
@@ -470,9 +685,7 @@ def solve_linearized(params: ModelParams, pot: PotentialSpec,
         coeff = 1.0 / tau + l1 * (pr.b_rate + pr.e_rate * h_all[n])
         sig[n + 1] = hh.solve(coeff, b_sig, x0=sig[n])
 
-    return Trajectory(SpaceTimeField(tg, grid, mu),
-                      SpaceTimeField(tg, grid, phi),
-                      SpaceTimeField(tg, grid, sig))
+    return _trajectory(tg, grid, mu, phi, sig)
 
 
 def solve_adjoint(params: ModelParams, pot: PotentialSpec,

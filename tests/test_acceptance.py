@@ -206,6 +206,11 @@ TINY = dict(name="tiny", dim=1, n=(2,), length=(1.0,), t_final=0.4,
             target_phi_omega="constant 0.2", max_iters=2000, tol_vi=1e-9)
 
 
+# C5's lattice minima, recorded before a block's lattice became batched
+# state solves
+C5_MINIMA = {"full": "0.04989742724620305", "time": "0.04990100267895396"}
+
+
 def test_c5_optimizer_vs_brute_force():
     t0 = time.perf_counter()
     results = {}
@@ -214,6 +219,7 @@ def test_c5_optimizer_vs_brute_force():
         u_star, j_star = tc.brute_force_optimize(
             prob.params, prob.pot, prob.hspec, prob.targets, prob.mode,
             prob.bounds, prob.init)
+        assert repr(j_star) == C5_MINIMA[mode_name]
         res = tc.proximal_gradient_solve(
             prob.params, prob.pot, prob.hspec, prob.targets, prob.mode,
             prob.bounds, prob.u0, prob.opts, prob.init)

@@ -5,12 +5,13 @@ from tumorctrl.fields import (Field, SpaceTimeField, StateTriple, TimeGrid,
                               grid1d, grid2d, inner)
 from tumorctrl.model import (ModelParams, logarithmic_potential,
                              regular_potential, smoothstep7)
-from tumorctrl.presets import preset_problem
+from tumorctrl.presets import preset_names, preset_problem, \
+    random_admissible_controls
 from tumorctrl import solver
 from tumorctrl.solver import (ControlPair, LinearizedSpec, LinearSolveError,
                               NewtonDivergence, SeparationLoss, ShapeMismatch,
                               Targets, solve_adjoint, solve_linearized,
-                              solve_state, state_balance_report)
+                              solve_state, solve_states, state_balance_report)
 
 HS = smoothstep7()
 
@@ -90,6 +91,59 @@ class TestHelmholtzSolver:
                     stats=stats)
         assert stats["cg_iterations"] / len(solves) <= 8
 
+    def test_fft_is_numpys_bit_for_bit(self, rng):
+        x = rng.standard_normal((3, 12))
+        z = x + 1j * rng.standard_normal((3, 12))
+        for axis in (-1, -2):
+            assert np.array_equal(solver._fft(x, axis),
+                                  np.fft.fft(x, axis=axis))
+            assert np.array_equal(solver._fft(z, axis, inverse=True),
+                                  np.fft.ifft(z, axis=axis))
+
+    @pytest.mark.parametrize("grid", [grid1d(16), grid2d(6, 5)], ids=str)
+    def test_batch_rows_equal_their_own_solves(self, grid, rng):
+        # rows: variable coefficient, b = 0 (x = 0 whatever x0), constant
+        # coefficient; each row takes its own iterations and gets its bits
+        n = grid.n_cells
+        coeff = np.stack([1.0 + rng.random(n), np.full(n, 2.0),
+                          np.full(n, 3.0)])
+        b = rng.standard_normal((3, n))
+        b[1] = 0.0
+        x0 = rng.standard_normal((3, n))
+        batch = solver._HelmholtzSolver(grid)
+        x = batch.solve(coeff, b, x0=x0)
+        iterations = 0
+        for row in range(3):
+            hh = solver._HelmholtzSolver(grid)
+            assert np.array_equal(x[row], hh.solve(coeff[row], b[row],
+                                                   x0=x0[row]))
+            iterations += hh.iterations
+        assert np.all(x[1] == 0.0)
+        assert batch.iterations == iterations
+
+    def test_stiff_newton_jacobian_needs_many_iterations(self, monkeypatch):
+        # a large initial mu pushes phi towards the log potential's wall:
+        # F1'' then spans orders of magnitude, the mean-coefficient
+        # preconditioner is poor and a Jacobian solve takes over 100
+        # iterations, so the iteration cap must stay well above that
+        worst = []
+        solve = solver._HelmholtzSolver.solve
+
+        def counted(hh, *args, **kwargs):
+            before = hh.iterations
+            x = solve(hh, *args, **kwargs)
+            worst.append(hh.iterations - before)
+            return x
+
+        monkeypatch.setattr(solver._HelmholtzSolver, "solve", counted)
+        prob = preset_problem("1D-logarithmic-default", init_mu="constant 20",
+                              n_steps=4)
+        traj = solve_state(prob.params, prob.pot, prob.hspec, prob.u0,
+                           prob.init)
+        assert max(worst) > 100
+        rep = state_balance_report(traj, prob.params, prob.u0, prob.hspec)
+        assert rep["max_relative"] <= 1e-10
+
     def test_linear_solve_error_names_iterations_and_residual(self, rng):
         grid = grid1d(64)
         hh = solver._HelmholtzSolver(grid)
@@ -99,8 +153,19 @@ class TestHelmholtzSolver:
             hh.solve(coeff, rng.standard_normal(grid.n_cells))
         assert exc.value.iterations == 1
         assert exc.value.residual > solver.CG_RTOL
-        assert "after 1 iterations" in str(exc.value)
-        assert f"relative residual {exc.value.residual:.3e}" in str(exc.value)
+        assert exc.value.member is None
+        assert str(exc.value) == (
+            "conjugate gradient did not reach tolerance after 1 iterations: "
+            f"relative residual {exc.value.residual:.3e}")
+        # in a batch, the first row that misses the tolerance is named; the
+        # constant-coefficient row converges in its one iteration
+        coeff = np.stack([np.full(grid.n_cells, 3.0), coeff])
+        members = np.array([5, 7])
+        with pytest.raises(LinearSolveError) as exc:
+            hh.solve(coeff, rng.standard_normal((2, grid.n_cells)),
+                     members=members)
+        assert exc.value.member == 7
+        assert str(exc.value).endswith(" (member 7)")
 
     # norms of mu, phi, sigma at T and of psi2 at t = 0, recorded with the
     # Jacobi-preconditioned solver this one replaced
@@ -125,6 +190,28 @@ class TestHelmholtzSolver:
             traj.mu.values[-1], traj.phi.values[-1], traj.sigma.values[-1],
             adj.psi2.values[0])]
         assert got == pytest.approx(norms, rel=1e-10, abs=0.0)
+
+
+class TestPhiNewtonStep:
+    @pytest.mark.parametrize("pot,rhs_scale", [
+        (regular_potential(), 200.0), (logarithmic_potential(), 12.0)],
+        ids=["regular", "logarithmic"])
+    def test_batch_rows_equal_their_own_solves(self, pot, rhs_scale):
+        # a large right-hand side needs line-search halvings, a small one
+        # none, so rows halve, and converge, at different iterations
+        grid = grid1d(16)
+        x = grid.cell_centers()[0]
+        phi_n = np.stack([0.1 * np.cos(np.pi * x), np.zeros(16),
+                          0.5 * np.sin(np.pi * x)])
+        rhs = np.stack([rhs_scale * (1.0 + 0.25 * np.cos(np.pi * x)),
+                        0.01 * x, np.full(16, -0.75 * rhs_scale)])
+        batch = solver._phi_newton_step(pot, solver._HelmholtzSolver(grid),
+                                        1.0, phi_n, rhs, 0, 1e-11)
+        for row in range(3):
+            alone = solver._phi_newton_step(
+                pot, solver._HelmholtzSolver(grid), 1.0, phi_n[row],
+                rhs[row], 0, 1e-11)
+            assert np.array_equal(batch[row], alone)
 
 
 class TestStateSolver:
@@ -231,6 +318,22 @@ class TestStateSolver:
             solve_state(prob.params, prob.pot, prob.hspec, prob.u0, prob.init)
         assert exc.value.step >= 0
         assert exc.value.margin < 1e-6
+        assert exc.value.member is None
+
+    def test_separation_loss_names_member(self):
+        # one control driven out of the interval among healthy ones: the
+        # batch fails where that member fails alone, and names it
+        prob = preset_problem("stress-separation")
+        bad = preset_problem("stress-separation", u0_1="constant -40").u0
+        with pytest.raises(SeparationLoss) as alone:
+            solve_state(prob.params, prob.pot, prob.hspec, bad, prob.init)
+        with pytest.raises(SeparationLoss) as exc:
+            list(solve_states(prob.params, prob.pot, prob.hspec,
+                              [prob.u0, prob.u0, bad, prob.u0], prob.init))
+        assert exc.value.member == 2
+        assert (exc.value.step, exc.value.margin) == (alone.value.step,
+                                                      alone.value.margin)
+        assert str(exc.value) == f"{alone.value} (member 2)"
 
     def test_newton_divergence_names_step_and_residual(self, monkeypatch):
         monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 1)
@@ -240,6 +343,12 @@ class TestStateSolver:
         assert exc.value.step == 0
         assert exc.value.residual > solver.NEWTON_TOL
         assert f"|G| = {exc.value.residual:.3e}" in str(exc.value)
+        assert exc.value.member is None
+        with pytest.raises(NewtonDivergence) as batched:
+            list(solve_states(prob.params, prob.pot, prob.hspec,
+                              [prob.u0, prob.u0], prob.init))
+        assert batched.value.member == 0
+        assert str(batched.value) == f"{exc.value} (member 0)"
 
     @pytest.mark.parametrize("potential", ["logarithmic", "regular"])
     @pytest.mark.parametrize("preset,n", [
@@ -263,6 +372,121 @@ class TestStateSolver:
         with pytest.raises(ShapeMismatch):
             solve_state(pr, regular_potential(), HS, ctrl,
                         uniform_init(grid1d(5)))
+        with pytest.raises(ShapeMismatch):
+            list(solve_states(pr, regular_potential(), HS,
+                              [controls_from(tg, grid1d(5)), ctrl],
+                              uniform_init(grid1d(5))))
+        with pytest.raises(ShapeMismatch):
+            list(solve_states(pr, regular_potential(), HS,
+                              [controls_from(tg, grid1d(5)),
+                               controls_from(TimeGrid(0.1, 3), grid1d(5))],
+                              uniform_init(grid1d(5))))
+
+
+BATCH_CASES = [(name, {}) for name in preset_names()] + [
+    ("2D-regular-default", {"n": (24, 24)})]
+
+
+@pytest.fixture(scope="module", params=BATCH_CASES,
+                ids=[f"{name}{kw.get('n', '')}" for name, kw in BATCH_CASES])
+def solo_solves(request):
+    # the nominal control and 13 random admissible ones, each solved alone
+    name, kw = request.param
+    prob = preset_problem(name, **kw)
+    ctrls = [prob.u0] + [random_admissible_controls(prob, seed, scale=0.4)
+                         for seed in range(13)]
+    solos = []
+    for c in ctrls:
+        stats = {}
+        traj = solve_state(prob.params, prob.pot, prob.hspec, c, prob.init,
+                           stats=stats)
+        solos.append((traj, stats["cg_iterations"]))
+    return prob, ctrls, solos
+
+
+def _same_trajectory(a, b):
+    return all(np.array_equal(getattr(a, f).values, getattr(b, f).values)
+               for f in ("mu", "phi", "sigma"))
+
+
+class TestBatchedStates:
+    @pytest.mark.parametrize("size", [1, 3, 14])
+    def test_members_equal_their_own_solves(self, solo_solves, size):
+        prob, ctrls, solos = solo_solves
+        stats = {}
+        trajs = list(solve_states(prob.params, prob.pot, prob.hspec,
+                                  ctrls[:size], prob.init, stats=stats))
+        assert len(trajs) == size
+        assert all(_same_trajectory(t, solo)
+                   for t, (solo, _) in zip(trajs, solos))
+        assert stats["cg_iterations"] == sum(it for _, it in solos[:size])
+
+    def test_lists_over_the_byte_budget_run_in_chunks(self, solo_solves,
+                                                      monkeypatch):
+        prob, ctrls, solos = solo_solves
+        member = 24 * (prob.timegrid.n_steps + 1) * prob.grid.n_cells
+        monkeypatch.setattr(solver, "BATCH_BYTES", 4 * member)
+        calls, taken = [], []
+        march = solver._march
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return march(*args, **kwargs)
+
+        def lazy():
+            for c in ctrls:
+                taken.append(c)
+                yield c
+
+        monkeypatch.setattr(solver, "_march", counted)
+        trajs = solve_states(prob.params, prob.pot, prob.hspec, lazy(),
+                             prob.init)
+        first = next(trajs)
+        # a chunk's controls are taken, and solved, as its first is asked for
+        assert (len(taken), len(calls)) == (4, 1)
+        trajs = [first] + list(trajs)
+        assert len(calls) == 4  # 14 members in chunks of 4
+        assert len(trajs) == 14
+        assert all(_same_trajectory(t, solo)
+                   for t, (solo, _) in zip(trajs, solos))
+
+    def test_empty_list(self):
+        prob = preset_problem("time-sparsity-demo")
+        stats = {}
+        assert list(solve_states(prob.params, prob.pot, prob.hspec, [],
+                                 prob.init, stats=stats)) == []
+        assert stats == {}
+
+    # norms of mu, phi, sigma and of the adjoint's psi1, psi2, psi3 over all
+    # nodes, recorded before batching; the bound leaves room for another
+    # CPU's rounding of exp, log and the CG's dot products, not for a change
+    # of the scheme
+    @pytest.mark.parametrize("preset,state,adjoint", [
+        ("1D-logarithmic-default",
+         (4.988727181945142, 10.177261314915397, 43.83920297021787),
+         (0.4833669585728746, 3.9655351640247303, 0.15161498343762964)),
+        ("2D-regular-default",
+         (3.2418693088164283, 5.613378700141589, 33.64938924237748),
+         (0.19636164965065486, 1.9494218305795332, 0.059644570806363456)),
+        ("stationary-trivial",
+         (0.0, 8.48528137423857, 0.0), (0.0, 0.0, 0.0)),
+        ("stress-separation",
+         (372.08644942988354, 42.584294514506205, 55.71355310873648),
+         (0.5753675153140022, 4.690587925733005, 0.5300953617491231)),
+        ("time-sparsity-demo",
+         (0.2624462691257015, 0.8094792169508229, 12.221337130626152),
+         (0.04124776387819313, 0.3749011640135377, 0.008919566632027484)),
+    ])
+    def test_unbatched_solves_keep_their_values(self, preset, state,
+                                                adjoint):
+        prob = preset_problem(preset)
+        traj = solve_state(prob.params, prob.pot, prob.hspec, prob.u0,
+                           prob.init)
+        adj = solve_adjoint(prob.params, prob.pot, prob.hspec, traj, prob.u0,
+                            prob.targets)
+        got = [np.linalg.norm(f.values) for f in (
+            traj.mu, traj.phi, traj.sigma, adj.psi1, adj.psi2, adj.psi3)]
+        assert got == pytest.approx(state + adjoint, rel=1e-12, abs=0.0)
 
 
 class TestLinearizedSolver:

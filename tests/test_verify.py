@@ -3,10 +3,11 @@ import pytest
 
 from tumorctrl.presets import preset_problem
 from tumorctrl.solver import solve_state
-from tumorctrl.verify import (CheckReport, DimensionTooLarge,
-                              brute_force_optimize, duality_gap,
-                              fd_gradient_check, linearized_fd_refinement,
-                              separation_monitor, write_check_csv)
+from tumorctrl.verify import (FD_GRADIENT_RTOL, CheckReport,
+                              DimensionTooLarge, brute_force_optimize,
+                              duality_gap, fd_gradient_check,
+                              linearized_fd_refinement, separation_monitor,
+                              write_check_csv)
 
 # a small instance keeps these oracle tests fast; the full-size preset runs
 # live in the acceptance suite
@@ -23,6 +24,8 @@ class TestFdGradientCheck:
         rep = fd_gradient_check(small_problem, n_directions=3)
         assert rep.passed
         assert rep.metric("max_best_rel_error") <= 1e-8
+        assert {tol for _, _, tol, _ in rep.metrics} == {FD_GRADIENT_RTOL,
+                                                         None}
         # central differences decay quadratically before the floor
         assert 1.5 <= rep.metric("prefloor_slope") <= 2.5
 
