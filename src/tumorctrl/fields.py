@@ -163,9 +163,6 @@ class SpaceTimeField:
             return self.timegrid.node_weights()
         return np.full(self.timegrid.n_steps, self.timegrid.tau)
 
-    def slice(self, k: int) -> Field:
-        return Field(self.grid, self.values[k])
-
     @classmethod
     def zeros(cls, timegrid: TimeGrid, grid: GridSpec,
               on_nodes: bool = False) -> "SpaceTimeField":

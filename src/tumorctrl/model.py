@@ -16,6 +16,11 @@ from typing import Callable
 
 import numpy as np
 
+# a singular potential is evaluated at least this far inside its bounds
+CLAMP_MARGIN = 1e-12
+# sample points per interval in validate_setup's potential and h checks
+SETUP_SAMPLES = 257
+
 
 class SingularDomain(ValueError):
     """Potential evaluated outside its admissible interval."""
@@ -71,9 +76,10 @@ class PotentialSpec:
 
     ``f1`` holds (F1, F1', F1'', F1''') and ``f2`` the same for F2.  For
     singular variants the admissible interval is (r_minus, r_plus); array
-    evaluation clamps arguments to (r_minus + clamp_margin, r_plus -
-    clamp_margin) and reports how many entries were clamped, so callers can
-    decide whether a clamp event is fatal (it is, for the state solver).
+    evaluation clamps arguments to (r_minus + CLAMP_MARGIN, r_plus -
+    CLAMP_MARGIN).  The state solver keeps its iterates inside that
+    interval by a fraction-to-boundary rule and raises SeparationLoss
+    rather than clamp phi.
     """
 
     name: str
@@ -81,41 +87,36 @@ class PotentialSpec:
     r_plus: float
     f1: tuple[ScalarFunc, ScalarFunc, ScalarFunc, ScalarFunc]
     f2: tuple[ScalarFunc, ScalarFunc, ScalarFunc, ScalarFunc]
-    clamp_margin: float = 1e-12
 
     @property
     def is_singular(self) -> bool:
         return math.isfinite(self.r_minus) or math.isfinite(self.r_plus)
 
-    def admissible(self, r: float, margin: float | None = None) -> bool:
-        m = self.clamp_margin if margin is None else margin
-        lo = self.r_minus + m if math.isfinite(self.r_minus) else -math.inf
-        hi = self.r_plus - m if math.isfinite(self.r_plus) else math.inf
-        return lo < r < hi
+    def admissible(self, r: float) -> bool:
+        return self.r_minus + CLAMP_MARGIN < r < self.r_plus - CLAMP_MARGIN
 
     def clamp(self, r: np.ndarray) -> np.ndarray:
         """r clipped to the evaluation interval (unchanged if regular)."""
         if not self.is_singular:
             return r
         # np.clip's own definition, at a fraction of its per-call cost
-        return np.minimum(np.maximum(r, self.r_minus + self.clamp_margin),
-                          self.r_plus - self.clamp_margin)
+        return np.minimum(np.maximum(r, self.r_minus + CLAMP_MARGIN),
+                          self.r_plus - CLAMP_MARGIN)
 
-    def split_eval(self, r: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """(F1^(order), F2^(order)) at clamped r, plus the clamp count."""
-        r = np.asarray(r, dtype=float)
-        rc = self.clamp(r)
-        return (self.f1[order](rc), self.f2[order](rc),
-                0 if rc is r else int(np.count_nonzero(rc != r)))
+    def split_eval(self, r: np.ndarray,
+                   order: int) -> tuple[np.ndarray, np.ndarray]:
+        """(F1^(order), F2^(order)) at clamped r."""
+        rc = self.clamp(np.asarray(r, dtype=float))
+        return self.f1[order](rc), self.f2[order](rc)
 
 
-def eval_potential(pot: PotentialSpec, r: float, margin: float = 1e-12):
+def eval_potential(pot: PotentialSpec, r: float):
     """Evaluate F, F', F'', F''' at a single admissible point.
 
     Raises SingularDomain if r is not strictly inside
-    (r_minus + margin, r_plus - margin) for a singular variant.
+    (r_minus + CLAMP_MARGIN, r_plus - CLAMP_MARGIN) for a singular variant.
     """
-    if pot.is_singular and not pot.admissible(r, margin):
+    if pot.is_singular and not pot.admissible(r):
         raise SingularDomain(
             f"r={r!r} outside admissible interval "
             f"({pot.r_minus}, {pot.r_plus}) of potential '{pot.name}'")
@@ -251,8 +252,7 @@ class ValidationReport:
 
 
 def validate_setup(params: ModelParams, pot: PotentialSpec, init,
-                   hspec: InterpolantSpec | None = None,
-                   n_samples: int = 257) -> ValidationReport:
+                   hspec: InterpolantSpec | None = None) -> ValidationReport:
     """Check the model assumptions on a concrete setup.
 
     Verifies parameter signs, strict interior separation of the initial
@@ -289,11 +289,11 @@ def validate_setup(params: ModelParams, pot: PotentialSpec, init,
     a = pot.r_minus if math.isfinite(pot.r_minus) else -3.0
     b = pot.r_plus if math.isfinite(pot.r_plus) else 3.0
     span = b - a
-    rs = np.linspace(a + 1e-6 * span, b - 1e-6 * span, n_samples)
-    f1dd, _, _ = pot.split_eval(rs, 2)
+    rs = np.linspace(a + 1e-6 * span, b - 1e-6 * span, SETUP_SAMPLES)
+    f1dd, _ = pot.split_eval(rs, 2)
     check(np.all(f1dd >= -1e-12), "F1 convex",
           "sampled F1'' has negative values")
-    f1_0, f2_0, _ = pot.split_eval(np.asarray(0.0), 0)
+    f1_0, f2_0 = pot.split_eval(np.asarray(0.0), 0)
     check(abs(float(f1_0)) <= 1e-12, "F1(0) zero", f"F1(0) = {float(f1_0)!r}")
     check(math.isfinite(float(f1_0 + f2_0)), "F(0) finite", "F(0) not finite")
 
@@ -301,7 +301,7 @@ def validate_setup(params: ModelParams, pot: PotentialSpec, init,
         hs, hds, _ = eval_h(hspec, rs[(rs >= -1.0) & (rs <= 1.0)])
         check(np.all((hs >= -1e-12) & (hs <= 1.0 + 1e-12)), "h range",
               "h must take values in [0, 1]")
-        inner = np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, n_samples)
+        inner = np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, SETUP_SAMPLES)
         hv = eval_h(hspec, inner)[0]
         check(np.all(hv > 0.0), "h positive", "h must be positive on (-1, 1)")
         check(np.all(np.isfinite(hds)), "h' bounded", "h' must be finite")

@@ -22,6 +22,11 @@ from .solver import (AdjointTriple, ControlPair, Targets, Trajectory,
 from .sparsity import (SparsityMode, SubgradientPair, eval_g, group_layout,
                        mode_norms, prox_pair, select_subgradient)
 
+# backtracking gives up once the step size falls below this floor
+ETA_MIN = 1e-14
+# support_measure counts a group as nonzero when its mode norm exceeds this
+SUPPORT_TOL = 1e-8
+
 
 class StepsizeCollapse(RuntimeError):
     """Backtracking reduced the step size below its floor."""
@@ -43,12 +48,11 @@ class OptimizeOptions:
     decrease: float = 1e-4
     tol_vi: float = 1e-8
     tol_cost: float = 0.0
-    eta_min: float = 1e-14
 
     def __post_init__(self):
         if not (0.0 < self.backtrack < 1.0):
             raise ValueError("backtracking factor must lie in (0, 1)")
-        for name in ("decrease", "tol_vi", "eta_min"):
+        for name in ("decrease", "tol_vi"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.tol_cost < 0.0:
@@ -189,18 +193,17 @@ def vi_residual(params: ModelParams, pot: PotentialSpec,
     return _vi_residual_from(params, mode, bounds, u, b.d1, b.d2)
 
 
-def support_measure(mode: SparsityMode, u: ControlPair,
-                    tol: float = 1e-8) -> tuple[float, float]:
+def support_measure(mode: SparsityMode, u: ControlPair) -> tuple[float, float]:
     """Measure of the nonzero set of each control, in mode units.
 
-    A group counts as nonzero when its mode norm exceeds tol; mode NONE
-    measures the pointwise support.
+    A group counts as nonzero when its mode norm exceeds SUPPORT_TOL; mode
+    NONE measures the pointwise support.
     """
     if mode is SparsityMode.NONE:
         mode = SparsityMode.FULL_Q
     measure = group_layout(mode, u.u1)[2]
-    return tuple(measure * float(np.count_nonzero(mode_norms(mode, c) > tol))
-                 for c in (u.u1, u.u2))
+    return tuple(measure * float(np.count_nonzero(
+        mode_norms(mode, c) > SUPPORT_TOL)) for c in (u.u1, u.u2))
 
 
 def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
@@ -260,7 +263,7 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
             if cost_trial <= cost - (opts.decrease / eta) * dist2 + noise:
                 break
             eta *= opts.backtrack
-            if eta < opts.eta_min:
+            if eta < ETA_MIN:
                 raise StepsizeCollapse(it, eta)
         stalled = (opts.tol_cost > 0.0
                    and cost - cost_trial <= opts.tol_cost * (1.0 + abs(cost)))

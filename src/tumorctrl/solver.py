@@ -15,7 +15,7 @@ Nonlinear coefficients are lagged exactly as written, which makes the
 per-step integrated balances exact up to the linear-solver tolerance.
 
 The linearized solver applies the same splitting to the switched linear
-system (flags lam1..lam4) and is the exact tangent of this scheme; the
+system (flags lam1..lam3) and is the exact tangent of this scheme; the
 adjoint solver is its exact transpose, stepping backward with implicit
 diffusion and eliminating the time derivative of the first adjoint from the
 second equation.  All symmetric positive definite solves use conjugate
@@ -29,8 +29,9 @@ loop, as rows of one (members, cells) array per field, at most BATCH_BYTES
 of states at a time, and yields their trajectories chunk by chunk.  Every
 row keeps its own Newton and CG scalars, line search and stopping tests,
 so each member takes the iterations, and gets the bits, of its own
-solve_state, which runs the same loop on one unbatched field.  On the presets' 16-64-cell grids a solve's cost is
-per-call overhead, so a batch of B members costs far less than B solves.
+solve_state, which runs the same loop on one unbatched field.  On the
+presets' 16-64-cell grids a solve's cost is per-call overhead, so a batch
+of B members costs far less than B solves.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ from numpy.fft._pocketfft_umath import ifft as _ifft_gufunc
 
 from .fields import (Field, GridSpec, ShapeMismatch, SpaceTimeField,
                      StateTriple, TimeGrid, Trajectory, make_laplacian)
-from .model import BoxBounds, InterpolantSpec, ModelParams, PotentialSpec
+from .model import (CLAMP_MARGIN, BoxBounds, InterpolantSpec, ModelParams,
+                    PotentialSpec)
 
 CG_RTOL = 1e-12
 NEWTON_TOL = 1e-12
@@ -143,26 +145,22 @@ class LinearizedSpec:
     """Data of the switched linear system.
 
     lam1 turns on the frozen-coefficient reaction terms, lam2 the control
-    direction (k1, k2), lam3 the free sources (f1, f2, f3) and lam4 the
-    initial data.  With lam1 = lam2 = 1 and lam3 = lam4 = 0 the solution is
-    the directional derivative of the control-to-state map.
+    direction (k1, k2) and lam3 the free sources (f1, f2, f3); the initial
+    data are zero.  With lam1 = lam2 = 1 and lam3 = 0 the solution is the
+    directional derivative of the control-to-state map.
     """
 
     lam1: int = 1
     lam2: int = 1
     lam3: int = 0
-    lam4: int = 0
     k1: SpaceTimeField | None = None
     k2: SpaceTimeField | None = None
     f1: SpaceTimeField | None = None
     f2: SpaceTimeField | None = None
     f3: SpaceTimeField | None = None
-    mu0: Field | None = None
-    phi0: Field | None = None
-    sigma0: Field | None = None
 
     def __post_init__(self):
-        for flag in (self.lam1, self.lam2, self.lam3, self.lam4):
+        for flag in (self.lam1, self.lam2, self.lam3):
             if flag not in (0, 1):
                 raise ValueError("switch flags must be 0 or 1")
 
@@ -256,10 +254,9 @@ class _HelmholtzSolver:
     iterations, and gets exactly the bits, of its unbatched solve.
     """
 
-    def __init__(self, grid: GridSpec, rtol: float = CG_RTOL):
+    def __init__(self, grid: GridSpec):
         self.lap = make_laplacian(grid)
         self.lap_diag2 = 2.0 * _neg_lap_diag(grid)
-        self.rtol = rtol
         self.maxiter = 2 * grid.n_cells + 200
         self.iterations = 0
         self.shape = grid.n
@@ -330,7 +327,7 @@ class _HelmholtzSolver:
         # (the CG coefficients as columns, to scale the rows)
         column = b.ndim == 2
         bnorm = np.sqrt(np.vecdot(b, b))
-        tol = self.rtol * bnorm
+        tol = CG_RTOL * bnorm
         # x holds the working rows; rows, once set, maps them onto out
         x = out = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
         rows = None
@@ -379,7 +376,6 @@ class _HelmholtzSolver:
 
 def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
                      phi_n: np.ndarray, rhs: np.ndarray, step: int,
-                     min_margin: float,
                      members: np.ndarray | None = None) -> np.ndarray:
     """Solve beta/tau (p - phi_n) - Lap p + F1'(p) = rhs by damped Newton.
 
@@ -396,7 +392,7 @@ def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
     # beta/tau is the Jacobian's diagonal scale: the tolerance then bounds
     # the phi update error itself by NEWTON_TOL
     tol = NEWTON_TOL * np.maximum(norm(rhs), max(1.0, beta_tau))
-    lo, hi = pot.r_minus + pot.clamp_margin, pot.r_plus - pot.clamp_margin
+    lo, hi = pot.r_minus + CLAMP_MARGIN, pot.r_plus - CLAMP_MARGIN
 
     def residual(q, pn, r):
         return beta_tau * (q - pn) - hh.lap(q) + pot.f1[1](pot.clamp(q)) - r
@@ -485,7 +481,7 @@ def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
     if pot.is_singular:
         margin = np.minimum((p - pot.r_minus).min(axis=-1),
                             (pot.r_plus - p).min(axis=-1))
-        low = margin <= min_margin
+        low = margin <= MIN_MARGIN
         if np.count_nonzero(low):
             j = int(np.flatnonzero(low)[0])
             raise SeparationLoss(step, _at(margin, j),
@@ -501,7 +497,7 @@ def _trajectory(tg: TimeGrid, grid: GridSpec, mu, phi, sig) -> Trajectory:
 
 def _march(params: ModelParams, pot: PotentialSpec, hspec: InterpolantSpec,
            tg: TimeGrid, u1: np.ndarray, u2: np.ndarray, init: StateTriple,
-           min_margin: float, members: np.ndarray | None = None):
+           members: np.ndarray | None = None):
     """The state scheme's time loop for controls shaped (steps, cells), or
     (steps, members, cells) for a batch.
 
@@ -523,7 +519,7 @@ def _march(params: ModelParams, pot: PotentialSpec, hspec: InterpolantSpec,
         # (i) phi-step, implicit convex part
         rhs_phi = mu[n] + pr.chi * sig[n] - pot.f2[1](pot.clamp(phi[n]))
         phi[n + 1] = _phi_newton_step(pot, hh, pr.beta / tau, phi[n], rhs_phi,
-                                      n, min_margin, members)
+                                      n, members)
         # (ii) mu-step
         source = (pr.p_rate * sig[n] - pr.a_rate - u1[n]) * h_n
         b_mu = (pr.alpha / tau) * mu[n] + source - (phi[n + 1] - phi[n]) / tau
@@ -545,8 +541,7 @@ def _record(stats: dict | None, tg: TimeGrid, cg_iterations: int) -> None:
 
 def solve_state(params: ModelParams, pot: PotentialSpec,
                 hspec: InterpolantSpec, controls: ControlPair,
-                init: StateTriple, min_margin: float = MIN_MARGIN,
-                stats: dict | None = None) -> Trajectory:
+                init: StateTriple, stats: dict | None = None) -> Trajectory:
     """March the nonlinear state system from the initial triple.
 
     Returns the trajectory on all time nodes.  For singular potentials every
@@ -564,9 +559,8 @@ def solve_state(params: ModelParams, pot: PotentialSpec,
     grid, tg = init.grid, controls.timegrid
     if controls.grid != grid:
         raise ShapeMismatch("controls and initial data on different grids")
-    mu, phi, sig, iterations = _march(params, pot, hspec, tg,
-                                      controls.u1.values, controls.u2.values,
-                                      init, min_margin)
+    mu, phi, sig, iterations = _march(
+        params, pot, hspec, tg, controls.u1.values, controls.u2.values, init)
     _record(stats, tg, iterations)
     return _trajectory(tg, grid, mu, phi, sig)
 
@@ -599,7 +593,7 @@ def solve_states(params: ModelParams, pot: PotentialSpec,
             params, pot, hspec, tg,
             np.stack([c.u1.values for c in chunk], axis=1),
             np.stack([c.u2.values for c in chunk], axis=1),
-            init, MIN_MARGIN, np.arange(start, start + len(chunk)))
+            init, np.arange(start, start + len(chunk)))
         iterations += its
         _record(stats, tg, iterations)
         for j in range(len(chunk)):
@@ -613,7 +607,7 @@ def _base_coefficients(pot, hspec, base: Trajectory):
     phib = base.phi.values
     h_all = hspec.h(phib)
     hp_all = hspec.hd(phib)
-    f1dd_all, f2dd_all, _ = pot.split_eval(phib, 2)
+    f1dd_all, f2dd_all = pot.split_eval(phib, 2)
     return h_all, hp_all, f1dd_all, f2dd_all
 
 
@@ -627,9 +621,10 @@ def solve_linearized(params: ModelParams, pot: PotentialSpec,
     the base trajectory at the node where the forward scheme evaluates them,
     the arrival node for F1'' and for sigma in the consumption term (the
     forward phi-step is implicit in F1', the sigma-step in its decay) and
-    the departure node otherwise.  With lam1 = lam2 = 1 and lam3 = lam4 = 0
-    the result is the exact discrete tangent of solve_state, so it pairs
-    with solve_adjoint in the duality identity up to round-off.
+    the departure node otherwise.  The linearized state starts at zero.
+    With lam1 = lam2 = 1 and lam3 = 0 the result is the exact discrete
+    tangent of solve_state, so it pairs with solve_adjoint in the duality
+    identity up to round-off.
     """
     grid, tg = base.grid, base.timegrid
     tau = tg.tau
@@ -640,9 +635,6 @@ def solve_linearized(params: ModelParams, pot: PotentialSpec,
     def slice_or_zero(f, n):
         return 0.0 if f is None else f.values[n]
 
-    def init_or_zero(f):
-        return np.zeros(grid.n_cells) if f is None else f.values.copy()
-
     for f in (spec.k1, spec.k2, spec.f1, spec.f2, spec.f3):
         if f is not None and (f.grid != grid or f.on_nodes):
             raise ShapeMismatch("directions/sources must be interval fields "
@@ -652,13 +644,9 @@ def solve_linearized(params: ModelParams, pot: PotentialSpec,
     sigb = base.sigma.values
     u1b = base_controls.u1.values
 
-    mu = np.empty((nt + 1, grid.n_cells))
-    phi = np.empty_like(mu)
-    sig = np.empty_like(mu)
-    lam4 = float(spec.lam4)
-    mu[0] = lam4 * init_or_zero(spec.mu0)
-    phi[0] = lam4 * init_or_zero(spec.phi0)
-    sig[0] = lam4 * init_or_zero(spec.sigma0)
+    mu = np.zeros((nt + 1, grid.n_cells))
+    phi = np.zeros_like(mu)
+    sig = np.zeros_like(mu)
 
     l1, l2, l3 = (float(spec.lam1), float(spec.lam2), float(spec.lam3))
     for n in range(nt):

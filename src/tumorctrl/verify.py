@@ -30,7 +30,11 @@ from .solver import (ControlPair, LinearizedSpec, Targets,
                      solve_states)
 from .sparsity import SparsityMode
 
-DEFAULT_EPS_LADDER = tuple(10.0 ** (-k) for k in range(1, 8))
+# finite-difference steps of fd_gradient_check and linearized_fd_refinement
+FD_EPS_LADDER = tuple(10.0 ** (-k) for k in range(1, 8))
+LINEARIZED_EPS_LADDER = (1e-2, 1e-3, 1e-4)
+# cosine modes per axis, in space and in time, of a random direction
+DIRECTION_MODES = 3
 # best relative error of the adjoint directional derivative against central
 # differences: over 440 verify runs of time-sparsity-demo the median is 5e-10
 # and the worst 1.7e-6, for a direction almost orthogonal to the gradient
@@ -41,6 +45,14 @@ DUALITY_RTOL = 1e-10
 # best linearized-vs-FD error: central differences at eps = 1e-4 leave a
 # truncation error of up to about 1e-8
 LINEARIZED_RTOL = 1e-6
+# least margin of phi to a singular potential's interval bounds
+SEPARATION_FLOOR = 1e-6
+# brute_force_optimize: lattice points per axis, shrink-and-rescan rounds,
+# sweeps per round, and the least cost decrease that moves the winner
+LATTICE_POINTS = 11
+LATTICE_ROUNDS = 2
+LATTICE_MAX_SWEEPS = 40
+LATTICE_IMPROVE_TOL = 1e-14
 
 
 class DimensionTooLarge(ValueError):
@@ -103,8 +115,7 @@ def _pack_controls(problem: Problem, a1, a2) -> ControlPair:
                        problem.bounds)
 
 
-def _unit_direction(problem: Problem, rng,
-                    n_modes: int = 3) -> tuple[np.ndarray, np.ndarray]:
+def _unit_direction(problem: Problem, rng) -> tuple[np.ndarray, np.ndarray]:
     """Random smooth direction: low-order cosine modes in space and time.
 
     Smooth directions keep the directional derivative on the scale of the
@@ -116,12 +127,12 @@ def _unit_direction(problem: Problem, rng,
     t_mid = tg.slice_times() / tg.t_final
     coords = grid.cell_centers()
     space_modes = []
-    for p in range(n_modes):
+    for p in range(DIRECTION_MODES):
         mode = np.ones(grid.n_cells)
         for x, L in zip(coords, grid.length):
             mode = mode * np.cos(p * np.pi * x / L)
         space_modes.append(mode)
-    time_modes = [np.cos(q * np.pi * t_mid) for q in range(n_modes)]
+    time_modes = [np.cos(q * np.pi * t_mid) for q in range(DIRECTION_MODES)]
 
     def draw():
         k = np.zeros((tg.n_steps, grid.n_cells))
@@ -183,8 +194,7 @@ def _decreasing_prefix_slope(eps, errs) -> float:
 
 
 def fd_gradient_check(problem: Problem, u: ControlPair | None = None,
-                      n_directions: int = 5,
-                      eps_ladder=DEFAULT_EPS_LADDER) -> CheckReport:
+                      n_directions: int = 5) -> CheckReport:
     """Adjoint gradient versus central finite differences of the smooth cost.
 
     For each random unit direction k, compares <grad J1(u), k> with
@@ -203,7 +213,7 @@ def fd_gradient_check(problem: Problem, u: ControlPair | None = None,
     tol = FD_GRADIENT_RTOL
     directions = [_unit_direction(problem, rng) for _ in range(n_directions)]
     points = (c for k1, k2 in directions
-              for c in _fd_ladder(problem, u, k1, k2, eps_ladder))
+              for c in _fd_ladder(problem, u, k1, k2, FD_EPS_LADDER))
     costs = (_smooth_cost(problem, c, traj) for c, traj in _with_states(
         problem.params, problem.pot, problem.hspec, problem.init, points))
 
@@ -214,11 +224,11 @@ def fd_gradient_check(problem: Problem, u: ControlPair | None = None,
         adj = tau * vol * (float(np.sum(g1.values * k1))
                            + float(np.sum(g2.values * k2)))
         errs = []
-        for eps in eps_ladder:
+        for eps in FD_EPS_LADDER:
             fd = (next(costs) - next(costs)) / (2.0 * eps)
             errs.append(abs(adj - fd) / max(abs(fd), abs(adj), 1e-300))
         best = float(min(errs))
-        slopes.append(_decreasing_prefix_slope(eps_ladder, errs))
+        slopes.append(_decreasing_prefix_slope(FD_EPS_LADDER, errs))
         metrics.append((f"direction_{j}_best_rel_error", best, tol, best <= tol))
         worst_best = max(worst_best, best)
     metrics.append(("max_best_rel_error", worst_best, tol, worst_best <= tol))
@@ -230,21 +240,19 @@ def fd_gradient_check(problem: Problem, u: ControlPair | None = None,
 
 
 def _linearized_vs_fd_error(problem: Problem, u: ControlPair,
-                            k1: np.ndarray, k2: np.ndarray,
-                            eps_ladder) -> list[float]:
+                            k1: np.ndarray, k2: np.ndarray) -> list[float]:
+    ladder = _fd_ladder(problem, u, k1, k2, LINEARIZED_EPS_LADDER)
     trajs = solve_states(problem.params, problem.pot, problem.hspec,
-                         itertools.chain([u], _fd_ladder(problem, u, k1, k2,
-                                                         eps_ladder)),
-                         problem.init)
+                         itertools.chain([u], ladder), problem.init)
     base = next(trajs)
     tg, grid = problem.timegrid, problem.grid
-    spec = LinearizedSpec(lam1=1, lam2=1, lam3=0, lam4=0,
+    spec = LinearizedSpec(lam1=1, lam2=1, lam3=0,
                           k1=SpaceTimeField(tg, grid, k1),
                           k2=SpaceTimeField(tg, grid, k2))
     lin = solve_linearized(problem.params, problem.pot, problem.hspec, base,
                            u, spec)
     errs = []
-    for eps, up, dn in zip(eps_ladder, trajs, trajs):
+    for eps, up, dn in zip(LINEARIZED_EPS_LADDER, trajs, trajs):
         num = den = 0.0
         for comp in ("mu", "phi", "sigma"):
             fd = (getattr(up, comp).values - getattr(dn, comp).values) \
@@ -267,8 +275,7 @@ def _prolong(arr: np.ndarray, grid, scale: int) -> np.ndarray:
     return out.reshape(out.shape[0], -1)
 
 
-def linearized_fd_refinement(problem: Problem, levels: int = 3,
-                             eps_ladder=(1e-2, 1e-3, 1e-4)) -> CheckReport:
+def linearized_fd_refinement(problem: Problem, levels: int = 3) -> CheckReport:
     """Best linearized-vs-FD error at successively refined (h, tau).
 
     The random direction is drawn once on the coarse grid and prolonged as a
@@ -283,7 +290,7 @@ def linearized_fd_refinement(problem: Problem, levels: int = 3,
         scale = 2 ** lev
         prob = problem.with_resolution(scale, scale) if lev else problem
         k1, k2 = (_prolong(k, problem.grid, scale) for k in (k1c, k2c))
-        errs = _linearized_vs_fd_error(prob, prob.u0, k1, k2, eps_ladder)
+        errs = _linearized_vs_fd_error(prob, prob.u0, k1, k2)
         rows.append((lev, max(prob.grid.spacing), prob.timegrid.tau,
                      float(min(errs))))
     worst = max(r[3] for r in rows)
@@ -352,17 +359,14 @@ def duality_gap(problem: Problem, levels: int = 3) -> CheckReport:
 
 
 def brute_force_optimize(params, pot, hspec, targets: Targets,
-                         mode: SparsityMode, bounds, init,
-                         points: int = 11, refinement_rounds: int = 2,
-                         max_sweeps: int = 40,
-                         improve_tol: float = 1e-14):
+                         mode: SparsityMode, bounds, init):
     """Lattice oracle for the reduced cost on tiny instances.
 
     Cycles exhaustive scans over the nonsmooth-coupled blocks of the control
     (one time slice per control for time sparsity, one cell column for space
-    sparsity), with `points` lattice points per axis; after the sweeps
-    stall, each axis range shrinks to the winning lattice cell and the scan
-    repeats (`refinement_rounds` times).  Uses only the state solve and
+    sparsity), with LATTICE_POINTS lattice points per axis; after the
+    sweeps stall, each axis range shrinks to the winning lattice cell and
+    the scan repeats (LATTICE_ROUNDS times).  Uses only the state solve and
     reduced_cost, so it shares no code with the proximal-gradient path it
     serves as an oracle for.  A block's lattice is solved in batched state
     solves; the scan then visits its values in lattice order.
@@ -412,37 +416,37 @@ def brute_force_optimize(params, pot, hspec, targets: Targets,
     else:
         blocks = [(c, np.s_[n, :]) for c in (0, 1) for n in range(nt)]
 
-    for rnd in range(refinement_rounds + 1):
-        for _ in range(max_sweeps):
+    for rnd in range(LATTICE_ROUNDS + 1):
+        for _ in range(LATTICE_MAX_SWEEPS):
             improved = False
             for comp, sl in blocks:
-                axes = [np.linspace(l, h, points) for l, h in
+                axes = [np.linspace(l, h, LATTICE_POINTS) for l, h in
                         zip(np.ravel(lo[comp][sl]), np.ravel(hi[comp][sl]))]
                 current = u[comp][sl].copy()
                 cands = list(itertools.product(*axes))
                 for cand, val in zip(cands, block_costs(comp, sl, cands)):
-                    if val < best - improve_tol:
+                    if val < best - LATTICE_IMPROVE_TOL:
                         best = val
                         current = np.array(cand)
                         improved = True
                 u[comp][sl] = current
             if not improved:
                 break
-        if rnd == refinement_rounds:
+        if rnd == LATTICE_ROUNDS:
             break
         # shrink every axis to the lattice cell around its winner
         for comp in (0, 1):
-            step = (hi[comp] - lo[comp]) / (points - 1)
+            step = (hi[comp] - lo[comp]) / (LATTICE_POINTS - 1)
             lo[comp] = np.maximum(u[comp] - step, box_lo[comp])
             hi[comp] = np.minimum(u[comp] + step, box_hi[comp])
 
     return pack(), best
 
 
-def separation_monitor(traj, pot, floor: float = 1e-6) -> CheckReport:
+def separation_monitor(traj, pot) -> CheckReport:
     """Per-snapshot phi range and margins to the singular interval.
 
-    Passes iff both margins stay above the floor at every snapshot; on
+    Passes iff both margins stay above SEPARATION_FLOOR at every snapshot; on
     failure the first offending step is named.  Reports "not applicable"
     for potentials on the whole real line.
     """
@@ -451,12 +455,12 @@ def separation_monitor(traj, pot, floor: float = 1e-6) -> CheckReport:
         metrics = (("applicable", 0.0, None, None),)
         return CheckReport("separation_monitor", metrics, passed=True)
     margins = np.minimum(rep["margin_lower"], rep["margin_upper"])
-    bad = np.nonzero(margins <= floor)[0]
+    bad = np.nonzero(margins <= SEPARATION_FLOOR)[0]
     first_bad = int(bad[0]) if bad.size else -1
     ok = bad.size == 0
     metrics = (("applicable", 1.0, None, None),
-               ("min_margin", rep["min_margin"], floor,
-                rep["min_margin"] > floor),
+               ("min_margin", rep["min_margin"], SEPARATION_FLOOR,
+                rep["min_margin"] > SEPARATION_FLOOR),
                ("first_offending_step", float(first_bad), None, None),
                ("phi_min", float(np.min(rep["phi_min"])), None, None),
                ("phi_max", float(np.max(rep["phi_max"])), None, None))

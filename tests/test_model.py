@@ -97,7 +97,7 @@ class TestPotentials:
     ])
     def test_convex_split(self, pot, lo, hi):
         rs = np.linspace(lo, hi, 513)
-        f1dd, f2dd, _ = pot.split_eval(rs, 2)
+        f1dd, f2dd = pot.split_eval(rs, 2)
         assert np.all(f1dd >= 0.0)
         # F2' globally Lipschitz: sampled difference quotients bounded
         f2d = pot.split_eval(rs, 1)[1]
@@ -106,7 +106,7 @@ class TestPotentials:
 
     def test_split_normalization(self):
         for pot in (regular_potential(), logarithmic_potential(2.0)):
-            f1_0, f2_0, _ = pot.split_eval(np.asarray(0.0), 0)
+            f1_0, f2_0 = pot.split_eval(np.asarray(0.0), 0)
             assert abs(float(f1_0)) <= 1e-15
             assert math.isfinite(float(f1_0 + f2_0))
 
@@ -124,8 +124,7 @@ class TestPotentials:
 
     def test_clamped_array_eval_reported(self):
         pot = logarithmic_potential(2.0)
-        vals, _, n_clamped = pot.split_eval(np.array([0.0, 1.0, -1.0]), 1)
-        assert n_clamped == 2
+        vals, _ = pot.split_eval(np.array([0.0, 1.0, -1.0]), 1)
         assert np.all(np.isfinite(vals))
 
     def test_custom_split(self):
@@ -138,7 +137,7 @@ class TestPotentials:
         f, fd, fdd, _ = eval_potential(pot, 0.0)
         assert f == pytest.approx(0.0) and fd == pytest.approx(0.0)
         assert fdd == pytest.approx(1.0)
-        f1d, f2d, _ = pot.split_eval(np.asarray(0.7), 1)
+        f1d, f2d = pot.split_eval(np.asarray(0.7), 1)
         assert float(f1d) == pytest.approx(1.4)
         assert float(f2d) == pytest.approx(-np.sin(0.7))
         grid = grid1d(4)

@@ -6,6 +6,7 @@ import pytest
 
 from tumorctrl.fields import (Field, SpaceTimeField, StateTriple, TimeGrid,
                               grid1d)
+from tumorctrl import optim
 from tumorctrl.model import ModelParams, regular_potential, smoothstep7
 from tumorctrl.optim import (OptimizeOptions, StepsizeCollapse, kappa_sweep,
                              proximal_gradient_solve, reduced_cost,
@@ -151,18 +152,33 @@ class TestOptimizer:
         assert np.any(np.isclose(res.control.u1.values, 0.02)) \
             or np.any(np.isclose(res.control.u1.values, -0.02))
 
-    def test_stepsize_collapse_names_iteration_and_eta(self):
+    def test_stepsize_collapse_names_iteration_and_eta(self, monkeypatch):
         # an unmeetable sufficient decrease rejects every trial: 1.0 and 0.5
         # fail, and the next step 0.25 lies below the floor 0.3
+        monkeypatch.setattr(optim, "ETA_MIN", 0.3)
         p = preset_problem("time-sparsity-demo")
         u0 = random_admissible_controls(p, seed=3)
-        opts = OptimizeOptions(eta0=1.0, eta_min=0.3, decrease=1e6)
+        opts = OptimizeOptions(eta0=1.0, decrease=1e6)
         with pytest.raises(StepsizeCollapse) as exc:
             proximal_gradient_solve(p.params, p.pot, p.hspec, p.targets,
                                     p.mode, p.bounds, u0, opts, p.init)
         assert (exc.value.iteration, exc.value.eta) == (0, 0.25)
         assert "step size 2.500e-01 below floor at iteration 0" \
             in str(exc.value)
+
+    def test_backtracked_steps_accepted(self):
+        # a first trial at 2.5/nu fails the sufficient decrease, and the
+        # halved step 1.25/nu is accepted
+        p = preset_problem("time-sparsity-demo")
+        eta0 = 2.5 / p.params.nu
+        opts = OptimizeOptions(eta0=eta0, tol_vi=1e-6)
+        res = proximal_gradient_solve(p.params, p.pot, p.hspec, p.targets,
+                                      p.mode, p.bounds, p.u0, opts, p.init)
+        assert np.any(res.eta_history < eta0)
+        assert np.all(res.eta_history <= eta0)
+        pad = 4 * np.finfo(float).eps * (1.0 + np.abs(res.cost_history[:-1]))
+        assert np.all(np.diff(res.cost_history) <= pad)
+        assert res.converged
 
     def test_stalled_exit_reports_last_residual(self):
         # with eta = 1/nu the first step lands on the zero control, and the

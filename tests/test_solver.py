@@ -206,11 +206,11 @@ class TestPhiNewtonStep:
         rhs = np.stack([rhs_scale * (1.0 + 0.25 * np.cos(np.pi * x)),
                         0.01 * x, np.full(16, -0.75 * rhs_scale)])
         batch = solver._phi_newton_step(pot, solver._HelmholtzSolver(grid),
-                                        1.0, phi_n, rhs, 0, 1e-11)
+                                        1.0, phi_n, rhs, 0)
         for row in range(3):
             alone = solver._phi_newton_step(
                 pot, solver._HelmholtzSolver(grid), 1.0, phi_n[row],
-                rhs[row], 0, 1e-11)
+                rhs[row], 0)
             assert np.array_equal(batch[row], alone)
 
 
@@ -503,7 +503,7 @@ class TestLinearizedSolver:
         self.base = solve_state(self.pr, self.pot, HS, self.ctrl, self.init)
 
     def test_all_flags_zero_gives_zero(self):
-        spec = LinearizedSpec(lam1=0, lam2=0, lam3=0, lam4=0)
+        spec = LinearizedSpec(lam1=0, lam2=0, lam3=0)
         lin = solve_linearized(self.pr, self.pot, HS, self.base, self.ctrl,
                                spec)
         for comp in (lin.mu, lin.phi, lin.sigma):
@@ -514,7 +514,7 @@ class TestLinearizedSolver:
 
         def dirspec(k1, k2, f2):
             return LinearizedSpec(
-                lam1=1, lam2=1, lam3=1, lam4=0,
+                lam1=1, lam2=1, lam3=1,
                 k1=SpaceTimeField(self.tg, self.grid, k1),
                 k2=SpaceTimeField(self.tg, self.grid, k2),
                 f2=SpaceTimeField(self.tg, self.grid, f2))
@@ -585,7 +585,7 @@ class TestLinearizedSolver:
             init = uniform_init(grid, 0.0, 0.0, 0.5)
             ctrl = controls_from(tg, grid)
             base = solve_state(pr, pot, HS, ctrl, init)
-            spec = LinearizedSpec(lam1=0, lam2=0, lam3=1, lam4=0,
+            spec = LinearizedSpec(lam1=0, lam2=0, lam3=1,
                                   f1=SpaceTimeField(tg, grid, f1),
                                   f2=SpaceTimeField(tg, grid, f2),
                                   f3=SpaceTimeField(tg, grid, f3))

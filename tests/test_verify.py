@@ -3,11 +3,11 @@ import pytest
 
 from tumorctrl.presets import preset_problem
 from tumorctrl.solver import solve_state
-from tumorctrl.verify import (FD_GRADIENT_RTOL, CheckReport,
-                              DimensionTooLarge, brute_force_optimize,
-                              duality_gap, fd_gradient_check,
-                              linearized_fd_refinement, separation_monitor,
-                              write_check_csv)
+from tumorctrl.verify import (FD_GRADIENT_RTOL, SEPARATION_FLOOR,
+                              CheckReport, DimensionTooLarge,
+                              brute_force_optimize, duality_gap,
+                              fd_gradient_check, linearized_fd_refinement,
+                              separation_monitor, write_check_csv)
 
 # a small instance keeps these oracle tests fast; the full-size preset runs
 # live in the acceptance suite
@@ -167,6 +167,8 @@ class TestSeparationMonitor:
         rep = separation_monitor(traj, small_problem.pot)
         assert rep.passed
         assert rep.metric("min_margin") > 1e-3
+        assert {tol for _, _, tol, _ in rep.metrics} == {SEPARATION_FLOOR,
+                                                         None}
 
     def test_stress_names_offending_step(self):
         prob = preset_problem("stress-separation")
@@ -176,6 +178,8 @@ class TestSeparationMonitor:
         assert not rep.passed
         assert rep.metric("first_offending_step") >= 0
         assert rep.metric("min_margin") <= 1e-6
+        assert {tol for _, _, tol, _ in rep.metrics} == {SEPARATION_FLOOR,
+                                                         None}
 
 
 def test_check_csv(tmp_path):
