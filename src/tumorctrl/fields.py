@@ -11,6 +11,7 @@ tau-weighted so norms approximate their L^2 counterparts.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -335,7 +336,9 @@ def _format_column(col):
     return map(_format_cell, col)
 
 
-# rows formatted at a time: bounds the writer's memory on large fields
+# rows formatted at a time: write_csv holds one block's text;
+# write_field_csv formats the coordinates once per file (one snapshot's
+# worth) and joins a snapshot's rows one block at a time
 _CSV_BLOCK_ROWS = 1024
 
 
@@ -357,31 +360,24 @@ def write_csv(path, header, columns) -> None:
                           for row in zip(*block, strict=True))
 
 
-class _RepeatedColumn:
-    """Column whose row i is values[(i // stride) % len(values)].
-
-    Slicing builds only the requested rows, so write_csv never holds more
-    than one block of a repeated coordinate column.
-    """
-
-    def __init__(self, values: np.ndarray, stride: int, n_rows: int):
-        self.values, self.stride, self.n_rows = values, stride, n_rows
-
-    def __len__(self):
-        return self.n_rows
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        i = np.arange(*rows.indices(self.n_rows))
-        return self.values[(i // self.stride) % self.values.size]
-
-
 def write_field_csv(path, u: SpaceTimeField, name: str) -> None:
-    """CSV export: one row per cell per snapshot, columns t, x[, y], value."""
+    """CSV export: one row per cell per snapshot, columns t, x[, y], value.
+
+    Cells are formatted as by write_csv.  The coordinates are formatted once
+    per file, as one "x,y," prefix per cell, and the time once per snapshot;
+    a snapshot's rows are joined one block at a time, so repr of the values
+    is the only per-row Python work.
+    """
     times = u.timegrid.node_times() if u.on_nodes else u.timegrid.slice_times()
-    values = u.values.ravel()
-    coords = [_RepeatedColumn(c, 1, values.size)
-              for c in u.grid.cell_centers()]
+    prefix = [",".join(xy) + "," for xy in
+              zip(*(map(repr, c.tolist()) for c in u.grid.cell_centers()))]
     header = ["t", "x", "y"][: 1 + u.grid.dim] + [name]
-    write_csv(path, header,
-              [_RepeatedColumn(times, u.grid.n_cells, values.size), *coords,
-               values])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header))
+        for t, row in zip(map(repr, times.tolist()), u.values):
+            sep = "\n" + t + ","
+            for lo in range(0, row.size, _CSV_BLOCK_ROWS):
+                hi = lo + _CSV_BLOCK_ROWS
+                fh.write(sep + sep.join(map(operator.add, prefix[lo:hi],
+                                            map(repr, row[lo:hi].tolist()))))
+        fh.write("\n")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -169,13 +171,69 @@ def test_csv_export(tmp_path, rng):
     t, x, y, v = (float(s) for s in lines[1].split(","))
     assert (t, x, y) == (0.0, 0.25, 0.25)
     assert v == u.values[0, 0]
-    # the bulk writer matches the per-cell loop it replaced, byte for byte
-    xs, ys = g.cell_centers()
-    expected = ["t,x,y,phi"] + [
-        f"{float(t)!r},{float(xs[j])!r},{float(ys[j])!r},"
-        f"{float(u.values[k, j])!r}"
-        for k, t in enumerate(tg.node_times()) for j in range(g.n_cells)]
-    assert path.read_text() == "\n".join(expected) + "\n"
+    assert path.read_text() == _field_csv_per_cell(u, "phi")
+
+
+def _field_csv_per_cell(u, name):
+    """The reference: one row per cell per snapshot, each cell by repr."""
+    times = u.timegrid.node_times() if u.on_nodes else u.timegrid.slice_times()
+    coords = u.grid.cell_centers()
+    rows = [["t", "x", "y"][: 1 + u.grid.dim] + [name]] + [
+        [repr(float(c)) for c in (t, *(xy[j] for xy in coords), u.values[k, j])]
+        for k, t in enumerate(times) for j in range(u.grid.n_cells)]
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+_REPR_EDGES = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324,
+               1e-5, 1e16, -1e16, 0.1, 1.0 / 3.0]
+
+
+def _repr_edge_field():
+    u = SpaceTimeField(TimeGrid(0.3, 2), grid1d(len(_REPR_EDGES)),
+                       np.zeros((3, len(_REPR_EDGES))))
+    # SpaceTimeField rejects non-finite values; set them past that check to
+    # pin the writer's format on every repr edge case
+    values = np.array([_REPR_EDGES, _REPR_EDGES[::-1], _REPR_EDGES])
+    object.__setattr__(u, "values", values)
+    return u
+
+
+@pytest.mark.parametrize("make_field", [
+    pytest.param(lambda rng: SpaceTimeField(
+        TimeGrid(0.7, 3), grid1d(9, 2.5), rng.standard_normal((4, 9))),
+        id="1d-nodes"),
+    pytest.param(lambda rng: SpaceTimeField(
+        TimeGrid(1.0, 5), grid2d(3, 4, 1.0, 0.7), rng.standard_normal((5, 12))),
+        id="2d-slices"),
+    pytest.param(lambda rng: SpaceTimeField(
+        TimeGrid(0.5, 2), grid2d(40, 33), rng.standard_normal((3, 1320))),
+        id="2d-partial-last-block"),
+    pytest.param(lambda rng: SpaceTimeField(
+        TimeGrid(0.5, 2), grid1d(1), rng.standard_normal((3, 1))),
+        id="1-cell"),
+    pytest.param(lambda rng: _repr_edge_field(), id="repr-edges"),
+])
+def test_field_csv_matches_per_cell_loop(tmp_path, rng, make_field):
+    u = make_field(rng)
+    path = tmp_path / "u.csv"
+    write_field_csv(path, u, "u")
+    assert path.read_text() == _field_csv_per_cell(u, "u")
+
+
+def test_field_csv_memory_is_one_snapshot(tmp_path, rng):
+    # the writer holds one snapshot's text at most, never the whole file
+    # (4.7 MB here)
+    u = SpaceTimeField(TimeGrid(1.0, 8), grid2d(96, 96),
+                       rng.standard_normal((9, 96 * 96)))
+    path = tmp_path / "u.csv"
+    write_field_csv(path, u, "u")
+    tracemalloc.start()
+    try:
+        write_field_csv(path, u, "u")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
 
 
 def test_write_csv_cell_format(tmp_path):
