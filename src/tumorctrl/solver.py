@@ -18,20 +18,26 @@ The linearized solver applies the same splitting to the switched linear
 system (flags lam1..lam3) and is the exact tangent of this scheme; the
 adjoint solver is its exact transpose, stepping backward with implicit
 diffusion and eliminating the time derivative of the first adjoint from the
-second equation.  All symmetric positive definite solves use conjugate
-gradients to a relative residual of 1e-12, preconditioned by an exact
-DCT-II solve at the mean coefficient; the orthonormal DCT-II diagonalizes
-the Neumann stencil, so a few iterations suffice on every grid and one
-when the coefficient is constant.
+second equation.  The symmetric positive definite Helmholtz solves
+(diag(c) - Lap) x = b are direct on 1D grids: one tridiagonal LU sweep
+(Thomas), stable without pivoting because the matrix is strictly
+diagonally dominant for c > 0, and exact to round-off.  On 2D grids they
+use conjugate gradients to a relative residual of 1e-12, preconditioned by
+an exact DCT-II solve at the mean coefficient; the orthonormal DCT-II
+diagonalizes the Neumann stencil, so a few iterations suffice on every
+grid and one when the coefficient is constant.  CG stops at 2 n + 200
+iterations with a LinearSolveError, and stats["cg_iterations"] counts the
+2D CG iterations (0 in 1D).
 
 solve_states marches a sequence of independent controls through one time
 loop, as rows of one (members, cells) array per field, at most BATCH_BYTES
 of states at a time, and yields their trajectories chunk by chunk.  Every
-row keeps its own Newton and CG scalars, line search and stopping tests,
-so each member takes the iterations, and gets the bits, of its own
-solve_state, which runs the same loop on one unbatched field.  On the
-presets' 16-64-cell grids a solve's cost is per-call overhead, so a batch
-of B members costs far less than B solves.
+row keeps its own Newton and CG scalars, line search and stopping tests
+(a 1D solve runs row by row), so each member takes the iterations, and
+gets the bits, of its own solve_state, which runs the same loop on one
+unbatched field.  On the presets' 16-64-cell grids an array operation's
+cost is per-call overhead, so a batch of B members costs far less than B
+solves.
 """
 
 from __future__ import annotations
@@ -189,7 +195,7 @@ class Targets:
 
 
 def _neg_lap_diag(grid: GridSpec) -> np.ndarray:
-    """Diagonal of -Laplacian for the mirrored-ghost stencil (Newton floor)."""
+    """Diagonal of -Laplacian for the mirrored-ghost stencil."""
 
     def axis_diag(n, h2):
         if n == 1:
@@ -206,7 +212,10 @@ def _neg_lap_diag(grid: GridSpec) -> np.ndarray:
 
 
 class LinearSolveError(_SolveFailure):
-    """Preconditioned CG stopped at its iteration cap above tolerance."""
+    """Preconditioned CG stopped at its iteration cap above tolerance.
+
+    Only 2D solves iterate; 1D solves are direct and never raise it.
+    """
 
     def __init__(self, iterations: int, residual: float,
                  member: int | None = None):
@@ -238,9 +247,14 @@ def _at(values, row: int) -> float:
 
 
 class _HelmholtzSolver:
-    """PCG for (diag(c) - Lap) x = b with c > 0, DCT preconditioning.
+    """(diag(c) - Lap) x = b with c > 0: direct in 1D, PCG in 2D.
 
-    The orthonormal DCT-II Q diagonalizes the mirrored-ghost stencil:
+    A 1D system is tridiagonal, symmetric and strictly diagonally dominant,
+    so one Thomas sweep solves it exactly to round-off, with no iteration
+    cap; it counts no iterations.
+
+    A 2D system uses CG, preconditioned with the orthonormal DCT-II Q, which
+    diagonalizes the mirrored-ghost stencil:
     -Lap = Q^T diag(eig) Q with eig = sum over axes of (2 - 2 cos(pi k/n))/h^2.
     The preconditioner solves the system exactly at the mean coefficient,
     z = Q^T (mean(c) + eig)^-1 Q r, so a constant c converges in one
@@ -249,14 +263,16 @@ class _HelmholtzSolver:
     applied separably along each grid axis.
 
     Fields are flat cell vectors, or rows of a (members, cells) array that
-    are solved as independent systems in one iteration: each row keeps its
-    own CG scalars and stops on its own test, so it takes exactly the
+    are solved as independent systems: CG runs them in one iteration, where
+    each row keeps its own CG scalars and stops on its own test, and the 1D
+    sweep takes them one by one.  Either way a row takes exactly the
     iterations, and gets exactly the bits, of its unbatched solve.
     """
 
     def __init__(self, grid: GridSpec):
         self.lap = make_laplacian(grid)
-        self.lap_diag2 = 2.0 * _neg_lap_diag(grid)
+        self.neg_lap_diag = _neg_lap_diag(grid)
+        self.lap_diag2 = 2.0 * self.neg_lap_diag
         self.maxiter = 2 * grid.n_cells + 200
         self.iterations = 0
         self.shape = grid.n
@@ -320,9 +336,12 @@ class _HelmholtzSolver:
 
         b and x0 are a flat cell vector or a (members, cells) batch; coeff
         is a scalar, a cell vector or one row per member.  A member with
-        b = 0 gets x = 0.  members holds the rows' solve_states list indices,
+        b = 0 gets x = 0.  The 2D CG starts from x0 (1D solves are direct
+        and ignore it); members holds the rows' solve_states list indices,
         to name a row in a LinearSolveError.
         """
+        if len(self.shape) == 1:
+            return self._thomas(coeff, b)
         # per-member scalars are numbers for one system, arrays for a batch
         # (the CG coefficients as columns, to scale the rows)
         column = b.ndim == 2
@@ -372,6 +391,40 @@ class _HelmholtzSolver:
         if rows is not None:
             out[rows] = x
         return out
+
+    def _thomas(self, coeff, b: np.ndarray) -> np.ndarray:
+        """The 1D solve: LU without pivoting of the tridiagonal system, each
+        row in one forward and one backward sweep on Python floats.
+
+        The rows are solved one by one with the same code, so a batch
+        member gets the bits of its own solve.
+        """
+        # minus the off-diagonal entries: 1/h^2, the end cells' diagonal of
+        # -Lap (0 on a 1-cell grid, which has none, so x = b / c there)
+        e = float(self.neg_lap_diag[0])
+        diag = coeff + self.neg_lap_diag
+        rows = b.tolist() if b.ndim == 2 else [b.tolist()]
+        diags = (diag.tolist() if diag.ndim == 2
+                 else [diag.tolist()] * len(rows))
+        out = []
+        for d, r in zip(diags, rows):
+            # forward: pivots m_i = d_i - e w_{i-1}, w_i = e / m_i and
+            # y_i = (r_i + e y_{i-1}) / m_i
+            ys, ws = [], []
+            y = w = 0.0
+            for di, ri in zip(d, r):
+                m = di - e * w
+                y = (ri + e * y) / m
+                w = e / m
+                ys.append(y)
+                ws.append(w)
+            # backward, in place of y: x_i = y_i + w_i x_{i+1}
+            x = 0.0
+            for i in range(len(ys) - 1, -1, -1):
+                x = ys[i] + ws[i] * x
+                ys[i] = x
+            out.append(ys)
+        return np.array(out).reshape(b.shape)
 
 
 def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
@@ -502,7 +555,8 @@ def _march(params: ModelParams, pot: PotentialSpec, hspec: InterpolantSpec,
     (steps, members, cells) for a batch.
 
     Returns mu, phi and sigma on the nodes, shaped (steps + 1, ...) like
-    the controls, and the number of CG iterations summed over members.
+    the controls, and the number of CG iterations summed over members
+    (0 in 1D, where the solves are direct).
     """
     tau = tg.tau
     nt = tg.n_steps

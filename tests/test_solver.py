@@ -124,7 +124,7 @@ class TestHelmholtzSolver:
     def test_stiff_newton_jacobian_needs_many_iterations(self, monkeypatch):
         # a large initial mu pushes phi towards the log potential's wall:
         # F1'' then spans orders of magnitude, the mean-coefficient
-        # preconditioner is poor and a Jacobian solve takes over 100
+        # preconditioner is poor and a 2D Jacobian solve takes over 100
         # iterations, so the iteration cap must stay well above that
         worst = []
         solve = solver._HelmholtzSolver.solve
@@ -136,16 +136,49 @@ class TestHelmholtzSolver:
             return x
 
         monkeypatch.setattr(solver._HelmholtzSolver, "solve", counted)
-        prob = preset_problem("1D-logarithmic-default", init_mu="constant 20",
-                              n_steps=4)
+        prob = preset_problem("2D-regular-default", potential="logarithmic",
+                              init_mu="constant 20", n_steps=4)
         traj = solve_state(prob.params, prob.pot, prob.hspec, prob.u0,
                            prob.init)
         assert max(worst) > 100
         rep = state_balance_report(traj, prob.params, prob.u0, prob.hspec)
         assert rep["max_relative"] <= 1e-10
 
+    def test_stiff_newton_jacobian_solves_directly_in_1d(self):
+        # the 1D solve is direct, so the stiff Jacobian has no iteration cap
+        # to hit: a moderate mu keeps the balances, and a huge one ends in
+        # a truthful SeparationLoss, not in a linear-solver error
+        prob = preset_problem("1D-logarithmic-default", init_mu="constant 20",
+                              n_steps=4)
+        traj = solve_state(prob.params, prob.pot, prob.hspec, prob.u0,
+                           prob.init)
+        rep = state_balance_report(traj, prob.params, prob.u0, prob.hspec)
+        assert rep["max_relative"] <= 1e-10
+        prob = preset_problem("1D-logarithmic-default",
+                              init_mu="constant 200", n_steps=4)
+        with pytest.raises(SeparationLoss) as exc:
+            solve_state(prob.params, prob.pot, prob.hspec, prob.u0, prob.init)
+        assert exc.value.step == 0
+        assert exc.value.margin <= solver.MIN_MARGIN
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 2048])
+    def test_1d_solve_matches_dense(self, n, rng):
+        grid = grid1d(n)
+        hh = solver._HelmholtzSolver(grid)
+        neg_lap = dense_neg_lap(hh, n)
+        for coeff in (3.0, 1.0 + rng.random(n),
+                      10.0 ** rng.uniform(0.0, 8.0, n)):
+            b = rng.standard_normal(n)
+            x = hh.solve(coeff, b)
+            exact = np.linalg.solve(neg_lap + np.diag(np.broadcast_to(
+                coeff, (n,))), b)
+            assert (np.linalg.norm(x - exact)
+                    <= 1e-14 * np.linalg.norm(exact))
+            assert np.all(hh.solve(coeff, np.zeros(n)) == 0.0)
+        assert hh.iterations == 0
+
     def test_linear_solve_error_names_iterations_and_residual(self, rng):
-        grid = grid1d(64)
+        grid = grid2d(8, 8)
         hh = solver._HelmholtzSolver(grid)
         hh.maxiter = 1
         coeff = np.linspace(1.0, 1e4, grid.n_cells)
@@ -458,13 +491,13 @@ class TestBatchedStates:
         assert stats == {}
 
     # norms of mu, phi, sigma and of the adjoint's psi1, psi2, psi3 over all
-    # nodes, recorded before batching; the bound leaves room for another
-    # CPU's rounding of exp, log and the CG's dot products, not for a change
-    # of the scheme
+    # nodes, recorded before batching, and the 1D adjoint's norms with the
+    # direct 1D solve; the bound leaves room for another CPU's rounding of
+    # exp, log and the CG's dot products, not for a change of the scheme
     @pytest.mark.parametrize("preset,state,adjoint", [
         ("1D-logarithmic-default",
          (4.988727181945142, 10.177261314915397, 43.83920297021787),
-         (0.4833669585728746, 3.9655351640247303, 0.15161498343762964)),
+         (0.4833669585711293, 3.965535164011666, 0.15161498343708074)),
         ("2D-regular-default",
          (3.2418693088164283, 5.613378700141589, 33.64938924237748),
          (0.19636164965065486, 1.9494218305795332, 0.059644570806363456)),
