@@ -21,13 +21,13 @@ diffusion and eliminating the time derivative of the first adjoint from the
 second equation.  The symmetric positive definite Helmholtz solves
 (diag(c) - Lap) x = b are direct on 1D grids: one tridiagonal LU sweep
 (Thomas), stable without pivoting because the matrix is strictly
-diagonally dominant for c > 0, and exact to round-off.  On 2D grids they
-use conjugate gradients to a relative residual of 1e-12, preconditioned by
-an exact DCT-II solve at the mean coefficient; the orthonormal DCT-II
-diagonalizes the Neumann stencil, so a few iterations suffice on every
-grid and one when the coefficient is constant.  CG stops at 2 n + 200
-iterations with a LinearSolveError, and stats["cg_iterations"] counts the
-2D CG iterations (0 in 1D).
+diagonally dominant for c > 0, and exact to round-off.  On 2D grids the
+orthonormal DCT-II diagonalizes the Neumann stencil, so a constant c (the
+mu- and psi1-steps) is one exact DCT solve, and a variable c takes a few
+conjugate-gradient iterations to a relative residual of 1e-12 on every
+grid, preconditioned by the DCT solve at the mean coefficient.  Only that
+CG iterates: it stops at 2 n + 200 iterations with a LinearSolveError, and
+stats["cg_iterations"] counts its iterations (0 in 1D).
 
 solve_states marches a sequence of independent controls through one time
 loop, as rows of one (members, cells) array per field, at most BATCH_BYTES
@@ -48,11 +48,14 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-# the gufuncs behind np.fft.fft and np.fft.ifft in numpy 2: called directly,
-# they skip the wrappers' argument handling, which takes longer than a whole
-# transform on the presets' grids
-from numpy.fft._pocketfft_umath import fft as _fft_gufunc
-from numpy.fft._pocketfft_umath import ifft as _ifft_gufunc
+try:
+    # the gufuncs behind np.fft.fft and np.fft.ifft in numpy 2: called
+    # directly, they skip the wrappers' argument handling, which takes longer
+    # than a whole transform on the presets' grids
+    from numpy.fft._pocketfft_umath import fft as _fft_gufunc
+    from numpy.fft._pocketfft_umath import ifft as _ifft_gufunc
+except ImportError:  # a numpy without this private module: the wrappers
+    _fft_gufunc = _ifft_gufunc = None
 
 from .fields import (Field, GridSpec, ShapeMismatch, SpaceTimeField,
                      StateTriple, TimeGrid, Trajectory, make_laplacian)
@@ -214,7 +217,8 @@ def _neg_lap_diag(grid: GridSpec) -> np.ndarray:
 class LinearSolveError(_SolveFailure):
     """Preconditioned CG stopped at its iteration cap above tolerance.
 
-    Only 2D solves iterate; 1D solves are direct and never raise it.
+    Only a 2D solve with a variable coefficient iterates; every other solve
+    is direct and never raises it.
     """
 
     def __init__(self, iterations: int, residual: float,
@@ -229,6 +233,8 @@ class LinearSolveError(_SolveFailure):
 
 def _fft(a: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:
     """np.fft.fft(a, axis=axis), or np.fft.ifft if inverse, bit for bit."""
+    if _fft_gufunc is None:
+        return (np.fft.ifft if inverse else np.fft.fft)(a, axis=axis)
     axes = [(axis,), (), (axis,)]
     out = np.empty(a.shape, complex)
     if inverse:  # np.fft.ifft's 1/n normalization
@@ -237,7 +243,7 @@ def _fft(a: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:
 
 
 def _rows(a, keep):
-    """The kept rows of a per-member array; scalars and shared rows pass."""
+    """The kept rows of a per-member array; a shared row passes."""
     return a[keep] if np.ndim(a) == 2 else a
 
 
@@ -247,25 +253,24 @@ def _at(values, row: int) -> float:
 
 
 class _HelmholtzSolver:
-    """(diag(c) - Lap) x = b with c > 0: direct in 1D, PCG in 2D.
+    """(diag(c) - Lap) x = b with c > 0: PCG for a variable 2D c, else direct.
 
     A 1D system is tridiagonal, symmetric and strictly diagonally dominant,
     so one Thomas sweep solves it exactly to round-off, with no iteration
     cap; it counts no iterations.
 
-    A 2D system uses CG, preconditioned with the orthonormal DCT-II Q, which
-    diagonalizes the mirrored-ghost stencil:
-    -Lap = Q^T diag(eig) Q with eig = sum over axes of (2 - 2 cos(pi k/n))/h^2.
-    The preconditioner solves the system exactly at the mean coefficient,
-    z = Q^T (mean(c) + eig)^-1 Q r, so a constant c converges in one
-    iteration and a variable c in a few, independently of the grid size.
-    Q is built on the complex FFT with Makhoul's even/odd reordering and is
-    applied separably along each grid axis.
+    On 2D grids the orthonormal DCT-II Q diagonalizes the mirrored-ghost
+    stencil, -Lap = Q^T diag(eig) Q with eig = sum over axes of
+    (2 - 2 cos(pi k/n))/h^2, so a constant c is one exact solve,
+    x = Q^T (c + eig)^-1 Q b.  A variable c runs CG from zero, preconditioned
+    by that solve at the mean coefficient, and converges in a few iterations
+    on any grid.  Q is built on the complex FFT with Makhoul's even/odd
+    reordering and is applied separably along each grid axis.
 
     Fields are flat cell vectors, or rows of a (members, cells) array that
     are solved as independent systems: CG runs them in one iteration, where
-    each row keeps its own CG scalars and stops on its own test, and the 1D
-    sweep takes them one by one.  Either way a row takes exactly the
+    each row keeps its own CG scalars and stops on its own test, and the
+    direct solves take each row alike.  Either way a row takes exactly the
     iterations, and gets exactly the bits, of its unbatched solve.
     """
 
@@ -273,10 +278,11 @@ class _HelmholtzSolver:
         self.lap = make_laplacian(grid)
         self.neg_lap_diag = _neg_lap_diag(grid)
         self.lap_diag2 = 2.0 * self.neg_lap_diag
-        self.maxiter = 2 * grid.n_cells + 200
         self.iterations = 0
         self.shape = grid.n
-        self._scalar_inv_m = (None, None)
+        if grid.dim == 1:
+            return  # the Thomas sweep needs no transform tables
+        self.maxiter = 2 * grid.n_cells + 200
         eig = np.zeros(grid.n)
         self._forward, self._inverse = [], []
         for axis, (n, h) in enumerate(zip(grid.n, grid.spacing)):
@@ -318,41 +324,31 @@ class _HelmholtzSolver:
             x = v.real.take(unperm, axis)
         return x.reshape(y.shape)
 
-    def _inverse_mass(self, coeff):
-        """(mean(c) + eig)^-1 per row; a scalar c's inverse is kept."""
-        if not isinstance(coeff, np.ndarray):
-            key, inv_m = self._scalar_inv_m
-            if key != coeff:
-                inv_m = 1.0 / (float(coeff) + self.eig)
-                self._scalar_inv_m = (coeff, inv_m)
-            return inv_m
-        # np.mean's own reduction: each row's mean keeps its unbatched bits
-        mean = np.add.reduce(coeff, axis=-1, keepdims=True) / coeff.shape[-1]
-        return 1.0 / (mean + self.eig)
-
-    def solve(self, coeff, b: np.ndarray, x0: np.ndarray | None = None,
-              members: np.ndarray | None = None):
+    def solve(self, coeff, b: np.ndarray, members: np.ndarray | None = None):
         """x with (diag(coeff) - Lap) x = b: one system, or one per row.
 
-        b and x0 are a flat cell vector or a (members, cells) batch; coeff
-        is a scalar, a cell vector or one row per member.  A member with
-        b = 0 gets x = 0.  The 2D CG starts from x0 (1D solves are direct
-        and ignore it); members holds the rows' solve_states list indices,
-        to name a row in a LinearSolveError.
+        b is a flat cell vector or a (members, cells) batch; coeff is a
+        scalar, a cell vector or one row per member.  Only an array coeff
+        on a 2D grid iterates (CG, from zero); a member with b = 0 gets
+        x = 0.  members holds the rows' solve_states list indices, to name
+        a row in a LinearSolveError.
         """
         if len(self.shape) == 1:
             return self._thomas(coeff, b)
+        if not isinstance(coeff, np.ndarray):
+            return self.idct(self.dct(b) / (coeff + self.eig))
         # per-member scalars are numbers for one system, arrays for a batch
         # (the CG coefficients as columns, to scale the rows)
         column = b.ndim == 2
         bnorm = np.sqrt(np.vecdot(b, b))
         tol = CG_RTOL * bnorm
         # x holds the working rows; rows, once set, maps them onto out
-        x = out = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+        x = out = np.zeros_like(b)
         rows = None
-        x[bnorm == 0.0] = 0.0  # exact, so such a row stops before iterating
-        inv_m = self._inverse_mass(coeff)
-        r = b.copy() if x0 is None else b - (coeff * x - self.lap(x))
+        # np.mean's own reduction: each row's mean keeps its unbatched bits
+        mean = np.add.reduce(coeff, axis=-1, keepdims=True) / coeff.shape[-1]
+        inv_m = 1.0 / (mean + self.eig)
+        r = b.copy()
         z = self.idct(inv_m * self.dct(r))
         p = z
         rz = np.vecdot(r, z, keepdims=column)
@@ -577,12 +573,12 @@ def _march(params: ModelParams, pot: PotentialSpec, hspec: InterpolantSpec,
         # (ii) mu-step
         source = (pr.p_rate * sig[n] - pr.a_rate - u1[n]) * h_n
         b_mu = (pr.alpha / tau) * mu[n] + source - (phi[n + 1] - phi[n]) / tau
-        mu[n + 1] = hh.solve(pr.alpha / tau, b_mu, x0=mu[n], members=members)
+        mu[n + 1] = hh.solve(pr.alpha / tau, b_mu, members=members)
         # (iii) sigma-step, implicit supply/consumption decay
         b_sig = (sig[n] / tau - pr.chi * hh.lap(phi[n + 1])
                  + pr.b_rate * pr.sigma_s + u2[n])
         coeff = 1.0 / tau + pr.b_rate + pr.e_rate * h_n
-        sig[n + 1] = hh.solve(coeff, b_sig, x0=sig[n], members=members)
+        sig[n + 1] = hh.solve(coeff, b_sig, members=members)
     return mu, phi, sig, hh.iterations
 
 
@@ -708,8 +704,7 @@ def solve_linearized(params: ModelParams, pot: PotentialSpec,
         b_phi = ((pr.beta / tau) * phi[n] + mu[n]
                  + l1 * (pr.chi * sig[n] - f2dd_all[n] * phi[n])
                  + l3 * slice_or_zero(spec.f2, n))
-        phi[n + 1] = hh.solve(pr.beta / tau + l1 * f1dd_all[n + 1], b_phi,
-                              x0=phi[n])
+        phi[n + 1] = hh.solve(pr.beta / tau + l1 * f1dd_all[n + 1], b_phi)
         # mu-step
         b_mu = ((pr.alpha / tau) * mu[n]
                 + l1 * (pr.p_rate * sig[n] * h_all[n]
@@ -718,14 +713,14 @@ def solve_linearized(params: ModelParams, pot: PotentialSpec,
                 - l2 * slice_or_zero(spec.k1, n) * h_all[n]
                 + l3 * slice_or_zero(spec.f1, n)
                 - (phi[n + 1] - phi[n]) / tau)
-        mu[n + 1] = hh.solve(pr.alpha / tau, b_mu, x0=mu[n])
+        mu[n + 1] = hh.solve(pr.alpha / tau, b_mu)
         # sigma-step
         b_sig = (sig[n] / tau - pr.chi * hh.lap(phi[n + 1])
                  - l1 * pr.e_rate * sigb[n + 1] * hp_all[n] * phi[n]
                  + l2 * slice_or_zero(spec.k2, n)
                  + l3 * slice_or_zero(spec.f3, n))
         coeff = 1.0 / tau + l1 * (pr.b_rate + pr.e_rate * h_all[n])
-        sig[n + 1] = hh.solve(coeff, b_sig, x0=sig[n])
+        sig[n + 1] = hh.solve(coeff, b_sig)
 
     return _trajectory(tg, grid, mu, phi, sig)
 
@@ -769,19 +764,19 @@ def solve_adjoint(params: ModelParams, pot: PotentialSpec,
     # terminal layer: the value the recursion sees in place of psi2(T)
     b_eff = ((pr.beta2 / tau) * (phib[nt] - targets.phi_omega.values)
              + 0.5 * pr.beta1 * (phib[nt] - phiq[nt]))
-    psi2_prev = hh.solve(pr.beta / tau + f1dd_all[nt], b_eff, x0=psi2[nt])
+    psi2_prev = hh.solve(pr.beta / tau + f1dd_all[nt], b_eff)
 
     for m in range(nt - 1, -1, -1):
         w_track = 0.5 if m == 0 else 1.0
         # psi1-step
         b1 = (pr.alpha / tau) * psi1[m + 1] + psi2_prev
-        psi1[m] = hh.solve(pr.alpha / tau, b1, x0=psi1[m + 1])
+        psi1[m] = hh.solve(pr.alpha / tau, b1)
         # psi3-step (implicit decay one node below the arrival node,
         # matching the forward scheme's lagged consumption coefficient)
         b3 = ((1.0 / tau) * psi3[m + 1] + pr.p_rate * h_all[m] * psi1[m + 1]
               + pr.chi * psi2_prev)
         coeff3 = 1.0 / tau + pr.b_rate + pr.e_rate * h_all[max(m - 1, 0)]
-        psi3[m] = hh.solve(coeff3, b3, x0=psi3[m + 1])
+        psi3[m] = hh.solve(coeff3, b3)
         # psi2-step; (psi1[m+1] - psi1[m])/tau realizes the substituted
         # d_t psi1 = -(Lap psi1 + psi2)/alpha term.
         b2 = ((pr.beta / tau) * psi2_prev
@@ -792,7 +787,7 @@ def solve_adjoint(params: ModelParams, pot: PotentialSpec,
               - pr.e_rate * sigb[m + 1] * hp_all[m] * psi3[m + 1]
               - pr.chi * hh.lap(psi3[m])
               + pr.beta1 * w_track * (phib[m] - phiq[m]))
-        psi2[m] = hh.solve(pr.beta / tau + f1dd_all[m], b2, x0=psi2_prev)
+        psi2[m] = hh.solve(pr.beta / tau + f1dd_all[m], b2)
         psi2_prev = psi2[m]
 
     return AdjointTriple(SpaceTimeField(tg, grid, psi1),
