@@ -35,12 +35,20 @@ def controls_from(tg, grid, u1=0.0, u2=0.0):
                        SpaceTimeField(tg, grid, np.full(shape, u2)))
 
 
-def dense_dct(n):
-    """Orthonormal DCT-II matrix: row k samples cos(pi k (2j + 1) / 2n)."""
-    k, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    c = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * j + 1) / (2 * n))
-    c[0] /= np.sqrt(2.0)
-    return c
+def fft_dct(x, shape):
+    """Orthonormal DCT-II of flat cell vectors along each grid axis, from
+    np.fft.fft of the mirrored 2n-point extension [v, v reversed], whose
+    k-th term is 2 exp(i pi k / 2n) sum_j v_j cos(pi k (2j + 1) / 2n)."""
+    y = x.reshape(x.shape[:-1] + shape)
+    for axis in range(-len(shape), 0):
+        y = np.moveaxis(y, axis, -1)
+        n = y.shape[-1]
+        k = np.arange(n)
+        v = np.fft.fft(np.concatenate([y, y[..., ::-1]], axis=-1))[..., :n]
+        scale = np.where(k == 0, np.sqrt(0.25 / n), np.sqrt(0.5 / n))
+        y = np.moveaxis(scale * (np.exp(-0.5j * np.pi * k / n) * v).real,
+                        -1, axis)
+    return y.reshape(x.shape)
 
 
 def dense_neg_lap(hh, n_cells):
@@ -50,21 +58,21 @@ def dense_neg_lap(hh, n_cells):
 class TestHelmholtzSolver:
     @pytest.mark.parametrize("grid", [
         grid1d(1), grid1d(2), grid1d(3), grid1d(63), grid1d(64),
-        grid2d(5, 8, 1.0, 2.0), grid2d(12, 1)], ids=str)
+        grid2d(5, 8, 1.0, 2.0), grid2d(12, 1), grid2d(96, 40, 1.0, 2.0)],
+        ids=str)
     def test_dct_matches_dense_basis(self, grid, rng):
         if grid.dim == 1:  # 1D solves take no DCT: check it on the n x 1 grid
             grid = grid2d(grid.n[0], 1, grid.length[0])
         hh = solver._HelmholtzSolver(grid)
-        q = dense_dct(grid.n[0])
-        for m in grid.n[1:]:
-            q = np.kron(q, dense_dct(m))
-        x = rng.standard_normal(grid.n_cells)
-        assert np.max(np.abs(hh.dct(x) - q @ x)) <= 1e-13
-        assert np.max(np.abs(hh.idct(x) - q.T @ x)) <= 1e-13
+        x = rng.standard_normal((3, grid.n_cells))
+        y = fft_dct(x, grid.n)
+        assert np.max(np.abs(hh.dct(x) - y)) <= 1e-13
+        # orthonormal: the inverse is the transpose
+        assert np.max(np.abs(hh.idct(y) - x)) <= 1e-13
         # the basis diagonalizes the stencil with the stored eigenvalues
-        lam = q @ dense_neg_lap(hh, grid.n_cells) @ q.T
         scale = max(1.0, float(np.max(hh.eig)))
-        assert np.max(np.abs(lam - np.diag(hh.eig))) <= 1e-13 * scale
+        lam_y = fft_dct(-hh.lap(x), grid.n)
+        assert np.max(np.abs(lam_y - hh.eig * y)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("grid", [
         grid1d(64), grid2d(24, 16), grid2d(96, 96)], ids=str)
@@ -97,24 +105,8 @@ class TestHelmholtzSolver:
                     stats=stats)
         assert stats["cg_iterations"] / len(solves) <= 8
 
-    def test_fft_is_numpys_bit_for_bit(self, rng):
-        x = rng.standard_normal((3, 12))
-        z = x + 1j * rng.standard_normal((3, 12))
-        for axis in (-1, -2):
-            assert np.array_equal(solver._fft(x, axis),
-                                  np.fft.fft(x, axis=axis))
-            assert np.array_equal(solver._fft(z, axis, inverse=True),
-                                  np.fft.ifft(z, axis=axis))
-
-    def test_fft_falls_back_to_numpys_wrappers(self, rng, monkeypatch):
-        # a numpy without the private gufunc module gets the same bits
-        monkeypatch.setattr(solver, "_fft_gufunc", None)
-        monkeypatch.setattr(solver, "_ifft_gufunc", None)
-        self.test_fft_is_numpys_bit_for_bit(np.random.default_rng(12))
-        self.test_dct_matches_dense_basis(grid2d(5, 8, 1.0, 2.0),
-                                          np.random.default_rng(40))
-
-    @pytest.mark.parametrize("grid", [grid1d(16), grid2d(6, 5)], ids=str)
+    @pytest.mark.parametrize("grid", [
+        grid1d(16), grid2d(6, 5), grid2d(48, 40)], ids=str)
     def test_batch_rows_equal_their_own_solves(self, grid, rng):
         # rows: variable coefficient, b = 0 (x = 0), constant coefficient;
         # then one scalar coefficient for every row.  Each row takes its own
@@ -178,6 +170,11 @@ class TestHelmholtzSolver:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 64, 2048])
     def test_1d_solve_matches_dense(self, n, rng):
+        # the 2048-cell coefficient spans 1 to 1e8, so the bound is within a
+        # few ulps of what both solvers reach: it draws from a generator of
+        # its own, so that the earlier tests' draws cannot move its data
+        if n == 2048:
+            rng = np.random.default_rng(2048)
         grid = grid1d(n)
         hh = solver._HelmholtzSolver(grid)
         neg_lap = dense_neg_lap(hh, n)
