@@ -5,12 +5,18 @@ gradient comes from one forward and one adjoint solve) and the nonsmooth
 part kappa*g + box indicator handled entirely by the prox.  Stationarity is
 measured by the variational-inequality residual
 ||u - P_box(-(d + kappa*lambda)/nu)||, which vanishes exactly at points
-satisfying the first-order conditions.
+satisfying the first-order conditions.  The optimizer iterates the
+prox-gradient map G(u) = prox(u - eta grad J1(u)), each step one state and
+one adjoint solve, and accelerates it by safeguarded type-II Anderson
+extrapolation (Walker & Ni, SIAM J. Numer. Anal. 49, 2011; Mai & Johansson,
+ICML 2020): an extrapolated point is kept only if it passes the plain step's
+sufficient-decrease test.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +30,11 @@ from .sparsity import (SparsityMode, SubgradientPair, eval_g, group_layout,
 
 # backtracking gives up once the step size falls below this floor
 ETA_MIN = 1e-14
+# Anderson acceleration keeps this many difference pairs of the prox map
+AA_MEMORY = 5
+# a Gram column is dropped when its Cholesky pivot is below this share of its
+# diagonal (its difference is within 1e-5 rad of the span of the others)
+AA_DROP = 1e-10
 # support_measure counts a group as nonzero when its mode norm exceeds this
 SUPPORT_TOL = 1e-8
 
@@ -74,6 +85,8 @@ class OptimizeResult:
     eta_history: np.ndarray
     n_iters: int
     converged: bool
+    # cumulative state solves when each VI residual was recorded
+    state_solves: np.ndarray
 
     @property
     def cost(self) -> float:
@@ -206,20 +219,77 @@ def support_measure(mode: SparsityMode, u: ControlPair) -> tuple[float, float]:
         mode_norms(mode, c) > SUPPORT_TOL)) for c in (u.u1, u.u2))
 
 
+def _gram_solve(gram: list, rhs: list) -> list:
+    """Least-squares coefficients from a Gram system, on Python floats.
+
+    Cholesky of the symmetric positive semidefinite gram; a column whose
+    pivot falls below AA_DROP of its diagonal depends on the earlier ones and
+    gets coefficient 0.  With at most AA_MEMORY columns this needs no
+    LAPACK call, whose first use alone raises peak RSS by about 1 MB.
+    """
+    m = len(rhs)
+    low = [[0.0] * m for _ in range(m)]
+    for j in range(m):
+        piv = gram[j][j] - sum(low[j][k] ** 2 for k in range(j))
+        if piv > AA_DROP * gram[j][j]:
+            low[j][j] = math.sqrt(piv)
+            for i in range(j + 1, m):
+                low[i][j] = (gram[i][j] - sum(low[i][k] * low[j][k]
+                                              for k in range(j))) / low[j][j]
+    # a dropped column has a zero column in low and keeps coefficient 0
+    y = [0.0] * m
+    for j in range(m):
+        if low[j][j]:
+            y[j] = (rhs[j] - sum(low[j][k] * y[k] for k in range(j))) \
+                / low[j][j]
+    x = [0.0] * m
+    for j in reversed(range(m)):
+        if low[j][j]:
+            x[j] = (y[j] - sum(low[k][j] * x[k] for k in range(j + 1, m))) \
+                / low[j][j]
+    return x
+
+
+def _anderson_point(hist, f: tuple, g: tuple, bounds: BoxBounds) -> tuple:
+    """Type-II Anderson extrapolation g - sum_i gamma_i dG_i, clipped to the box.
+
+    gamma minimizes ||f - sum_i gamma_i dF_i|| through the m x m Gram system
+    of the stored differences, each a pair of per-component arrays.  An entry
+    that the plain prox point g set exactly to 0 stays 0, so the
+    extrapolation never revives a group that the prox zeroed.
+    """
+    def dot(a, b):
+        return float(np.vdot(a[0], b[0]) + np.vdot(a[1], b[1]))
+
+    gram = [[dot(hi, hj) for hj in hist] for hi in hist]
+    gamma = _gram_solve(gram, [dot(hi, f) for hi in hist])
+    out = []
+    for c, lo, hi in ((0, bounds.lo1, bounds.hi1), (1, bounds.lo2, bounds.hi2)):
+        a = g[c] - sum(gk * h[2 + c] for gk, h in zip(gamma, hist))
+        a[g[c] == 0.0] = 0.0
+        out.append(np.clip(a, lo, hi, out=a))
+    return tuple(out)
+
+
 def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
                             hspec: InterpolantSpec, targets: Targets,
                             mode: SparsityMode, bounds: BoxBounds,
                             u0: ControlPair, opts: OptimizeOptions,
                             init: StateTriple) -> OptimizeResult:
-    """Minimize the reduced cost by proximal gradient with backtracking.
+    """Minimize the reduced cost by accelerated proximal gradient.
 
-    Iterates u+ = prox(u - eta grad J1(u)) where the prox handles
-    kappa*g + box jointly; a step is accepted when the full cost decreases
-    by at least (decrease/eta) ||u+ - u||_Q^2, so the cost history is
-    nonincreasing up to a rounding pad of 4 eps (1 + |cost|).  Stops at VI
-    residual <= tol_vi, at a relative cost stagnation below tol_cost (if
-    enabled), or at max_iters; on every exit, converged means the last VI
-    residual is <= tol_vi.
+    Iterates the map G(u) = prox(u - eta grad J1(u)), where the prox handles
+    kappa*g + box jointly, from eta = eta0.  A step must decrease the full
+    cost by at least (decrease/eta) ||G(u) - u||_Q^2, so the cost history is
+    nonincreasing up to a rounding pad of 4 eps (1 + |cost|).  The first
+    trial of a step is the type-II Anderson point built from G(u) and up to
+    AA_MEMORY difference pairs of G at the same eta (_anderson_point); only
+    if it fails the test is the plain point G(u) solved, with backtracking
+    on eta as needed, and the history is cleared whenever eta changes.
+    Stops at VI residual <= tol_vi, at a relative cost stagnation below
+    tol_cost (if enabled), or at max_iters; on every exit, converged means
+    the last VI residual is <= tol_vi.  state_solves counts the state
+    solves made when each VI residual was recorded.
     """
     tg, grid = u0.timegrid, u0.grid
     kappa = params.kappa if mode is not SparsityMode.NONE else 0.0
@@ -232,35 +302,64 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
         return ControlPair(SpaceTimeField(tg, grid, a1),
                            SpaceTimeField(tg, grid, a2), bounds)
 
+    n_solves = 0
+
+    def evaluate(u):
+        """u's state trajectory and full cost."""
+        nonlocal n_solves
+        n_solves += 1
+        traj = solve_state(params, pot, hspec, u, init)
+        return traj, (_tracking_cost(params, targets, traj)
+                      + _control_cost(params, mode, u))
+
     u = pack(u1, u2)
-    traj = solve_state(params, pot, hspec, u, init)
-    cost = _tracking_cost(params, targets, traj) + _control_cost(params, mode, u)
+    traj, cost = evaluate(u)
     bundle = _gradient_bundle(params, pot, hspec, targets, u, init, traj=traj)
 
-    costs, vis, etas = [cost], [], []
+    costs, vis, etas, solves = [cost], [], [], []
     eta = eta0
     stalled = False
+    # Anderson history: difference pairs (dF1, dF2, dG1, dG2) of the map G
+    # at step size hist_eta, and the residual and point (f1, f2, g1, g2) of
+    # the last prox point at that step size
+    hist: deque = deque(maxlen=AA_MEMORY)
+    last, hist_eta = None, None
     # it counts accepted steps; every pass first records the VI residual
     for it in range(opts.max_iters + 1):
         vis.append(_vi_residual_from(params, mode, bounds, u,
                                      bundle.d1, bundle.d2))
+        solves.append(n_solves)
         if vis[-1] <= opts.tol_vi or stalled or it == opts.max_iters:
             break
-        # backtracking on the full nonsmooth cost
         while True:
             v1 = SpaceTimeField(tg, grid, u.u1.values - eta * bundle.g1)
             v2 = SpaceTimeField(tg, grid, u.u2.values - eta * bundle.g2)
             p1, p2 = prox_pair(mode, v1, v2, eta, kappa, bounds)
-            u_trial = ControlPair(p1, p2, bounds)
-            traj_trial = solve_state(params, pot, hspec, u_trial, init)
-            cost_trial = (_tracking_cost(params, targets, traj_trial)
-                          + _control_cost(params, mode, u_trial))
-            dist2 = (_q_norm(u, p1.values - u.u1.values,
-                             p2.values - u.u2.values)) ** 2
+            f1, f2 = p1.values - u.u1.values, p2.values - u.u2.values
             # the epsilon pad keeps the test meaningful when the decrease
             # reaches rounding level near a stationary point
             noise = 4.0 * np.finfo(float).eps * (1.0 + abs(cost))
-            if cost_trial <= cost - (opts.decrease / eta) * dist2 + noise:
+            target = cost - (opts.decrease / eta) * _q_norm(u, f1, f2) ** 2 \
+                + noise
+            if hist_eta == eta:
+                hist.append((f1 - last[0], f2 - last[1],
+                             p1.values - last[2], p2.values - last[3]))
+            else:
+                hist.clear()
+            last, hist_eta = (f1, f2, p1.values, p2.values), eta
+            if hist:
+                a1, a2 = _anderson_point(hist, (f1, f2),
+                                         (p1.values, p2.values), bounds)
+                if not (np.array_equal(a1, p1.values)
+                        and np.array_equal(a2, p2.values)):
+                    u_trial = pack(a1, a2)
+                    traj_trial, cost_trial = evaluate(u_trial)
+                    if cost_trial <= target:
+                        break
+            # the plain step, backtracking on the full nonsmooth cost
+            u_trial = ControlPair(p1, p2, bounds)
+            traj_trial, cost_trial = evaluate(u_trial)
+            if cost_trial <= target:
                 break
             eta *= opts.backtrack
             if eta < ETA_MIN:
@@ -282,7 +381,7 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
         d2=SpaceTimeField(tg, grid, bundle.d2),
         cost_history=np.asarray(costs), vi_history=np.asarray(vis),
         eta_history=np.asarray(etas), n_iters=it,
-        converged=vis[-1] <= opts.tol_vi)
+        converged=vis[-1] <= opts.tol_vi, state_solves=np.asarray(solves))
 
 
 def zero_control_threshold(params: ModelParams, pot: PotentialSpec,

@@ -80,11 +80,12 @@ def _run_optimize(problem: Problem, out: Path, kappas):
     etas = res.eta_history
     n = res.vi_history.size
     write_csv(p, ("iter", "cost", "vi_residual", "step_size", "support1",
-                  "support2"),
+                  "support2", "state_solves"),
               [np.arange(n), res.cost_history, res.vi_history,
                np.append(etas, etas[-1] if etas.size else np.nan),
                *(np.full(n, s)
-                 for s in support_measure(problem.mode, res.control))])
+                 for s in support_measure(problem.mode, res.control)),
+               res.state_solves])
     files.append(p)
     if problem.mode is not SparsityMode.NONE:
         cert = certificate(problem.mode, res.adjoint, res.trajectory,
@@ -92,7 +93,7 @@ def _run_optimize(problem: Problem, out: Path, kappas):
         p = out / "certificate.csv"
         certificate_to_csv(cert, p)
         files.append(p)
-    return files, True
+    return files, res.converged
 
 
 def _run_threshold(problem: Problem, out: Path, kappas):
@@ -143,7 +144,8 @@ def _run_verify(problem: Problem, out: Path, kappas):
     return files, all(c.passed for c in checks)
 
 
-# command name -> handler(problem, out, kappas) -> (artifact paths, passed)
+# command name -> handler(problem, out, kappas) -> (artifact paths, passed);
+# optimize passes when the optimizer converged
 _COMMANDS = {"simulate": _run_simulate, "optimize": _run_optimize,
              "verify": _run_verify, "sweep-kappa": _run_sweep,
              "threshold": _run_threshold}

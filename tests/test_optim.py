@@ -14,7 +14,7 @@ from tumorctrl.optim import (OptimizeOptions, StepsizeCollapse, kappa_sweep,
                              zero_control_threshold)
 from tumorctrl.presets import preset_problem, random_admissible_controls
 from tumorctrl.solver import ControlPair, Targets, solve_state
-from tumorctrl.sparsity import SparsityMode
+from tumorctrl.sparsity import SparsityMode, prox
 
 HS = smoothstep7()
 
@@ -200,6 +200,71 @@ class TestOptimizer:
         assert res.vi_history.size == res.n_iters + 1
         assert res.eta_history.size == res.n_iters
         assert res.control.is_admissible(p.bounds)
+        # one state solve for the start, at least one per accepted step
+        assert res.state_solves.size == res.vi_history.size
+        assert res.state_solves[0] == 1
+        assert np.all(np.diff(res.state_solves) >= 1)
+
+    def test_large_step_does_not_stall(self):
+        # at eta0 = 2/nu the plain prox-gradient iteration oscillates and
+        # does not converge in the preset's 800 iterations
+        p = preset_problem("time-sparsity-demo")
+        opts = dataclasses.replace(p.opts, eta0=2.0 / p.params.nu,
+                                   max_iters=20)
+        res = proximal_gradient_solve(p.params, p.pot, p.hspec, p.targets,
+                                      p.mode, p.bounds, p.u0, opts, p.init)
+        assert res.converged
+        pad = 4 * np.finfo(float).eps * (1.0 + np.abs(res.cost_history[:-1]))
+        assert np.all(np.diff(res.cost_history) <= pad)
+
+    def test_small_nu_converges_in_few_state_solves(self):
+        # the plain prox-gradient iteration takes 133 state solves here
+        p = preset_problem("time-sparsity-demo", nu=1e-3)
+        res = proximal_gradient_solve(p.params, p.pot, p.hspec, p.targets,
+                                      p.mode, p.bounds, p.u0, p.opts, p.init)
+        assert res.converged and res.state_solves[-1] <= 15
+        # the optimum the plain iteration reaches
+        assert res.cost == pytest.approx(1.275524772120774e-02, rel=1e-12)
+
+
+def test_gram_solve_is_least_squares():
+    rng = np.random.default_rng(2718)
+    a, b = rng.normal(size=(40, 4)), rng.normal(size=40)
+    want = np.linalg.lstsq(a, b)[0]
+    got = optim._gram_solve((a.T @ a).tolist(), (a.T @ b).tolist())
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    # a column in the span of the earlier ones gets coefficient 0, and the
+    # residual stays the least-squares one
+    a = np.column_stack([a[:, :2], a[:, 0] - 3.0 * a[:, 1], a[:, 2]])
+    got = optim._gram_solve((a.T @ a).tolist(), (a.T @ b).tolist())
+    assert got[2] == 0.0
+    best = np.linalg.norm(a @ np.linalg.lstsq(a, b)[0] - b)
+    assert np.linalg.norm(a @ got - b) == pytest.approx(best, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode,kappa", [("time", 2.5e-3), ("space", 1.75e-3),
+                                        ("full", 1.7e-3)])
+def test_anderson_point_keeps_prox_zeros(mode, kappa):
+    # g is a real prox point, its groups on both sides of the threshold
+    # eta*kappa, and the random differences would move every entry; the
+    # extrapolation must leave g's zeros at 0
+    p = preset_problem("time-sparsity-demo", mode=mode, kappa=kappa)
+    rng = np.random.default_rng(314)
+    shape = (p.timegrid.n_steps, p.grid.n_cells)
+    md, b = SparsityMode.from_name(mode), p.bounds
+    g = tuple(prox(md, SpaceTimeField(p.timegrid, p.grid,
+                                      rng.normal(0.0, 0.05, shape)),
+                   p.params.nu ** -1, kappa, lo, hi).values
+              for lo, hi in ((b.lo1, b.hi1), (b.lo2, b.hi2)))
+    f = tuple(rng.normal(size=shape) for _ in range(2))
+    hist = [tuple(rng.normal(size=shape) for _ in range(4)) for _ in range(3)]
+    a1, a2 = optim._anderson_point(hist, f, g, b)
+    for a, gc, lo, hi in ((a1, g[0], b.lo1, b.hi1), (a2, g[1], b.lo2, b.hi2)):
+        zero = gc == 0.0
+        assert zero.any() and (~zero).any()
+        assert np.all(a[zero] == 0.0)
+        assert np.count_nonzero(a[~zero]) == np.count_nonzero(~zero)
+        assert np.all((lo <= a) & (a <= hi))
 
 
 class TestThreshold:

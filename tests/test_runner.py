@@ -273,6 +273,19 @@ class TestCli:
         assert cli_main(["simulate", "--config", str(missing),
                          "--out", str(tmp_path / "o")]) == 2
 
+    def test_unconverged_optimize_exits_1(self, tmp_path, capsys):
+        # one step leaves the VI residual far above tol_vi
+        cfgp = write_cfg(tmp_path, "[run]\npreset = time-sparsity-demo\n"
+                                   "[optimizer]\nmax_iters = 1\n")
+        assert cli_main(["optimize", "--config", str(cfgp),
+                         "--out", str(tmp_path / "o")]) == 1
+        assert "optimizer did not converge" in capsys.readouterr().err
+        out = next((tmp_path / "o").iterdir())
+        assert "passed = 0" in (out / "manifest.txt").read_text()
+        rows = (out / "convergence.csv").read_text().splitlines()
+        assert rows[0].endswith(",state_solves")
+        assert [r.rsplit(",", 1)[1] for r in rows[1:]] == ["1", "2"]
+
     @pytest.mark.parametrize("text", [
         "[grid]\ndim = 3\n",
         "[grid]\ndim = 2\n",
