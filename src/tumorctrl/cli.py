@@ -3,10 +3,10 @@
     tumorctrl simulate|optimize|verify|sweep-kappa|threshold \
         --config <path> [--out <dir>]
 
-Exit codes: 0 success, 1 check failure or an optimize that did not converge,
-2 config error: a bad key, value or section, or a problem the settings cannot
-build.  Every config key, its section and its default are in
-tumorctrl.presets.SETTINGS.
+Exit codes: 0 success, 1 check failure or an optimize or sweep-kappa whose
+optimizer did not converge, 2 config error: a bad key, value or section, or
+a problem the settings cannot build.  Every config key, its section and its
+default are in tumorctrl.presets.SETTINGS.
 """
 
 from __future__ import annotations
@@ -15,6 +15,14 @@ import argparse
 import sys
 
 from .runner import COMMANDS, ConfigError, load_config, run
+
+# what a failed run means, for the commands whose failure is not a check's
+_FAILURES = {
+    "optimize": "optimizer did not converge: VI residual above tol_vi (see "
+                "convergence.csv)",
+    "sweep-kappa": "optimizer did not converge at some kappa: VI residual "
+                   "above tol_vi (see kappa_sweep.csv)",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,9 +61,8 @@ def main(argv=None) -> int:
     print(f"{args.command}: wrote {len(manifest.artifacts)} artifacts to "
           f"{manifest.out_dir} ({manifest.elapsed_s:.2f}s)")
     if not manifest.passed:
-        print("optimizer did not converge: VI residual above tol_vi (see "
-              "convergence.csv)" if args.command == "optimize"
-              else "verification checks FAILED", file=sys.stderr)
+        print(_FAILURES.get(args.command, "verification checks FAILED"),
+              file=sys.stderr)
         return 1
     return 0
 

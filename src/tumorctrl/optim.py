@@ -28,6 +28,10 @@ from .solver import (AdjointTriple, ControlPair, Targets, Trajectory,
 from .sparsity import (SparsityMode, SubgradientPair, eval_g, group_layout,
                        mode_norms, prox_pair, select_subgradient)
 
+# a failed trial multiplies the step size by this factor
+BACKTRACK = 0.5
+# a step must decrease the cost by this share of ||G(u) - u||_Q^2 / eta
+DECREASE = 1e-4
 # backtracking gives up once the step size falls below this floor
 ETA_MIN = 1e-14
 # Anderson acceleration keeps this many difference pairs of the prox map
@@ -51,23 +55,14 @@ class StepsizeCollapse(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizeOptions:
-    """Proximal-gradient options; eta0 defaults to 1/nu."""
+    """Stop at VI residual <= tol_vi (converged) or after max_iters steps."""
 
     max_iters: int = 500
-    eta0: float | None = None
-    backtrack: float = 0.5
-    decrease: float = 1e-4
     tol_vi: float = 1e-8
-    tol_cost: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.backtrack < 1.0):
-            raise ValueError("backtracking factor must lie in (0, 1)")
-        for name in ("decrease", "tol_vi"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.tol_cost < 0.0:
-            raise ValueError("tol_cost must be nonnegative")
+        if not self.tol_vi > 0.0:
+            raise ValueError("tol_vi must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -279,21 +274,22 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
     """Minimize the reduced cost by accelerated proximal gradient.
 
     Iterates the map G(u) = prox(u - eta grad J1(u)), where the prox handles
-    kappa*g + box jointly, from eta = eta0.  A step must decrease the full
-    cost by at least (decrease/eta) ||G(u) - u||_Q^2, so the cost history is
-    nonincreasing up to a rounding pad of 4 eps (1 + |cost|).  The first
-    trial of a step is the type-II Anderson point built from G(u) and up to
-    AA_MEMORY difference pairs of G at the same eta (_anderson_point); only
-    if it fails the test is the plain point G(u) solved, with backtracking
-    on eta as needed, and the history is cleared whenever eta changes.
-    Stops at VI residual <= tol_vi, at a relative cost stagnation below
-    tol_cost (if enabled), or at max_iters; on every exit, converged means
-    the last VI residual is <= tol_vi.  state_solves counts the state
-    solves made when each VI residual was recorded.
+    kappa*g + box jointly.  A step must decrease the full cost by at least
+    (DECREASE/eta) ||G(u) - u||_Q^2, so the cost history is nonincreasing
+    up to a rounding pad of 4 eps (1 + |cost|).  The first trial of a step
+    is the type-II Anderson point built from G(u) and up to AA_MEMORY
+    difference pairs of G at the same eta (_anderson_point); only if it
+    fails the test is the plain point G(u) solved.  eta starts at 1/nu and
+    is multiplied by BACKTRACK whenever the plain point fails the test too;
+    it is never raised again (Beck & Teboulle, SIAM J. Imaging Sci. 2,
+    2009), so the Anderson history, which belongs to one eta, lasts from
+    one backtrack to the next.  Stops at VI residual <= tol_vi or at
+    max_iters; converged means the last VI residual is <= tol_vi.
+    state_solves counts the state solves made when each VI residual was
+    recorded.
     """
     tg, grid = u0.timegrid, u0.grid
     kappa = params.kappa if mode is not SparsityMode.NONE else 0.0
-    eta0 = opts.eta0 if opts.eta0 is not None else 1.0 / params.nu
 
     u1 = np.clip(u0.u1.values, bounds.lo1, bounds.hi1)
     u2 = np.clip(u0.u2.values, bounds.lo2, bounds.hi2)
@@ -317,19 +313,18 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
     bundle = _gradient_bundle(params, pot, hspec, targets, u, init, traj=traj)
 
     costs, vis, etas, solves = [cost], [], [], []
-    eta = eta0
-    stalled = False
+    eta = 1.0 / params.nu
     # Anderson history: difference pairs (dF1, dF2, dG1, dG2) of the map G
-    # at step size hist_eta, and the residual and point (f1, f2, g1, g2) of
-    # the last prox point at that step size
+    # at the current eta, and the residual and point (f1, f2, g1, g2) of the
+    # last prox point at that eta
     hist: deque = deque(maxlen=AA_MEMORY)
-    last, hist_eta = None, None
+    last = None
     # it counts accepted steps; every pass first records the VI residual
     for it in range(opts.max_iters + 1):
         vis.append(_vi_residual_from(params, mode, bounds, u,
                                      bundle.d1, bundle.d2))
         solves.append(n_solves)
-        if vis[-1] <= opts.tol_vi or stalled or it == opts.max_iters:
+        if vis[-1] <= opts.tol_vi or it == opts.max_iters:
             break
         while True:
             v1 = SpaceTimeField(tg, grid, u.u1.values - eta * bundle.g1)
@@ -339,14 +334,12 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
             # the epsilon pad keeps the test meaningful when the decrease
             # reaches rounding level near a stationary point
             noise = 4.0 * np.finfo(float).eps * (1.0 + abs(cost))
-            target = cost - (opts.decrease / eta) * _q_norm(u, f1, f2) ** 2 \
+            target = cost - (DECREASE / eta) * _q_norm(u, f1, f2) ** 2 \
                 + noise
-            if hist_eta == eta:
+            if last is not None:
                 hist.append((f1 - last[0], f2 - last[1],
                              p1.values - last[2], p2.values - last[3]))
-            else:
-                hist.clear()
-            last, hist_eta = (f1, f2, p1.values, p2.values), eta
+            last = (f1, f2, p1.values, p2.values)
             if hist:
                 a1, a2 = _anderson_point(hist, (f1, f2),
                                          (p1.values, p2.values), bounds)
@@ -361,17 +354,16 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
             traj_trial, cost_trial = evaluate(u_trial)
             if cost_trial <= target:
                 break
-            eta *= opts.backtrack
+            eta *= BACKTRACK
             if eta < ETA_MIN:
                 raise StepsizeCollapse(it, eta)
-        stalled = (opts.tol_cost > 0.0
-                   and cost - cost_trial <= opts.tol_cost * (1.0 + abs(cost)))
+            hist.clear()
+            last = None
         u, cost = u_trial, cost_trial
         bundle = _gradient_bundle(params, pot, hspec, targets, u, init,
                                   traj=traj_trial)
         costs.append(cost)
         etas.append(eta)
-        eta = min(eta / opts.backtrack, eta0)
 
     lam = select_subgradient(mode, u, (bundle.d1, bundle.d2), kappa)
     return OptimizeResult(
@@ -438,5 +430,6 @@ def kappa_sweep(params: ModelParams, pot: PotentialSpec,
             "control_norm": _q_norm(res.control, res.control.u1.values,
                                     res.control.u2.values),
             "iterations": res.n_iters,
+            "converged": res.converged,
         })
     return rows

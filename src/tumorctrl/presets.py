@@ -113,9 +113,6 @@ _POTENTIALS = {
     "logarithmic": lambda s: logarithmic_potential(float(s["log_k"])),
 }
 
-_INTERPOLANTS = {"smoothstep7": smoothstep7}
-
-
 @dataclass(frozen=True)
 class ConfigIssue:
     key: str
@@ -235,7 +232,6 @@ SETTINGS = {
     "beta2": ("model", "beta2", 0.0, _NONNEG),
     "potential": ("potential", "variant", "regular", _choice_key(_POTENTIALS)),
     "log_k": ("potential", "log_k", 2.0, _float_key(lo=1, lo_strict=True)),
-    "h": ("potential", "h", "smoothstep7", _choice_key(_INTERPOLANTS)),
     "dim": ("grid", "dim", 1, _int_key(lo=1)),
     "n": ("grid", "n", (32,), _tuple_key(_int_key(lo=1))),
     "length": ("grid", "length", (1.0,), _tuple_key(_POSITIVE)),
@@ -255,11 +251,7 @@ SETTINGS = {
     "u0_1": ("controls", "u0_1", "constant 0", _str_key),
     "u0_2": ("controls", "u0_2", "constant 0", _str_key),
     "max_iters": ("optimizer", "max_iters", 400, _int_key(lo=1)),
-    "eta0": ("optimizer", "eta0", 0.0, _NONNEG),
-    "backtrack": ("optimizer", "backtrack", 0.5, _float_key()),
-    "decrease": ("optimizer", "decrease", 1e-4, _POSITIVE),
     "tol_vi": ("optimizer", "tol_vi", 1e-8, _POSITIVE),
-    "tol_cost": ("optimizer", "tol_cost", 0.0, _NONNEG),
 }
 
 DEFAULT_SETTINGS = {"name": "custom",
@@ -309,9 +301,7 @@ def make_problem(settings: dict) -> Problem:
     if s["potential"] not in _POTENTIALS:
         raise ValueError(f"unknown potential {s['potential']!r}")
     pot = _POTENTIALS[s["potential"]](s)
-    if s["h"] not in _INTERPOLANTS:
-        raise ValueError(f"unknown interpolant {s['h']!r}")
-    hspec = _INTERPOLANTS[s["h"]]()
+    hspec = smoothstep7()
 
     n = tuple(int(v) for v in (s["n"] if hasattr(s["n"], "__len__") else (s["n"],)))
     length = tuple(float(v) for v in (s["length"]
@@ -334,11 +324,8 @@ def make_problem(settings: dict) -> Problem:
         eval_spacetime_recipe(s["u0_1"], grid, timegrid, False, rng),
         eval_spacetime_recipe(s["u0_2"], grid, timegrid, False, rng),
         bounds)
-    opts = OptimizeOptions(
-        max_iters=int(s["max_iters"]),
-        eta0=None if float(s["eta0"]) <= 0.0 else float(s["eta0"]),
-        backtrack=float(s["backtrack"]), decrease=float(s["decrease"]),
-        tol_vi=float(s["tol_vi"]), tol_cost=float(s["tol_cost"]))
+    opts = OptimizeOptions(max_iters=int(s["max_iters"]),
+                           tol_vi=float(s["tol_vi"]))
 
     return Problem(str(s["name"]), params, pot, hspec, grid, timegrid, init,
                    targets, bounds, mode, u0, opts, int(s["seed"]),

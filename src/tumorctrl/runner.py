@@ -121,7 +121,7 @@ def _run_sweep(problem: Problem, out: Path, kappas):
     names = ("kappa", "cost", "vi_residual", "support1", "support2",
              "control_norm", "iterations")
     write_csv(p, names, [[r[k] for r in rows] for k in names])
-    return [p], True
+    return [p], all(r["converged"] for r in rows)
 
 
 def _run_verify(problem: Problem, out: Path, kappas):
@@ -145,7 +145,7 @@ def _run_verify(problem: Problem, out: Path, kappas):
 
 
 # command name -> handler(problem, out, kappas) -> (artifact paths, passed);
-# optimize passes when the optimizer converged
+# optimize and sweep-kappa pass when the optimizer converged (at every kappa)
 _COMMANDS = {"simulate": _run_simulate, "optimize": _run_optimize,
              "verify": _run_verify, "sweep-kappa": _run_sweep,
              "threshold": _run_threshold}

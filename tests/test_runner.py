@@ -4,8 +4,8 @@ import pytest
 
 from tumorctrl import runner
 from tumorctrl.cli import main as cli_main
-from tumorctrl.presets import (_INTERPOLANTS, _POTENTIALS, PRESET_SETTINGS,
-                               SETTINGS, preset_names, preset_problem)
+from tumorctrl.presets import (_POTENTIALS, PRESET_SETTINGS, SETTINGS,
+                               preset_names, preset_problem)
 from tumorctrl.runner import (ConfigError, load_config, parse_config_text,
                               run)
 from tumorctrl.sparsity import SparsityMode
@@ -49,10 +49,28 @@ class TestConfigParsing:
             parse_config_text("[sparsity]\nmode = banana\n")
         assert exc.value.issues[0].kind == "unknown-value"
 
-    def test_unknown_key(self):
+    # banana never was a key; the others were removed, and a config that
+    # still sets one is refused rather than silently ignored
+    @pytest.mark.parametrize("setting", [
+        "model.banana = 1", "optimizer.eta0 = 0.0",
+        "optimizer.backtrack = 0.5", "optimizer.decrease = 0.0001",
+        "optimizer.tol_cost = 0.0", "potential.h = smoothstep7",
+    ], ids=["model.banana", "optimizer.eta0", "optimizer.backtrack",
+            "optimizer.decrease", "optimizer.tol_cost", "potential.h"])
+    def test_unknown_key(self, tmp_path, capsys, setting):
+        name, _, value = setting.partition(" = ")
+        sec, _, key = name.partition(".")
+        text = (f"[run]\npreset = time-sparsity-demo\n\n"
+                f"[{sec}]\n{key} = {value}\n")
         with pytest.raises(ConfigError) as exc:
-            parse_config_text("[model]\nbanana = 1\n")
-        assert exc.value.issues[0].kind == "unknown-key"
+            parse_config_text(text)
+        issue = exc.value.issues[0]
+        assert (issue.kind, issue.key, issue.line) == ("unknown-key", name, 5)
+        cfgp = write_cfg(tmp_path, text)
+        assert cli_main(["optimize", "--config", str(cfgp),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: unknown-key: {name} (line 5): unknown key" \
+            in capsys.readouterr().err
 
     def test_multiple_errors_collected(self):
         with pytest.raises(ConfigError) as exc:
@@ -72,27 +90,28 @@ class TestConfigParsing:
             assert prob.grid.n_cells >= 1
 
 
-# config_hash() and sha256 of serialize() for each text, recorded before the
-# settings were declared in one table
+# config_hash() and sha256 of serialize() for each text, recorded when
+# potential.h and the optimizer's eta0, backtrack, decrease and tol_cost
+# keys were removed; the serialized texts lost exactly those five lines
 GOLDEN_CONFIGS = {
     "stationary-trivial": (
-        "[run]\npreset = stationary-trivial\n", "44d1358dbf5d",
-        "44d1358dbf5dbbf2855cdf2fc6a5013ca9ef4b2ff80d9f6377ef2861e21e7250"),
+        "[run]\npreset = stationary-trivial\n", "04d19a9dd467",
+        "04d19a9dd467acea1d40aa4674abb9c6f40085f22cfed77e547a41f03e58f23d"),
     "1D-logarithmic-default": (
-        "[run]\npreset = 1D-logarithmic-default\n", "0b69660709d3",
-        "0b69660709d39921724d5d1e2f3b2ebfe8b8f58de207c68c798a3b93944343c7"),
+        "[run]\npreset = 1D-logarithmic-default\n", "c5be5c861910",
+        "c5be5c861910627640340da71dabbd72ea28b9d581e21afa42a1e50795a22e6f"),
     "2D-regular-default": (
-        "[run]\npreset = 2D-regular-default\n", "60d5613ec279",
-        "60d5613ec279c2a3de0b4d59f0c73460ff3725da9d7b907722ca88fdf729844f"),
+        "[run]\npreset = 2D-regular-default\n", "f93cb679cd5e",
+        "f93cb679cd5e96b61b09b297843985d8e8a5eaefdadfe96da681a10e36645eb9"),
     "time-sparsity-demo": (
-        "[run]\npreset = time-sparsity-demo\n", "027bfb6e4874",
-        "027bfb6e48748120377f7667804a2b4d3848d7e321c9c578ae2fb10379bd8be0"),
+        "[run]\npreset = time-sparsity-demo\n", "d6927e71ec4b",
+        "d6927e71ec4b079d109879669969bd05c43e4af3054a1280a226443de9f666c4"),
     "stress-separation": (
-        "[run]\npreset = stress-separation\n", "6737714bf951",
-        "6737714bf95109ff064ae3ce7186212e77217841d621e2fad9a58e94e40daa60"),
+        "[run]\npreset = stress-separation\n", "22ff832f4128",
+        "22ff832f41286f9e179d20892637e3bec9aa2c237295d5940b850d9aeac65c4e"),
     "kappa-1e-3": (
-        "[model]\nkappa = 1e-3\n", "59539be917f4",
-        "59539be917f404936ccb9b46d2a423f7bd5d07d79f03ecb21bb0af67c87c5572"),
+        "[model]\nkappa = 1e-3\n", "44beae4345c4",
+        "44beae4345c48b00bcfda45f950301d5c5227023ecd2f73314244b46fc745010"),
     # the optimize-2d-space benchmark op without its seed
     "optimize-2d-space": (
         "[run]\ncommand = optimize\npreset = time-sparsity-demo\n\n"
@@ -100,8 +119,8 @@ GOLDEN_CONFIGS = {
         "[grid]\ndim = 2\nn = 32 32\nlength = 1.0 1.0\n\n"
         "[time]\nn_steps = 8\n\n[targets]\nphi_q = bump 0.0 0.6\n\n"
         "[model]\nkappa = 0.0025\n\n[sparsity]\nmode = space\n",
-        "59a1bf0848c3",
-        "59a1bf0848c3594140c7804aff1ddbf48e77864d96ff5228b09d6d4c02e18026"),
+        "0744df23bcf8",
+        "0744df23bcf8c4b90ae04b8a91fcb5c3dc0a6d7a8df6affe645f52c2e324775a"),
 }
 
 # the fully-defaulted config; the explicit kappa is kept as written
@@ -113,9 +132,8 @@ DEFAULT_KAPPA_TEXT = (
     "[model]\na_rate = 0.1\nalpha = 1.0\nb_rate = 0.5\nbeta = 1.0\n"
     "beta1 = 1.0\nbeta2 = 0.0\nchi = 0.3\ne_rate = 0.5\nkappa = 1e-3\n"
     "nu = 0.1\np_rate = 0.5\nsigma_s = 0.6\n\n"
-    "[optimizer]\nbacktrack = 0.5\ndecrease = 0.0001\neta0 = 0.0\n"
-    "max_iters = 400\ntol_cost = 0.0\ntol_vi = 1e-08\n\n"
-    "[potential]\nh = smoothstep7\nlog_k = 2.0\nvariant = regular\n\n"
+    "[optimizer]\nmax_iters = 400\ntol_vi = 1e-08\n\n"
+    "[potential]\nlog_k = 2.0\nvariant = regular\n\n"
     "[run]\ncommand = simulate\nkappas = \npreset = \nseed = 20260808\n\n"
     "[sparsity]\nmode = none\n\n"
     "[targets]\nphi_omega = constant 0\nphi_q = constant 0\n\n"
@@ -148,12 +166,10 @@ class TestSettingsTable:
 
     @pytest.mark.parametrize("sec,key,owner", [
         ("potential", "variant", _POTENTIALS),
-        ("potential", "h", _INTERPOLANTS),
         ("sparsity", "mode", [m.value for m in SparsityMode]),
         ("run", "command", runner._COMMANDS),
         ("run", "preset", ("",) + preset_names()),
-    ], ids=["potential.variant", "potential.h", "sparsity.mode", "run.command",
-            "run.preset"])
+    ], ids=["potential.variant", "sparsity.mode", "run.command", "run.preset"])
     def test_choices_come_from_owner(self, sec, key, owner):
         _, conv = runner.SCHEMA[(sec, key)]
         issues = []
@@ -187,8 +203,8 @@ class TestRun:
         golden = {
             "balance.csv": "4b39570b9794e7b99eaa91ba1aeed361"
                            "64412b08ef74180fcf2f0ec2d14691bd",
-            "config.echo.cfg": "44d1358dbf5dbbf2855cdf2fc6a5013c"
-                               "a9ef4b2ff80d9f6377ef2861e21e7250",
+            "config.echo.cfg": "04d19a9dd467acea1d40aa4674abb9c6"
+                               "f40085f22cfed77e547a41f03e58f23d",
             "mu.csv": "e7083cad40facb8977fc3087239f4635"
                       "77007f04724868fa60e5878190d35351",
             "phi.csv": "fd6887d01ed64d53ceedb92bb0ebb919"
@@ -286,14 +302,31 @@ class TestCli:
         assert rows[0].endswith(",state_solves")
         assert [r.rsplit(",", 1)[1] for r in rows[1:]] == ["1", "2"]
 
+    @pytest.mark.parametrize("max_iters,code,passed", [
+        ("1", 1, "0"), ("800", 0, "1")], ids=["max_iters-1", "preset"])
+    def test_sweep_kappa_exit_follows_convergence(self, tmp_path, capsys,
+                                                  max_iters, code, passed):
+        # one step leaves the VI residual far above tol_vi at every kappa
+        cfgp = write_cfg(tmp_path, "[run]\npreset = time-sparsity-demo\n"
+                                   f"[optimizer]\nmax_iters = {max_iters}\n")
+        assert cli_main(["sweep-kappa", "--config", str(cfgp),
+                         "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert ("optimizer did not converge at some kappa" in err) \
+            == (code == 1)
+        assert "verification checks FAILED" not in err
+        out = next((tmp_path / "o").iterdir())
+        assert f"passed = {passed}" in (out / "manifest.txt").read_text()
+        header = (out / "kappa_sweep.csv").read_text().splitlines()[0]
+        assert header == ("kappa,cost,vi_residual,support1,support2,"
+                          "control_norm,iterations")
+
     @pytest.mark.parametrize("text", [
         "[grid]\ndim = 3\n",
         "[grid]\ndim = 2\n",
         "[init]\nphi = bogus 1\n",
         "[bounds]\nlo1 = 2\n",
-        "[optimizer]\nbacktrack = 2\n",
-    ], ids=["dim-3", "dim-2-1d-n", "unknown-recipe", "lo1-above-hi1",
-            "backtrack-2"])
+    ], ids=["dim-3", "dim-2-1d-n", "unknown-recipe", "lo1-above-hi1"])
     def test_invalid_problem_is_config_error(self, tmp_path, capsys, text):
         # these pass the schema but fail when the problem is built
         cfgp = write_cfg(tmp_path, text)
