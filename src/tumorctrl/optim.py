@@ -55,9 +55,12 @@ class StepsizeCollapse(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizeOptions:
-    """Stop at VI residual <= tol_vi (converged) or after max_iters steps."""
+    """Stop at VI residual <= tol_vi (converged) or after max_iters steps.
 
-    max_iters: int = 500
+    These defaults are also the config defaults (presets.SETTINGS).
+    """
+
+    max_iters: int = 400
     tol_vi: float = 1e-8
 
     def __post_init__(self):

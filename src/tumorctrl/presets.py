@@ -250,8 +250,9 @@ SETTINGS = {
              _choice_key([m.value for m in SparsityMode])),
     "u0_1": ("controls", "u0_1", "constant 0", _str_key),
     "u0_2": ("controls", "u0_2", "constant 0", _str_key),
-    "max_iters": ("optimizer", "max_iters", 400, _int_key(lo=1)),
-    "tol_vi": ("optimizer", "tol_vi", 1e-8, _POSITIVE),
+    "max_iters": ("optimizer", "max_iters", OptimizeOptions.max_iters,
+                  _int_key(lo=1)),
+    "tol_vi": ("optimizer", "tol_vi", OptimizeOptions.tol_vi, _POSITIVE),
 }
 
 DEFAULT_SETTINGS = {"name": "custom",

@@ -5,7 +5,12 @@ Time scheme (state): one decoupled semi-implicit Euler step per interval:
   (i)   phi-step   beta (p - phi_n)/tau - Lap p + F1'(p)
                      = mu_n + chi sigma_n - F2'(phi_n),
         solved by damped Newton; the implicit convex part F1' preserves the
-        separation of singular potentials.
+        separation of singular potentials.  Newton starts from phi
+        extrapolated along the trajectory, 3 (phi_n - phi_{n-1}) + phi_{n-2}
+        (2 phi_1 - phi_0 at step 1, phi_0 at step 0), cell by cell where
+        that lies inside a singular potential's interval and from phi_n
+        elsewhere: about one Jacobian solve per step on the 1D presets,
+        against two from phi_n.
   (ii)  mu-step    alpha (m - mu_n)/tau - Lap m
                      = (P sigma_n - A - u1_n) h(phi_n) - (p - phi_n)/tau.
   (iii) sigma-step (s - sigma_n)/tau - Lap s + (B + E h(phi_n)) s
@@ -400,14 +405,17 @@ class _HelmholtzSolver:
 
 
 def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
-                     phi_n: np.ndarray, rhs: np.ndarray, step: int,
+                     phi_n: np.ndarray, rhs: np.ndarray, start: np.ndarray,
+                     step: int,
                      members: np.ndarray | None = None) -> np.ndarray:
     """Solve beta/tau (p - phi_n) - Lap p + F1'(p) = rhs by damped Newton.
 
-    phi_n and rhs are a flat cell vector or one row per member.  Each row
-    keeps its own scale, floor, fraction-to-boundary step and line search
-    and stops on its own test, so it takes the iterations, and gets the
-    bits, of its unbatched solve.
+    phi_n, rhs and the first iterate start are a flat cell vector or one
+    row per member; for a singular potential start must lie strictly
+    inside the evaluation interval (_march passes the extrapolated
+    trajectory, see _newton_start).  Each row keeps its own scale, floor,
+    fraction-to-boundary step and line search and stops on its own test,
+    so it takes the iterations, and gets the bits, of its unbatched solve.
     """
     all_members = members
 
@@ -423,7 +431,7 @@ def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
         return beta_tau * (q - pn) - hh.lap(q) + pot.f1[1](pot.clamp(q)) - r
 
     # p holds the working rows; rows, once set, maps them onto out
-    out = p = phi_n.copy()
+    out = p = start.copy()
     rows = None
     pn, r = phi_n, rhs
     g = residual(p, pn, r)
@@ -520,6 +528,27 @@ def _trajectory(tg: TimeGrid, grid: GridSpec, mu, phi, sig) -> Trajectory:
                       SpaceTimeField(tg, grid, sig))
 
 
+def _newton_start(pot: PotentialSpec, phi: np.ndarray, n: int) -> np.ndarray:
+    """The phi-step's first Newton iterate: phi^{n+1} extrapolated.
+
+    Quadratic through phi^{n-2..n}, 3 (phi^n - phi^{n-1}) + phi^{n-2};
+    linear, 2 phi^1 - phi^0, at step 1; phi^0 at step 0.  A cell whose
+    extrapolation is not strictly inside a singular potential's evaluation
+    interval starts from phi^n, which is inside by MIN_MARGIN (a regular
+    potential's interval is the whole line).  Element-wise, so a batch row
+    gets the bits of its own trajectory's start.
+    """
+    if n == 0:
+        return phi[0]
+    if n == 1:
+        guess = 2.0 * phi[1] - phi[0]
+    else:
+        guess = 3.0 * (phi[n] - phi[n - 1]) + phi[n - 2]
+    inside = ((guess > pot.r_minus + CLAMP_MARGIN)
+              & (guess < pot.r_plus - CLAMP_MARGIN))
+    return np.where(inside, guess, phi[n])
+
+
 def _march(params: ModelParams, pot: PotentialSpec, hspec: InterpolantSpec,
            tg: TimeGrid, u1: np.ndarray, u2: np.ndarray, init: StateTriple,
            members: np.ndarray | None = None):
@@ -545,7 +574,7 @@ def _march(params: ModelParams, pot: PotentialSpec, hspec: InterpolantSpec,
         # (i) phi-step, implicit convex part
         rhs_phi = mu[n] + pr.chi * sig[n] - pot.f2[1](pot.clamp(phi[n]))
         phi[n + 1] = _phi_newton_step(pot, hh, pr.beta / tau, phi[n], rhs_phi,
-                                      n, members)
+                                      _newton_start(pot, phi, n), n, members)
         # (ii) mu-step
         source = (pr.p_rate * sig[n] - pr.a_rate - u1[n]) * h_n
         b_mu = (pr.alpha / tau) * mu[n] + source - (phi[n + 1] - phi[n]) / tau

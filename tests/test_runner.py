@@ -4,8 +4,10 @@ import pytest
 
 from tumorctrl import runner
 from tumorctrl.cli import main as cli_main
-from tumorctrl.presets import (_POTENTIALS, PRESET_SETTINGS, SETTINGS,
-                               preset_names, preset_problem)
+from tumorctrl.optim import OptimizeOptions
+from tumorctrl.presets import (_POTENTIALS, DEFAULT_SETTINGS, PRESET_SETTINGS,
+                               SETTINGS, make_problem, preset_names,
+                               preset_problem)
 from tumorctrl.runner import (ConfigError, load_config, parse_config_text,
                               run)
 from tumorctrl.sparsity import SparsityMode
@@ -156,6 +158,11 @@ class TestSettingsTable:
     def test_preset_keys_are_settings(self):
         for name, preset in PRESET_SETTINGS.items():
             assert set(preset) <= set(SETTINGS) | {"name"}, name
+
+    def test_optimizer_defaults_are_the_config_defaults(self):
+        # a library caller's OptimizeOptions() runs the CLI's default cap
+        assert make_problem(DEFAULT_SETTINGS).opts == OptimizeOptions()
+        assert OptimizeOptions().max_iters == 400
 
     def test_defaults_round_trip(self):
         for name, (sec, key, default, conv) in runner._KEYS.items():

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -251,12 +253,70 @@ class TestPhiNewtonStep:
         rhs = np.stack([rhs_scale * (1.0 + 0.25 * np.cos(np.pi * x)),
                         0.01 * x, np.full(16, -0.75 * rhs_scale)])
         batch = solver._phi_newton_step(pot, solver._HelmholtzSolver(grid),
-                                        1.0, phi_n, rhs, 0)
+                                        1.0, phi_n, rhs, phi_n, 0)
         for row in range(3):
             alone = solver._phi_newton_step(
                 pot, solver._HelmholtzSolver(grid), 1.0, phi_n[row],
-                rhs[row], 0)
+                rhs[row], phi_n[row], 0)
             assert np.array_equal(batch[row], alone)
+
+    @pytest.mark.parametrize("preset", ["1D-logarithmic-default",
+                                        "time-sparsity-demo"])
+    def test_extrapolated_start_takes_one_solve_per_step(self, preset,
+                                                         monkeypatch):
+        # started from phi^n, Newton took two Jacobian solves per step; the
+        # batch is u0 and u0 +- 0.01 d, as the verify checks' difference
+        # ladders solve it (a control drawn at random in every step takes
+        # 1.6 solves per step on time-sparsity-demo: phi is then not smooth
+        # in time)
+        rows = []
+        solve = solver._HelmholtzSolver.solve
+
+        def counted(hh, coeff, b, members=None):
+            if sys._getframe(1).f_code is solver._phi_newton_step.__code__:
+                rows.append(len(b) if b.ndim == 2 else 1)
+            return solve(hh, coeff, b, members=members)
+
+        monkeypatch.setattr(solver._HelmholtzSolver, "solve", counted)
+        prob = preset_problem(preset)
+        steps = prob.timegrid.n_steps
+        solve_state(prob.params, prob.pot, prob.hspec, prob.u0, prob.init)
+        assert sum(rows) <= 1.1 * steps
+        rows.clear()
+        d = random_admissible_controls(prob, 0, scale=1.0)
+
+        def along(eps):  # u0 + eps d
+            return ControlPair(*(
+                SpaceTimeField(prob.timegrid, prob.grid,
+                               u.values + eps * k.values)
+                for u, k in ((prob.u0.u1, d.u1), (prob.u0.u2, d.u2))),
+                prob.bounds)
+
+        ctrls = [along(eps) for eps in (0.0, 0.01, -0.01)]
+        list(solve_states(prob.params, prob.pot, prob.hspec, ctrls,
+                          prob.init))
+        assert sum(rows) <= 1.1 * steps * len(ctrls)
+
+    def test_start_outside_the_singular_interval_falls_back(self):
+        # phi climbs by 0.3 per step in the middle cells, towards the log
+        # potential's walls at -1 and 1: there the quadratic extrapolation
+        # 4 x 0.3 leaves the interval, and those cells start from phi^n
+        pot = logarithmic_potential()
+        grid = grid1d(16)
+        x = grid.cell_centers()[0]
+        wall = np.abs(x - 0.5) < 0.2
+        slope = np.where(wall, 0.3 * np.sign(x - 0.5),
+                         0.05 * np.cos(np.pi * x))
+        phi = np.stack([k * slope for k in (1.0, 2.0, 3.0)])
+        start = solver._newton_start(pot, phi, 2)
+        assert np.array_equal(start[wall], phi[2][wall])
+        assert np.allclose(start[~wall], 4.0 * slope[~wall], rtol=1e-15)
+        hh = solver._HelmholtzSolver(grid)
+        rhs = pot.f1[1](phi[2])
+        p = solver._phi_newton_step(pot, hh, 10.0, phi[2], rhs, start, 2)
+        g = 10.0 * (p - phi[2]) - hh.lap(p) + pot.f1[1](p) - rhs
+        assert np.abs(g).max() <= solver.NEWTON_TOL * np.abs(rhs).max()
+        assert np.abs(p).max() < 1.0
 
 
 class TestStateSolver:
@@ -503,21 +563,23 @@ class TestBatchedStates:
         assert stats == {}
 
     # norms of mu, phi, sigma and of the adjoint's psi1, psi2, psi3 over all
-    # nodes, recorded before batching, and the 1D adjoint's norms with the
-    # direct 1D solve; the bound leaves room for another CPU's rounding of
-    # exp, log and the CG's dot products, not for a change of the scheme
+    # nodes, recorded before batching, the 1D adjoint's norms with the
+    # direct 1D solve, and the 2D-regular-default and stress-separation rows
+    # with the phi-step Newton started from the extrapolated trajectory; the
+    # bound leaves room for another CPU's rounding of exp, log and the CG's
+    # dot products, not for a change of the scheme
     @pytest.mark.parametrize("preset,state,adjoint", [
         ("1D-logarithmic-default",
          (4.988727181945142, 10.177261314915397, 43.83920297021787),
          (0.4833669585711293, 3.965535164011666, 0.15161498343708074)),
         ("2D-regular-default",
-         (3.2418693088164283, 5.613378700141589, 33.64938924237748),
-         (0.19636164965065486, 1.9494218305795332, 0.059644570806363456)),
+         (3.2418693088171215, 5.6133787001418, 33.64938924239),
+         (0.19636164965244765, 1.9494218305946232, 0.05964457080690964)),
         ("stationary-trivial",
          (0.0, 8.48528137423857, 0.0), (0.0, 0.0, 0.0)),
         ("stress-separation",
-         (372.08644942988354, 42.584294514506205, 55.71355310873648),
-         (0.5753675153140022, 4.690587925733005, 0.5300953617491231)),
+         (372.0864494305147, 42.58429451458922, 55.713553108736484),
+         (0.5753675153095117, 4.6905879257096466, 0.5300953617447698)),
         ("time-sparsity-demo",
          (0.2624462691257015, 0.8094792169508229, 12.221337130626152),
          (0.04124776387819313, 0.3749011640135377, 0.008919566632027484)),
