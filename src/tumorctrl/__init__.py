@@ -9,11 +9,10 @@ __version__ = "0.1.0"
 
 from .fields import (Field, GridSpec, ShapeMismatch, SpaceTimeField,
                      StateTriple, TimeGrid, Trajectory, grid1d, grid2d, inner,
-                     laplacian_neumann, norm, slice_norms)
+                     slice_norms)
 from .model import (BoxBounds, InterpolantSpec, ModelParams, PotentialSpec,
-                    SingularDomain, ValidationReport, eval_h, eval_potential,
-                    logarithmic_potential, regular_potential, smoothstep7,
-                    validate_setup)
+                    ValidationReport, eval_h, logarithmic_potential,
+                    regular_potential, smoothstep7, validate_setup)
 from .optim import (OptimizeOptions, OptimizeResult, StepsizeCollapse,
                     ThresholdReport, kappa_sweep, proximal_gradient_solve,
                     reduced_cost, smooth_gradient, support_measure,

@@ -4,9 +4,10 @@
         --config <path> [--out <dir>]
 
 Exit codes: 0 success, 1 check failure or an optimize or sweep-kappa whose
-optimizer did not converge, 2 config error: a bad key, value or section, or
-a problem the settings cannot build.  Every config key, its section and its
-default are in tumorctrl.presets.SETTINGS.
+optimizer did not converge, 2 config error: a config file that cannot be
+read as UTF-8 text, a bad key, value or section, or a problem the settings
+cannot build.  Every config key, its section and its default are in
+tumorctrl.presets.SETTINGS.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:

@@ -10,7 +10,6 @@ tau-weighted so norms approximate their L^2 counterparts.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -257,11 +256,6 @@ def make_laplacian(grid: GridSpec):
     return lap
 
 
-def laplacian_neumann(f: Field) -> Field:
-    """Discrete Neumann Laplacian of a single field."""
-    return Field(f.grid, make_laplacian(f.grid)(f.values))
-
-
 def _check_same_kind(a, b):
     if isinstance(a, Field) and isinstance(b, Field):
         if a.grid != b.grid:
@@ -283,10 +277,6 @@ def inner(a, b) -> float:
         return float(vol * np.dot(a.values, b.values))
     w = a.time_weights()
     return float(vol * np.dot(w, np.einsum("ij,ij->i", a.values, b.values)))
-
-
-def norm(a) -> float:
-    return math.sqrt(max(inner(a, a), 0.0))
 
 
 def group_norms(values: np.ndarray, axis: int, weight: float) -> np.ndarray:

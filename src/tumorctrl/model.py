@@ -22,10 +22,6 @@ CLAMP_MARGIN = 1e-12
 SETUP_SAMPLES = 257
 
 
-class SingularDomain(ValueError):
-    """Potential evaluated outside its admissible interval."""
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Physical and cost coefficients of the three-field system.
@@ -92,9 +88,6 @@ class PotentialSpec:
     def is_singular(self) -> bool:
         return math.isfinite(self.r_minus) or math.isfinite(self.r_plus)
 
-    def admissible(self, r: float) -> bool:
-        return self.r_minus + CLAMP_MARGIN < r < self.r_plus - CLAMP_MARGIN
-
     def clamp(self, r: np.ndarray) -> np.ndarray:
         """r clipped to the evaluation interval (unchanged if regular)."""
         if not self.is_singular:
@@ -108,21 +101,6 @@ class PotentialSpec:
         """(F1^(order), F2^(order)) at clamped r."""
         rc = self.clamp(np.asarray(r, dtype=float))
         return self.f1[order](rc), self.f2[order](rc)
-
-
-def eval_potential(pot: PotentialSpec, r: float):
-    """Evaluate F, F', F'', F''' at a single admissible point.
-
-    Raises SingularDomain if r is not strictly inside
-    (r_minus + CLAMP_MARGIN, r_plus - CLAMP_MARGIN) for a singular variant.
-    """
-    if pot.is_singular and not pot.admissible(r):
-        raise SingularDomain(
-            f"r={r!r} outside admissible interval "
-            f"({pot.r_minus}, {pot.r_plus}) of potential '{pot.name}'")
-    ra = np.asarray(float(r))
-    out = tuple(float(pot.f1[k](ra) + pot.f2[k](ra)) for k in range(4))
-    return out
 
 
 def regular_potential() -> PotentialSpec:
@@ -159,12 +137,6 @@ def logarithmic_potential(k: float = 2.0) -> PotentialSpec:
           lambda r, k=k: -2.0 * k * np.ones_like(r),
           lambda r: np.zeros_like(r))
     return PotentialSpec(f"logarithmic(k={k:g})", -1.0, 1.0, f1, f2)
-
-
-def custom_split_potential(name, r_minus, r_plus, f1, f2) -> PotentialSpec:
-    """Wrap user-supplied (F1, F2) derivative tuples as a PotentialSpec."""
-    return PotentialSpec(name, float(r_minus), float(r_plus),
-                         tuple(f1), tuple(f2))
 
 
 @dataclass(frozen=True)
@@ -255,29 +227,19 @@ def validate_setup(params: ModelParams, pot: PotentialSpec, init,
                    hspec: InterpolantSpec | None = None) -> ValidationReport:
     """Check the model assumptions on a concrete setup.
 
-    Verifies parameter signs, strict interior separation of the initial
-    phase field, convexity of the sampled F1, and the interpolant axioms.
-    Returns a report instead of raising, so callers can surface every
-    violated assumption at once.
+    Verifies strict interior separation of the initial phase field, the
+    sampled F1 (convex, F1(0) = 0, F(0) finite) and the interpolant axioms:
+    what a PotentialSpec or InterpolantSpec does not check when it is built.
+    The parameter signs and the shared grid need no check here, because
+    ModelParams and StateTriple refuse to build without them.  Returns a
+    report instead of raising, so callers can surface every violated
+    assumption at once.
     """
     bad = []
 
     def check(cond, code, msg):
         if not cond:
             bad.append((code, msg))
-
-    for name in ("alpha", "beta", "nu", "kappa"):
-        check(getattr(params, name) > 0.0, f"{name} positive",
-              f"{name} = {getattr(params, name)!r} must be > 0")
-    for name in ("chi", "p_rate", "a_rate", "b_rate", "e_rate",
-                 "sigma_s", "beta1", "beta2"):
-        check(getattr(params, name) >= 0.0, f"{name} nonnegative",
-              f"{name} = {getattr(params, name)!r} must be >= 0")
-
-    grids = {id(f.grid) for f in (init.mu, init.phi, init.sigma)}
-    if len(grids) > 1:
-        eq = (init.mu.grid == init.phi.grid == init.sigma.grid)
-        check(eq, "shared grid", "initial fields must share one grid")
 
     phi0 = init.phi.values
     lo, hi = float(np.min(phi0)), float(np.max(phi0))

@@ -320,7 +320,7 @@ def make_problem(settings: dict) -> Problem:
         eval_spacetime_recipe(s["target_phi_q"], grid, timegrid, True, rng),
         Field(grid, eval_space_recipe(s["target_phi_omega"], grid, rng)))
     bounds = _from_fields(BoxBounds, s)
-    mode = SparsityMode.from_name(str(s["mode"]))
+    mode = SparsityMode(str(s["mode"]))
     u0 = ControlPair(
         eval_spacetime_recipe(s["u0_1"], grid, timegrid, False, rng),
         eval_spacetime_recipe(s["u0_2"], grid, timegrid, False, rng),

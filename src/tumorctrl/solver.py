@@ -137,16 +137,6 @@ class ControlPair:
     def timegrid(self):
         return self.u1.timegrid
 
-    def is_admissible(self, bounds: BoxBounds | None = None) -> bool:
-        bb = bounds if bounds is not None else self.bounds
-        if bb is None:
-            return True
-        ok1 = np.all(self.u1.values >= np.asarray(bb.lo1) - 1e-14) and \
-            np.all(self.u1.values <= np.asarray(bb.hi1) + 1e-14)
-        ok2 = np.all(self.u2.values >= np.asarray(bb.lo2) - 1e-14) and \
-            np.all(self.u2.values <= np.asarray(bb.hi2) + 1e-14)
-        return bool(ok1 and ok2)
-
     @classmethod
     def zeros(cls, timegrid: TimeGrid, grid: GridSpec,
               bounds: BoxBounds | None = None) -> "ControlPair":
@@ -842,12 +832,10 @@ def state_balance_report(traj: Trajectory, params: ModelParams,
                - pr.e_rate * sig[1:] * h_n + controls.u2.values)
     res_sig = tot(sig[1:] - sig[:-1]) - tau * tot(src_sig)
 
-    scale_mu = np.maximum(1e-300, pr.alpha * np.abs(tot(mu[1:]))
-                          + np.abs(tot(phi[1:])) + tau * np.abs(tot(src_mu)))
-    scale_sig = np.maximum(1e-300, np.abs(tot(sig[1:]))
-                           + tau * np.abs(tot(src_sig)))
-    scale_mu = np.maximum(scale_mu, 1.0)
-    scale_sig = np.maximum(scale_sig, 1.0)
+    scale_mu = np.maximum(pr.alpha * np.abs(tot(mu[1:])) + np.abs(tot(phi[1:]))
+                          + tau * np.abs(tot(src_mu)), 1.0)
+    scale_sig = np.maximum(np.abs(tot(sig[1:])) + tau * np.abs(tot(src_sig)),
+                           1.0)
     return {
         "residual_mu": res_mu,
         "residual_sigma": res_sig,
@@ -856,17 +844,3 @@ def state_balance_report(traj: Trajectory, params: ModelParams,
         "max_relative": float(max(np.max(np.abs(res_mu) / scale_mu),
                                   np.max(np.abs(res_sig) / scale_sig))),
     }
-
-
-def separation_margins(traj: Trajectory, pot: PotentialSpec) -> dict:
-    """Per-snapshot phi min/max and distance to the singular interval."""
-    phi = traj.phi.values
-    mins = phi.min(axis=1)
-    maxs = phi.max(axis=1)
-    out = {"phi_min": mins, "phi_max": maxs, "applicable": pot.is_singular}
-    if pot.is_singular:
-        out["margin_lower"] = mins - pot.r_minus
-        out["margin_upper"] = pot.r_plus - maxs
-        out["min_margin"] = float(min(np.min(out["margin_lower"]),
-                                      np.min(out["margin_upper"])))
-    return out

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, SpaceTimeField, group_norms, write_csv
+from .fields import SpaceTimeField, group_norms, write_csv
 from .model import BoxBounds
 from .solver import AdjointTriple, ControlPair, Trajectory, adjoint_mismatch_fields
 
@@ -38,13 +38,6 @@ class SparsityMode(enum.Enum):
     FULL_Q = "full"
     TIME = "time"
     SPACE = "space"
-
-    @classmethod
-    def from_name(cls, name: str) -> "SparsityMode":
-        for m in cls:
-            if m.value == name:
-                return m
-        raise ValueError(f"unknown sparsity mode {name!r}")
 
 
 @dataclass(frozen=True)
@@ -109,19 +102,6 @@ def eval_g(mode: SparsityMode, u: ControlPair) -> float:
     measure = group_layout(mode, u.u1)[2]
     return sum(measure * float(np.sum(mode_norms(mode, comp)))
                for comp in (u.u1, u.u2))
-
-
-def project_box(s, lo, hi):
-    """Componentwise clipping min(hi, max(lo, s))."""
-    if np.any(np.asarray(lo) > np.asarray(hi)):
-        raise BadBounds("lower bound exceeds upper bound")
-    if isinstance(s, Field):
-        return Field(s.grid, np.clip(s.values, lo, hi))
-    if isinstance(s, SpaceTimeField):
-        return SpaceTimeField(s.timegrid, s.grid, np.clip(s.values, lo, hi))
-    if np.isscalar(s):
-        return float(np.clip(s, lo, hi))
-    return np.clip(np.asarray(s, dtype=float), lo, hi)
 
 
 def _shrink(v: np.ndarray, theta: np.ndarray, eta_kappa: float, lo,
@@ -232,19 +212,6 @@ def select_subgradient(mode: SparsityMode, u: ControlPair, d: tuple,
     lam2 = _select_component(mode, u.u2, d2, kappa)
     return SubgradientPair(SpaceTimeField(u.timegrid, u.grid, lam1),
                            SpaceTimeField(u.timegrid, u.grid, lam2))
-
-
-def prox_kkt_residual(mode: SparsityMode, u_prox: SpaceTimeField,
-                      v: SpaceTimeField, eta: float, kappa: float,
-                      lo, hi) -> float:
-    """Max-norm residual of the fixed point u = P_box(v - eta*kappa*lambda).
-
-    The lambda is selected from the prox problem itself (d = -v/eta), so a
-    small residual certifies that prox returned the slice-wise minimizer.
-    """
-    lam = _select_component(mode, u_prox, -v.values / eta, kappa)
-    target = np.clip(v.values - eta * kappa * lam, lo, hi)
-    return float(np.max(np.abs(u_prox.values - target)))
 
 
 def certificate(mode: SparsityMode, adjoint: AdjointTriple, base: Trajectory,

@@ -25,9 +25,8 @@ from .fields import SpaceTimeField, write_csv
 from .optim import reduced_cost, smooth_gradient
 from .presets import Problem
 from .solver import (ControlPair, LinearizedSpec, Targets,
-                     adjoint_mismatch_fields, separation_margins,
-                     solve_adjoint, solve_linearized, solve_state,
-                     solve_states)
+                     adjoint_mismatch_fields, solve_adjoint, solve_linearized,
+                     solve_state, solve_states)
 from .sparsity import SparsityMode
 
 # finite-difference steps of fd_gradient_check and linearized_fd_refinement
@@ -428,18 +427,20 @@ def separation_monitor(traj, pot) -> CheckReport:
     failure the first offending step is named.  Reports "not applicable"
     for potentials on the whole real line.
     """
-    rep = separation_margins(traj, pot)
-    if not rep["applicable"]:
+    if not pot.is_singular:
         metrics = (("applicable", 0.0, None, None),)
         return CheckReport("separation_monitor", metrics, passed=True)
-    margins = np.minimum(rep["margin_lower"], rep["margin_upper"])
+    phi = traj.phi.values
+    margins = np.minimum(phi.min(axis=1) - pot.r_minus,
+                         pot.r_plus - phi.max(axis=1))
+    min_margin = float(np.min(margins))
     bad = np.nonzero(margins <= SEPARATION_FLOOR)[0]
     first_bad = int(bad[0]) if bad.size else -1
     ok = bad.size == 0
     metrics = (("applicable", 1.0, None, None),
-               ("min_margin", rep["min_margin"], SEPARATION_FLOOR,
-                rep["min_margin"] > SEPARATION_FLOOR),
+               ("min_margin", min_margin, SEPARATION_FLOOR,
+                min_margin > SEPARATION_FLOOR),
                ("first_offending_step", float(first_bad), None, None),
-               ("phi_min", float(np.min(rep["phi_min"])), None, None),
-               ("phi_max", float(np.max(rep["phi_max"])), None, None))
+               ("phi_min", float(np.min(phi)), None, None),
+               ("phi_max", float(np.max(phi)), None, None))
     return CheckReport("separation_monitor", metrics, passed=bool(ok))

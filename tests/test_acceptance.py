@@ -82,6 +82,42 @@ def _prox_oracle_caches(n_points=10**6, seed=5):
     return caches
 
 
+def _lattice_minima(blocks, blo, bhi, base, base_min, coef, vs):
+    """Per mode, the exact minimum of base - c * (cand . v) for each row v.
+
+    Every block's lower bound over its bounding box, less a conservative
+    slack for its rounding, is checked against the value attained in the
+    block of least bound, and only the blocks some slice cannot rule out
+    are scanned.
+    """
+    # bounds of cand . v over each block's bounding box, (slice, block)
+    t_max = sum(np.maximum(np.multiply.outer(vs[:, j], blo[:, j]),
+                           np.multiply.outer(vs[:, j], bhi[:, j]))
+                for j in range(vs.shape[1]))
+    t_abs = np.abs(vs) @ np.maximum(np.abs(blo), np.abs(bhi)).T
+    minima = {}
+    for mode, c in coef.items():
+        def block_min(b, rows):
+            """Least base - c * (cand . v) in block b, per slice of rows."""
+            return np.min(base[mode][b] - c * (vs[rows] @ blocks[b].T),
+                          axis=1)
+
+        bound = (base_min[mode] - c * t_max
+                 - 1e-12 * (np.abs(base_min[mode]) + c * t_abs))
+        b0 = np.argmin(bound, axis=1)
+        best = np.empty(len(vs))
+        for b in np.unique(b0):
+            rows = np.nonzero(b0 == b)[0]
+            best[rows] = block_min(b, rows)
+        scan = bound <= best[:, None]
+        minima[mode] = np.full(len(vs), np.inf)
+        for b in np.nonzero(scan.any(axis=0))[0]:
+            rows = np.nonzero(scan[:, b])[0]
+            minima[mode][rows] = np.minimum(minima[mode][rows],
+                                            block_min(b, rows))
+    return minima
+
+
 def test_c4_prox_oracle_equivalence():
     t0 = time.perf_counter()
     vol, tau = 0.37, 0.23
@@ -127,11 +163,11 @@ def test_c4_prox_oracle_equivalence():
                     {m: b.min(axis=1) for m, b in base.items()}, coef)
 
     def objective(mode, u, v):
-        usq = float(np.dot(u, u))
-        du = u - v
-        quad = float(np.dot(du, du)) / (2 * eta)
+        """Slice objective at each row u of the prox of the row v."""
+        usq = np.vecdot(u, u)
+        quad = np.vecdot(u - v, u - v) / (2 * eta)
         if mode is SparsityMode.FULL_Q:
-            return tau * vol * (quad + kappa * float(np.sum(np.abs(u))))
+            return tau * vol * (quad + kappa * np.sum(np.abs(u), axis=1))
         if mode is SparsityMode.TIME:
             return tau * (vol * quad + kappa * np.sqrt(vol * usq))
         return vol * (tau * quad + kappa * np.sqrt(tau * usq))
@@ -172,36 +208,29 @@ def test_c4_prox_oracle_equivalence():
 
     worst_excess = -np.inf
     law_violations = 0
-    for s, v in enumerate(slices):
-        d = v.size
-        blocks, blo, bhi, base, base_min, coef = per_d[d]
-        # bounds of cand . v over each block's bounding box
-        t_max = np.maximum(blo * v, bhi * v).sum(axis=1)
-        t_abs = np.maximum(np.abs(blo), np.abs(bhi)) @ np.abs(v)
+    for d in (1, 2, 3):
+        vs = np.array(slices[d - 1::3])
+        vv = np.vecdot(vs, vs)
+        coef = per_d[d][-1]
+        # 1024 slices at a time keep the (slice, block) tables small
+        parts = [_lattice_minima(*per_d[d], vs[i:i + 1024])
+                 for i in range(0, len(vs), 1024)]
         for mode in modes:
-            c = coef[mode]
-            # exact minimum of base - c * (cand . v): every block's lower
-            # bound, less a conservative slack for its rounding, is checked
-            # against the value attained in the block of least bound
-            bound = (base_min[mode] - c * t_max
-                     - 1e-12 * (np.abs(base_min[mode]) + c * t_abs))
-            b0 = int(np.argmin(bound))
-            best = np.min(base[mode][b0] - c * (blocks[b0] @ v))
-            scan = bound <= best
-            oracle = float(np.min(base[mode][scan] - c * (blocks[scan] @ v)))
-            oracle += 0.5 * c * float(np.dot(v, v))
-            u = proxed[mode, d][s // 3]
-            jp = objective(mode, u, v)
-            worst_excess = max(worst_excess, jp - oracle)
+            oracle = np.concatenate([p[mode] for p in parts])
+            oracle += 0.5 * coef[mode] * vv
+            u = proxed[mode, d]
+            jp = objective(mode, u, vs)
+            worst_excess = max(worst_excess, float(np.max(jp - oracle)))
             # zero-slice law with the weighted norms of each mode
             if mode is not SparsityMode.FULL_Q:
                 w = vol if mode is SparsityMode.TIME else tau
-                nv = np.sqrt(w * float(np.dot(v, v)))
-                if (nv <= eta * kappa) != bool(np.all(u == 0.0)):
-                    law_violations += 1
+                zero_law = np.sqrt(w * vv) <= eta * kappa
+                law_violations += int(np.sum(zero_law
+                                             != np.all(u == 0.0, axis=1)))
             else:
-                if np.any((np.abs(v) <= eta * kappa) != (u == 0.0)):
-                    law_violations += 1
+                zero_law = np.abs(vs) <= eta * kappa
+                law_violations += int(np.sum(np.any(zero_law != (u == 0.0),
+                                                    axis=1)))
     elapsed = time.perf_counter() - t0
     ok = worst_excess <= 1e-9 and law_violations == 0
     report(4, "prox oracle equivalence", ok,

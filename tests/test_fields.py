@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tumorctrl.fields import (Field, ShapeMismatch, SpaceTimeField, TimeGrid,
-                              grid1d, grid2d, inner, laplacian_neumann, norm,
+                              grid1d, grid2d, inner, make_laplacian,
                               slice_norms, write_csv, write_field_csv)
 
 
@@ -57,7 +58,7 @@ class TestLaplacian:
     def test_constant_maps_to_zero(self):
         for grid in (grid1d(16), grid2d(5, 7)):
             f = Field.full(grid, 3.7)
-            assert np.max(np.abs(laplacian_neumann(f).values)) == 0.0
+            assert np.max(np.abs(make_laplacian(grid)(f.values))) == 0.0
 
     def test_eigenfunction_convergence_order(self):
         errs = []
@@ -65,29 +66,31 @@ class TestLaplacian:
             g = grid1d(n, 1.0)
             x = g.cell_centers()[0]
             f = Field(g, np.cos(np.pi * x))
-            lap = laplacian_neumann(f)
-            errs.append(np.max(np.abs(lap.values + np.pi**2 * f.values)))
+            lap = make_laplacian(g)(f.values)
+            errs.append(np.max(np.abs(lap + np.pi**2 * f.values)))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 1.9
 
     def test_conservation(self, rng):
         for grid in (grid1d(33), grid2d(7, 9, 1.3, 0.8)):
             f = Field(grid, rng.standard_normal(grid.n_cells))
-            total = grid.cell_volume * np.sum(laplacian_neumann(f).values)
-            assert abs(total) <= 1e-12 * norm(f)
+            total = grid.cell_volume * np.sum(make_laplacian(grid)(f.values))
+            assert abs(total) <= 1e-12 * math.sqrt(inner(f, f))
 
     def test_green_identity_symmetry(self, rng):
         for grid in (grid1d(24), grid2d(6, 5)):
             a = Field(grid, rng.standard_normal(grid.n_cells))
             b = Field(grid, rng.standard_normal(grid.n_cells))
-            lhs = inner(laplacian_neumann(a), b)
-            rhs = inner(a, laplacian_neumann(b))
+            lap = make_laplacian(grid)
+            lhs = inner(Field(grid, lap(a.values)), b)
+            rhs = inner(a, Field(grid, lap(b.values)))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
 
     def test_negative_semidefinite(self, rng):
         for grid in (grid1d(24), grid2d(6, 5)):
             a = Field(grid, rng.standard_normal(grid.n_cells))
-            assert inner(laplacian_neumann(a), a) <= 1e-12
+            lap_a = Field(grid, make_laplacian(grid)(a.values))
+            assert inner(lap_a, a) <= 1e-12
 
 
 class TestInnerProducts:
@@ -108,7 +111,7 @@ class TestInnerProducts:
         g = grid1d(n, 1.5)
         a = Field(g, r.standard_normal(n))
         b = Field(g, r.standard_normal(n))
-        assert abs(inner(a, b)) <= norm(a) * norm(b) + 1e-12
+        assert abs(inner(a, b)) <= math.sqrt(inner(a, a) * inner(b, b)) + 1e-12
 
     def test_positive(self, rng):
         g = grid1d(12)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from tumorctrl.fields import Field, StateTriple, grid1d
-from tumorctrl.model import (BoxBounds, ModelParams, SingularDomain,
-                             custom_split_potential, eval_h, eval_potential,
+from tumorctrl.model import (BoxBounds, ModelParams, PotentialSpec, eval_h,
                              logarithmic_potential, regular_potential,
                              smoothstep7, validate_setup)
 
@@ -18,13 +17,10 @@ def default_params(**kw):
     return ModelParams(**base)
 
 
-def raw_params(**kw):
-    """Bypass construction checks to feed validate_setup invalid values."""
-    p = default_params()
-    obj = ModelParams.__new__(ModelParams)
-    for name in p.__dataclass_fields__:
-        object.__setattr__(obj, name, kw.get(name, getattr(p, name)))
-    return obj
+def eval_potential(pot, r):
+    """F, F', F'', F''' at one point, each summed from the split F1 + F2."""
+    ra = np.asarray(float(r))
+    return tuple(float(pot.f1[k](ra) + pot.f2[k](ra)) for k in range(4))
 
 
 def uniform_state(grid, mu, phi, sigma):
@@ -67,13 +63,6 @@ class TestPotentials:
     def test_log_requires_nonconvexity(self):
         with pytest.raises(ValueError):
             logarithmic_potential(k=1.0)
-
-    def test_singular_domain_error(self):
-        pot = logarithmic_potential()
-        with pytest.raises(SingularDomain):
-            eval_potential(pot, 1.0)
-        with pytest.raises(SingularDomain):
-            eval_potential(pot, -1.0 + 1e-14)
 
     @pytest.mark.parametrize("pot,lo,hi", [
         (regular_potential(), -2.5, 2.5),
@@ -133,7 +122,7 @@ class TestPotentials:
               lambda r: 2.0 * np.ones_like(r), lambda r: np.zeros_like(r))
         f2 = (lambda r: np.cos(r) - 1.0, lambda r: -np.sin(r),
               lambda r: -np.cos(r), lambda r: np.sin(r))
-        pot = custom_split_potential("dented", -np.inf, np.inf, f1, f2)
+        pot = PotentialSpec("dented", -np.inf, np.inf, f1, f2)
         f, fd, fdd, _ = eval_potential(pot, 0.0)
         assert f == pytest.approx(0.0) and fd == pytest.approx(0.0)
         assert fdd == pytest.approx(1.0)
@@ -201,12 +190,15 @@ class TestValidateSetup:
         assert not rep.passed
         assert any(code == "initial separation" for code, _ in rep.violations)
 
-    def test_zero_nu_fails(self):
+    def test_concave_f1_fails(self):
+        # a PotentialSpec checks nothing when built, so validate_setup must
+        f1 = (lambda r: -(r**2), lambda r: -2 * r,
+              lambda r: -2.0 * np.ones_like(r), lambda r: np.zeros_like(r))
+        pot = PotentialSpec("concave", -np.inf, np.inf, f1, f1)
         grid = grid1d(8)
-        rep = validate_setup(raw_params(nu=0.0), regular_potential(),
+        rep = validate_setup(default_params(), pot,
                              uniform_state(grid, 0, 0, 0.5), smoothstep7())
-        assert not rep.passed
-        assert any(code == "nu positive" for code, _ in rep.violations)
+        assert [code for code, _ in rep.violations] == ["F1 convex"]
 
 
 class TestBoxBounds:

@@ -200,7 +200,9 @@ class TestOptimizer:
         assert res.cost_history.size == res.n_iters + 1
         assert res.vi_history.size == res.n_iters + 1
         assert res.eta_history.size == res.n_iters
-        assert res.control.is_admissible(p.bounds)
+        u, b = res.control, p.bounds
+        assert np.all((b.lo1 <= u.u1.values) & (u.u1.values <= b.hi1))
+        assert np.all((b.lo2 <= u.u2.values) & (u.u2.values <= b.hi2))
         # one state solve for the start, at least one per accepted step
         assert res.state_solves.size == res.vi_history.size
         assert res.state_solves[0] == 1
@@ -240,7 +242,7 @@ def test_anderson_point_keeps_prox_zeros(mode, kappa):
     p = preset_problem("time-sparsity-demo", mode=mode, kappa=kappa)
     rng = np.random.default_rng(314)
     shape = (p.timegrid.n_steps, p.grid.n_cells)
-    md, b = SparsityMode.from_name(mode), p.bounds
+    md, b = SparsityMode(mode), p.bounds
     g = tuple(prox(md, SpaceTimeField(p.timegrid, p.grid,
                                       rng.normal(0.0, 0.05, shape)),
                    p.params.nu ** -1, kappa, lo, hi).values

@@ -295,6 +295,14 @@ class TestCli:
         missing = tmp_path / "nope.cfg"
         assert cli_main(["simulate", "--config", str(missing),
                          "--out", str(tmp_path / "o")]) == 2
+        # a config that cannot be read is a config error, not a traceback
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes("[run]\n# d\xe9j\xe0 vu\n".encode("latin-1"))
+        capsys.readouterr()
+        for unreadable in (tmp_path, latin1):
+            assert cli_main(["simulate", "--config", str(unreadable),
+                             "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err.startswith("config error: ")
 
     def test_unconverged_optimize_exits_1(self, tmp_path, capsys):
         # one step leaves the VI residual far above tol_vi
