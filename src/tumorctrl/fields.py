@@ -322,8 +322,18 @@ def _format_column(col):
     if isinstance(col, np.ndarray):
         if col.dtype.kind == "f":
             return map(repr, col.tolist())
+        if col.dtype.kind in "biu":  # int(): a bool as 0/1, not True/False
+            return map(str, map(int, col.tolist()))
         col = col.tolist()
     return map(_format_cell, col)
+
+
+def repr_column(col: np.ndarray) -> list:
+    """repr of each entry of a float column, each distinct value formatted
+    once.  Signed zeros compare equal: a column must not hold both."""
+    values, index = np.unique(col, return_inverse=True)
+    return np.array(list(map(repr, values.tolist())), dtype=object)[
+        index].tolist()
 
 
 # rows formatted at a time: write_csv holds one block's text;
@@ -337,8 +347,9 @@ def write_csv(path, header, columns) -> None:
 
     The one cell format of every artifact: a float is written as
     repr(float(x)), so the text round-trips exactly; an int (or bool) as its
-    digits; None as an empty cell; a string as itself.  A float array column
-    is formatted in bulk.  Columns of unequal length raise ValueError.
+    digits; None as an empty cell; a string as itself.  A float, int or
+    bool array column is formatted in bulk.  Columns of unequal length raise
+    ValueError.
     """
     n_rows = max(map(len, columns), default=0)
     with open(path, "w", encoding="utf-8") as fh:
@@ -353,14 +364,14 @@ def write_csv(path, header, columns) -> None:
 def write_field_csv(path, u: SpaceTimeField, name: str) -> None:
     """CSV export: one row per cell per snapshot, columns t, x[, y], value.
 
-    Cells are formatted as by write_csv.  The coordinates are formatted once
-    per file, as one "x,y," prefix per cell, and the time once per snapshot;
-    a snapshot's rows are joined one block at a time, so repr of the values
-    is the only per-row Python work.
+    Cells are formatted as by write_csv.  Each coordinate is formatted once
+    per file and joined into one "x,y," prefix per cell, and the time once
+    per snapshot; a snapshot's rows are joined one block at a time, so repr
+    of the values is the only per-row Python work.
     """
     times = u.timegrid.node_times() if u.on_nodes else u.timegrid.slice_times()
     prefix = [",".join(xy) + "," for xy in
-              zip(*(map(repr, c.tolist()) for c in u.grid.cell_centers()))]
+              zip(*map(repr_column, u.grid.cell_centers()))]
     header = ["t", "x", "y"][: 1 + u.grid.dim] + [name]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header))

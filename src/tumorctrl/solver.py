@@ -30,11 +30,13 @@ diagonally dominant for c > 0, and exact to round-off.  On 2D grids the
 orthonormal DCT-II diagonalizes the Neumann stencil, so a constant c (the
 mu- and psi1-steps) is one exact DCT solve, and a variable c takes a few
 conjugate-gradient iterations to a relative residual of 1e-12 on every
-grid, preconditioned by the DCT solve at the mean coefficient.  Only that
-CG iterates: it stops at 2 n + 200 iterations with a LinearSolveError, and
-stats["cg_iterations"] counts its iterations (0 in 1D).  The DCT is one
-dense orthonormal matrix per axis, applied as two BLAS matrix products:
-O(n^3) per transform on an n x n grid against O(n^2 log n) for an FFT.
+grid.  That CG runs in the DCT basis, where -Lap and its preconditioner,
+the DCT solve at the mean coefficient, are diagonals, so an iteration
+makes no stencil pass.  Only that CG iterates: it stops at 2 n + 200
+iterations with a LinearSolveError, and stats["cg_iterations"] counts its
+iterations (0 in 1D).  The DCT is one dense orthonormal matrix per axis,
+applied as two BLAS matrix products: O(n^3) per transform on an n x n
+grid against O(n^2 log n) for an FFT.
 On one BLAS thread of an Intel Xeon a constant-coefficient solve (one
 forward and one inverse transform) took 15-22 us against 54-84 us through
 numpy's FFT at 24^2 and 0.19-0.20 against 0.78-1.34 ms at 96^2; the two
@@ -256,13 +258,15 @@ class _HelmholtzSolver:
     On 2D grids the orthonormal DCT-II Q diagonalizes the mirrored-ghost
     stencil, -Lap = Q^T diag(eig) Q with eig = sum over axes of
     (2 - 2 cos(pi k/n))/h^2, so a constant c is one exact solve,
-    x = Q^T (c + eig)^-1 Q b.  A variable c runs CG from zero, preconditioned
-    by that solve at the mean coefficient, and converges in a few iterations
-    on any grid.  Q is separable, Q = Qx (x) Qy, so dct is Qx X Qy^T on the
-    (nx, ny) view X of a field and idct is Qx^T Y Qy: two BLAS matrix
-    products, O(n^3) per transform but faster than an FFT on every grid
-    the presets use (see the module docstring).  The bits follow the BLAS
-    build and thread count, as np.dot's do.
+    x = Q^T (c + eig)^-1 Q b.  A variable c runs CG from zero in the DCT
+    basis, on Q diag(c) Q^T + diag(eig) with b' = Q b, preconditioned by the
+    diagonal (mean(c) + eig)^-1, and ends with one inverse transform: four
+    matrix products per iteration and no stencil pass.  It converges in a
+    few iterations on any grid.  Q is separable, Q = Qx (x) Qy, so dct is
+    Qx X Qy^T on the (nx, ny) view X of a field and idct is Qx^T Y Qy: two
+    BLAS matrix products, O(n^3) per transform but faster than an FFT on
+    every grid the presets use (see the module docstring).  The bits follow
+    the BLAS build and thread count, as np.dot's do.
 
     Fields are flat cell vectors, or rows of a (members, cells) array that
     are solved as independent systems: CG runs them in one iteration, where
@@ -319,8 +323,8 @@ class _HelmholtzSolver:
         # np.mean's own reduction: each row's mean keeps its unbatched bits
         mean = np.add.reduce(coeff, axis=-1, keepdims=True) / coeff.shape[-1]
         inv_m = 1.0 / (mean + self.eig)
-        r = b.copy()
-        z = self.idct(inv_m * self.dct(r))
+        r = self.dct(b)
+        z = inv_m * r
         p = z
         rz = np.vecdot(r, z, keepdims=column)
         for it in range(self.maxiter + 1):
@@ -346,18 +350,18 @@ class _HelmholtzSolver:
                     tol[keep], bnorm[keep])
                 coeff, inv_m = _rows(coeff, keep), _rows(inv_m, keep)
                 members = None if members is None else members[keep]
-            ap = coeff * p - self.lap(p)
+            ap = self.dct(coeff * self.idct(p)) + self.eig * p
             alpha = rz / np.vecdot(p, ap, keepdims=column)
             x += alpha * p
             r -= alpha * ap
-            z = self.idct(inv_m * self.dct(r))
+            z = inv_m * r
             rz_new = np.vecdot(r, z, keepdims=column)
             p = z + (rz_new / rz) * p
             rz = rz_new
             self.iterations += rz.size
         if rows is not None:
             out[rows] = x
-        return out
+        return self.idct(out)
 
     def _thomas(self, coeff, b: np.ndarray) -> np.ndarray:
         """The 1D solve: LU without pivoting of the tridiagonal system, each

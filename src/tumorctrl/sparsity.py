@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpaceTimeField, group_norms, write_csv
+from .fields import SpaceTimeField, group_norms, repr_column, write_csv
 from .model import BoxBounds
 from .solver import AdjointTriple, ControlPair, Trajectory, adjoint_mismatch_fields
 
@@ -117,9 +117,10 @@ def prox(mode: SparsityMode, v: SpaceTimeField, eta: float, kappa: float,
 
     FULL_Q soft-thresholds pointwise by eta*kappa and clips.  TIME treats
     each time slice as one group (SPACE swaps the roles of t and x); the
-    slice is exactly zero iff its weighted norm is <= eta*kappa, otherwise
-    the box-constrained group shrinkage is solved to 1e-12 by one bisection
-    over all groups.
+    slice is exactly zero iff its weighted norm is <= eta*kappa.  Otherwise
+    a group whose plain shrinkage v (1 - eta*kappa / ||v||_w) lies inside
+    the box takes it in closed form, and the box-constrained shrinkage of
+    the rest is solved to 1e-12 by one bisection over those groups.
     """
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta!r}")
@@ -139,16 +140,25 @@ def prox(mode: SparsityMode, v: SpaceTimeField, eta: float, kappa: float,
     # Box-constrained group soft threshold: a group with ||v||_w <= eta*kappa
     # vanishes; otherwise the minimizer is P_box(v theta / (theta + eta
     # kappa)) with theta = ||u||_w the root of a strictly decreasing scalar
-    # equation.  All groups bisect together, each in its own bracket
-    # [0, ||v||_w] and to its own tolerance; a converged group stops moving.
+    # equation.  Where the box leaves the plain shrinkage alone, the root is
+    # theta0 = ||v||_w - eta*kappa; elsewhere clipping only lowers the norm,
+    # so the root lies in [0, theta0] and those groups bisect together, each
+    # in its own bracket and to its own tolerance.  Groups are contiguous
+    # rows, so a result does not depend on the layout of the field.
     axis, w, _ = group_layout(mode, v)
-    nv = group_norms(vals, axis, w)
-    live = nv > ek
-    # live groups as contiguous rows, so each row reduces like np.dot(u, u)
-    rows, lo_r, hi_r = (
-        np.moveaxis(np.broadcast_to(x, vals.shape), axis, -1)[live]
-        for x in (vals, lo, hi))
-    b = nv[live]
+    rows = np.ascontiguousarray(np.moveaxis(vals, axis, -1))
+    nv = group_norms(rows, -1, w)
+    out = np.zeros_like(rows)
+    live = np.flatnonzero(nv > ek)
+    theta0 = nv[live] - ek
+    shrunk = rows[live] * (theta0 / (theta0 + ek))[:, None]
+    lo_r, hi_r = (np.moveaxis(np.broadcast_to(x, vals.shape), axis, -1)[live]
+                  for x in (lo, hi))
+    boxed = np.all((lo_r <= shrunk) & (shrunk <= hi_r), axis=-1)
+    out[live[boxed]] = shrunk[boxed]
+    clip = live[~boxed]
+    rows, b = rows[clip], theta0[~boxed]
+    lo_r, hi_r = lo_r[~boxed], hi_r[~boxed]
     a = np.zeros_like(b)
     stop = 1e-12 * np.maximum(1.0, b)
     for _ in range(200):
@@ -162,8 +172,7 @@ def prox(mode: SparsityMode, v: SpaceTimeField, eta: float, kappa: float,
     else:
         raise BisectionFailure(
             f"group prox bisection stalled: interval {np.max(b - a):.3e}")
-    out = np.zeros(nv.shape + (vals.shape[axis],))
-    out[live] = _shrink(rows, 0.5 * (a + b), ek, lo_r, hi_r)
+    out[clip] = _shrink(rows, 0.5 * (a + b), ek, lo_r, hi_r)
     return SpaceTimeField(v.timegrid, v.grid, np.moveaxis(out, -1, axis))
 
 
@@ -263,4 +272,5 @@ def certificate_to_csv(report: CertificateReport, path) -> None:
     n = per_slice[0].size
     write_csv(path, ["slice", *coord_names, "norm_d1", "norm_d2", "flagged1",
                      "flagged2", "kappa"],
-              [np.arange(n), *coord_cols, *per_slice, np.full(n, report.kappa)])
+              [np.arange(n), *map(repr_column, coord_cols), *per_slice,
+               repr_column(np.full(n, report.kappa))])

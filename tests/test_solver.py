@@ -89,6 +89,20 @@ class TestHelmholtzSolver:
         resid = b - (3.0 * x - hh.lap(x))
         assert np.linalg.norm(resid) <= 1e-13 * np.linalg.norm(b)
 
+    @pytest.mark.parametrize("n", [12, 24, 48, 96])
+    def test_variable_coefficient_meets_the_stencil_residual(self, n):
+        # CG runs in the DCT basis, where -Lap is diag(eig); the solution
+        # must satisfy the stencil system to round-off on every ladder grid
+        grid = grid2d(n, n)
+        gen = np.random.default_rng(n)
+        coeff = 10.0 ** gen.uniform(0.0, 3.0, grid.n_cells)
+        b = gen.standard_normal(grid.n_cells)
+        hh = solver._HelmholtzSolver(grid)
+        x = hh.solve(coeff, b)
+        assert hh.iterations > 0
+        resid = b - (coeff * x - hh.lap(x))
+        assert np.linalg.norm(resid) <= 1e-11 * np.linalg.norm(b)
+
     @pytest.mark.parametrize("preset,n", [
         ("1D-logarithmic-default", (2048,)),
         ("2D-regular-default", (96, 96))])

@@ -165,9 +165,10 @@ class TestProx:
     @pytest.mark.parametrize("mode", [SparsityMode.TIME, SparsityMode.SPACE])
     def test_batched_equals_one_group_calls(self, rng, mode):
         # 2D 32x32, 8 steps, per-(step, cell) bounds.  Each reference call
-        # keeps one group and zeroes the others: a one-cell field would store
-        # a SPACE group contiguously, and np.dot rounds a contiguous group
-        # differently from the strided column the batched prox reduces.
+        # holds one group alone: one time step (TIME) or one cell (SPACE),
+        # whose norm weight (cell volume, tau) is unchanged.  A SPACE group
+        # is a strided column of the batched field and a contiguous one of
+        # the one-cell field, and the result must not depend on that.
         tg, g = TimeGrid(0.25, 8), grid2d(32, 32)
         vals = (rng.uniform(-1, 1, (8, 1024)) * rng.uniform(0.05, 1.0, (8, 1))
                 * rng.uniform(0.1, 1.0, 1024))
@@ -179,14 +180,48 @@ class TestProx:
         by_time = mode is SparsityMode.TIME
         zero_groups = 0
         for k in range(vals.shape[0] if by_time else vals.shape[1]):
-            sel = np.s_[k, :] if by_time else np.s_[:, k]
-            one = np.zeros_like(vals)
-            one[sel] = vals[sel]
-            ref = prox(mode, SpaceTimeField(tg, g, one), eta, kappa,
-                       lo, hi).values
-            assert ref[sel].tobytes() == batched[sel].tobytes()
-            zero_groups += bool(np.all(ref[sel] == 0.0))
+            sel = np.s_[k:k + 1, :] if by_time else np.s_[:, k:k + 1]
+            one = (SpaceTimeField(TimeGrid(tg.tau, 1), g, vals[sel]) if by_time
+                   else SpaceTimeField(tg, grid1d(1), vals[sel]))
+            ref = prox(mode, one, eta, kappa, lo[sel], hi[sel]).values
+            assert ref.tobytes() == batched[sel].tobytes()
+            zero_groups += bool(np.all(ref == 0.0))
         assert 0 < zero_groups < (8 if by_time else 1024)
+
+    @pytest.mark.parametrize("box", [2.0, 0.3], ids=["inactive", "clipped"])
+    def test_group_shrinkage(self, rng, box):
+        # TIME groups on 2D 8x8 with |v| <= 1.  A group whose plain shrinkage
+        # v (1 - eta kappa / ||v||_w) stays in the box takes it; a clipped
+        # group matches a plain bisection of ||P_box(v t / (t + eta kappa))||_w
+        # = t on [0, ||v||_w] to its stop rule, 1e-12 max(1, ||v||_w)
+        tg, g = TimeGrid(1.0, 40), grid2d(8, 8)
+        vals = rng.uniform(-1, 1, (40, 64)) * rng.uniform(0.1, 1, (40, 1))
+        eta, kappa, w = 0.5, 0.4, g.cell_volume
+        ek = eta * kappa
+        out = prox(SparsityMode.TIME, SpaceTimeField(tg, g, vals), eta, kappa,
+                   -box, box).values
+        nv = np.sqrt(w * np.einsum("ij,ij->i", vals, vals))
+        live = nv > ek
+        assert np.all(out[~live] == 0.0) and 0 < live.sum() < 40
+        clipped = np.any(np.abs(out) == box, axis=1)
+        if box == 2.0:
+            assert not clipped.any()
+            plain = vals[live] * (1.0 - ek / nv[live])[:, None]
+            assert np.max(np.abs(out[live] - plain)) <= 1e-15
+            return
+        assert 0 < clipped.sum() < live.sum()
+        for v, n_v, u in zip(vals[live], nv[live], out[live]):
+            a, b = 0.0, n_v
+            while b - a > 1e-12 * max(1.0, n_v):
+                mid = 0.5 * (a + b)
+                shrunk = np.clip(v * (mid / (mid + ek)), -box, box)
+                if np.sqrt(w * shrunk @ shrunk) > mid:
+                    a = mid
+                else:
+                    b = mid
+            t = 0.5 * (a + b)
+            ref = np.clip(v * (t / (t + ek)), -box, box)
+            assert np.max(np.abs(u - ref)) <= 1e-12
 
     def test_kappa_zero_is_projection(self, rng):
         vals = rng.uniform(-2, 2, (4, 3))
