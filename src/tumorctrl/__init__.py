@@ -11,12 +11,12 @@ from .fields import (Field, GridSpec, ShapeMismatch, SpaceTimeField,
                      StateTriple, TimeGrid, Trajectory, grid1d, grid2d, inner,
                      slice_norms)
 from .model import (BoxBounds, InterpolantSpec, ModelParams, PotentialSpec,
-                    ValidationReport, eval_h, logarithmic_potential,
+                    ValidationReport, logarithmic_potential,
                     regular_potential, smoothstep7, validate_setup)
 from .optim import (OptimizeOptions, OptimizeResult, StepsizeCollapse,
                     ThresholdReport, kappa_sweep, proximal_gradient_solve,
                     reduced_cost, smooth_gradient, support_measure,
-                    vi_residual, zero_control_threshold)
+                    zero_control_threshold)
 from .presets import (Problem, make_problem, preset_names, preset_problem,
                       preset_settings, random_admissible_controls)
 from .solver import (AdjointTriple, ControlPair, LinearizedSpec,

@@ -3,10 +3,12 @@
     tumorctrl simulate|optimize|verify|sweep-kappa|threshold \
         --config <path> [--out <dir>]
 
-Exit codes: 0 success, 1 check failure or an optimize or sweep-kappa whose
-optimizer did not converge, 2 config error: a config file that cannot be
-read as UTF-8 text, a bad key, value or section, or a problem the settings
-cannot build.  Every config key, its section and its default are in
+Exit codes: 0 success; 1 check failure, an optimize or sweep-kappa whose
+optimizer did not converge, or a solver failure (one "solver error:" line);
+2 config error: a config file that cannot be read as UTF-8 text, a bad key,
+value or section, a problem the settings cannot build, or an optimize,
+threshold or sweep-kappa whose sparsity mode meets a box that does not hold
+0 strictly inside.  Every config key, its section and its default are in
 tumorctrl.presets.SETTINGS.
 """
 
@@ -15,7 +17,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .optim import StepsizeCollapse
 from .runner import COMMANDS, ConfigError, load_config, run
+from .solver import LinearSolveError, NewtonDivergence, SeparationLoss
 
 # what a failed run means, for the commands whose failure is not a check's
 _FAILURES = {
@@ -59,6 +63,10 @@ def main(argv=None) -> int:
         for issue in exc.issues:
             print(f"config error: {issue}", file=sys.stderr)
         return 2
+    except (NewtonDivergence, SeparationLoss, LinearSolveError,
+            StepsizeCollapse) as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 1
     print(f"{args.command}: wrote {len(manifest.artifacts)} artifacts to "
           f"{manifest.out_dir} ({manifest.elapsed_s:.2f}s)")
     if not manifest.passed:

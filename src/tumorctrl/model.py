@@ -78,7 +78,6 @@ class PotentialSpec:
     rather than clamp phi.
     """
 
-    name: str
     r_minus: float
     r_plus: float
     f1: tuple[ScalarFunc, ScalarFunc, ScalarFunc, ScalarFunc]
@@ -117,7 +116,7 @@ def regular_potential() -> PotentialSpec:
           lambda r: -2.0 * r,
           lambda r: -2.0 * np.ones_like(r),
           lambda r: np.zeros_like(r))
-    return PotentialSpec("regular", -math.inf, math.inf, f1, f2)
+    return PotentialSpec(-math.inf, math.inf, f1, f2)
 
 
 def logarithmic_potential(k: float = 2.0) -> PotentialSpec:
@@ -136,26 +135,16 @@ def logarithmic_potential(k: float = 2.0) -> PotentialSpec:
           lambda r, k=k: -2.0 * k * r,
           lambda r, k=k: -2.0 * k * np.ones_like(r),
           lambda r: np.zeros_like(r))
-    return PotentialSpec(f"logarithmic(k={k:g})", -1.0, 1.0, f1, f2)
+    return PotentialSpec(-1.0, 1.0, f1, f2)
 
 
 @dataclass(frozen=True)
 class InterpolantSpec:
     """Interpolation function h with h(-1) = 0, h(1) = 1 and bounded h'."""
 
-    name: str
     h: ScalarFunc
     hd: ScalarFunc
     hdd: ScalarFunc
-
-
-def eval_h(hspec: InterpolantSpec, r) -> tuple:
-    """Values of h, h', h'' at r (scalar or array)."""
-    ra = np.asarray(r, dtype=float)
-    out = (hspec.h(ra), hspec.hd(ra), hspec.hdd(ra))
-    if np.isscalar(r) or np.ndim(r) == 0:
-        return tuple(float(v) for v in out)
-    return out
 
 
 def smoothstep7() -> InterpolantSpec:
@@ -180,7 +169,7 @@ def smoothstep7() -> InterpolantSpec:
         y = _y(r)
         return 0.25 * 420.0 * y**2 * (1.0 - y) ** 2 * (1.0 - 2.0 * y)
 
-    return InterpolantSpec("smoothstep7", h, hd, hdd)
+    return InterpolantSpec(h, hd, hdd)
 
 
 @dataclass(frozen=True)
@@ -260,11 +249,12 @@ def validate_setup(params: ModelParams, pot: PotentialSpec, init,
     check(math.isfinite(float(f1_0 + f2_0)), "F(0) finite", "F(0) not finite")
 
     if hspec is not None:
-        hs, hds, _ = eval_h(hspec, rs[(rs >= -1.0) & (rs <= 1.0)])
+        rh = rs[(rs >= -1.0) & (rs <= 1.0)]
+        hs, hds = hspec.h(rh), hspec.hd(rh)
         check(np.all((hs >= -1e-12) & (hs <= 1.0 + 1e-12)), "h range",
               "h must take values in [0, 1]")
         inner = np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, SETUP_SAMPLES)
-        hv = eval_h(hspec, inner)[0]
+        hv = hspec.h(inner)
         check(np.all(hv > 0.0), "h positive", "h must be positive on (-1, 1)")
         check(np.all(np.isfinite(hds)), "h' bounded", "h' must be finite")
 

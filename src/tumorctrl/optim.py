@@ -99,11 +99,8 @@ class OptimizeResult:
 class ThresholdReport:
     """Smallest kappa for which the zero control is VI-stationary."""
 
-    mode: SparsityMode
     kappa1: float
     kappa2: float
-    norms1: np.ndarray
-    norms2: np.ndarray
 
     @property
     def kappa0_estimate(self) -> float:
@@ -183,6 +180,8 @@ def _q_norm(u: ControlPair, a1: np.ndarray, a2: np.ndarray) -> float:
 
 def _vi_residual_from(params, mode, bounds: BoxBounds, u: ControlPair,
                       d1: np.ndarray, d2: np.ndarray) -> float:
+    """||u - P_box(-(d + kappa lambda)/nu)||_Q, lambda the residual-minimizing
+    subgradient selection: zero exactly where u is stationary."""
     kappa = params.kappa if mode is not SparsityMode.NONE else 0.0
     lam = select_subgradient(mode, u, (d1, d2), kappa)
     t1 = np.clip(-(d1 + kappa * lam.lam1.values) / params.nu,
@@ -190,18 +189,6 @@ def _vi_residual_from(params, mode, bounds: BoxBounds, u: ControlPair,
     t2 = np.clip(-(d2 + kappa * lam.lam2.values) / params.nu,
                  bounds.lo2, bounds.hi2)
     return _q_norm(u, u.u1.values - t1, u.u2.values - t2)
-
-
-def vi_residual(params: ModelParams, pot: PotentialSpec,
-                hspec: InterpolantSpec, targets: Targets, mode: SparsityMode,
-                bounds: BoxBounds, u: ControlPair, init: StateTriple) -> float:
-    """Stationarity measure ||u - P_box(-(d + kappa lambda)/nu)||_Q.
-
-    Zero exactly at points satisfying the first-order variational
-    inequality, with lambda the residual-minimizing subgradient selection.
-    """
-    b = _gradient_bundle(params, pot, hspec, targets, u, init)
-    return _vi_residual_from(params, mode, bounds, u, b.d1, b.d2)
 
 
 def support_measure(mode: SparsityMode, u: ControlPair) -> tuple[float, float]:
@@ -299,7 +286,7 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
 
     def pack(a1, a2):
         return ControlPair(SpaceTimeField(tg, grid, a1),
-                           SpaceTimeField(tg, grid, a2), bounds)
+                           SpaceTimeField(tg, grid, a2))
 
     n_solves = 0
 
@@ -353,7 +340,7 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
                     if cost_trial <= target:
                         break
             # the plain step, backtracking on the full nonsmooth cost
-            u_trial = ControlPair(p1, p2, bounds)
+            u_trial = ControlPair(p1, p2)
             traj_trial, cost_trial = evaluate(u_trial)
             if cost_trial <= target:
                 break
@@ -399,8 +386,8 @@ def zero_control_threshold(params: ModelParams, pot: PotentialSpec,
     d2 = SpaceTimeField(tg, grid, b.d2)
     n1 = mode_norms(mode, d1)
     n2 = mode_norms(mode, d2)
-    return ThresholdReport(mode, float(np.max(n1)) if n1.size else 0.0,
-                           float(np.max(n2)) if n2.size else 0.0, n1, n2)
+    return ThresholdReport(float(np.max(n1)) if n1.size else 0.0,
+                           float(np.max(n2)) if n2.size else 0.0)
 
 
 def kappa_sweep(params: ModelParams, pot: PotentialSpec,

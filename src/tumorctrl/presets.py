@@ -255,15 +255,13 @@ SETTINGS = {
     "tol_vi": ("optimizer", "tol_vi", OptimizeOptions.tol_vi, _POSITIVE),
 }
 
-DEFAULT_SETTINGS = {"name": "custom",
-                    **{name: d for name, (_, _, d, _) in SETTINGS.items()}}
+DEFAULT_SETTINGS = {name: d for name, (_, _, d, _) in SETTINGS.items()}
 
 
 @dataclass(frozen=True)
 class Problem:
     """One fully-specified experiment instance."""
 
-    name: str
     params: ModelParams
     pot: PotentialSpec
     hspec: InterpolantSpec
@@ -323,20 +321,17 @@ def make_problem(settings: dict) -> Problem:
     mode = SparsityMode(str(s["mode"]))
     u0 = ControlPair(
         eval_spacetime_recipe(s["u0_1"], grid, timegrid, False, rng),
-        eval_spacetime_recipe(s["u0_2"], grid, timegrid, False, rng),
-        bounds)
+        eval_spacetime_recipe(s["u0_2"], grid, timegrid, False, rng))
     opts = OptimizeOptions(max_iters=int(s["max_iters"]),
                            tol_vi=float(s["tol_vi"]))
 
-    return Problem(str(s["name"]), params, pot, hspec, grid, timegrid, init,
-                   targets, bounds, mode, u0, opts, int(s["seed"]),
-                   MappingProxyType(dict(s)))
+    return Problem(params, pot, hspec, grid, timegrid, init, targets, bounds,
+                   mode, u0, opts, int(s["seed"]), MappingProxyType(dict(s)))
 
 
 PRESET_SETTINGS = {
     # exact stationary solution (0, 1, 0): every residual vanishes
     "stationary-trivial": {
-        "name": "stationary-trivial",
         "alpha": 1.0, "beta": 1.0, "chi": 1.0, "p_rate": 1.0, "a_rate": 0.0,
         "b_rate": 1.0, "e_rate": 1.0, "sigma_s": 0.0, "nu": 0.1,
         "kappa": 0.01, "beta1": 1.0, "beta2": 1.0,
@@ -349,7 +344,6 @@ PRESET_SETTINGS = {
     },
     # workhorse 1D instance with the singular potential
     "1D-logarithmic-default": {
-        "name": "1D-logarithmic-default",
         "alpha": 1.0, "beta": 1.0, "chi": 0.3, "p_rate": 0.8, "a_rate": 0.2,
         "b_rate": 0.5, "e_rate": 0.6, "sigma_s": 0.6, "nu": 0.1,
         "kappa": 0.02, "beta1": 1.0, "beta2": 0.5,
@@ -364,7 +358,6 @@ PRESET_SETTINGS = {
     },
     # small 2D instance with the regular potential and full sparsity
     "2D-regular-default": {
-        "name": "2D-regular-default",
         "alpha": 1.0, "beta": 1.0, "chi": 0.3, "p_rate": 0.6, "a_rate": 0.1,
         "b_rate": 0.5, "e_rate": 0.5, "sigma_s": 0.6, "nu": 0.1,
         "kappa": 0.02, "beta1": 1.0, "beta2": 0.5,
@@ -379,7 +372,6 @@ PRESET_SETTINGS = {
     },
     # drives the control early, then lets sparsity switch it off
     "time-sparsity-demo": {
-        "name": "time-sparsity-demo",
         "alpha": 1.0, "beta": 1.0, "chi": 0.2, "p_rate": 0.5, "a_rate": 0.1,
         "b_rate": 0.5, "e_rate": 0.4, "sigma_s": 0.5, "nu": 0.05,
         "beta1": 1.0, "beta2": 0.0,
@@ -400,7 +392,6 @@ PRESET_SETTINGS = {
     # floor but above the solver's 1e-11, so the margin is kept and
     # reported, never clamped.
     "stress-separation": {
-        "name": "stress-separation",
         "alpha": 1.0, "beta": 1.0, "chi": 0.5, "p_rate": 10.0, "a_rate": 0.0,
         "b_rate": 2.0, "e_rate": 0.0, "sigma_s": 1.0, "nu": 0.1,
         "kappa": 0.02, "beta1": 1.0, "beta2": 0.0,
@@ -444,5 +435,4 @@ def random_admissible_controls(problem: Problem, seed: int,
     u2 = rng.uniform(scale * np.broadcast_to(b.lo2, shape),
                      scale * np.broadcast_to(b.hi2, shape))
     return ControlPair(SpaceTimeField(problem.timegrid, problem.grid, u1),
-                       SpaceTimeField(problem.timegrid, problem.grid, u2),
-                       problem.bounds)
+                       SpaceTimeField(problem.timegrid, problem.grid, u2))

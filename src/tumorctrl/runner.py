@@ -191,12 +191,6 @@ class ExperimentConfig:
 
     values: tuple  # sorted ((section, key), canonical-string) pairs
 
-    def get(self, section: str, key: str) -> str:
-        for (s, k), v in self.values:
-            if s == section and k == key:
-                return v
-        raise KeyError((section, key))
-
     def serialize(self) -> str:
         lines = []
         section = None
@@ -222,11 +216,9 @@ class ExperimentConfig:
                 out[name] = v
         if issues:
             raise ConfigError(issues)
-        name = out.pop("preset", "")
+        out.pop("preset")
         command = out.pop("command")
         kappas = out.pop("kappas", ())
-        if name:
-            out["name"] = name
         return command, kappas, out
 
 
@@ -271,7 +263,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     from_preset = preset_settings(preset) if preset else {}
     merged = {**_DEFAULTS,
               **{_KEYS[name][:2]: _canonical(v)
-                 for name, v in from_preset.items() if name != "name"},
+                 for name, v in from_preset.items()},
               **given}
     values = tuple(sorted(merged.items()))
     return ExperimentConfig(values)
@@ -321,6 +313,19 @@ def run(config: ExperimentConfig, out_dir) -> RunManifest:
             "sparsity.mode", 0,
             f"command {command!r} needs a sparsity mode other than 'none'",
             "range")])
+    # the sparsity prox, and the threshold's zero control, need 0 strictly
+    # inside the box
+    if command in ("optimize", "threshold", "sweep-kappa") \
+            and problem.mode is not SparsityMode.NONE:
+        issues = [ConfigIssue(f"bounds.{key}", 0,
+                              f"sparsity mode {problem.mode.value!r} needs "
+                              f"{key} {op} 0, got {problem.settings[key]!r}",
+                              "range")
+                  for key, op, sign in (("lo1", "<", -1.0), ("hi1", ">", 1.0),
+                                        ("lo2", "<", -1.0), ("hi2", ">", 1.0))
+                  if not sign * problem.settings[key] > 0.0]
+        if issues:
+            raise ConfigError(issues)
 
     out = Path(out_dir) / config.config_hash()
     out.mkdir(parents=True, exist_ok=True)

@@ -46,13 +46,13 @@ count.
 
 solve_states marches a sequence of independent controls through one time
 loop, as rows of one (members, cells) array per field, at most BATCH_BYTES
-of states at a time, and yields their trajectories chunk by chunk.  Every
-row keeps its own Newton and CG scalars, line search and stopping tests
-(a 1D solve runs row by row), so each member takes the iterations, and
-gets the bits, of its own solve_state, which runs the same loop on one
-unbatched field.  On the presets' 16-64-cell grids an array operation's
-cost is per-call overhead, so a batch of B members costs far less than B
-solves.
+of states at a time, and yields each control with its trajectory, chunk by
+chunk.  Every row keeps its own Newton and CG scalars, line search and
+stopping tests (a 1D solve runs row by row), so each member takes the
+iterations, and gets the bits, of its own solve_state, which runs the same
+loop on one unbatched field.  On the presets' 16-64-cell grids an array
+operation's cost is per-call overhead, so a batch of B members costs far
+less than B solves.
 """
 
 from __future__ import annotations
@@ -66,8 +66,7 @@ import numpy as np
 
 from .fields import (Field, GridSpec, ShapeMismatch, SpaceTimeField,
                      StateTriple, TimeGrid, Trajectory, make_laplacian)
-from .model import (CLAMP_MARGIN, BoxBounds, InterpolantSpec, ModelParams,
-                    PotentialSpec)
+from .model import CLAMP_MARGIN, InterpolantSpec, ModelParams, PotentialSpec
 
 CG_RTOL = 1e-12
 NEWTON_TOL = 1e-12
@@ -123,7 +122,6 @@ class ControlPair:
 
     u1: SpaceTimeField
     u2: SpaceTimeField
-    bounds: BoxBounds | None = None
 
     def __post_init__(self):
         if self.u1.on_nodes or self.u2.on_nodes:
@@ -140,10 +138,9 @@ class ControlPair:
         return self.u1.timegrid
 
     @classmethod
-    def zeros(cls, timegrid: TimeGrid, grid: GridSpec,
-              bounds: BoxBounds | None = None) -> "ControlPair":
+    def zeros(cls, timegrid: TimeGrid, grid: GridSpec) -> "ControlPair":
         z = SpaceTimeField.zeros(timegrid, grid)
-        return cls(z, z, bounds)
+        return cls(z, z)
 
 
 @dataclass(frozen=True)
@@ -616,16 +613,15 @@ def solve_state(params: ModelParams, pot: PotentialSpec,
 
 def solve_states(params: ModelParams, pot: PotentialSpec,
                  hspec: InterpolantSpec, controls: Iterable[ControlPair],
-                 init: StateTriple,
-                 stats: dict | None = None) -> Iterator[Trajectory]:
+                 init: StateTriple) -> Iterator[tuple[ControlPair, Trajectory]]:
     """solve_state for each of a sequence of independent controls.
 
-    Yields one trajectory per control, in order.  Takes controls in chunks
-    of at most BATCH_BYTES of states and marches each chunk as rows of one
-    array, so a lazy sequence is never held whole.  Every trajectory is
-    bitwise equal to its own solve_state; stats counts the CG iterations of
-    every chunk solved so far.  An error names the first failing control by
-    its index in the sequence (the exception's member attribute).
+    Yields (control, trajectory) for each control, in order.  Takes
+    controls in chunks of at most BATCH_BYTES of states and marches each
+    chunk as rows of one array, so a lazy sequence is never held whole.
+    Every trajectory is bitwise equal to its own solve_state.  An error
+    names the first failing control by its index in the sequence (the
+    exception's member attribute).
     """
     controls = iter(controls)
     first = next(controls, None)
@@ -634,19 +630,17 @@ def solve_states(params: ModelParams, pot: PotentialSpec,
     grid, tg = init.grid, first.timegrid
     controls = itertools.chain([first], controls)
     size = max(1, BATCH_BYTES // (24 * (tg.n_steps + 1) * grid.n_cells))
-    start = iterations = 0
+    start = 0
     while chunk := list(itertools.islice(controls, size)):
         if any(c.grid != grid or c.timegrid != tg for c in chunk):
             raise ShapeMismatch("controls and initial data on different grids")
-        mu, phi, sig, its = _march(
+        mu, phi, sig, _ = _march(
             params, pot, hspec, tg,
             np.stack([c.u1.values for c in chunk], axis=1),
             np.stack([c.u2.values for c in chunk], axis=1),
             init, np.arange(start, start + len(chunk)))
-        iterations += its
-        _record(stats, tg, iterations)
-        for j in range(len(chunk)):
-            yield _trajectory(tg, grid, mu[:, j], phi[:, j], sig[:, j])
+        for j, c in enumerate(chunk):
+            yield c, _trajectory(tg, grid, mu[:, j], phi[:, j], sig[:, j])
         del mu, phi, sig  # before the next chunk's march
         start += len(chunk)
 

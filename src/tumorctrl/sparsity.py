@@ -59,8 +59,6 @@ class CertificateReport:
 
     mode: SparsityMode
     kappa: float
-    d1: SpaceTimeField
-    d2: SpaceTimeField
     norms1: np.ndarray
     norms2: np.ndarray
     flagged1: np.ndarray
@@ -236,20 +234,17 @@ def certificate(mode: SparsityMode, adjoint: AdjointTriple, base: Trajectory,
     if not bounds.is_signed():
         raise BoundsNotSignedError(
             "certificate requires scalar bounds with lo < 0 < hi")
-    d1a, d2a = adjoint_mismatch_fields(hspec, base, adjoint)
     tg, grid = base.timegrid, base.grid
-    d1 = SpaceTimeField(tg, grid, d1a)
-    d2 = SpaceTimeField(tg, grid, d2a)
-    n1 = mode_norms(mode, d1)
-    n2 = mode_norms(mode, d2)
+    n1, n2 = (mode_norms(mode, SpaceTimeField(tg, grid, d))
+              for d in adjoint_mismatch_fields(hspec, base, adjoint))
     if mode is SparsityMode.TIME:
         coords = (tg.node_times()[:-1],)
     elif mode is SparsityMode.SPACE:
         coords = grid.cell_centers()
     else:
         coords = (tg.node_times()[:-1],) + grid.cell_centers()
-    return CertificateReport(mode, float(kappa), d1, d2, n1, n2,
-                             n1 <= kappa, n2 <= kappa, coords)
+    return CertificateReport(mode, float(kappa), n1, n2, n1 <= kappa,
+                             n2 <= kappa, coords)
 
 
 def certificate_to_csv(report: CertificateReport, path) -> None:

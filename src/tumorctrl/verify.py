@@ -4,19 +4,18 @@ Every oracle here avoids the code path it checks: finite differences and
 the lattice search use only the forward solver and the reduced cost, and
 the duality gap pairs the linearized and adjoint solvers against each
 other.  The independent forward solves of a finite-difference ladder or of
-a lattice block run as batched solve_states calls.  The linearized and
-adjoint solvers are the exact discrete tangent and adjoint of the forward
-scheme, so each check passes on one absolute bound, a module constant, at
-every refinement level.  Reports carry measured values, tolerances and
-refinement tables.
+a lattice block run as batched solve_states calls, which hand back each
+control with its trajectory.  The linearized and adjoint solvers are the
+exact discrete tangent and adjoint of the forward scheme, so each check
+passes on one absolute bound, a module constant, at every refinement
+level.  Reports carry measured values, tolerances and refinement tables.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +104,7 @@ def write_check_csv(report: CheckReport, path) -> None:
 
 def _pack_controls(problem: Problem, a1, a2) -> ControlPair:
     return ControlPair(SpaceTimeField(problem.timegrid, problem.grid, a1),
-                       SpaceTimeField(problem.timegrid, problem.grid, a2),
-                       problem.bounds)
+                       SpaceTimeField(problem.timegrid, problem.grid, a2))
 
 
 def _unit_direction(problem: Problem, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -158,21 +156,6 @@ def _fd_ladder(problem: Problem, u: ControlPair, k1: np.ndarray,
                              u.u2.values - eps * k2)
 
 
-def _with_states(params, pot, hspec, init,
-                 controls: Iterable[ControlPair]) -> Iterator[tuple]:
-    """(control, trajectory) for each of a lazy sequence of controls, the
-    trajectories from batched solves; holds at most a batch of either."""
-    taken = collections.deque()  # controls solved, not yet yielded
-
-    def take():
-        for c in controls:
-            taken.append(c)
-            yield c
-
-    for traj in solve_states(params, pot, hspec, take(), init):
-        yield taken.popleft(), traj
-
-
 def fd_gradient_check(problem: Problem, u: ControlPair | None = None,
                       n_directions: int = 5) -> CheckReport:
     """Adjoint gradient versus central finite differences of the smooth cost.
@@ -196,8 +179,8 @@ def fd_gradient_check(problem: Problem, u: ControlPair | None = None,
     directions = [_unit_direction(problem, rng) for _ in range(n_directions)]
     points = (c for k1, k2 in directions
               for c in _fd_ladder(problem, u, k1, k2, FD_EPS_LADDER))
-    costs = (_smooth_cost(problem, c, traj) for c, traj in _with_states(
-        problem.params, problem.pot, problem.hspec, problem.init, points))
+    costs = (_smooth_cost(problem, c, traj) for c, traj in solve_states(
+        problem.params, problem.pot, problem.hspec, points, problem.init))
 
     metrics = []
     worst_best = 0.0
@@ -219,9 +202,9 @@ def fd_gradient_check(problem: Problem, u: ControlPair | None = None,
 def _linearized_vs_fd_error(problem: Problem, u: ControlPair,
                             k1: np.ndarray, k2: np.ndarray) -> list[float]:
     ladder = _fd_ladder(problem, u, k1, k2, LINEARIZED_EPS_LADDER)
-    trajs = solve_states(problem.params, problem.pot, problem.hspec,
+    pairs = solve_states(problem.params, problem.pot, problem.hspec,
                          itertools.chain([u], ladder), problem.init)
-    base = next(trajs)
+    _, base = next(pairs)
     tg, grid = problem.timegrid, problem.grid
     spec = LinearizedSpec(lam1=1, lam2=1, lam3=0,
                           k1=SpaceTimeField(tg, grid, k1),
@@ -229,7 +212,7 @@ def _linearized_vs_fd_error(problem: Problem, u: ControlPair,
     lin = solve_linearized(problem.params, problem.pot, problem.hspec, base,
                            u, spec)
     errs = []
-    for eps, up, dn in zip(LINEARIZED_EPS_LADDER, trajs, trajs):
+    for eps, (_, up), (_, dn) in zip(LINEARIZED_EPS_LADDER, pairs, pairs):
         num = den = 0.0
         for comp in ("mu", "phi", "sigma"):
             fd = (getattr(up, comp).values - getattr(dn, comp).values) \
@@ -382,7 +365,7 @@ def brute_force_optimize(params, pot, hspec, targets: Targets,
                 u[comp][sl] = cand
                 yield pack()
 
-        for c, traj in _with_states(params, pot, hspec, init, ctrls()):
+        for c, traj in solve_states(params, pot, hspec, ctrls(), init):
             yield reduced_cost(params, pot, hspec, targets, mode, c, init,
                                traj)
 

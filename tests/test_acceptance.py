@@ -82,19 +82,23 @@ def _prox_oracle_caches(n_points=10**6, seed=5):
     return caches
 
 
-def _lattice_minima(blocks, blo, bhi, base, base_min, coef, vs):
+def _lattice_minima(blocks, blo, bhi, base, pen_min, sq_max, coef, vs):
     """Per mode, the exact minimum of base - c * (cand . v) for each row v.
 
-    Every block's lower bound over its bounding box, less a conservative
-    slack for its rounding, is checked against the value attained in the
-    block of least bound, and only the blocks some slice cannot rule out
-    are scanned.
+    base is (c/2)|cand|^2 + pen(cand), so base - c * (cand . v) equals
+    (c/2)|cand - v|^2 - (c/2)|v|^2 + pen(cand).  A block's lower bound is
+    (c/2) dist(v, its bounding box)^2 - (c/2)|v|^2 + its least pen, less a
+    conservative slack for rounding.  It is checked against the value
+    attained in the block of least bound, and only the blocks some slice
+    cannot rule out are scanned.
     """
-    # bounds of cand . v over each block's bounding box, (slice, block)
-    t_max = sum(np.maximum(np.multiply.outer(vs[:, j], blo[:, j]),
-                           np.multiply.outer(vs[:, j], bhi[:, j]))
-                for j in range(vs.shape[1]))
+    # squared distance of each v to each block's bounding box, and a bound
+    # on |cand . v| over the block, (slice, block)
+    dist_sq = sum(np.maximum(np.maximum(blo[:, j] - vs[:, j, None],
+                                        vs[:, j, None] - bhi[:, j]), 0.0) ** 2
+                  for j in range(vs.shape[1]))
     t_abs = np.abs(vs) @ np.maximum(np.abs(blo), np.abs(bhi)).T
+    half_vv = 0.5 * np.vecdot(vs, vs)[:, None]
     minima = {}
     for mode, c in coef.items():
         def block_min(b, rows):
@@ -102,8 +106,9 @@ def _lattice_minima(blocks, blo, bhi, base, base_min, coef, vs):
             return np.min(base[mode][b] - c * (vs[rows] @ blocks[b].T),
                           axis=1)
 
-        bound = (base_min[mode] - c * t_max
-                 - 1e-12 * (np.abs(base_min[mode]) + c * t_abs))
+        bound = (c * (0.5 * dist_sq - half_vv) + pen_min[mode]
+                 - 1e-12 * (np.abs(pen_min[mode])
+                            + c * (sq_max + t_abs + half_vv)))
         b0 = np.argmin(bound, axis=1)
         best = np.empty(len(vs))
         for b in np.unique(b0):
@@ -158,9 +163,11 @@ def test_c4_prox_oracle_equivalence():
                 SparsityMode.TIME: tau * vol / eta,
                 SparsityMode.SPACE: vol * tau / eta}
         blocks = cand.reshape(-1, 1000, d)
+        pen = {m: b - 0.5 * coef[m] * candsq for m, b in base.items()}
+        pen_min = {m: p.reshape(-1, 1000).min(axis=1) for m, p in pen.items()}
         base = {m: b.reshape(-1, 1000) for m, b in base.items()}
         per_d[d] = (blocks, blocks.min(axis=1), blocks.max(axis=1), base,
-                    {m: b.min(axis=1) for m, b in base.items()}, coef)
+                    pen_min, candsq.reshape(-1, 1000).max(axis=1), coef)
 
     def objective(mode, u, v):
         """Slice objective at each row u of the prox of the row v."""
@@ -238,7 +245,7 @@ def test_c4_prox_oracle_equivalence():
            f"{law_violations}, {elapsed:.0f}s]")
 
 
-TINY = dict(name="tiny", dim=1, n=(2,), length=(1.0,), t_final=0.4,
+TINY = dict(dim=1, n=(2,), length=(1.0,), t_final=0.4,
             n_steps=2, potential="regular", nu=0.1, kappa=0.004, beta1=1.0,
             beta2=1.0, chi=0.3, p_rate=0.6, a_rate=0.1, b_rate=0.5,
             e_rate=0.5, sigma_s=0.6, init_phi="values -0.3 0.4",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tumorctrl.fields import Field, StateTriple, grid1d
-from tumorctrl.model import (BoxBounds, ModelParams, PotentialSpec, eval_h,
+from tumorctrl.model import (BoxBounds, ModelParams, PotentialSpec,
                              logarithmic_potential, regular_potential,
                              smoothstep7, validate_setup)
 
@@ -122,7 +122,7 @@ class TestPotentials:
               lambda r: 2.0 * np.ones_like(r), lambda r: np.zeros_like(r))
         f2 = (lambda r: np.cos(r) - 1.0, lambda r: -np.sin(r),
               lambda r: -np.cos(r), lambda r: np.sin(r))
-        pot = PotentialSpec("dented", -np.inf, np.inf, f1, f2)
+        pot = PotentialSpec(-np.inf, np.inf, f1, f2)
         f, fd, fdd, _ = eval_potential(pot, 0.0)
         assert f == pytest.approx(0.0) and fd == pytest.approx(0.0)
         assert fdd == pytest.approx(1.0)
@@ -138,11 +138,11 @@ class TestPotentials:
 class TestInterpolant:
     def test_endpoint_values(self):
         hs = smoothstep7()
-        h, hd, hdd = eval_h(hs, -1.0)
+        h, hd, hdd = hs.h(-1.0), hs.hd(-1.0), hs.hdd(-1.0)
         assert h == pytest.approx(0.0, abs=1e-15)
         assert hd == pytest.approx(0.0, abs=1e-15)
         assert hdd == pytest.approx(0.0, abs=1e-15)
-        h, hd, hdd = eval_h(hs, 1.0)
+        h, hd, hdd = hs.h(1.0), hs.hd(1.0), hs.hdd(1.0)
         assert h == pytest.approx(1.0, abs=1e-15)
         assert hd == pytest.approx(0.0, abs=1e-15)
         assert hdd == pytest.approx(0.0, abs=1e-15)
@@ -152,28 +152,28 @@ class TestInterpolant:
         y = 0.5
         expected = -20 * y**7 + 70 * y**6 - 84 * y**5 + 35 * y**4
         assert expected == pytest.approx(0.5, abs=1e-15)
-        assert eval_h(smoothstep7(), 0.0)[0] == pytest.approx(0.5, abs=1e-15)
+        assert smoothstep7().h(0.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_monotone_and_bounded(self):
         hs = smoothstep7()
         rs = np.linspace(-1.2, 1.2, 1001)
-        h = eval_h(hs, rs)[0]
+        h = hs.h(rs)
         assert np.all(np.diff(h) >= -1e-15)
         assert np.all((h >= 0.0) & (h <= 1.0))
         inner = np.linspace(-1 + 1e-9, 1 - 1e-9, 501)
-        assert np.all(eval_h(hs, inner)[0] > 0.0)
+        assert np.all(hs.h(inner) > 0.0)
 
     def test_constant_extension(self):
         hs = smoothstep7()
-        assert eval_h(hs, -5.0)[0] == 0.0
-        assert eval_h(hs, 5.0)[0] == 1.0
+        assert hs.h(-5.0) == 0.0
+        assert hs.h(5.0) == 1.0
 
     def test_derivative_consistency(self, rng):
         hs = smoothstep7()
         rs = rng.uniform(-0.999, 0.999, 50)
         eps = 1e-6
-        hp = (eval_h(hs, rs + eps)[0] - eval_h(hs, rs - eps)[0]) / (2 * eps)
-        assert np.max(np.abs(hp - eval_h(hs, rs)[1])) < 1e-7
+        hp = (hs.h(rs + eps) - hs.h(rs - eps)) / (2 * eps)
+        assert np.max(np.abs(hp - hs.hd(rs))) < 1e-7
 
 
 class TestValidateSetup:
@@ -194,7 +194,7 @@ class TestValidateSetup:
         # a PotentialSpec checks nothing when built, so validate_setup must
         f1 = (lambda r: -(r**2), lambda r: -2 * r,
               lambda r: -2.0 * np.ones_like(r), lambda r: np.zeros_like(r))
-        pot = PotentialSpec("concave", -np.inf, np.inf, f1, f1)
+        pot = PotentialSpec(-np.inf, np.inf, f1, f1)
         grid = grid1d(8)
         rep = validate_setup(default_params(), pot,
                              uniform_state(grid, 0, 0, 0.5), smoothstep7())

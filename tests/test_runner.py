@@ -24,13 +24,13 @@ MINIMAL = "[run]\ncommand = simulate\npreset = stationary-trivial\n"
 
 class TestConfigParsing:
     def test_minimal_with_defaults(self, tmp_path):
-        cfg = load_config(write_cfg(tmp_path, MINIMAL))
-        assert cfg.get("run", "command") == "simulate"
-        assert cfg.get("model", "nu") == "0.1"  # preset default filled
+        values = dict(load_config(write_cfg(tmp_path, MINIMAL)).values)
+        assert values["run", "command"] == "simulate"
+        assert values["model", "nu"] == "0.1"  # preset default filled
 
     def test_explicit_overrides_preset(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, MINIMAL + "[model]\nnu = 0.7\n"))
-        assert cfg.get("model", "nu") == "0.7"
+        assert dict(cfg.values)["model", "nu"] == "0.7"
 
     def test_round_trip_identity(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, MINIMAL))
@@ -157,7 +157,7 @@ class TestSettingsTable:
 
     def test_preset_keys_are_settings(self):
         for name, preset in PRESET_SETTINGS.items():
-            assert set(preset) <= set(SETTINGS) | {"name"}, name
+            assert set(preset) <= set(SETTINGS), name
 
     def test_optimizer_defaults_are_the_config_defaults(self):
         # a library caller's OptimizeOptions() runs the CLI's default cap
@@ -381,6 +381,34 @@ class TestCli:
                          "--out", str(tmp_path / "o")]) == 2
         assert ("config error: range: run.kappas (line 3): must be ascending "
                 "and >= 0") in capsys.readouterr().err
+
+    def test_sparsity_mode_needs_zero_inside_the_box(self, tmp_path, capsys):
+        # the sparsity prox refuses such a box, and the zero control the
+        # threshold is computed at lies outside it
+        cfgp = write_cfg(tmp_path, "[run]\npreset = 1D-logarithmic-default\n"
+                                   "[bounds]\nlo1 = 0.5\n")
+        for command in ("optimize", "sweep-kappa", "threshold"):
+            assert cli_main([command, "--config", str(cfgp),
+                             "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == (
+                "config error: range: bounds.lo1: sparsity mode 'time' needs "
+                "lo1 < 0, got 0.5\n")
+        assert cli_main(["simulate", "--config", str(cfgp),
+                         "--out", str(tmp_path / "o")]) == 0
+        # mode none has no prox: the box may exclude 0
+        none = write_cfg(tmp_path, MINIMAL + "[bounds]\nlo1 = 0.5\n",
+                         name="none.cfg")
+        assert cli_main(["optimize", "--config", str(none),
+                         "--out", str(tmp_path / "o")]) == 0
+
+    def test_solver_failure_is_one_line(self, tmp_path, capsys):
+        cfgp = write_cfg(tmp_path, "[run]\npreset = stress-separation\n"
+                                   "[controls]\nu0_1 = constant -40\n")
+        assert cli_main(["simulate", "--config", str(cfgp),
+                         "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: separation lost at time step 82")
+        assert err.count("\n") == 1
 
     def test_stress_preset_fails_loudly(self, tmp_path):
         cfgp = write_cfg(tmp_path, "[run]\npreset = stress-separation\n")

@@ -303,8 +303,7 @@ class TestPhiNewtonStep:
             return ControlPair(*(
                 SpaceTimeField(prob.timegrid, prob.grid,
                                u.values + eps * k.values)
-                for u, k in ((prob.u0.u1, d.u1), (prob.u0.u2, d.u2))),
-                prob.bounds)
+                for u, k in ((prob.u0.u1, d.u1), (prob.u0.u2, d.u2))))
 
         ctrls = [along(eps) for eps in (0.0, 0.01, -0.01)]
         list(solve_states(prob.params, prob.pot, prob.hspec, ctrls,
@@ -514,12 +513,8 @@ def solo_solves(request):
     prob = preset_problem(name, **kw)
     ctrls = [prob.u0] + [random_admissible_controls(prob, seed, scale=0.4)
                          for seed in range(13)]
-    solos = []
-    for c in ctrls:
-        stats = {}
-        traj = solve_state(prob.params, prob.pot, prob.hspec, c, prob.init,
-                           stats=stats)
-        solos.append((traj, stats["cg_iterations"]))
+    solos = [solve_state(prob.params, prob.pot, prob.hspec, c, prob.init)
+             for c in ctrls]
     return prob, ctrls, solos
 
 
@@ -532,13 +527,11 @@ class TestBatchedStates:
     @pytest.mark.parametrize("size", [1, 3, 14])
     def test_members_equal_their_own_solves(self, solo_solves, size):
         prob, ctrls, solos = solo_solves
-        stats = {}
-        trajs = list(solve_states(prob.params, prob.pot, prob.hspec,
-                                  ctrls[:size], prob.init, stats=stats))
-        assert len(trajs) == size
+        pairs = list(solve_states(prob.params, prob.pot, prob.hspec,
+                                  ctrls[:size], prob.init))
+        assert len(pairs) == size
         assert all(_same_trajectory(t, solo)
-                   for t, (solo, _) in zip(trajs, solos))
-        assert stats["cg_iterations"] == sum(it for _, it in solos[:size])
+                   for (_, t), solo in zip(pairs, solos))
 
     def test_lists_over_the_byte_budget_run_in_chunks(self, solo_solves,
                                                       monkeypatch):
@@ -558,23 +551,33 @@ class TestBatchedStates:
                 yield c
 
         monkeypatch.setattr(solver, "_march", counted)
-        trajs = solve_states(prob.params, prob.pot, prob.hspec, lazy(),
+        pairs = solve_states(prob.params, prob.pot, prob.hspec, lazy(),
                              prob.init)
-        first = next(trajs)
+        first = next(pairs)
         # a chunk's controls are taken, and solved, as its first is asked for
         assert (len(taken), len(calls)) == (4, 1)
-        trajs = [first] + list(trajs)
+        pairs = [first] + list(pairs)
         assert len(calls) == 4  # 14 members in chunks of 4
-        assert len(trajs) == 14
+        assert len(pairs) == 14
         assert all(_same_trajectory(t, solo)
-                   for t, (solo, _) in zip(trajs, solos))
+                   for (_, t), solo in zip(pairs, solos))
+
+    def test_yields_each_control_given(self, monkeypatch):
+        # the very objects, in order, across chunk boundaries (chunks of 2)
+        prob = preset_problem("time-sparsity-demo")
+        member = 24 * (prob.timegrid.n_steps + 1) * prob.grid.n_cells
+        monkeypatch.setattr(solver, "BATCH_BYTES", 2 * member)
+        ctrls = [prob.u0] + [random_admissible_controls(prob, seed)
+                             for seed in range(4)]
+        got = [c for c, _ in solve_states(prob.params, prob.pot, prob.hspec,
+                                          iter(ctrls), prob.init)]
+        assert len(got) == len(ctrls)
+        assert all(a is b for a, b in zip(got, ctrls))
 
     def test_empty_list(self):
         prob = preset_problem("time-sparsity-demo")
-        stats = {}
         assert list(solve_states(prob.params, prob.pot, prob.hspec, [],
-                                 prob.init, stats=stats)) == []
-        assert stats == {}
+                                 prob.init)) == []
 
     # norms of mu, phi, sigma and of the adjoint's psi1, psi2, psi3 over all
     # nodes, recorded before batching, the 1D adjoint's norms with the
