@@ -21,8 +21,8 @@ from .presets import (Problem, make_problem, preset_names, preset_problem,
                       preset_settings, random_admissible_controls)
 from .solver import (AdjointTriple, ControlPair, LinearizedSpec,
                      LinearSolveError, NewtonDivergence, SeparationLoss,
-                     Targets, solve_adjoint, solve_linearized, solve_state,
-                     solve_states, state_balance_report)
+                     SolveFailure, Targets, solve_adjoint, solve_linearized,
+                     solve_state, solve_states, state_balance_report)
 from .sparsity import (BadBounds, BisectionFailure, BoundsNotSignedError,
                        CertificateReport, SparsityMode, SubgradientPair,
                        certificate, eval_g, prox, select_subgradient)

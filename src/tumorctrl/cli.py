@@ -17,9 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .optim import StepsizeCollapse
 from .runner import COMMANDS, ConfigError, load_config, run
-from .solver import LinearSolveError, NewtonDivergence, SeparationLoss
+from .solver import SolveFailure
 
 # what a failed run means, for the commands whose failure is not a check's
 _FAILURES = {
@@ -63,8 +62,7 @@ def main(argv=None) -> int:
         for issue in exc.issues:
             print(f"config error: {issue}", file=sys.stderr)
         return 2
-    except (NewtonDivergence, SeparationLoss, LinearSolveError,
-            StepsizeCollapse) as exc:
+    except SolveFailure as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1
     print(f"{args.command}: wrote {len(manifest.artifacts)} artifacts to "

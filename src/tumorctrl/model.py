@@ -95,6 +95,11 @@ class PotentialSpec:
         return np.minimum(np.maximum(r, self.r_minus + CLAMP_MARGIN),
                           self.r_plus - CLAMP_MARGIN)
 
+    def margin(self, r: np.ndarray) -> np.ndarray:
+        """Least distance of r to the interval ends, along the last axis."""
+        return np.minimum(r.min(axis=-1) - self.r_minus,
+                          self.r_plus - r.max(axis=-1))
+
     def split_eval(self, r: np.ndarray,
                    order: int) -> tuple[np.ndarray, np.ndarray]:
         """(F1^(order), F2^(order)) at clamped r."""

@@ -23,8 +23,9 @@ import numpy as np
 
 from .fields import SpaceTimeField, StateTriple, inner
 from .model import BoxBounds, InterpolantSpec, ModelParams, PotentialSpec
-from .solver import (AdjointTriple, ControlPair, Targets, Trajectory,
-                     adjoint_mismatch_fields, solve_adjoint, solve_state)
+from .solver import (AdjointTriple, ControlPair, SolveFailure, Targets,
+                     Trajectory, adjoint_mismatch_fields, solve_adjoint,
+                     solve_state)
 from .sparsity import (SparsityMode, SubgradientPair, eval_g, group_layout,
                        mode_norms, prox_pair, select_subgradient)
 
@@ -43,14 +44,14 @@ AA_DROP = 1e-10
 SUPPORT_TOL = 1e-8
 
 
-class StepsizeCollapse(RuntimeError):
+class StepsizeCollapse(SolveFailure):
     """Backtracking reduced the step size below its floor."""
 
     def __init__(self, iteration: int, eta: float):
         self.iteration = iteration
         self.eta = eta
         super().__init__(
-            f"step size {eta:.3e} below floor at iteration {iteration}")
+            f"step size {eta:.3e} below floor at iteration {iteration}", None)
 
 
 @dataclass(frozen=True)
@@ -182,11 +183,10 @@ def _vi_residual_from(params, mode, bounds: BoxBounds, u: ControlPair,
                       d1: np.ndarray, d2: np.ndarray) -> float:
     """||u - P_box(-(d + kappa lambda)/nu)||_Q, lambda the residual-minimizing
     subgradient selection: zero exactly where u is stationary."""
-    kappa = params.kappa if mode is not SparsityMode.NONE else 0.0
-    lam = select_subgradient(mode, u, (d1, d2), kappa)
-    t1 = np.clip(-(d1 + kappa * lam.lam1.values) / params.nu,
+    lam = select_subgradient(mode, u, (d1, d2), params.kappa)
+    t1 = np.clip(-(d1 + params.kappa * lam.lam1.values) / params.nu,
                  bounds.lo1, bounds.hi1)
-    t2 = np.clip(-(d2 + kappa * lam.lam2.values) / params.nu,
+    t2 = np.clip(-(d2 + params.kappa * lam.lam2.values) / params.nu,
                  bounds.lo2, bounds.hi2)
     return _q_norm(u, u.u1.values - t1, u.u2.values - t2)
 
@@ -279,15 +279,6 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
     recorded.
     """
     tg, grid = u0.timegrid, u0.grid
-    kappa = params.kappa if mode is not SparsityMode.NONE else 0.0
-
-    u1 = np.clip(u0.u1.values, bounds.lo1, bounds.hi1)
-    u2 = np.clip(u0.u2.values, bounds.lo2, bounds.hi2)
-
-    def pack(a1, a2):
-        return ControlPair(SpaceTimeField(tg, grid, a1),
-                           SpaceTimeField(tg, grid, a2))
-
     n_solves = 0
 
     def evaluate(u):
@@ -298,7 +289,9 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
         return traj, (_tracking_cost(params, targets, traj)
                       + _control_cost(params, mode, u))
 
-    u = pack(u1, u2)
+    u = ControlPair.from_arrays(
+        tg, grid, np.clip(u0.u1.values, bounds.lo1, bounds.hi1),
+        np.clip(u0.u2.values, bounds.lo2, bounds.hi2))
     traj, cost = evaluate(u)
     bundle = _gradient_bundle(params, pot, hspec, targets, u, init, traj=traj)
 
@@ -319,7 +312,7 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
         while True:
             v1 = SpaceTimeField(tg, grid, u.u1.values - eta * bundle.g1)
             v2 = SpaceTimeField(tg, grid, u.u2.values - eta * bundle.g2)
-            p1, p2 = prox_pair(mode, v1, v2, eta, kappa, bounds)
+            p1, p2 = prox_pair(mode, v1, v2, eta, params.kappa, bounds)
             f1, f2 = p1.values - u.u1.values, p2.values - u.u2.values
             # the epsilon pad keeps the test meaningful when the decrease
             # reaches rounding level near a stationary point
@@ -335,7 +328,7 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
                                          (p1.values, p2.values), bounds)
                 if not (np.array_equal(a1, p1.values)
                         and np.array_equal(a2, p2.values)):
-                    u_trial = pack(a1, a2)
+                    u_trial = ControlPair.from_arrays(tg, grid, a1, a2)
                     traj_trial, cost_trial = evaluate(u_trial)
                     if cost_trial <= target:
                         break
@@ -355,7 +348,7 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
         costs.append(cost)
         etas.append(eta)
 
-    lam = select_subgradient(mode, u, (bundle.d1, bundle.d2), kappa)
+    lam = select_subgradient(mode, u, (bundle.d1, bundle.d2), params.kappa)
     return OptimizeResult(
         control=u, trajectory=bundle.trajectory, adjoint=bundle.adjoint,
         subgradient=lam,

@@ -302,11 +302,11 @@ def make_problem(settings: dict) -> Problem:
     pot = _POTENTIALS[s["potential"]](s)
     hspec = smoothstep7()
 
-    n = tuple(int(v) for v in (s["n"] if hasattr(s["n"], "__len__") else (s["n"],)))
-    length = tuple(float(v) for v in (s["length"]
-                                      if hasattr(s["length"], "__len__")
-                                      else (s["length"],)))
-    grid = GridSpec(int(s["dim"]), n, length)
+    # a scalar n or length is one axis; settings keep the tuples to refine
+    for key, conv in (("n", int), ("length", float)):
+        s[key] = tuple(map(conv, s[key] if hasattr(s[key], "__len__")
+                           else (s[key],)))
+    grid = GridSpec(int(s["dim"]), s["n"], s["length"])
     timegrid = TimeGrid(float(s["t_final"]), int(s["n_steps"]))
 
     rng = np.random.default_rng(int(s["seed"]))
@@ -434,5 +434,4 @@ def random_admissible_controls(problem: Problem, seed: int,
                      scale * np.broadcast_to(b.hi1, shape))
     u2 = rng.uniform(scale * np.broadcast_to(b.lo2, shape),
                      scale * np.broadcast_to(b.hi2, shape))
-    return ControlPair(SpaceTimeField(problem.timegrid, problem.grid, u1),
-                       SpaceTimeField(problem.timegrid, problem.grid, u2))
+    return ControlPair.from_arrays(problem.timegrid, problem.grid, u1, u2)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -328,9 +329,14 @@ def run(config: ExperimentConfig, out_dir) -> RunManifest:
             raise ConfigError(issues)
 
     out = Path(out_dir) / config.config_hash()
+    created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-
-    files, passed = _COMMANDS[command](problem, out, kappas)
+    try:
+        files, passed = _COMMANDS[command](problem, out, kappas)
+    except BaseException:
+        if created:  # a failed run leaves no directory of its own behind
+            shutil.rmtree(out, ignore_errors=True)
+        raise
 
     echo = out / "config.echo.cfg"
     echo.write_text(config.serialize(), encoding="utf-8")

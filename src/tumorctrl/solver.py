@@ -19,8 +19,8 @@ Time scheme (state): one decoupled semi-implicit Euler step per interval:
 Nonlinear coefficients are lagged exactly as written, which makes the
 per-step integrated balances exact up to the linear-solver tolerance.
 
-The linearized solver applies the same splitting to the switched linear
-system (flags lam1..lam3) and is the exact tangent of this scheme; the
+The linearized solver applies the same splitting to the linear system
+(reaction terms on or off) and is the exact tangent of this scheme; the
 adjoint solver is its exact transpose, stepping backward with implicit
 diffusion and eliminating the time derivative of the first adjoint from the
 second equation.  The symmetric positive definite Helmholtz solves
@@ -78,9 +78,9 @@ MIN_MARGIN = 1e-11
 BATCH_BYTES = 4 * 2 ** 20
 
 
-class _SolveFailure(RuntimeError):
+class SolveFailure(RuntimeError):
     """A failed solve.  member is the failing control's index in the
-    solve_states list, None for an unbatched solve."""
+    solve_states list, None for an unbatched solve or the optimizer."""
 
     def __init__(self, message: str, member: int | None):
         self.member = member
@@ -89,7 +89,7 @@ class _SolveFailure(RuntimeError):
         super().__init__(message)
 
 
-class NewtonDivergence(_SolveFailure):
+class NewtonDivergence(SolveFailure):
     """The phi-step nonlinear solve failed to converge."""
 
     def __init__(self, step: int, residual: float, member: int | None = None):
@@ -100,7 +100,7 @@ class NewtonDivergence(_SolveFailure):
             member)
 
 
-class SeparationLoss(_SolveFailure):
+class SeparationLoss(SolveFailure):
     """phi left the admissible interval of a singular potential."""
 
     def __init__(self, step: int, margin: float, member: int | None = None):
@@ -142,30 +142,30 @@ class ControlPair:
         z = SpaceTimeField.zeros(timegrid, grid)
         return cls(z, z)
 
+    @classmethod
+    def from_arrays(cls, timegrid: TimeGrid, grid: GridSpec, u1,
+                    u2) -> "ControlPair":
+        """The pair of interval fields with values u1 and u2."""
+        return cls(SpaceTimeField(timegrid, grid, u1),
+                   SpaceTimeField(timegrid, grid, u2))
+
 
 @dataclass(frozen=True)
 class LinearizedSpec:
-    """Data of the switched linear system.
+    """Data of the linear system.
 
-    lam1 turns on the frozen-coefficient reaction terms, lam2 the control
-    direction (k1, k2) and lam3 the free sources (f1, f2, f3); the initial
-    data are zero.  With lam1 = lam2 = 1 and lam3 = 0 the solution is the
-    directional derivative of the control-to-state map.
+    reaction turns on the frozen-coefficient reaction terms.  A control
+    direction (k1, k2) or free source (f1, f2, f3) left None is zero, as
+    are the initial data.  With the reaction terms on and only k given the
+    solution is the directional derivative of the control-to-state map.
     """
 
-    lam1: int = 1
-    lam2: int = 1
-    lam3: int = 0
+    reaction: bool = True
     k1: SpaceTimeField | None = None
     k2: SpaceTimeField | None = None
     f1: SpaceTimeField | None = None
     f2: SpaceTimeField | None = None
     f3: SpaceTimeField | None = None
-
-    def __post_init__(self):
-        for flag in (self.lam1, self.lam2, self.lam3):
-            if flag not in (0, 1):
-                raise ValueError("switch flags must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ def _neg_lap_diag(grid: GridSpec) -> np.ndarray:
     return (dx[:, None] + dy[None, :]).ravel()
 
 
-class LinearSolveError(_SolveFailure):
+class LinearSolveError(SolveFailure):
     """Preconditioned CG stopped at its iteration cap above tolerance.
 
     Only a 2D solve with a variable coefficient iterates; every other solve
@@ -235,9 +235,18 @@ def _dct_matrix(n: int) -> np.ndarray:
     return q
 
 
-def _rows(a, keep):
-    """The kept rows of a per-member array; a shared row passes."""
-    return a[keep] if np.ndim(a) == 2 else a
+def _freeze(done, rows, out, x, *arrays):
+    """Write the rows of x that done marks into out; return rows, x and
+    every per-row array (None passes) cut to the other, working rows.
+
+    rows maps the working rows x onto out (None until the first freeze).
+    """
+    if rows is None:
+        rows = np.arange(done.size)
+    fin, keep = np.flatnonzero(done), np.flatnonzero(~done)
+    out[rows[fin]] = x[fin]
+    return [rows[keep], x[keep]] + [None if a is None else a[keep]
+                                    for a in arrays]
 
 
 def _at(values, row: int) -> float:
@@ -309,12 +318,9 @@ class _HelmholtzSolver:
             return self._thomas(coeff, b)
         if not isinstance(coeff, np.ndarray):
             return self.idct(self.dct(b) / (coeff + self.eig))
-        # per-member scalars are numbers for one system, arrays for a batch
-        # (the CG coefficients as columns, to scale the rows)
-        column = b.ndim == 2
-        bnorm = np.sqrt(np.vecdot(b, b))
+        # per-member scalars are columns, one row per member
+        bnorm = np.sqrt(np.vecdot(b, b, keepdims=True))
         tol = CG_RTOL * bnorm
-        # x holds the working rows; rows, once set, maps them onto out
         x = out = np.zeros_like(b)
         rows = None
         # np.mean's own reduction: each row's mean keeps its unbatched bits
@@ -323,9 +329,9 @@ class _HelmholtzSolver:
         r = self.dct(b)
         z = inv_m * r
         p = z
-        rz = np.vecdot(r, z, keepdims=column)
+        rz = np.vecdot(r, z, keepdims=True)
         for it in range(self.maxiter + 1):
-            rnorm = np.sqrt(np.vecdot(r, r))
+            rnorm = np.sqrt(np.vecdot(r, r, keepdims=True))
             done = rnorm <= tol
             n_done = np.count_nonzero(done)
             if n_done == done.size:
@@ -335,24 +341,15 @@ class _HelmholtzSolver:
                 raise LinearSolveError(self.maxiter, _at(rnorm / bnorm, j),
                                        _member(members, j))
             if n_done:
-                # freeze the converged rows in out (x is out until the
-                # first freeze), iterate on the rest
-                if rows is None:
-                    rows = np.arange(done.size)
-                else:
-                    out[rows[done]] = x[done]
-                keep = np.flatnonzero(~done)
-                rows, x, r, p, rz, tol, bnorm = (
-                    rows[keep], x[keep], r[keep], p[keep], rz[keep],
-                    tol[keep], bnorm[keep])
-                coeff, inv_m = _rows(coeff, keep), _rows(inv_m, keep)
-                members = None if members is None else members[keep]
+                rows, x, r, p, rz, tol, bnorm, coeff, inv_m, members = \
+                    _freeze(done, rows, out, x, r, p, rz, tol, bnorm, coeff,
+                            inv_m, members)
             ap = self.dct(coeff * self.idct(p)) + self.eig * p
-            alpha = rz / np.vecdot(p, ap, keepdims=column)
+            alpha = rz / np.vecdot(p, ap, keepdims=True)
             x += alpha * p
             r -= alpha * ap
             z = inv_m * r
-            rz_new = np.vecdot(r, z, keepdims=column)
+            rz_new = np.vecdot(r, z, keepdims=True)
             p = z + (rz_new / rz) * p
             rz = rz_new
             self.iterations += rz.size
@@ -421,7 +418,6 @@ def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
     def residual(q, pn, r):
         return beta_tau * (q - pn) - hh.lap(q) + pot.f1[1](pot.clamp(q)) - r
 
-    # p holds the working rows; rows, once set, maps them onto out
     out = p = start.copy()
     rows = None
     pn, r = phi_n, rhs
@@ -437,22 +433,13 @@ def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
         if it == NEWTON_MAX_ITER:
             j = int(np.flatnonzero(~done)[0])
             if pot.is_singular:
-                pj = p.reshape(done.size, -1)[j]  # row j, batched or not
-                margin = float(min(np.min(pj - pot.r_minus),
-                                   np.min(pot.r_plus - pj)))
+                margin = _at(pot.margin(p), j)
                 if margin <= 1e-5:
                     raise SeparationLoss(step, margin, _member(members, j))
             raise NewtonDivergence(step, _at(gnorm, j), _member(members, j))
         if n_done:
-            # freeze the converged rows in out, iterate on the rest
-            if rows is None:
-                rows = np.arange(done.size)
-            fin, keep = np.flatnonzero(done), np.flatnonzero(~done)
-            out[rows[fin]] = p[fin]
-            rows, p, g, gnorm, floor, tol, pn, r = (
-                rows[keep], p[keep], g[keep], gnorm[keep], floor[keep],
-                tol[keep], pn[keep], r[keep])
-            members = None if members is None else members[keep]
+            rows, p, g, gnorm, floor, tol, pn, r, members = _freeze(
+                done, rows, out, p, g, gnorm, floor, tol, pn, r, members)
         jac = beta_tau + pot.f1[2](pot.clamp(p))
         # one-ulp changes of p move the residual by about diag * |p|, with
         # the stencil's 2 diag(-Lap) (about 4/h^2) in diag: that caps the
@@ -503,8 +490,7 @@ def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
         out[rows] = p
         p = out
     if pot.is_singular:
-        margin = np.minimum((p - pot.r_minus).min(axis=-1),
-                            (pot.r_plus - p).min(axis=-1))
+        margin = pot.margin(p)
         low = margin <= MIN_MARGIN
         if np.count_nonzero(low):
             j = int(np.flatnonzero(low)[0])
@@ -658,16 +644,16 @@ def solve_linearized(params: ModelParams, pot: PotentialSpec,
                      hspec: InterpolantSpec, base: Trajectory,
                      base_controls: ControlPair,
                      spec: LinearizedSpec) -> Trajectory:
-    """Solve the switched linear system around a base trajectory.
+    """Solve the linear system of spec around a base trajectory.
 
     Each step differentiates the forward step: coefficients are frozen on
     the base trajectory at the node where the forward scheme evaluates them,
     the arrival node for F1'' and for sigma in the consumption term (the
     forward phi-step is implicit in F1', the sigma-step in its decay) and
     the departure node otherwise.  The linearized state starts at zero.
-    With lam1 = lam2 = 1 and lam3 = 0 the result is the exact discrete
-    tangent of solve_state, so it pairs with solve_adjoint in the duality
-    identity up to round-off.
+    With the reaction terms on and no source, the result is the exact
+    discrete tangent of solve_state along (k1, k2), so it pairs with
+    solve_adjoint in the duality identity up to round-off.
     """
     grid, tg = base.grid, base.timegrid
     tau = tg.tau
@@ -691,27 +677,27 @@ def solve_linearized(params: ModelParams, pot: PotentialSpec,
     phi = np.zeros_like(mu)
     sig = np.zeros_like(mu)
 
-    l1, l2, l3 = (float(spec.lam1), float(spec.lam2), float(spec.lam3))
+    l1 = float(spec.reaction)
     for n in range(nt):
         # phi-step
         b_phi = ((pr.beta / tau) * phi[n] + mu[n]
                  + l1 * (pr.chi * sig[n] - f2dd_all[n] * phi[n])
-                 + l3 * slice_or_zero(spec.f2, n))
+                 + slice_or_zero(spec.f2, n))
         phi[n + 1] = hh.solve(pr.beta / tau + l1 * f1dd_all[n + 1], b_phi)
         # mu-step
         b_mu = ((pr.alpha / tau) * mu[n]
                 + l1 * (pr.p_rate * sig[n] * h_all[n]
                         + (pr.p_rate * sigb[n] - pr.a_rate - u1b[n])
                         * hp_all[n] * phi[n])
-                - l2 * slice_or_zero(spec.k1, n) * h_all[n]
-                + l3 * slice_or_zero(spec.f1, n)
+                - slice_or_zero(spec.k1, n) * h_all[n]
+                + slice_or_zero(spec.f1, n)
                 - (phi[n + 1] - phi[n]) / tau)
         mu[n + 1] = hh.solve(pr.alpha / tau, b_mu)
         # sigma-step
         b_sig = (sig[n] / tau - pr.chi * hh.lap(phi[n + 1])
                  - l1 * pr.e_rate * sigb[n + 1] * hp_all[n] * phi[n]
-                 + l2 * slice_or_zero(spec.k2, n)
-                 + l3 * slice_or_zero(spec.f3, n))
+                 + slice_or_zero(spec.k2, n)
+                 + slice_or_zero(spec.f3, n))
         coeff = 1.0 / tau + l1 * (pr.b_rate + pr.e_rate * h_all[n])
         sig[n + 1] = hh.solve(coeff, b_sig)
 

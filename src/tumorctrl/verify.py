@@ -81,14 +81,6 @@ class CheckReport:
                 return v
         raise KeyError(key)
 
-    def __str__(self):
-        status = "PASS" if self.passed else "FAIL"
-        parts = [f"[{status}] {self.name}"]
-        for k, v, tol, ok in self.metrics:
-            t = "" if tol is None else f" (tol {tol:g}, {'ok' if ok else 'VIOLATED'})"
-            parts.append(f"  {k} = {v:.6g}{t}")
-        return "\n".join(parts)
-
 
 def write_check_csv(report: CheckReport, path) -> None:
     rows = [("metric", k, float(v), None if tol is None else float(tol),
@@ -100,11 +92,6 @@ def write_check_csv(report: CheckReport, path) -> None:
     rows.append(("metric", "passed", int(report.passed)) + (None,) * 6)
     write_csv(path, ("row_type", "name", "value", "tolerance", "passed",
                      "level", "h", "tau", "error"), list(zip(*rows)))
-
-
-def _pack_controls(problem: Problem, a1, a2) -> ControlPair:
-    return ControlPair(SpaceTimeField(problem.timegrid, problem.grid, a1),
-                       SpaceTimeField(problem.timegrid, problem.grid, a2))
 
 
 def _unit_direction(problem: Problem, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -149,11 +136,12 @@ def _smooth_cost(problem: Problem, u: ControlPair, traj=None) -> float:
 def _fd_ladder(problem: Problem, u: ControlPair, k1: np.ndarray,
                k2: np.ndarray, eps_ladder) -> Iterator[ControlPair]:
     """u + eps k and u - eps k for every eps of the ladder, in that order."""
+    tg, grid = problem.timegrid, problem.grid
     for eps in eps_ladder:
-        yield _pack_controls(problem, u.u1.values + eps * k1,
-                             u.u2.values + eps * k2)
-        yield _pack_controls(problem, u.u1.values - eps * k1,
-                             u.u2.values - eps * k2)
+        yield ControlPair.from_arrays(tg, grid, u.u1.values + eps * k1,
+                                      u.u2.values + eps * k2)
+        yield ControlPair.from_arrays(tg, grid, u.u1.values - eps * k1,
+                                      u.u2.values - eps * k2)
 
 
 def fd_gradient_check(problem: Problem, u: ControlPair | None = None,
@@ -206,8 +194,7 @@ def _linearized_vs_fd_error(problem: Problem, u: ControlPair,
                          itertools.chain([u], ladder), problem.init)
     _, base = next(pairs)
     tg, grid = problem.timegrid, problem.grid
-    spec = LinearizedSpec(lam1=1, lam2=1, lam3=0,
-                          k1=SpaceTimeField(tg, grid, k1),
+    spec = LinearizedSpec(k1=SpaceTimeField(tg, grid, k1),
                           k2=SpaceTimeField(tg, grid, k2))
     lin = solve_linearized(problem.params, problem.pot, problem.hspec, base,
                            u, spec)
@@ -267,8 +254,7 @@ def _duality_gap_at(problem: Problem, u: ControlPair,
     adj = solve_adjoint(pr, problem.pot, problem.hspec, base, u,
                         problem.targets)
     tg, grid = problem.timegrid, problem.grid
-    spec = LinearizedSpec(lam1=1, lam2=1,
-                          k1=SpaceTimeField(tg, grid, k1),
+    spec = LinearizedSpec(k1=SpaceTimeField(tg, grid, k1),
                           k2=SpaceTimeField(tg, grid, k2))
     lin = solve_linearized(pr, problem.pot, problem.hspec, base, u, spec)
 
@@ -305,8 +291,7 @@ def duality_gap(problem: Problem, levels: int = 3) -> CheckReport:
         prob = problem.with_resolution(1, scale) if lev else problem
         k1, k2, u1, u2 = (np.repeat(a, scale, axis=0)
                           for a in k + (u.u1.values, u.u2.values))
-        uu = ControlPair(SpaceTimeField(prob.timegrid, prob.grid, u1),
-                         SpaceTimeField(prob.timegrid, prob.grid, u2))
+        uu = ControlPair.from_arrays(prob.timegrid, prob.grid, u1, u2)
         gap, pairing = _duality_gap_at(prob, uu, k1, k2)
         gaps.append(gap)
         rows.append((lev, max(prob.grid.spacing), prob.timegrid.tau,
@@ -355,21 +340,18 @@ def brute_force_optimize(params, pot, hspec, targets: Targets,
 
     u = [np.zeros(shape), np.zeros(shape)]
 
-    def pack() -> ControlPair:
-        return ControlPair(SpaceTimeField(tg, grid, u[0]),
-                           SpaceTimeField(tg, grid, u[1]))
-
     def block_costs(comp, sl, cands) -> Iterator[float]:
         def ctrls():
             for cand in cands:
                 u[comp][sl] = cand
-                yield pack()
+                yield ControlPair.from_arrays(tg, grid, *u)
 
         for c, traj in solve_states(params, pot, hspec, ctrls(), init):
             yield reduced_cost(params, pot, hspec, targets, mode, c, init,
                                traj)
 
-    best = reduced_cost(params, pot, hspec, targets, mode, pack(), init)
+    best = reduced_cost(params, pot, hspec, targets, mode,
+                        ControlPair.from_arrays(tg, grid, *u), init)
 
     if mode is SparsityMode.SPACE:
         blocks = [(c, np.s_[:, j]) for c in (0, 1) for j in range(nc)]
@@ -400,7 +382,7 @@ def brute_force_optimize(params, pot, hspec, targets: Targets,
             lo[comp] = np.maximum(u[comp] - step, box_lo[comp])
             hi[comp] = np.minimum(u[comp] + step, box_hi[comp])
 
-    return pack(), best
+    return ControlPair.from_arrays(tg, grid, *u), best
 
 
 def separation_monitor(traj, pot) -> CheckReport:
@@ -414,8 +396,7 @@ def separation_monitor(traj, pot) -> CheckReport:
         metrics = (("applicable", 0.0, None, None),)
         return CheckReport("separation_monitor", metrics, passed=True)
     phi = traj.phi.values
-    margins = np.minimum(phi.min(axis=1) - pot.r_minus,
-                         pot.r_plus - phi.max(axis=1))
+    margins = pot.margin(phi)
     min_margin = float(np.min(margins))
     bad = np.nonzero(margins <= SEPARATION_FLOOR)[0]
     first_bad = int(bad[0]) if bad.size else -1

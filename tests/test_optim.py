@@ -13,7 +13,7 @@ from tumorctrl.optim import (StepsizeCollapse, kappa_sweep,
                              smooth_gradient, support_measure,
                              zero_control_threshold)
 from tumorctrl.presets import preset_problem, random_admissible_controls
-from tumorctrl.solver import ControlPair, Targets, solve_state
+from tumorctrl.solver import ControlPair, SolveFailure, Targets, solve_state
 from tumorctrl.sparsity import SparsityMode, prox
 
 HS = smoothstep7()
@@ -174,6 +174,8 @@ class TestOptimizer:
         with pytest.raises(StepsizeCollapse) as exc:
             proximal_gradient_solve(p.params, p.pot, p.hspec, p.targets,
                                     p.mode, p.bounds, u0, p.opts, p.init)
+        assert isinstance(exc.value, SolveFailure)
+        assert exc.value.member is None
         assert (exc.value.iteration, exc.value.eta) == (0, 5.0)
         assert "step size 5.000e+00 below floor at iteration 0" \
             in str(exc.value)

@@ -10,6 +10,7 @@ from tumorctrl.presets import (_POTENTIALS, DEFAULT_SETTINGS, PRESET_SETTINGS,
                                preset_problem)
 from tumorctrl.runner import (ConfigError, load_config, parse_config_text,
                               run)
+from tumorctrl.solver import SeparationLoss
 from tumorctrl.sparsity import SparsityMode
 
 
@@ -90,6 +91,13 @@ class TestConfigParsing:
         for name in preset_names():
             prob = preset_problem(name)
             assert prob.grid.n_cells >= 1
+
+    def test_scalar_n_refines(self):
+        # a scalar n or length means one axis, and refines like a tuple
+        prob = preset_problem("time-sparsity-demo", n=16, length=1.0)
+        fine = prob.with_resolution(2, 2)
+        assert (fine.grid.n, fine.timegrid.n_steps) == ((32,), 80)
+        assert fine.grid.length == (1.0,)
 
 
 # config_hash() and sha256 of serialize() for each text, recorded when
@@ -409,6 +417,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("solver error: separation lost at time step 82")
         assert err.count("\n") == 1
+
+    def test_solver_failure_leaves_no_run_directory(self, tmp_path, capsys):
+        cfgp = write_cfg(tmp_path, "[run]\npreset = stress-separation\n"
+                                   "[controls]\nu0_1 = constant -40\n")
+        out = tmp_path / "o"
+        assert cli_main(["simulate", "--config", str(cfgp),
+                         "--out", str(out)]) == 1
+        assert list(out.iterdir()) == []
+        # a run directory that was there before the failed run stays
+        cfg = load_config(cfgp)
+        kept = out / cfg.config_hash()
+        kept.mkdir()
+        with pytest.raises(SeparationLoss):
+            run(cfg, out)
+        assert list(out.iterdir()) == [kept]
 
     def test_stress_preset_fails_loudly(self, tmp_path):
         cfgp = write_cfg(tmp_path, "[run]\npreset = stress-separation\n")

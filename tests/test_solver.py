@@ -627,7 +627,7 @@ class TestLinearizedSolver:
         self.base = solve_state(self.pr, self.pot, HS, self.ctrl, self.init)
 
     def test_all_flags_zero_gives_zero(self):
-        spec = LinearizedSpec(lam1=0, lam2=0, lam3=0)
+        spec = LinearizedSpec(reaction=False)
         lin = solve_linearized(self.pr, self.pot, HS, self.base, self.ctrl,
                                spec)
         for comp in (lin.mu, lin.phi, lin.sigma):
@@ -638,7 +638,6 @@ class TestLinearizedSolver:
 
         def dirspec(k1, k2, f2):
             return LinearizedSpec(
-                lam1=1, lam2=1, lam3=1,
                 k1=SpaceTimeField(self.tg, self.grid, k1),
                 k2=SpaceTimeField(self.tg, self.grid, k2),
                 f2=SpaceTimeField(self.tg, self.grid, f2))
@@ -673,17 +672,16 @@ class TestLinearizedSolver:
         base = solve_state(pr, self.pot, HS, ctrl, init)
         k1 = np.tile(4.0 * (1.0 + 0.5 * np.cos(np.pi * x)), (tg.n_steps, 1))
         k2 = np.full((tg.n_steps, grid.n_cells), -3.0)
-        spec = LinearizedSpec(lam1=1, lam2=1,
-                              k1=SpaceTimeField(tg, grid, k1),
+        spec = LinearizedSpec(k1=SpaceTimeField(tg, grid, k1),
                               k2=SpaceTimeField(tg, grid, k2))
         lin = solve_linearized(pr, self.pot, HS, base, ctrl, spec)
         errs = []
         for eps in (0.4, 0.2, 0.1):
             shifted = []
             for sgn in (1.0, -1.0):
-                c = ControlPair(
-                    SpaceTimeField(tg, grid, ctrl.u1.values + sgn * eps * k1),
-                    SpaceTimeField(tg, grid, ctrl.u2.values + sgn * eps * k2))
+                c = ControlPair.from_arrays(
+                    tg, grid, ctrl.u1.values + sgn * eps * k1,
+                    ctrl.u2.values + sgn * eps * k2)
                 shifted.append(solve_state(pr, self.pot, HS, c, init))
             fd = (shifted[0].phi.values - shifted[1].phi.values) / (2 * eps)
             errs.append(np.max(np.abs(fd - lin.phi.values)))
@@ -709,7 +707,7 @@ class TestLinearizedSolver:
             init = uniform_init(grid, 0.0, 0.0, 0.5)
             ctrl = controls_from(tg, grid)
             base = solve_state(pr, pot, HS, ctrl, init)
-            spec = LinearizedSpec(lam1=0, lam2=0, lam3=1,
+            spec = LinearizedSpec(reaction=False,
                                   f1=SpaceTimeField(tg, grid, f1),
                                   f2=SpaceTimeField(tg, grid, f2),
                                   f3=SpaceTimeField(tg, grid, f3))

@@ -59,11 +59,12 @@ class TestFdGradientCheck:
         tau, vol = prob.timegrid.tau, prob.grid.cell_volume
         adj = tau * vol * (np.sum(g1.values * k1) + np.sum(g2.values * k2))
         eps = 1e-4
-        from tumorctrl.verify import _pack_controls
-        up = _pack_controls(prob, prob.u0.u1.values + eps * k1,
-                            prob.u0.u2.values + eps * k2)
-        dn = _pack_controls(prob, prob.u0.u1.values - eps * k1,
-                            prob.u0.u2.values - eps * k2)
+        from tumorctrl.solver import ControlPair
+        tg, grid = prob.timegrid, prob.grid
+        up = ControlPair.from_arrays(tg, grid, prob.u0.u1.values + eps * k1,
+                                     prob.u0.u2.values + eps * k2)
+        dn = ControlPair.from_arrays(tg, grid, prob.u0.u1.values - eps * k1,
+                                     prob.u0.u2.values - eps * k2)
         fd = (_smooth_cost(prob, up) - _smooth_cost(prob, dn)) / (2 * eps)
         assert abs(adj) <= 1e-10 and abs(fd) <= 1e-10
 
@@ -99,7 +100,6 @@ class TestLinearizedChecks:
                            small_problem.hspec, small_problem.u0,
                            small_problem.init)
         spec = LinearizedSpec(
-            lam1=1, lam2=1,
             k1=SpaceTimeField(small_problem.timegrid, small_problem.grid, z),
             k2=SpaceTimeField(small_problem.timegrid, small_problem.grid, z))
         lin = solve_linearized(small_problem.params, small_problem.pot,
