@@ -18,7 +18,7 @@ from .optim import (OptimizeOptions, OptimizeResult, StepsizeCollapse,
                     reduced_cost, smooth_gradient, support_measure,
                     zero_control_threshold)
 from .presets import (Problem, make_problem, preset_names, preset_problem,
-                      preset_settings, random_admissible_controls)
+                      preset_settings)
 from .solver import (AdjointTriple, ControlPair, LinearizedSpec,
                      LinearSolveError, NewtonDivergence, SeparationLoss,
                      SolveFailure, Targets, solve_adjoint, solve_linearized,
@@ -26,6 +26,5 @@ from .solver import (AdjointTriple, ControlPair, LinearizedSpec,
 from .sparsity import (BadBounds, BisectionFailure, BoundsNotSignedError,
                        CertificateReport, SparsityMode, SubgradientPair,
                        certificate, eval_g, prox, select_subgradient)
-from .verify import (CheckReport, DimensionTooLarge, brute_force_optimize,
-                     duality_gap, fd_gradient_check,
+from .verify import (CheckReport, duality_gap, fd_gradient_check,
                      linearized_fd_refinement, separation_monitor)

@@ -20,10 +20,13 @@ import sys
 from .runner import COMMANDS, ConfigError, load_config, run
 from .solver import SolveFailure
 
-# what a failed run means, for the commands whose failure is not a check's
+# what a failed run means, per command (threshold always passes)
 _FAILURES = {
+    "simulate": "separation check FAILED: phi came too close to the "
+                "potential's singular interval ends (see separation.csv)",
     "optimize": "optimizer did not converge: VI residual above tol_vi (see "
                 "convergence.csv)",
+    "verify": "verification checks FAILED (see verify_summary.csv)",
     "sweep-kappa": "optimizer did not converge at some kappa: VI residual "
                    "above tol_vi (see kappa_sweep.csv)",
 }
@@ -68,8 +71,7 @@ def main(argv=None) -> int:
     print(f"{args.command}: wrote {len(manifest.artifacts)} artifacts to "
           f"{manifest.out_dir} ({manifest.elapsed_s:.2f}s)")
     if not manifest.passed:
-        print(_FAILURES.get(args.command, "verification checks FAILED"),
-              file=sys.stderr)
+        print(_FAILURES[args.command], file=sys.stderr)
         return 1
     return 0
 

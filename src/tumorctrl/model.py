@@ -70,7 +70,7 @@ ScalarFunc = Callable[[np.ndarray], np.ndarray]
 class PotentialSpec:
     """Double-well potential F = F1 + F2 with a convex F1.
 
-    ``f1`` holds (F1, F1', F1'', F1''') and ``f2`` the same for F2.  For
+    ``f1`` holds (F1, F1', F1'') and ``f2`` the same for F2.  For
     singular variants the admissible interval is (r_minus, r_plus); array
     evaluation clamps arguments to (r_minus + CLAMP_MARGIN, r_plus -
     CLAMP_MARGIN).  The state solver keeps its iterates inside that
@@ -80,8 +80,8 @@ class PotentialSpec:
 
     r_minus: float
     r_plus: float
-    f1: tuple[ScalarFunc, ScalarFunc, ScalarFunc, ScalarFunc]
-    f2: tuple[ScalarFunc, ScalarFunc, ScalarFunc, ScalarFunc]
+    f1: tuple[ScalarFunc, ScalarFunc, ScalarFunc]
+    f2: tuple[ScalarFunc, ScalarFunc, ScalarFunc]
 
     @property
     def is_singular(self) -> bool:
@@ -115,12 +115,10 @@ def regular_potential() -> PotentialSpec:
     """
     f1 = (lambda r: 0.25 * r**4 + 0.5 * r**2,
           lambda r: r**3 + r,
-          lambda r: 3.0 * r**2 + 1.0,
-          lambda r: 6.0 * r)
+          lambda r: 3.0 * r**2 + 1.0)
     f2 = (lambda r: 0.25 - r**2,
           lambda r: -2.0 * r,
-          lambda r: -2.0 * np.ones_like(r),
-          lambda r: np.zeros_like(r))
+          lambda r: -2.0 * np.ones_like(r))
     return PotentialSpec(-math.inf, math.inf, f1, f2)
 
 
@@ -134,12 +132,10 @@ def logarithmic_potential(k: float = 2.0) -> PotentialSpec:
         raise ValueError(f"logarithmic potential requires k > 1, got {k!r}")
     f1 = (lambda r: (1.0 + r) * np.log1p(r) + (1.0 - r) * np.log1p(-r),
           lambda r: np.log1p(r) - np.log1p(-r),
-          lambda r: 2.0 / (1.0 - r**2),
-          lambda r: 4.0 * r / (1.0 - r**2) ** 2)
+          lambda r: 2.0 / (1.0 - r**2))
     f2 = (lambda r, k=k: -k * r**2,
           lambda r, k=k: -2.0 * k * r,
-          lambda r, k=k: -2.0 * k * np.ones_like(r),
-          lambda r: np.zeros_like(r))
+          lambda r, k=k: -2.0 * k * np.ones_like(r))
     return PotentialSpec(-1.0, 1.0, f1, f2)
 
 
@@ -149,7 +145,6 @@ class InterpolantSpec:
 
     h: ScalarFunc
     hd: ScalarFunc
-    hdd: ScalarFunc
 
 
 def smoothstep7() -> InterpolantSpec:
@@ -170,11 +165,7 @@ def smoothstep7() -> InterpolantSpec:
         y = _y(r)
         return 0.5 * 140.0 * y**3 * (1.0 - y) ** 3
 
-    def hdd(r):
-        y = _y(r)
-        return 0.25 * 420.0 * y**2 * (1.0 - y) ** 2 * (1.0 - 2.0 * y)
-
-    return InterpolantSpec(h, hd, hdd)
+    return InterpolantSpec(h, hd)
 
 
 @dataclass(frozen=True)

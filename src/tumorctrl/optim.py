@@ -26,8 +26,8 @@ from .model import BoxBounds, InterpolantSpec, ModelParams, PotentialSpec
 from .solver import (AdjointTriple, ControlPair, SolveFailure, Targets,
                      Trajectory, adjoint_mismatch_fields, solve_adjoint,
                      solve_state)
-from .sparsity import (SparsityMode, SubgradientPair, eval_g, group_layout,
-                       mode_norms, prox_pair, select_subgradient)
+from .sparsity import (SparsityMode, eval_g, group_layout, mode_norms,
+                       prox_pair, select_subgradient)
 
 # a failed trial multiplies the step size by this factor
 BACKTRACK = 0.5
@@ -76,9 +76,6 @@ class OptimizeResult:
     control: ControlPair
     trajectory: Trajectory
     adjoint: AdjointTriple
-    subgradient: SubgradientPair
-    d1: SpaceTimeField
-    d2: SpaceTimeField
     cost_history: np.ndarray
     vi_history: np.ndarray
     eta_history: np.ndarray
@@ -276,7 +273,7 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
     one backtrack to the next.  Stops at VI residual <= tol_vi or at
     max_iters; converged means the last VI residual is <= tol_vi.
     state_solves counts the state solves made when each VI residual was
-    recorded.
+    recorded.  A prox step that overflows raises SolveFailure.
     """
     tg, grid = u0.timegrid, u0.grid
     n_solves = 0
@@ -310,9 +307,19 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
         if vis[-1] <= opts.tol_vi or it == opts.max_iters:
             break
         while True:
-            v1 = SpaceTimeField(tg, grid, u.u1.values - eta * bundle.g1)
-            v2 = SpaceTimeField(tg, grid, u.u2.values - eta * bundle.g2)
-            p1, p2 = prox_pair(mode, v1, v2, eta, params.kappa, bounds)
+            # eta = 1/nu with a tiny nu can overflow the step or the prox's
+            # group norms
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    v1 = SpaceTimeField(tg, grid,
+                                        u.u1.values - eta * bundle.g1)
+                    v2 = SpaceTimeField(tg, grid,
+                                        u.u2.values - eta * bundle.g2)
+                    p1, p2 = prox_pair(mode, v1, v2, eta, params.kappa,
+                                       bounds)
+            except FloatingPointError as exc:
+                raise SolveFailure(f"prox step overflows at iteration {it} "
+                                   f"with eta {eta:.3e}", None) from exc
             f1, f2 = p1.values - u.u1.values, p2.values - u.u2.values
             # the epsilon pad keeps the test meaningful when the decrease
             # reaches rounding level near a stationary point
@@ -348,12 +355,8 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
         costs.append(cost)
         etas.append(eta)
 
-    lam = select_subgradient(mode, u, (bundle.d1, bundle.d2), params.kappa)
     return OptimizeResult(
         control=u, trajectory=bundle.trajectory, adjoint=bundle.adjoint,
-        subgradient=lam,
-        d1=SpaceTimeField(tg, grid, bundle.d1),
-        d2=SpaceTimeField(tg, grid, bundle.d2),
         cost_history=np.asarray(costs), vi_history=np.asarray(vis),
         eta_history=np.asarray(etas), n_iters=it,
         converged=vis[-1] <= opts.tol_vi, state_solves=np.asarray(solves))

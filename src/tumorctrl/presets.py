@@ -423,15 +423,3 @@ def preset_problem(name: str, **overrides) -> Problem:
     s.update(overrides)
     return make_problem(s)
 
-
-def random_admissible_controls(problem: Problem, seed: int,
-                               scale: float = 0.5) -> ControlPair:
-    """A random control strictly inside the box, for optimizer starts."""
-    rng = np.random.default_rng(seed)
-    shape = (problem.timegrid.n_steps, problem.grid.n_cells)
-    b = problem.bounds
-    u1 = rng.uniform(scale * np.broadcast_to(b.lo1, shape),
-                     scale * np.broadcast_to(b.hi1, shape))
-    u2 = rng.uniform(scale * np.broadcast_to(b.lo2, shape),
-                     scale * np.broadcast_to(b.hi2, shape))
-    return ControlPair.from_arrays(problem.timegrid, problem.grid, u1, u2)

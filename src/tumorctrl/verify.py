@@ -1,11 +1,10 @@
 """Independent verification oracles.
 
-Every oracle here avoids the code path it checks: finite differences and
-the lattice search use only the forward solver and the reduced cost, and
-the duality gap pairs the linearized and adjoint solvers against each
-other.  The independent forward solves of a finite-difference ladder or of
-a lattice block run as batched solve_states calls, which hand back each
-control with its trajectory.  The linearized and adjoint solvers are the
+Every oracle here avoids the code path it checks: finite differences use
+only the forward solver and the reduced cost, and the duality gap pairs the
+linearized and adjoint solvers against each other.  The independent forward
+solves of a finite-difference ladder run as batched solve_states calls,
+which hand back each control with its trajectory.  The linearized and adjoint solvers are the
 exact discrete tangent and adjoint of the forward scheme, so each check
 passes on one absolute bound, a module constant, at every refinement
 level.  Reports carry measured values, tolerances and refinement tables.
@@ -23,9 +22,9 @@ import numpy as np
 from .fields import SpaceTimeField, write_csv
 from .optim import reduced_cost, smooth_gradient
 from .presets import Problem
-from .solver import (ControlPair, LinearizedSpec, Targets,
-                     adjoint_mismatch_fields, solve_adjoint, solve_linearized,
-                     solve_state, solve_states)
+from .solver import (ControlPair, LinearizedSpec, adjoint_mismatch_fields,
+                     solve_adjoint, solve_linearized, solve_state,
+                     solve_states)
 from .sparsity import SparsityMode
 
 # finite-difference steps of fd_gradient_check and linearized_fd_refinement
@@ -50,16 +49,6 @@ DUALITY_RTOL = 1e-10
 LINEARIZED_RTOL = 1e-6
 # least margin of phi to a singular potential's interval bounds
 SEPARATION_FLOOR = 1e-6
-# brute_force_optimize: lattice points per axis, shrink-and-rescan rounds,
-# sweeps per round, and the least cost decrease that moves the winner
-LATTICE_POINTS = 11
-LATTICE_ROUNDS = 2
-LATTICE_MAX_SWEEPS = 40
-LATTICE_IMPROVE_TOL = 1e-14
-
-
-class DimensionTooLarge(ValueError):
-    """Brute-force search refused: control dimension exceeds its budget."""
 
 
 @dataclass(frozen=True)
@@ -301,88 +290,6 @@ def duality_gap(problem: Problem, levels: int = 3) -> CheckReport:
     metrics = (("base_gap", gaps[0], None, None),
                ("max_relative_gap", worst, DUALITY_RTOL, ok))
     return CheckReport("duality_gap", metrics, tuple(rows), passed=ok)
-
-
-def brute_force_optimize(params, pot, hspec, targets: Targets,
-                         mode: SparsityMode, bounds, init):
-    """Lattice oracle for the reduced cost on tiny instances.
-
-    Cycles exhaustive scans over the nonsmooth-coupled blocks of the control
-    (one time slice per control for time sparsity, one cell column for space
-    sparsity), with LATTICE_POINTS lattice points per axis; after the
-    sweeps stall, each axis range shrinks to the winning lattice cell and
-    the scan repeats (LATTICE_ROUNDS times).  Uses only the state solve and
-    reduced_cost, so it shares no code with the proximal-gradient path it
-    serves as an oracle for.  A block's lattice is solved in batched state
-    solves; the scan then visits its values in lattice order.
-
-    Returns (best ControlPair, best cost).
-    """
-    grid = init.grid
-    tg = targets.phi_q.timegrid
-    nt, nc = tg.n_steps, grid.n_cells
-    dim = 2 * nt * nc
-    if nc > 3 or nt > 3 or dim > 18:
-        raise DimensionTooLarge(
-            f"{nc} cells x {nt} steps x 2 controls = {dim} > 18 dims")
-    if not bounds.is_signed():
-        lo_ok = np.ndim(bounds.lo1) == 0 and np.ndim(bounds.lo2) == 0
-        if not lo_ok:
-            raise ValueError("lattice oracle needs scalar bounds")
-
-    shape = (nt, nc)
-    lo = [np.broadcast_to(np.asarray(bounds.lo1, float), shape).copy(),
-          np.broadcast_to(np.asarray(bounds.lo2, float), shape).copy()]
-    hi = [np.broadcast_to(np.asarray(bounds.hi1, float), shape).copy(),
-          np.broadcast_to(np.asarray(bounds.hi2, float), shape).copy()]
-    box_lo = [a.copy() for a in lo]
-    box_hi = [a.copy() for a in hi]
-
-    u = [np.zeros(shape), np.zeros(shape)]
-
-    def block_costs(comp, sl, cands) -> Iterator[float]:
-        def ctrls():
-            for cand in cands:
-                u[comp][sl] = cand
-                yield ControlPair.from_arrays(tg, grid, *u)
-
-        for c, traj in solve_states(params, pot, hspec, ctrls(), init):
-            yield reduced_cost(params, pot, hspec, targets, mode, c, init,
-                               traj)
-
-    best = reduced_cost(params, pot, hspec, targets, mode,
-                        ControlPair.from_arrays(tg, grid, *u), init)
-
-    if mode is SparsityMode.SPACE:
-        blocks = [(c, np.s_[:, j]) for c in (0, 1) for j in range(nc)]
-    else:
-        blocks = [(c, np.s_[n, :]) for c in (0, 1) for n in range(nt)]
-
-    for rnd in range(LATTICE_ROUNDS + 1):
-        for _ in range(LATTICE_MAX_SWEEPS):
-            improved = False
-            for comp, sl in blocks:
-                axes = [np.linspace(l, h, LATTICE_POINTS) for l, h in
-                        zip(np.ravel(lo[comp][sl]), np.ravel(hi[comp][sl]))]
-                current = u[comp][sl].copy()
-                cands = list(itertools.product(*axes))
-                for cand, val in zip(cands, block_costs(comp, sl, cands)):
-                    if val < best - LATTICE_IMPROVE_TOL:
-                        best = val
-                        current = np.array(cand)
-                        improved = True
-                u[comp][sl] = current
-            if not improved:
-                break
-        if rnd == LATTICE_ROUNDS:
-            break
-        # shrink every axis to the lattice cell around its winner
-        for comp in (0, 1):
-            step = (hi[comp] - lo[comp]) / (LATTICE_POINTS - 1)
-            lo[comp] = np.maximum(u[comp] - step, box_lo[comp])
-            hi[comp] = np.minimum(u[comp] + step, box_hi[comp])
-
-    return ControlPair.from_arrays(tg, grid, *u), best
 
 
 def separation_monitor(traj, pot) -> CheckReport:

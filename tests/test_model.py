@@ -18,9 +18,9 @@ def default_params(**kw):
 
 
 def eval_potential(pot, r):
-    """F, F', F'', F''' at one point, each summed from the split F1 + F2."""
+    """F, F', F'' at one point, each summed from the split F1 + F2."""
     ra = np.asarray(float(r))
-    return tuple(float(pot.f1[k](ra) + pot.f2[k](ra)) for k in range(4))
+    return tuple(float(pot.f1[k](ra) + pot.f2[k](ra)) for k in range(3))
 
 
 def uniform_state(grid, mu, phi, sigma):
@@ -46,19 +46,18 @@ class TestModelParams:
 class TestPotentials:
     def test_regular_values(self):
         pot = regular_potential()
-        f, fd, fdd, fddd = eval_potential(pot, 0.0)
+        f, fd, fdd = eval_potential(pot, 0.0)
         assert f == pytest.approx(0.25, abs=1e-15)
-        f, fd, _, _ = eval_potential(pot, 1.0)
+        f, fd, _ = eval_potential(pot, 1.0)
         assert f == pytest.approx(0.0, abs=1e-15)
         assert fd == pytest.approx(0.0, abs=1e-15)
 
     def test_logarithmic_center(self):
         pot = logarithmic_potential(k=2.0)
-        f, fd, fdd, fddd = eval_potential(pot, 0.0)
+        f, fd, fdd = eval_potential(pot, 0.0)
         assert f == pytest.approx(0.0, abs=1e-15)
         assert fd == pytest.approx(0.0, abs=1e-15)
         assert fdd == pytest.approx(-2.0, abs=1e-13)
-        assert fddd == pytest.approx(0.0, abs=1e-13)
 
     def test_log_requires_nonconvexity(self):
         with pytest.raises(ValueError):
@@ -75,7 +74,7 @@ class TestPotentials:
             f0 = eval_potential(pot, r)
             fp = eval_potential(pot, r + h)
             fm = eval_potential(pot, r - h)
-            for k in range(3):
+            for k in range(2):
                 fd = (fp[k] - fm[k]) / (2.0 * h)
                 scale = max(abs(f0[k + 1]), 1.0)
                 assert abs(f0[k + 1] - fd) <= 1e-6 * scale
@@ -119,11 +118,11 @@ class TestPotentials:
     def test_custom_split(self):
         # quadratic well with a cosine dent, split by hand
         f1 = (lambda r: r**2, lambda r: 2 * r,
-              lambda r: 2.0 * np.ones_like(r), lambda r: np.zeros_like(r))
+              lambda r: 2.0 * np.ones_like(r))
         f2 = (lambda r: np.cos(r) - 1.0, lambda r: -np.sin(r),
-              lambda r: -np.cos(r), lambda r: np.sin(r))
+              lambda r: -np.cos(r))
         pot = PotentialSpec(-np.inf, np.inf, f1, f2)
-        f, fd, fdd, _ = eval_potential(pot, 0.0)
+        f, fd, fdd = eval_potential(pot, 0.0)
         assert f == pytest.approx(0.0) and fd == pytest.approx(0.0)
         assert fdd == pytest.approx(1.0)
         f1d, f2d = pot.split_eval(np.asarray(0.7), 1)
@@ -138,14 +137,12 @@ class TestPotentials:
 class TestInterpolant:
     def test_endpoint_values(self):
         hs = smoothstep7()
-        h, hd, hdd = hs.h(-1.0), hs.hd(-1.0), hs.hdd(-1.0)
+        h, hd = hs.h(-1.0), hs.hd(-1.0)
         assert h == pytest.approx(0.0, abs=1e-15)
         assert hd == pytest.approx(0.0, abs=1e-15)
-        assert hdd == pytest.approx(0.0, abs=1e-15)
-        h, hd, hdd = hs.h(1.0), hs.hd(1.0), hs.hdd(1.0)
+        h, hd = hs.h(1.0), hs.hd(1.0)
         assert h == pytest.approx(1.0, abs=1e-15)
         assert hd == pytest.approx(0.0, abs=1e-15)
-        assert hdd == pytest.approx(0.0, abs=1e-15)
 
     def test_midpoint_value(self):
         # -20 y^7 + 70 y^6 - 84 y^5 + 35 y^4 at y = 1/2
@@ -193,7 +190,7 @@ class TestValidateSetup:
     def test_concave_f1_fails(self):
         # a PotentialSpec checks nothing when built, so validate_setup must
         f1 = (lambda r: -(r**2), lambda r: -2 * r,
-              lambda r: -2.0 * np.ones_like(r), lambda r: np.zeros_like(r))
+              lambda r: -2.0 * np.ones_like(r))
         pot = PotentialSpec(-np.inf, np.inf, f1, f1)
         grid = grid1d(8)
         rep = validate_setup(default_params(), pot,

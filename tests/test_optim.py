@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles import random_admissible_controls
 from tumorctrl.fields import (Field, SpaceTimeField, StateTriple, TimeGrid,
                               grid1d)
 from tumorctrl import optim
@@ -12,9 +13,10 @@ from tumorctrl.optim import (StepsizeCollapse, kappa_sweep,
                              proximal_gradient_solve, reduced_cost,
                              smooth_gradient, support_measure,
                              zero_control_threshold)
-from tumorctrl.presets import preset_problem, random_admissible_controls
-from tumorctrl.solver import ControlPair, SolveFailure, Targets, solve_state
-from tumorctrl.sparsity import SparsityMode, prox
+from tumorctrl.presets import preset_problem
+from tumorctrl.solver import (ControlPair, SolveFailure, Targets,
+                              adjoint_mismatch_fields, solve_state)
+from tumorctrl.sparsity import SparsityMode, prox, select_subgradient
 
 HS = smoothstep7()
 
@@ -141,7 +143,9 @@ class TestOptimizer:
         assert res.converged and res.vi_residual <= p.opts.tol_vi
         # subgradient respects the mode constraints
         vol = p.grid.cell_volume
-        for lam in (res.subgradient.lam1, res.subgradient.lam2):
+        d = adjoint_mismatch_fields(p.hspec, res.trajectory, res.adjoint)
+        sub = select_subgradient(p.mode, res.control, d, p.params.kappa)
+        for lam in (sub.lam1, sub.lam2):
             norms = np.sqrt(vol * np.sum(lam.values ** 2, axis=1))
             assert np.all(norms <= 1.0 + 1e-10)
 
@@ -153,10 +157,13 @@ class TestOptimizer:
         res = proximal_gradient_solve(p.params, p.pot, p.hspec, p.targets,
                                       p.mode, p.bounds, p.u0, p.opts, p.init)
         assert res.converged
+        d1, d2 = adjoint_mismatch_fields(p.hspec, res.trajectory, res.adjoint)
+        sub = select_subgradient(p.mode, res.control, (d1, d2),
+                                 p.params.kappa)
         for comp, lam, d, lo, hi in (
-                (res.control.u1, res.subgradient.lam1, res.d1, -0.02, 0.02),
-                (res.control.u2, res.subgradient.lam2, res.d2, -0.02, 0.02)):
-            q = d.values + p.params.kappa * lam.values \
+                (res.control.u1, sub.lam1, d1, -0.02, 0.02),
+                (res.control.u2, sub.lam2, d2, -0.02, 0.02)):
+            q = d + p.params.kappa * lam.values \
                 + p.params.nu * comp.values
             assert np.all(np.isclose(comp.values[q > 1e-8], lo, atol=1e-10))
             assert np.all(np.isclose(comp.values[q < -1e-8], hi, atol=1e-10))

@@ -433,11 +433,37 @@ class TestCli:
             run(cfg, out)
         assert list(out.iterdir()) == [kept]
 
-    def test_stress_preset_fails_loudly(self, tmp_path):
+    def test_stress_preset_fails_loudly(self, tmp_path, capsys):
         cfgp = write_cfg(tmp_path, "[run]\npreset = stress-separation\n")
         rc = cli_main(["simulate", "--config", str(cfgp),
                        "--out", str(tmp_path / "o")])
         assert rc == 1
+        # simulate's one check is the separation monitor; verify runs four
+        err = capsys.readouterr().err
+        assert err.startswith("separation check FAILED: ")
+        assert err.endswith(" (see separation.csv)\n")
+        assert cli_main(["verify", "--config", str(cfgp),
+                         "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == \
+            "verification checks FAILED (see verify_summary.csv)\n"
+
+    def test_overflowing_step_is_a_solver_error(self, tmp_path, capsys):
+        # eta = 1/nu = 1e200 overflows the group norms of the first prox
+        cfgp = write_cfg(tmp_path, "[run]\npreset = time-sparsity-demo\n"
+                                   "[model]\nnu = 1e-200\n")
+        out = tmp_path / "o"
+        assert cli_main(["optimize", "--config", str(cfgp),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "solver error: prox step overflows at iteration 0 with eta "
+            "1.000e+200\n")
+        assert list(out.iterdir()) == []
+        # a small nu that floating point can carry still converges: kappa
+        # above the threshold zeroes the control in one step of 1e12
+        cfgp = write_cfg(tmp_path, "[run]\npreset = time-sparsity-demo\n"
+                                   "[model]\nnu = 1e-12\nkappa = 1\n")
+        assert cli_main(["optimize", "--config", str(cfgp),
+                         "--out", str(out)]) == 0
 
     def test_command_override(self, tmp_path):
         # stationary preset has mode none: threshold must refuse it cleanly

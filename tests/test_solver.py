@@ -3,12 +3,12 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import random_admissible_controls
 from tumorctrl.fields import (Field, SpaceTimeField, StateTriple, TimeGrid,
                               grid1d, grid2d, inner)
 from tumorctrl.model import (ModelParams, logarithmic_potential,
                              regular_potential, smoothstep7)
-from tumorctrl.presets import preset_names, preset_problem, \
-    random_admissible_controls
+from tumorctrl.presets import preset_names, preset_problem
 from tumorctrl import solver
 from tumorctrl.solver import (ControlPair, LinearizedSpec, LinearSolveError,
                               NewtonDivergence, SeparationLoss, ShapeMismatch,

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
+from oracles import random_admissible_controls
 from tumorctrl import verify
 from tumorctrl.fields import SpaceTimeField
 from tumorctrl.presets import preset_names, preset_problem
 from tumorctrl.solver import solve_state
 from tumorctrl.verify import (FD_GRADIENT_RTOL, SEPARATION_FLOOR,
-                              CheckReport, DimensionTooLarge,
-                              brute_force_optimize, duality_gap,
-                              fd_gradient_check, linearized_fd_refinement,
-                              separation_monitor, write_check_csv)
+                              CheckReport, duality_gap, fd_gradient_check,
+                              linearized_fd_refinement, separation_monitor,
+                              write_check_csv)
 
 # a small instance keeps these oracle tests fast; the full-size preset runs
 # live in the acceptance suite
@@ -30,8 +30,6 @@ class TestFdGradientCheck:
 
     def test_random_admissible_points(self, small_problem):
         # gradient correctness away from the nominal control
-        from tumorctrl.presets import random_admissible_controls
-
         for seed in (1, 2, 3):
             u = random_admissible_controls(small_problem, seed, scale=0.4)
             rep = fd_gradient_check(small_problem, u=u, n_directions=1)
@@ -144,24 +142,6 @@ def test_tangent_and_adjoint_exact_on_preset(preset):
     lin = linearized_fd_refinement(prob, levels=2)
     assert gap.passed and gap.metric("max_relative_gap") <= 1e-10
     assert lin.passed and lin.metric("max_rel_error") <= 1e-6
-
-
-class TestBruteForce:
-    def test_zero_tracking_finds_zero(self):
-        prob = preset_problem("time-sparsity-demo", beta1=0.0, beta2=0.0,
-                              n=(2,), n_steps=2, t_final=0.4)
-        u, j = brute_force_optimize(prob.params, prob.pot, prob.hspec,
-                                    prob.targets, prob.mode, prob.bounds,
-                                    prob.init)
-        assert j == 0.0
-        assert np.all(u.u1.values == 0.0) and np.all(u.u2.values == 0.0)
-
-    def test_dimension_guard(self):
-        prob = preset_problem("time-sparsity-demo", n=(4,), n_steps=2)
-        with pytest.raises(DimensionTooLarge):
-            brute_force_optimize(prob.params, prob.pot, prob.hspec,
-                                 prob.targets, prob.mode, prob.bounds,
-                                 prob.init)
 
 
 class TestSeparationMonitor:
