@@ -23,8 +23,7 @@ from .solver import (AdjointTriple, ControlPair, LinearizedSpec,
                      LinearSolveError, NewtonDivergence, SeparationLoss,
                      SolveFailure, Targets, solve_adjoint, solve_linearized,
                      solve_state, solve_states, state_balance_report)
-from .sparsity import (BadBounds, BisectionFailure, BoundsNotSignedError,
-                       CertificateReport, SparsityMode, SubgradientPair,
+from .sparsity import (BadBounds, CertificateReport, SparsityMode,
                        certificate, eval_g, prox, select_subgradient)
 from .verify import (CheckReport, duality_gap, fd_gradient_check,
                      linearized_fd_refinement, separation_monitor)

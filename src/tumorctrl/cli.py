@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .runner import COMMANDS, ConfigError, load_config, run
 from .solver import SolveFailure
 
@@ -60,7 +62,9 @@ def main(argv=None) -> int:
                    for sk, v in cfg.values)
     cfg = type(cfg)(values)
     try:
-        manifest = run(cfg, args.out)
+        # non-finite values end in a typed error, not in numpy's warnings
+        with np.errstate(all="ignore"):
+            manifest = run(cfg, args.out)
     except ConfigError as exc:
         for issue in exc.issues:
             print(f"config error: {issue}", file=sys.stderr)

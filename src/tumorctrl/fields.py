@@ -10,6 +10,7 @@ tau-weighted so norms approximate their L^2 counterparts.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -39,6 +40,12 @@ class GridSpec:
             raise ValueError("need at least one cell per axis")
         if any(v <= 0.0 for v in self.length):
             raise ValueError("domain extents must be positive")
+        # the Laplacian divides by h^2, and h^2 and 1/h^2 must be floats
+        for h in self.spacing:
+            h2 = h * h
+            if not (0.0 < h2 < math.inf and 1.0 / h2 < math.inf):
+                raise ValueError(f"cell width {h:g} has h^2 = {h2:g}: need "
+                                 "a finite positive h^2 and 1/h^2")
 
     @property
     def n_cells(self) -> int:

@@ -170,26 +170,18 @@ def smoothstep7() -> InterpolantSpec:
 
 @dataclass(frozen=True)
 class BoxBounds:
-    """Per-control box bounds; scalars or per-(step, cell) arrays."""
+    """One scalar box lo_i <= u_i <= hi_i per control; lo > hi and array
+    bounds are refused.  Sparsity also needs lo_i < 0 < hi_i (BadBounds)."""
 
-    lo1: float | np.ndarray
-    hi1: float | np.ndarray
-    lo2: float | np.ndarray
-    hi2: float | np.ndarray
+    lo1: float
+    hi1: float
+    lo2: float
+    hi2: float
 
     def __post_init__(self):
         for lo, hi, i in ((self.lo1, self.hi1, 1), (self.lo2, self.hi2, 2)):
-            if np.any(np.asarray(lo) > np.asarray(hi)):
+            if lo > hi:
                 raise ValueError(f"bounds for control {i} violate lo <= hi")
-
-    def is_signed(self) -> bool:
-        """True iff both boxes are scalar with lo < 0 < hi (certificate hypothesis)."""
-        for lo, hi in ((self.lo1, self.hi1), (self.lo2, self.hi2)):
-            if np.ndim(lo) != 0 or np.ndim(hi) != 0:
-                return False
-            if not (float(lo) < 0.0 < float(hi)):
-                return False
-        return True
 
 
 @dataclass(frozen=True)

@@ -180,10 +180,10 @@ def _vi_residual_from(params, mode, bounds: BoxBounds, u: ControlPair,
                       d1: np.ndarray, d2: np.ndarray) -> float:
     """||u - P_box(-(d + kappa lambda)/nu)||_Q, lambda the residual-minimizing
     subgradient selection: zero exactly where u is stationary."""
-    lam = select_subgradient(mode, u, (d1, d2), params.kappa)
-    t1 = np.clip(-(d1 + params.kappa * lam.lam1.values) / params.nu,
+    lam1, lam2 = select_subgradient(mode, u, (d1, d2), params.kappa)
+    t1 = np.clip(-(d1 + params.kappa * lam1) / params.nu,
                  bounds.lo1, bounds.hi1)
-    t2 = np.clip(-(d2 + params.kappa * lam.lam2.values) / params.nu,
+    t2 = np.clip(-(d2 + params.kappa * lam2) / params.nu,
                  bounds.lo2, bounds.hi2)
     return _q_norm(u, u.u1.values - t1, u.u2.values - t2)
 
@@ -382,8 +382,7 @@ def zero_control_threshold(params: ModelParams, pot: PotentialSpec,
     d2 = SpaceTimeField(tg, grid, b.d2)
     n1 = mode_norms(mode, d1)
     n2 = mode_norms(mode, d2)
-    return ThresholdReport(float(np.max(n1)) if n1.size else 0.0,
-                           float(np.max(n2)) if n2.size else 0.0)
+    return ThresholdReport(float(np.max(n1)), float(np.max(n2)))
 
 
 def kappa_sweep(params: ModelParams, pot: PotentialSpec,
@@ -406,7 +405,7 @@ def kappa_sweep(params: ModelParams, pot: PotentialSpec,
             pr, md = replace(params, kappa=k), mode
         res = proximal_gradient_solve(pr, pot, hspec, targets, md, bounds,
                                       u0, opts, init)
-        s1, s2 = support_measure(md if k > 0.0 else mode, res.control)
+        s1, s2 = support_measure(mode, res.control)
         rows.append({
             "kappa": k,
             "cost": res.cost,

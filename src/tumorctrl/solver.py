@@ -315,7 +315,7 @@ class _HelmholtzSolver:
         a row in a LinearSolveError.
         """
         if len(self.shape) == 1:
-            return self._thomas(coeff, b)
+            return self._thomas(coeff, b, members)
         if not isinstance(coeff, np.ndarray):
             return self.idct(self.dct(b) / (coeff + self.eig))
         # per-member scalars are columns, one row per member
@@ -357,12 +357,14 @@ class _HelmholtzSolver:
             out[rows] = x
         return self.idct(out)
 
-    def _thomas(self, coeff, b: np.ndarray) -> np.ndarray:
+    def _thomas(self, coeff, b: np.ndarray,
+                members: np.ndarray | None) -> np.ndarray:
         """The 1D solve: LU without pivoting of the tridiagonal system, each
         row in one forward and one backward sweep on Python floats.
 
         The rows are solved one by one with the same code, so a batch
-        member gets the bits of its own solve.
+        member gets the bits of its own solve.  A pivot that rounds to 0
+        (c below round-off next to 1/h^2) raises SolveFailure.
         """
         # minus the off-diagonal entries: 1/h^2, the end cells' diagonal of
         # -Lap (0 on a 1-cell grid, which has none, so x = b / c there)
@@ -377,12 +379,19 @@ class _HelmholtzSolver:
             # y_i = (r_i + e y_{i-1}) / m_i
             ys, ws = [], []
             y = w = 0.0
-            for di, ri in zip(d, r):
-                m = di - e * w
-                y = (ri + e * y) / m
-                w = e / m
-                ys.append(y)
-                ws.append(w)
+            try:
+                for di, ri in zip(d, r):
+                    m = di - e * w
+                    y = (ri + e * y) / m
+                    w = e / m
+                    ys.append(y)
+                    ws.append(w)
+            except ZeroDivisionError:
+                # c below round-off next to 1/h^2 leaves the singular -Lap
+                raise SolveFailure(
+                    f"1D Helmholtz solve: pivot of cell {len(ys)} vanished "
+                    f"(diagonal {di:.3e}, off-diagonal {-e:.3e})",
+                    _member(members, len(out))) from None
             # backward, in place of y: x_i = y_i + w_i x_{i+1}
             x = 0.0
             for i in range(len(ys) - 1, -1, -1):

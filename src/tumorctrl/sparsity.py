@@ -22,15 +22,8 @@ from .solver import AdjointTriple, ControlPair, Trajectory, adjoint_mismatch_fie
 
 
 class BadBounds(ValueError):
-    """Box bounds unusable for the requested operation."""
-
-
-class BisectionFailure(RuntimeError):
-    """Group-prox scalar fixed point not bracketed to tolerance."""
-
-
-class BoundsNotSignedError(ValueError):
-    """Certificates require scalar bounds with lo < 0 < hi."""
+    """A box without 0 strictly inside (lo < 0 < hi fails), which the
+    sparsity prox and the certificate both need."""
 
 
 class SparsityMode(enum.Enum):
@@ -41,29 +34,21 @@ class SparsityMode(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SubgradientPair:
-    """Selected subgradients (lambda1, lambda2) of g at a control pair."""
-
-    lam1: SpaceTimeField
-    lam2: SpaceTimeField
-
-
-@dataclass(frozen=True)
 class CertificateReport:
     """Where any locally optimal control must vanish.
 
     Per control component i, a slice (time step, cell, or point depending on
     the mode) is flagged exactly when the mode norm of d_i = (-psi1 h(phi),
-    psi3)_i is <= kappa there.
+    psi3)_i is <= kappa there.  coords maps each coordinate name ("t", "x",
+    "y") to one value per slice, in the raveled order of the norms.
     """
 
-    mode: SparsityMode
     kappa: float
     norms1: np.ndarray
     norms2: np.ndarray
     flagged1: np.ndarray
     flagged2: np.ndarray
-    coords: tuple
+    coords: dict
 
 
 def group_layout(mode: SparsityMode, u: SpaceTimeField) -> tuple:
@@ -102,23 +87,26 @@ def eval_g(mode: SparsityMode, u: ControlPair) -> float:
                for comp in (u.u1, u.u2))
 
 
-def _shrink(v: np.ndarray, theta: np.ndarray, eta_kappa: float, lo,
-            hi) -> np.ndarray:
+def _shrink(v: np.ndarray, theta: np.ndarray, eta_kappa: float, lo: float,
+            hi: float) -> np.ndarray:
     """Box-clipped shrinkage P_box(v * theta / (theta + eta_kappa)) per row."""
     out = v * (theta / (theta + eta_kappa))[:, None]
     return np.clip(out, lo, hi, out=out)
 
 
 def prox(mode: SparsityMode, v: SpaceTimeField, eta: float, kappa: float,
-         lo, hi) -> SpaceTimeField:
-    """Proximal map of eta * (kappa g + box indicator) at v, one component.
+         lo: float, hi: float) -> SpaceTimeField:
+    """Proximal map of eta * (kappa g + indicator of [lo, hi]) at v, one
+    component, for a scalar box [lo, hi].
 
-    FULL_Q soft-thresholds pointwise by eta*kappa and clips.  TIME treats
-    each time slice as one group (SPACE swaps the roles of t and x); the
-    slice is exactly zero iff its weighted norm is <= eta*kappa.  Otherwise
-    a group whose plain shrinkage v (1 - eta*kappa / ||v||_w) lies inside
-    the box takes it in closed form, and the box-constrained shrinkage of
-    the rest is solved to 1e-12 by one bisection over those groups.
+    kappa = 0 or mode NONE is the box projection; otherwise the box must
+    hold 0 strictly inside (BadBounds).  FULL_Q soft-thresholds pointwise by
+    eta*kappa and clips.  TIME treats each time slice as one group (SPACE
+    swaps the roles of t and x); the slice is exactly zero iff its weighted
+    norm is <= eta*kappa.  Otherwise a group whose plain shrinkage
+    v (1 - eta*kappa / ||v||_w) lies inside the box takes it in closed form,
+    and the box-constrained shrinkage of the rest is solved to 1e-12 by one
+    bisection over those groups.
     """
     if not eta > 0.0:
         raise ValueError(f"eta must be positive, got {eta!r}")
@@ -127,7 +115,7 @@ def prox(mode: SparsityMode, v: SpaceTimeField, eta: float, kappa: float,
     vals = v.values
     if mode is SparsityMode.NONE or kappa == 0.0:
         return SpaceTimeField(v.timegrid, v.grid, np.clip(vals, lo, hi))
-    if not (np.all(np.asarray(lo) < 0.0) and np.all(np.asarray(hi) > 0.0)):
+    if not lo < 0.0 < hi:
         raise BadBounds("sparsity prox requires lo < 0 < hi")
 
     ek = eta * kappa
@@ -150,27 +138,19 @@ def prox(mode: SparsityMode, v: SpaceTimeField, eta: float, kappa: float,
     live = np.flatnonzero(nv > ek)
     theta0 = nv[live] - ek
     shrunk = rows[live] * (theta0 / (theta0 + ek))[:, None]
-    lo_r, hi_r = (np.moveaxis(np.broadcast_to(x, vals.shape), axis, -1)[live]
-                  for x in (lo, hi))
-    boxed = np.all((lo_r <= shrunk) & (shrunk <= hi_r), axis=-1)
+    boxed = np.all((lo <= shrunk) & (shrunk <= hi), axis=-1)
     out[live[boxed]] = shrunk[boxed]
     clip = live[~boxed]
     rows, b = rows[clip], theta0[~boxed]
-    lo_r, hi_r = lo_r[~boxed], hi_r[~boxed]
     a = np.zeros_like(b)
     stop = 1e-12 * np.maximum(1.0, b)
-    for _ in range(200):
-        moving = b - a > stop
-        if not moving.any():
-            break
+    # each pass halves every moving bracket, so all stop within 40 passes
+    while (moving := b - a > stop).any():
         mid = 0.5 * (a + b)
-        up = group_norms(_shrink(rows, mid, ek, lo_r, hi_r), -1, w) > mid
+        up = group_norms(_shrink(rows, mid, ek, lo, hi), -1, w) > mid
         a = np.where(moving & up, mid, a)
         b = np.where(moving & ~up, mid, b)
-    else:
-        raise BisectionFailure(
-            f"group prox bisection stalled: interval {np.max(b - a):.3e}")
-    out[clip] = _shrink(rows, 0.5 * (a + b), ek, lo_r, hi_r)
+    out[clip] = _shrink(rows, 0.5 * (a + b), ek, lo, hi)
     return SpaceTimeField(v.timegrid, v.grid, np.moveaxis(out, -1, axis))
 
 
@@ -205,20 +185,18 @@ def _select_component(mode: SparsityMode, u: SpaceTimeField, d: np.ndarray,
 
 
 def select_subgradient(mode: SparsityMode, u: ControlPair, d: tuple,
-                       kappa: float) -> SubgradientPair:
-    """Pick the stationarity-relevant subgradient of g at u.
+                       kappa: float) -> tuple:
+    """Pick the stationarity-relevant subgradient (lam1, lam2) of g at u.
 
-    On nonzero slices/points the subdifferential is a singleton (sign or
-    normalized slice).  On the zero set we take the projection of -d/kappa
-    onto the unit ball (interval for full sparsity), which minimizes the
-    variational-inequality residual among admissible selections.
+    d = (d1, d2) and the returned lam1, lam2 are (steps, cells) arrays, d as
+    solver.adjoint_mismatch_fields returns it.  On nonzero slices/points the
+    subdifferential is a singleton (sign or normalized slice).  On the zero
+    set we take the projection of -d/kappa onto the unit ball (interval for
+    full sparsity), which minimizes the variational-inequality residual
+    among admissible selections.
     """
-    d1 = d[0].values if isinstance(d[0], SpaceTimeField) else np.asarray(d[0])
-    d2 = d[1].values if isinstance(d[1], SpaceTimeField) else np.asarray(d[1])
-    lam1 = _select_component(mode, u.u1, d1, kappa)
-    lam2 = _select_component(mode, u.u2, d2, kappa)
-    return SubgradientPair(SpaceTimeField(u.timegrid, u.grid, lam1),
-                           SpaceTimeField(u.timegrid, u.grid, lam2))
+    return (_select_component(mode, u.u1, d[0], kappa),
+            _select_component(mode, u.u2, d[1], kappa))
 
 
 def certificate(mode: SparsityMode, adjoint: AdjointTriple, base: Trajectory,
@@ -227,45 +205,36 @@ def certificate(mode: SparsityMode, adjoint: AdjointTriple, base: Trajectory,
 
     Builds d = (-psi1 h(phi), psi3) on the control slices and flags, per
     component, every slice whose mode norm is <= kappa: there any locally
-    optimal control must vanish.  The equivalence needs scalar bounds with
-    lo < 0 < hi; with anything else the certificate is refused rather than
-    silently wrong.
+    optimal control must vanish.  The slices are time steps (TIME), cells
+    (SPACE) or (step, cell) points (FULL_Q), and the report's coords name
+    each slice's time and cell center.  The equivalence needs lo < 0 < hi
+    on both boxes; with anything else the certificate is refused with
+    BadBounds rather than silently wrong.
     """
-    if not bounds.is_signed():
-        raise BoundsNotSignedError(
-            "certificate requires scalar bounds with lo < 0 < hi")
+    if not (bounds.lo1 < 0.0 < bounds.hi1 and bounds.lo2 < 0.0 < bounds.hi2):
+        raise BadBounds("certificate requires lo < 0 < hi on both boxes")
     tg, grid = base.timegrid, base.grid
     n1, n2 = (mode_norms(mode, SpaceTimeField(tg, grid, d))
               for d in adjoint_mismatch_fields(hspec, base, adjoint))
+    times = tg.node_times()[:-1]
+    cells = dict(zip("xy", grid.cell_centers()))
     if mode is SparsityMode.TIME:
-        coords = (tg.node_times()[:-1],)
+        coords = {"t": times}
     elif mode is SparsityMode.SPACE:
-        coords = grid.cell_centers()
+        coords = cells
     else:
-        coords = (tg.node_times()[:-1],) + grid.cell_centers()
-    return CertificateReport(mode, float(kappa), n1, n2, n1 <= kappa,
-                             n2 <= kappa, coords)
+        coords = {"t": np.repeat(times, grid.n_cells),
+                  **{k: np.tile(c, tg.n_steps) for k, c in cells.items()}}
+    return CertificateReport(float(kappa), n1, n2, n1 <= kappa, n2 <= kappa,
+                             coords)
 
 
 def certificate_to_csv(report: CertificateReport, path) -> None:
     """Rows: slice id, slice coordinate(s), |d| norms, flags, kappa."""
-    mode = report.mode
-    if mode is SparsityMode.TIME:
-        coord_names, coord_cols = ["t"], [report.coords[0]]
-    elif mode is SparsityMode.SPACE:
-        coord_names = ["x", "y"][: len(report.coords)]
-        coord_cols = list(report.coords)
-    else:
-        times = report.coords[0]
-        cells = report.coords[1:]
-        nslices, ncells = report.norms1.shape
-        coord_names = ["t", "x", "y"][: 1 + len(cells)]
-        coord_cols = [np.repeat(times, ncells)]
-        coord_cols += [np.tile(c, nslices) for c in cells]
     per_slice = [np.ravel(a) for a in (report.norms1, report.norms2,
                                        report.flagged1, report.flagged2)]
     n = per_slice[0].size
-    write_csv(path, ["slice", *coord_names, "norm_d1", "norm_d2", "flagged1",
-                     "flagged2", "kappa"],
-              [np.arange(n), *map(repr_column, coord_cols), *per_slice,
-               repr_column(np.full(n, report.kappa))])
+    write_csv(path, ["slice", *report.coords, "norm_d1", "norm_d2",
+                     "flagged1", "flagged2", "kappa"],
+              [np.arange(n), *map(repr_column, report.coords.values()),
+               *per_slice, repr_column(np.full(n, report.kappa))])

@@ -50,16 +50,10 @@ def brute_force_optimize(params, pot, hspec, targets: Targets,
     if nc > 3 or nt > 3 or dim > 18:
         raise DimensionTooLarge(
             f"{nc} cells x {nt} steps x 2 controls = {dim} > 18 dims")
-    if not bounds.is_signed():
-        lo_ok = np.ndim(bounds.lo1) == 0 and np.ndim(bounds.lo2) == 0
-        if not lo_ok:
-            raise ValueError("lattice oracle needs scalar bounds")
 
     shape = (nt, nc)
-    lo = [np.broadcast_to(np.asarray(bounds.lo1, float), shape).copy(),
-          np.broadcast_to(np.asarray(bounds.lo2, float), shape).copy()]
-    hi = [np.broadcast_to(np.asarray(bounds.hi1, float), shape).copy(),
-          np.broadcast_to(np.asarray(bounds.hi2, float), shape).copy()]
+    lo = [np.full(shape, bounds.lo1), np.full(shape, bounds.lo2)]
+    hi = [np.full(shape, bounds.hi1), np.full(shape, bounds.hi2)]
     box_lo = [a.copy() for a in lo]
     box_hi = [a.copy() for a in hi]
 

@@ -384,7 +384,7 @@ def test_c9_full_sparsity_lambda_formula():
     kappa = prob.params.kappa
     u2 = res.control.u2.values
     d = adjoint_mismatch_fields(prob.hspec, res.trajectory, res.adjoint)
-    lam2 = select_subgradient(prob.mode, res.control, d, kappa).lam2.values
+    lam2 = select_subgradient(prob.mode, res.control, d, kappa)[1]
     psi3_slices = d[1]  # d2 is psi3 sampled on the control slices
     zero = u2 == 0.0
     err_zero = (np.max(np.abs(lam2[zero]

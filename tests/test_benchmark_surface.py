@@ -77,3 +77,10 @@ def test_package_exports_what_the_benchmark_imports():
     assert callable(make_problem) and callable(validate_setup)
     for name in ("run", "parse_config_text"):
         assert callable(getattr(runner, name)), name
+    # setup_probe.py unpacks to_settings() into three and formats the report
+    text = "[run]\npreset = time-sparsity-demo\n"
+    _, _, settings = runner.parse_config_text(text).to_settings()
+    problem = make_problem(settings)
+    report = validate_setup(problem.params, problem.pot, problem.init,
+                            problem.hspec)
+    assert report.passed and str(report) == "setup valid"

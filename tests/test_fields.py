@@ -24,6 +24,16 @@ class TestGrids:
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0)
 
+    def test_rejects_spacing_without_float_h2(self):
+        # the Laplacian needs h^2 and 1/h^2 as finite positive floats
+        for make in (lambda: grid1d(16, 1e160), lambda: grid1d(16, 1e-160),
+                     lambda: grid2d(12, 12, 1e300, 1.0)):
+            with pytest.raises(ValueError, match="finite positive h"):
+                make()
+        # far lengths whose h^2 is a float stay valid
+        for length in (1e6, 1e-6, 1e-150):
+            assert grid1d(16, length).cell_volume == length / 16
+
     def test_time_weights_sum_to_T(self):
         tg = TimeGrid(0.7, 9)
         assert tg.node_weights().sum() == pytest.approx(0.7)

@@ -203,8 +203,7 @@ class TestBoxBounds:
         with pytest.raises(ValueError):
             BoxBounds(1.0, -1.0, -1.0, 1.0)
 
-    def test_signed_detection(self):
-        assert BoxBounds(-1.0, 1.0, -0.5, 2.0).is_signed()
-        assert not BoxBounds(0.0, 1.0, -1.0, 1.0).is_signed()
-        arr = np.full(4, -1.0)
-        assert not BoxBounds(arr, 1.0, -1.0, 1.0).is_signed()
+    def test_array_box_refused(self):
+        # every box is one scalar interval per control
+        with pytest.raises(ValueError):
+            BoxBounds(np.full(4, -1.0), 1.0, -1.0, 1.0)

@@ -144,9 +144,8 @@ class TestOptimizer:
         # subgradient respects the mode constraints
         vol = p.grid.cell_volume
         d = adjoint_mismatch_fields(p.hspec, res.trajectory, res.adjoint)
-        sub = select_subgradient(p.mode, res.control, d, p.params.kappa)
-        for lam in (sub.lam1, sub.lam2):
-            norms = np.sqrt(vol * np.sum(lam.values ** 2, axis=1))
+        for lam in select_subgradient(p.mode, res.control, d, p.params.kappa):
+            norms = np.sqrt(vol * np.sum(lam ** 2, axis=1))
             assert np.all(norms <= 1.0 + 1e-10)
 
     def test_vi_sign_implications(self):
@@ -158,12 +157,12 @@ class TestOptimizer:
                                       p.mode, p.bounds, p.u0, p.opts, p.init)
         assert res.converged
         d1, d2 = adjoint_mismatch_fields(p.hspec, res.trajectory, res.adjoint)
-        sub = select_subgradient(p.mode, res.control, (d1, d2),
-                                 p.params.kappa)
+        lam1, lam2 = select_subgradient(p.mode, res.control, (d1, d2),
+                                        p.params.kappa)
         for comp, lam, d, lo, hi in (
-                (res.control.u1, sub.lam1, d1, -0.02, 0.02),
-                (res.control.u2, sub.lam2, d2, -0.02, 0.02)):
-            q = d + p.params.kappa * lam.values \
+                (res.control.u1, lam1, d1, -0.02, 0.02),
+                (res.control.u2, lam2, d2, -0.02, 0.02)):
+            q = d + p.params.kappa * lam \
                 + p.params.nu * comp.values
             assert np.all(np.isclose(comp.values[q > 1e-8], lo, atol=1e-10))
             assert np.all(np.isclose(comp.values[q < -1e-8], hi, atol=1e-10))

@@ -1,7 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tumorctrl
 from tumorctrl import runner
 from tumorctrl.cli import main as cli_main
 from tumorctrl.optim import OptimizeOptions
@@ -464,6 +469,54 @@ class TestCli:
                                    "[model]\nnu = 1e-12\nkappa = 1\n")
         assert cli_main(["optimize", "--config", str(cfgp),
                          "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("preset,length,width", [
+        ("time-sparsity-demo", "1e160", "6.25e+158"),
+        ("2D-regular-default", "1e300 1", "8.33333e+298")],
+        ids=["1d", "2d"])
+    def test_grid_without_float_h2_is_config_error(self, tmp_path, capsys,
+                                                   preset, length, width):
+        cfgp = write_cfg(tmp_path, f"[run]\npreset = {preset}\n"
+                                   f"[grid]\nlength = {length}\n")
+        assert cli_main(["simulate", "--config", str(cfgp),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: range: <problem>: cell width {width} has h^2 = "
+            "inf: need a finite positive h^2 and 1/h^2\n")
+
+    @pytest.mark.parametrize("section,diagonal", [
+        ("[time]\nt_final = 1e17\n", "2.560e+02"),
+        ("[grid]\nlength = 1e-150\n", "2.560e+302")],
+        ids=["t_final", "length"])
+    def test_vanished_pivot_is_a_solver_error(self, tmp_path, capsys,
+                                              section, diagonal):
+        # alpha/tau h^2 falls below round-off: the 1D solve meets -Lap
+        cfgp = write_cfg(tmp_path, "[run]\npreset = time-sparsity-demo\n"
+                                   + section)
+        assert cli_main(["simulate", "--config", str(cfgp),
+                         "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "solver error: 1D Helmholtz solve: pivot of cell 15 vanished "
+            f"(diagonal {diagonal}, off-diagonal -{diagonal})\n")
+
+    @pytest.mark.parametrize("command,preset,section", [
+        ("optimize", "time-sparsity-demo", "[model]\nnu = 5e-324\n"),
+        ("optimize", "time-sparsity-demo", "[model]\nbeta1 = 1e300\n"),
+        ("simulate", "2D-regular-default", "[time]\nt_final = 1e300\n")],
+        ids=["nu", "beta1", "t_final-2d"])
+    def test_overflow_prints_no_numpy_warning(self, tmp_path, command,
+                                              preset, section):
+        # pytest captures warnings before capsys sees them: run the CLI
+        cfgp = write_cfg(tmp_path, f"[run]\npreset = {preset}\n" + section)
+        src = str(Path(tumorctrl.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "tumorctrl.cli", command, "--config",
+             str(cfgp), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("solver error: ")
+        assert proc.stderr.count("\n") == 1
 
     def test_command_override(self, tmp_path):
         # stationary preset has mode none: threshold must refuse it cleanly

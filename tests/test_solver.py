@@ -12,7 +12,7 @@ from tumorctrl.presets import preset_names, preset_problem
 from tumorctrl import solver
 from tumorctrl.solver import (ControlPair, LinearizedSpec, LinearSolveError,
                               NewtonDivergence, SeparationLoss, ShapeMismatch,
-                              Targets, solve_adjoint, solve_linearized,
+                              SolveFailure, Targets, solve_adjoint, solve_linearized,
                               solve_state, solve_states, state_balance_report)
 
 HS = smoothstep7()
@@ -227,6 +227,22 @@ class TestHelmholtzSolver:
                      members=members)
         assert exc.value.member == 7
         assert str(exc.value).endswith(" (member 7)")
+
+    def test_vanished_1d_pivot_is_a_solve_failure(self):
+        # c = 1e-300 is below round-off next to 1/h^2 = 256, so the sweep
+        # meets the singular -Lap and its last pivot rounds to 0
+        hh = solver._HelmholtzSolver(grid1d(16))
+        with pytest.raises(SolveFailure) as exc:
+            hh.solve(1e-300, np.ones(16))
+        assert exc.value.member is None
+        assert str(exc.value) == (
+            "1D Helmholtz solve: pivot of cell 15 vanished (diagonal "
+            "2.560e+02, off-diagonal -2.560e+02)")
+        # in a batch, the failing row is named
+        coeff = np.stack([np.full(16, 3.0), np.full(16, 1e-300)])
+        with pytest.raises(SolveFailure) as exc:
+            hh.solve(coeff, np.ones((2, 16)), members=np.array([5, 7]))
+        assert exc.value.member == 7
 
     # norms of mu, phi, sigma at T and of psi2 at t = 0, recorded with the
     # Jacobi-preconditioned solver this one replaced

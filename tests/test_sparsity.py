@@ -5,8 +5,8 @@ from tumorctrl.fields import SpaceTimeField, TimeGrid, grid1d, grid2d
 from tumorctrl.model import BoxBounds
 from tumorctrl.presets import preset_problem
 from tumorctrl.solver import ControlPair, solve_adjoint, solve_state
-from tumorctrl.sparsity import (BadBounds, BoundsNotSignedError, SparsityMode,
-                                certificate, certificate_to_csv, eval_g, prox,
+from tumorctrl.sparsity import (BadBounds, SparsityMode, certificate,
+                                certificate_to_csv, eval_g, prox,
                                 select_subgradient)
 
 MODES = (SparsityMode.FULL_Q, SparsityMode.TIME, SparsityMode.SPACE)
@@ -20,7 +20,7 @@ def prox_kkt_residual(mode, u_prox, v, eta, kappa, lo, hi):
     """
     d = -v.values / eta
     lam = select_subgradient(mode, ControlPair(u_prox, u_prox), (d, d),
-                             kappa).lam1.values
+                             kappa)[0]
     target = np.clip(v.values - eta * kappa * lam, lo, hi)
     return float(np.max(np.abs(u_prox.values - target)))
 
@@ -164,29 +164,31 @@ class TestProx:
 
     @pytest.mark.parametrize("mode", [SparsityMode.TIME, SparsityMode.SPACE])
     def test_batched_equals_one_group_calls(self, rng, mode):
-        # 2D 32x32, 8 steps, per-(step, cell) bounds.  Each reference call
-        # holds one group alone: one time step (TIME) or one cell (SPACE),
-        # whose norm weight (cell volume, tau) is unchanged.  A SPACE group
-        # is a strided column of the batched field and a contiguous one of
-        # the one-cell field, and the result must not depend on that.
+        # 2D 32x32, 8 steps, box [-0.3, 0.3].  Each reference call holds one
+        # group alone: one time step (TIME) or one cell (SPACE), whose norm
+        # weight (cell volume, tau) is unchanged.  A SPACE group is a strided
+        # column of the batched field and a contiguous one of the one-cell
+        # field, and the result must not depend on that.  Zero groups and
+        # clipped (bisected) groups both occur.
         tg, g = TimeGrid(0.25, 8), grid2d(32, 32)
         vals = (rng.uniform(-1, 1, (8, 1024)) * rng.uniform(0.05, 1.0, (8, 1))
                 * rng.uniform(0.1, 1.0, 1024))
-        lo = -rng.uniform(0.05, 0.6, vals.shape)
-        hi = rng.uniform(0.05, 0.6, vals.shape)
-        eta, kappa = 0.5, 0.15
+        eta, kappa, box = 0.5, 0.15, 0.3
         batched = prox(mode, SpaceTimeField(tg, g, vals), eta, kappa,
-                       lo, hi).values
+                       -box, box).values
         by_time = mode is SparsityMode.TIME
-        zero_groups = 0
+        zero_groups = clipped_groups = 0
         for k in range(vals.shape[0] if by_time else vals.shape[1]):
             sel = np.s_[k:k + 1, :] if by_time else np.s_[:, k:k + 1]
             one = (SpaceTimeField(TimeGrid(tg.tau, 1), g, vals[sel]) if by_time
                    else SpaceTimeField(tg, grid1d(1), vals[sel]))
-            ref = prox(mode, one, eta, kappa, lo[sel], hi[sel]).values
+            ref = prox(mode, one, eta, kappa, -box, box).values
             assert ref.tobytes() == batched[sel].tobytes()
             zero_groups += bool(np.all(ref == 0.0))
-        assert 0 < zero_groups < (8 if by_time else 1024)
+            clipped_groups += bool(np.any(np.abs(ref) == box))
+        n_groups = 8 if by_time else 1024
+        assert 0 < zero_groups < n_groups
+        assert 0 < clipped_groups < n_groups
 
     @pytest.mark.parametrize("box", [2.0, 0.3], ids=["inactive", "clipped"])
     def test_group_shrinkage(self, rng, box):
@@ -239,25 +241,25 @@ class TestSelectSubgradient:
         u = ControlPair.zeros(self.tg, self.grid)
         z = np.zeros((4, 3))
         for mode in MODES:
-            lam = select_subgradient(mode, u, (z, z), 1.0)
-            assert np.all(lam.lam1.values == 0.0)
-            assert np.all(lam.lam2.values == 0.0)
+            lam1, lam2 = select_subgradient(mode, u, (z, z), 1.0)
+            assert np.all(lam1 == 0.0)
+            assert np.all(lam2 == 0.0)
 
     def test_full_sign_on_nonzero(self):
         vals = np.array([[0.5, -0.2, 0.0]] * 4)
         u = pair_from(self.tg, self.grid, vals)
         d = np.zeros((4, 3))
-        lam = select_subgradient(SparsityMode.FULL_Q, u, (d, d), 1.0)
-        assert np.all(lam.lam1.values[:, 0] == 1.0)
-        assert np.all(lam.lam1.values[:, 1] == -1.0)
-        assert np.all(lam.lam1.values[:, 2] == 0.0)
+        lam1, _ = select_subgradient(SparsityMode.FULL_Q, u, (d, d), 1.0)
+        assert np.all(lam1[:, 0] == 1.0)
+        assert np.all(lam1[:, 1] == -1.0)
+        assert np.all(lam1[:, 2] == 0.0)
 
     def test_full_projection_on_zero_set(self, rng):
         kappa = 0.8
         d = rng.uniform(-2, 2, (4, 3))
         u = ControlPair.zeros(self.tg, self.grid)
-        lam = select_subgradient(SparsityMode.FULL_Q, u, (d, d), kappa)
-        assert np.array_equal(lam.lam1.values, np.clip(-d / kappa, -1, 1))
+        lam1, _ = select_subgradient(SparsityMode.FULL_Q, u, (d, d), kappa)
+        assert np.array_equal(lam1, np.clip(-d / kappa, -1, 1))
 
     def test_time_mode_unit_ball(self, rng):
         vol = self.grid.cell_volume
@@ -265,13 +267,13 @@ class TestSelectSubgradient:
         vals[1] = 0.0
         u = pair_from(self.tg, self.grid, vals)
         d = rng.uniform(-3, 3, (4, 3))
-        lam = select_subgradient(SparsityMode.TIME, u, (d, d), 0.7)
-        norms = np.sqrt(vol * np.sum(lam.lam1.values ** 2, axis=1))
+        lam1, _ = select_subgradient(SparsityMode.TIME, u, (d, d), 0.7)
+        norms = np.sqrt(vol * np.sum(lam1 ** 2, axis=1))
         assert np.all(norms <= 1.0 + 1e-10)
         for n in (0, 2, 3):
             assert norms[n] == pytest.approx(1.0, abs=1e-12)
             expected = vals[n] / np.sqrt(vol * np.dot(vals[n], vals[n]))
-            assert np.allclose(lam.lam1.values[n], expected)
+            assert np.allclose(lam1[n], expected)
 
 
 class TestCertificate:
@@ -298,7 +300,7 @@ class TestCertificate:
     def test_unsigned_bounds_refused(self):
         prob, traj, adj = self.make_case()
         bad = BoxBounds(0.0, 1.0, -1.0, 1.0)
-        with pytest.raises(BoundsNotSignedError):
+        with pytest.raises(BadBounds):
             certificate(prob.mode, adj, traj, prob.hspec, 0.1, bad)
 
     def test_csv_roundtrip(self, tmp_path):
