@@ -6,9 +6,10 @@
 Exit codes: 0 success; 1 check failure, an optimize or sweep-kappa whose
 optimizer did not converge, or a solver failure (one "solver error:" line);
 2 config error: a config file that cannot be read as UTF-8 text, a bad key,
-value or section, a problem the settings cannot build, or an optimize,
+value or section, a problem the settings cannot build, an optimize,
 threshold or sweep-kappa whose sparsity mode meets a box that does not hold
-0 strictly inside.  Every config key, its section and its default are in
+0 strictly inside, or an --out under which the run directory cannot be
+made (say a file).  Every config key, its section and its default are in
 tumorctrl.presets.SETTINGS.
 """
 

@@ -147,11 +147,12 @@ class _GradientBundle:
 
 
 def _gradient_bundle(params, pot, hspec, targets, u: ControlPair,
-                     init: StateTriple,
-                     traj: Trajectory | None = None) -> _GradientBundle:
+                     init: StateTriple, traj: Trajectory | None = None,
+                     adj: AdjointTriple | None = None) -> _GradientBundle:
     if traj is None:
         traj = solve_state(params, pot, hspec, u, init)
-    adj = solve_adjoint(params, pot, hspec, traj, u, targets)
+    if adj is None:
+        adj = solve_adjoint(params, pot, hspec, traj, u, targets)
     d1, d2 = adjoint_mismatch_fields(hspec, traj, adj)
     g1 = d1 + params.nu * u.u1.values
     g2 = d2 + params.nu * u.u2.values
@@ -160,12 +161,15 @@ def _gradient_bundle(params, pot, hspec, targets, u: ControlPair,
 
 def smooth_gradient(params: ModelParams, pot: PotentialSpec,
                     hspec: InterpolantSpec, targets: Targets, u: ControlPair,
-                    init: StateTriple) -> tuple[SpaceTimeField, SpaceTimeField]:
+                    init: StateTriple, traj: Trajectory | None = None,
+                    adj: AdjointTriple | None = None
+                    ) -> tuple[SpaceTimeField, SpaceTimeField]:
     """Gradient of the smooth reduced cost: (-psi1 h(phi) + nu u1, psi3 + nu u2).
 
-    One forward and one backward (adjoint) solve.
+    One forward and one backward (adjoint) solve; traj and adj are u's
+    state trajectory and adjoint if they are already solved.
     """
-    b = _gradient_bundle(params, pot, hspec, targets, u, init)
+    b = _gradient_bundle(params, pot, hspec, targets, u, init, traj, adj)
     tg, grid = u.timegrid, u.grid
     return (SpaceTimeField(tg, grid, b.g1), SpaceTimeField(tg, grid, b.g2))
 

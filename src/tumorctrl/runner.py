@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import shutil
 import time
 from dataclasses import dataclass
@@ -32,9 +33,7 @@ from .presets import (SETTINGS, ConfigError, ConfigIssue, Problem, _choice_key,
                       preset_settings)
 from .solver import solve_state, state_balance_report
 from .sparsity import SparsityMode, certificate, certificate_to_csv
-from .verify import (CheckReport, duality_gap, fd_gradient_check,
-                     linearized_fd_refinement, separation_monitor,
-                     write_check_csv)
+from .verify import separation_monitor, verify_checks, write_check_csv
 
 _STATE_NAMES = ("mu", "phi", "sigma")
 
@@ -126,13 +125,7 @@ def _run_sweep(problem: Problem, out: Path, kappas):
 
 
 def _run_verify(problem: Problem, out: Path, kappas):
-    checks: list[CheckReport] = []
-    checks.append(fd_gradient_check(problem, n_directions=3))
-    checks.append(linearized_fd_refinement(problem, levels=3))
-    checks.append(duality_gap(problem, levels=3))
-    traj = solve_state(problem.params, problem.pot, problem.hspec, problem.u0,
-                       problem.init)
-    checks.append(separation_monitor(traj, problem.pot))
+    checks = verify_checks(problem)
     files = []
     for rep in checks:
         p = out / f"check_{rep.name}.csv"
@@ -162,8 +155,12 @@ def _canonical(value) -> str:
 
 
 def _kappas_key(raw, key, line, issues):
-    """sweep-kappa's list: non-negative and ascending, as kappa_sweep needs."""
+    """sweep-kappa's list: finite, non-negative and ascending, as
+    kappa_sweep needs."""
     ks = _floats_key(raw, key, line, issues)
+    if ks is not None and not all(map(math.isfinite, ks)):
+        issues.append(ConfigIssue(key, line, "must be finite", "range"))
+        return None
     if ks is not None and (any(k < 0.0 for k in ks)
                            or any(b < a for a, b in zip(ks, ks[1:]))):
         issues.append(ConfigIssue(key, line, "must be ascending and >= 0",
@@ -323,7 +320,12 @@ def run(config: ExperimentConfig, out_dir) -> RunManifest:
 
     out = Path(out_dir) / config.config_hash()
     created = not out.exists()
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # say an output directory that is a file
+        raise ConfigError([ConfigIssue(
+            "<out>", 0, f"cannot make {out}: {exc.strerror}", "range")]) \
+            from exc
     try:
         files, passed = _COMMANDS[command](problem, out, kappas)
     except BaseException:

@@ -48,11 +48,12 @@ solve_states marches a sequence of independent controls through one time
 loop, as rows of one (members, cells) array per field, at most BATCH_BYTES
 of states at a time, and yields each control with its trajectory, chunk by
 chunk.  Every row keeps its own Newton and CG scalars, line search and
-stopping tests (a 1D solve runs row by row), so each member takes the
-iterations, and gets the bits, of its own solve_state, which runs the same
-loop on one unbatched field.  On the presets' 16-64-cell grids an array
-operation's cost is per-call overhead, so a batch of B members costs far
-less than B solves.
+stopping tests, and a 1D solve makes the same IEEE operations on each row
+(row by row on Python floats, or as numpy columns from THOMAS_COLUMN_ROWS
+rows up), so each member takes the iterations, and gets the bits, of its
+own solve_state, which runs the same loop on one unbatched field.  On the
+presets' 16-64-cell grids an array operation's cost is per-call overhead,
+so a batch of B members costs far less than B solves.
 """
 
 from __future__ import annotations
@@ -76,6 +77,11 @@ MIN_MARGIN = 1e-11
 # solve_states marches at most this many bytes of states at once:
 # members x (steps + 1) x cells x 3 fields x 8 bytes
 BATCH_BYTES = 4 * 2 ** 20
+# a 1D batch of at least this many rows sweeps as numpy columns, a smaller
+# one row by row: on one core of an Intel Xeon, 16 rows took 51 us by rows
+# against 56 us by columns at 16 cells and 171 against 200 us at 64 cells,
+# and 20 rows 64 against 56 us and 209 against 201 us
+THOMAS_COLUMN_ROWS = 20
 
 
 class SolveFailure(RuntimeError):
@@ -254,6 +260,33 @@ def _at(values, row: int) -> float:
     return float(np.ravel(values)[row])
 
 
+def _thomas_columns(e: float, diag: np.ndarray,
+                    b: np.ndarray) -> np.ndarray | None:
+    """_HelmholtzSolver._thomas's sweep of a (members, cells) batch, cell by
+    cell with all rows as one numpy column: the operations of the row
+    sweep, entry by entry.  None if a pivot vanished."""
+    d = np.broadcast_to(diag, b.shape).T
+    piv, ys, ws = (np.empty(d.shape) for _ in range(3))
+    y = w = np.zeros(len(b))
+    t = np.empty(len(b))
+    # as Python floats do, a 0 pivot or an overflow warns of nothing
+    with np.errstate(all="ignore"):
+        for di, ri, mi, yi, wi in zip(d, b.T, piv, ys, ws):
+            np.multiply(e, w, out=t)
+            np.subtract(di, t, out=mi)
+            np.multiply(e, y, out=t)
+            np.add(ri, t, out=t)
+            np.divide(t, mi, out=yi)
+            np.divide(e, mi, out=wi)
+            y, w = yi, wi
+        x = np.zeros(len(b))
+        for yi, wi in zip(ys[::-1], ws[::-1]):
+            np.multiply(wi, x, out=t)
+            np.add(yi, t, out=yi)
+            x = yi
+    return np.ascontiguousarray(ys.T) if piv.all() else None
+
+
 class _HelmholtzSolver:
     """(diag(c) - Lap) x = b with c > 0: PCG for a variable 2D c, else direct.
 
@@ -276,9 +309,11 @@ class _HelmholtzSolver:
 
     Fields are flat cell vectors, or rows of a (members, cells) array that
     are solved as independent systems: CG runs them in one iteration, where
-    each row keeps its own CG scalars and stops on its own test, and the
-    direct solves take each row alike.  Either way a row takes exactly the
-    iterations, and gets exactly the bits, of its unbatched solve.
+    each row keeps its own CG scalars and stops on its own test, the DCT
+    solves transform each row alike, and the Thomas sweep makes the same
+    operations on each row, row by row or, from THOMAS_COLUMN_ROWS rows up,
+    as numpy columns.  Either way a row takes exactly the iterations, and
+    gets exactly the bits, of its unbatched solve.
     """
 
     def __init__(self, grid: GridSpec):
@@ -359,20 +394,33 @@ class _HelmholtzSolver:
 
     def _thomas(self, coeff, b: np.ndarray,
                 members: np.ndarray | None) -> np.ndarray:
-        """The 1D solve: LU without pivoting of the tridiagonal system, each
-        row in one forward and one backward sweep on Python floats.
+        """The 1D solve: LU without pivoting of the tridiagonal system, in
+        one forward and one backward sweep.
 
-        The rows are solved one by one with the same code, so a batch
-        member gets the bits of its own solve.  A pivot that rounds to 0
-        (c below round-off next to 1/h^2) raises SolveFailure.
+        A batch of at least THOMAS_COLUMN_ROWS rows sweeps as numpy
+        columns (_thomas_columns); fewer rows, and an unbatched solve,
+        sweep row by row on Python floats.  Both make the same IEEE
+        operations on every entry, so a batch member gets the bits of its
+        own solve.  A pivot that rounds to 0 (c below round-off next to
+        1/h^2) raises SolveFailure, naming the cell and the first row
+        whose pivot vanished.
         """
         # minus the off-diagonal entries: 1/h^2, the end cells' diagonal of
         # -Lap (0 on a 1-cell grid, which has none, so x = b / c there)
         e = float(self.neg_lap_diag[0])
         diag = coeff + self.neg_lap_diag
-        rows = b.tolist() if b.ndim == 2 else [b.tolist()]
-        diags = (diag.tolist() if diag.ndim == 2
-                 else [diag.tolist()] * len(rows))
+        if b.ndim == 1:
+            rows, diags = [b.tolist()], [diag.tolist()]
+        else:
+            if len(b) >= THOMAS_COLUMN_ROWS:
+                x = _thomas_columns(e, diag, b)
+                if x is not None:
+                    return x
+                # a vanished pivot: the row sweep below meets it in the
+                # same bits and raises, naming it as an unbatched solve would
+            rows = b.tolist()
+            diags = (diag.tolist() if diag.ndim == 2
+                     else [diag.tolist()] * len(rows))
         out = []
         for d, r in zip(diags, rows):
             # forward: pivots m_i = d_i - e w_{i-1}, w_i = e / m_i and

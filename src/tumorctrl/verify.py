@@ -4,10 +4,17 @@ Every oracle here avoids the code path it checks: finite differences use
 only the forward solver and the reduced cost, and the duality gap pairs the
 linearized and adjoint solvers against each other.  The independent forward
 solves of a finite-difference ladder run as batched solve_states calls,
-which hand back each control with its trajectory.  The linearized and adjoint solvers are the
-exact discrete tangent and adjoint of the forward scheme, so each check
-passes on one absolute bound, a module constant, at every refinement
-level.  Reports carry measured values, tolerances and refinement tables.
+which hand back each control with its trajectory.  The linearized and
+adjoint solvers are the exact discrete tangent and adjoint of the forward
+scheme, so each check passes on one absolute bound, a module constant, at
+every refinement level.  Reports carry measured values, tolerances and
+refinement tables.
+
+verify_checks runs the verify command's four checks with their solves on
+the problem's own grid shared: the nominal control, the gradient check's
+ladders and the linearized check's first level march as one batch, and the
+nominal trajectory and adjoint serve all four.  Each public check builds
+its report with the same code.
 """
 
 from __future__ import annotations
@@ -19,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpaceTimeField, write_csv
+from .fields import SpaceTimeField, Trajectory, write_csv
 from .optim import reduced_cost, smooth_gradient
 from .presets import Problem
-from .solver import (ControlPair, LinearizedSpec, adjoint_mismatch_fields,
-                     solve_adjoint, solve_linearized, solve_state,
-                     solve_states)
+from .solver import (ControlPair, LinearizedSpec, SolveFailure,
+                     adjoint_mismatch_fields, solve_adjoint, solve_linearized,
+                     solve_state, solve_states)
 from .sparsity import SparsityMode
 
 # finite-difference steps of fd_gradient_check and linearized_fd_refinement
@@ -133,32 +140,59 @@ def _fd_ladder(problem: Problem, u: ControlPair, k1: np.ndarray,
                                       u.u2.values - eps * k2)
 
 
-def fd_gradient_check(problem: Problem, u: ControlPair | None = None,
-                      n_directions: int = 5) -> CheckReport:
-    """Adjoint gradient versus central finite differences of the smooth cost.
+def _draw(problem: Problem, check: int,
+          n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """n random unit directions from the check's own stream: seed + 1 for
+    fd_gradient_check, + 2 for linearized_fd_refinement, + 3 for
+    duality_gap."""
+    rng = np.random.default_rng(problem.seed + check)
+    return [_unit_direction(problem, rng) for _ in range(n)]
 
-    For each random unit direction k, compares <grad J1(u), k> with
-    (J1(u + eps k) - J1(u - eps k)) / (2 eps) over the epsilon ladder and
-    records the best relative error, relative to the larger side but at
-    least to FD_GRADIENT_FLOOR nu (k is a unit direction).  The adjoint
-    gradient is the exact derivative of the discrete cost, so the
-    best-over-ladder selection only steps past the central difference's
-    eps^2 truncation and its round-off floor.  Passes iff every direction's
-    best error is at most FD_GRADIENT_RTOL.
+
+def _nominal_batch(problem: Problem, u: ControlPair, fd_directions,
+                   lin_direction) -> tuple[Trajectory, list, list]:
+    """u's trajectory, fd's smooth costs and linearized level 0's errors,
+    from one solve_states batch on the problem's own grid.
+
+    The batch marches u, then the FD_EPS_LADDER points of
+    fd_gradient_check along each of fd_directions, then the
+    LINEARIZED_EPS_LADDER points of linearized_fd_refinement along
+    lin_direction (None for none).  The points are built lazily and each
+    trajectory is reduced as it arrives.  If the batch fails and u fails
+    on its own as well, u's own failure is raised, as an unbatched solve
+    names it.
     """
-    u = problem.u0 if u is None else u
-    rng = np.random.default_rng(problem.seed + 1)
+    pr, pot, hspec = problem.params, problem.pot, problem.hspec
+    fd_points = (c for k1, k2 in fd_directions
+                 for c in _fd_ladder(problem, u, k1, k2, FD_EPS_LADDER))
+    lin_points = () if lin_direction is None else _fd_ladder(
+        problem, u, *lin_direction, LINEARIZED_EPS_LADDER)
+    pairs = solve_states(pr, pot, hspec,
+                         itertools.chain([u], fd_points, lin_points),
+                         problem.init)
+    try:
+        _, base = next(pairs)
+    except SolveFailure:
+        solve_state(pr, pot, hspec, u, problem.init)
+        raise
+    n_fd = 2 * len(FD_EPS_LADDER) * len(fd_directions)
+    costs = [_smooth_cost(problem, c, traj)
+             for c, traj in itertools.islice(pairs, n_fd)]
+    errs = [] if lin_direction is None else _linearized_vs_fd_error(
+        problem, u, base, *lin_direction, pairs)
+    return base, costs, errs
+
+
+def _fd_report(problem: Problem, u: ControlPair, base: Trajectory, adjoint,
+               directions, costs) -> CheckReport:
+    """fd_gradient_check's report from u's trajectory base and adjoint
+    (None: solved here) and the smooth costs of its ladder points."""
     g1, g2 = smooth_gradient(problem.params, problem.pot, problem.hspec,
-                             problem.targets, u, problem.init)
+                             problem.targets, u, problem.init, base, adjoint)
     tau, vol = problem.timegrid.tau, problem.grid.cell_volume
     tol = FD_GRADIENT_RTOL
     floor = FD_GRADIENT_FLOOR * problem.params.nu
-    directions = [_unit_direction(problem, rng) for _ in range(n_directions)]
-    points = (c for k1, k2 in directions
-              for c in _fd_ladder(problem, u, k1, k2, FD_EPS_LADDER))
-    costs = (_smooth_cost(problem, c, traj) for c, traj in solve_states(
-        problem.params, problem.pot, problem.hspec, points, problem.init))
-
+    costs = iter(costs)
     metrics = []
     worst_best = 0.0
     for j, (k1, k2) in enumerate(directions):
@@ -176,12 +210,30 @@ def fd_gradient_check(problem: Problem, u: ControlPair | None = None,
                        passed=worst_best <= tol)
 
 
+def fd_gradient_check(problem: Problem, u: ControlPair | None = None,
+                      n_directions: int = 5) -> CheckReport:
+    """Adjoint gradient versus central finite differences of the smooth cost.
+
+    For each random unit direction k, compares <grad J1(u), k> with
+    (J1(u + eps k) - J1(u - eps k)) / (2 eps) over the epsilon ladder and
+    records the best relative error, relative to the larger side but at
+    least to FD_GRADIENT_FLOOR nu (k is a unit direction).  The adjoint
+    gradient is the exact derivative of the discrete cost, so the
+    best-over-ladder selection only steps past the central difference's
+    eps^2 truncation and its round-off floor.  Passes iff every direction's
+    best error is at most FD_GRADIENT_RTOL.
+    """
+    u = problem.u0 if u is None else u
+    directions = _draw(problem, 1, n_directions)
+    base, costs, _ = _nominal_batch(problem, u, directions, None)
+    return _fd_report(problem, u, base, None, directions, costs)
+
+
 def _linearized_vs_fd_error(problem: Problem, u: ControlPair,
-                            k1: np.ndarray, k2: np.ndarray) -> list[float]:
-    ladder = _fd_ladder(problem, u, k1, k2, LINEARIZED_EPS_LADDER)
-    pairs = solve_states(problem.params, problem.pot, problem.hspec,
-                         itertools.chain([u], ladder), problem.init)
-    _, base = next(pairs)
+                            base: Trajectory, k1: np.ndarray, k2: np.ndarray,
+                            pairs) -> list[float]:
+    """The error at each eps of LINEARIZED_EPS_LADDER, from the ladder's
+    next (control, trajectory) pairs."""
     tg, grid = problem.timegrid, problem.grid
     spec = LinearizedSpec(k1=SpaceTimeField(tg, grid, k1),
                           k2=SpaceTimeField(tg, grid, k2))
@@ -211,22 +263,17 @@ def _prolong(arr: np.ndarray, grid, scale: int) -> np.ndarray:
     return out.reshape(out.shape[0], -1)
 
 
-def linearized_fd_refinement(problem: Problem, levels: int = 3) -> CheckReport:
-    """Best linearized-vs-FD error at successively refined (h, tau).
-
-    The random direction is drawn once on the coarse grid and prolonged as a
-    piecewise-constant function, so every level differentiates along the
-    same continuous perturbation.  Passes iff the error is at most
-    LINEARIZED_RTOL at every level.
-    """
-    rng = np.random.default_rng(problem.seed + 2)
-    k1c, k2c = _unit_direction(problem, rng)
+def _linearized_report(problem: Problem, k, errs, levels: int) -> CheckReport:
+    """linearized_fd_refinement's report along the coarse direction k,
+    given the errors errs of level 0, the problem's own grid."""
     rows = []
     for lev in range(levels):
         scale = 2 ** lev
-        prob = problem.with_resolution(scale, scale) if lev else problem
-        k1, k2 = (_prolong(k, problem.grid, scale) for k in (k1c, k2c))
-        errs = _linearized_vs_fd_error(prob, prob.u0, k1, k2)
+        prob = problem
+        if lev:
+            prob = problem.with_resolution(scale, scale)
+            k_lev = [_prolong(a, problem.grid, scale) for a in k]
+            errs = _nominal_batch(prob, prob.u0, (), k_lev)[2]
         rows.append((lev, max(prob.grid.spacing), prob.timegrid.tau,
                      float(min(errs))))
     worst = max(r[3] for r in rows)
@@ -236,12 +283,30 @@ def linearized_fd_refinement(problem: Problem, levels: int = 3) -> CheckReport:
                        tuple(rows), passed=ok)
 
 
-def _duality_gap_at(problem: Problem, u: ControlPair,
-                    k1: np.ndarray, k2: np.ndarray) -> tuple[float, float]:
+def linearized_fd_refinement(problem: Problem, levels: int = 3) -> CheckReport:
+    """Best linearized-vs-FD error at successively refined (h, tau).
+
+    The random direction is drawn once on the coarse grid and prolonged as a
+    piecewise-constant function, so every level differentiates along the
+    same continuous perturbation.  Passes iff the error is at most
+    LINEARIZED_RTOL at every level.
+    """
+    k = _draw(problem, 2, 1)[0]
+    errs = _nominal_batch(problem, problem.u0, (), k)[2]
+    return _linearized_report(problem, k, errs, levels)
+
+
+def _state_and_adjoint(problem: Problem, u: ControlPair):
     pr = problem.params
     base = solve_state(pr, problem.pot, problem.hspec, u, problem.init)
-    adj = solve_adjoint(pr, problem.pot, problem.hspec, base, u,
-                        problem.targets)
+    return base, solve_adjoint(pr, problem.pot, problem.hspec, base, u,
+                               problem.targets)
+
+
+def _duality_gap_at(problem: Problem, u: ControlPair, k1: np.ndarray,
+                    k2: np.ndarray, base: Trajectory,
+                    adj) -> tuple[float, float]:
+    pr = problem.params
     tg, grid = problem.timegrid, problem.grid
     spec = LinearizedSpec(k1=SpaceTimeField(tg, grid, k1),
                           k2=SpaceTimeField(tg, grid, k2))
@@ -262,6 +327,31 @@ def _duality_gap_at(problem: Problem, u: ControlPair,
     return abs(lhs - rhs), scale
 
 
+def _duality_report(problem: Problem, k, base: Trajectory, adj,
+                    levels: int) -> CheckReport:
+    """duality_gap's report along k, given the nominal control's trajectory
+    base and adjoint adj on the problem's own grid (level 0)."""
+    u = problem.u0
+    rows, gaps = [], []
+    for lev in range(levels):
+        scale = 2 ** lev
+        prob = problem.with_resolution(1, scale) if lev else problem
+        k1, k2, u1, u2 = (np.repeat(a, scale, axis=0)
+                          for a in k + (u.u1.values, u.u2.values))
+        uu = ControlPair.from_arrays(prob.timegrid, prob.grid, u1, u2)
+        if lev:
+            base, adj = _state_and_adjoint(prob, uu)
+        gap, pairing = _duality_gap_at(prob, uu, k1, k2, base, adj)
+        gaps.append(gap)
+        rows.append((lev, max(prob.grid.spacing), prob.timegrid.tau,
+                     gap / pairing))
+    worst = max(r[3] for r in rows)
+    ok = worst <= DUALITY_RTOL
+    metrics = (("base_gap", gaps[0], None, None),
+               ("max_relative_gap", worst, DUALITY_RTOL, ok))
+    return CheckReport("duality_gap", metrics, tuple(rows), passed=ok)
+
+
 def duality_gap(problem: Problem, levels: int = 3) -> CheckReport:
     """Linearized-versus-adjoint duality identity under tau-refinement.
 
@@ -271,25 +361,30 @@ def duality_gap(problem: Problem, levels: int = 3) -> CheckReport:
     gap relative to the larger pairing; the check passes iff it is at most
     DUALITY_RTOL at every level.
     """
+    k = _draw(problem, 3, 1)[0]
+    return _duality_report(problem, k,
+                           *_state_and_adjoint(problem, problem.u0), levels)
+
+
+def verify_checks(problem: Problem) -> tuple[CheckReport, ...]:
+    """The four checks of the verify command, at the nominal control u0.
+
+    Their reports equal those of fd_gradient_check(problem, n_directions=3),
+    linearized_fd_refinement(problem, 3), duality_gap(problem, 3) and
+    separation_monitor on u0's trajectory.  Every forward solve the first
+    two need on the problem's own grid marches in one solve_states batch
+    with u0, and u0's trajectory and adjoint serve all four checks.
+    """
+    fd_dirs = _draw(problem, 1, 3)
+    lin_k, dual_k = _draw(problem, 2, 1)[0], _draw(problem, 3, 1)[0]
     u = problem.u0
-    rng = np.random.default_rng(problem.seed + 3)
-    k = _unit_direction(problem, rng)
-    rows, gaps = [], []
-    for lev in range(levels):
-        scale = 2 ** lev
-        prob = problem.with_resolution(1, scale) if lev else problem
-        k1, k2, u1, u2 = (np.repeat(a, scale, axis=0)
-                          for a in k + (u.u1.values, u.u2.values))
-        uu = ControlPair.from_arrays(prob.timegrid, prob.grid, u1, u2)
-        gap, pairing = _duality_gap_at(prob, uu, k1, k2)
-        gaps.append(gap)
-        rows.append((lev, max(prob.grid.spacing), prob.timegrid.tau,
-                     gap / pairing))
-    worst = max(r[3] for r in rows)
-    ok = worst <= DUALITY_RTOL
-    metrics = (("base_gap", gaps[0], None, None),
-               ("max_relative_gap", worst, DUALITY_RTOL, ok))
-    return CheckReport("duality_gap", metrics, tuple(rows), passed=ok)
+    base, costs, errs = _nominal_batch(problem, u, fd_dirs, lin_k)
+    adj = solve_adjoint(problem.params, problem.pot, problem.hspec, base, u,
+                        problem.targets)
+    return (_fd_report(problem, u, base, adj, fd_dirs, costs),
+            _linearized_report(problem, lin_k, errs, 3),
+            _duality_report(problem, dual_k, base, adj, 3),
+            separation_monitor(base, problem.pot))
 
 
 def separation_monitor(traj, pot) -> CheckReport:

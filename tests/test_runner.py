@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -381,7 +382,9 @@ class TestCli:
         assert f"config error: range: <problem>: {message}" \
             in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kappas", ["0.01 0.001", "-0.001 0.01"])
+    @pytest.mark.parametrize("kappas", ["0.01 0.001", "-0.001 0.01",
+                                        "0 nan 0.1", "0.001 inf",
+                                        "1e308 1e309"])
     def test_bad_kappas_is_config_error(self, tmp_path, capsys, monkeypatch,
                                         kappas):
         def no_run(*args):
@@ -392,8 +395,27 @@ class TestCli:
                                    f"kappas = {kappas}\n")
         assert cli_main(["sweep-kappa", "--config", str(cfgp),
                          "--out", str(tmp_path / "o")]) == 2
-        assert ("config error: range: run.kappas (line 3): must be ascending "
-                "and >= 0") in capsys.readouterr().err
+        # nan passes both order tests and 1e309 reads as inf
+        finite = all(math.isfinite(float(k)) for k in kappas.split())
+        rule = "must be ascending and >= 0" if finite else "must be finite"
+        assert capsys.readouterr().err == \
+            f"config error: range: run.kappas (line 3): {rule}\n"
+
+    def test_out_that_is_a_file_is_config_error(self, tmp_path, capsys):
+        cfgp = write_cfg(tmp_path, MINIMAL)
+        out = tmp_path / "o"
+        out.write_text("")
+        for command in ("simulate", "verify"):
+            assert cli_main([command, "--config", str(cfgp),
+                             "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            # the run directory is named by the hash of the config the
+            # command runs
+            assert err.startswith(
+                f"config error: range: <out>: cannot make {out}{os.sep}")
+            assert err.endswith(": Not a directory\n")
+            assert err.count("\n") == 1
+        assert out.read_text() == ""
 
     def test_sparsity_mode_needs_zero_inside_the_box(self, tmp_path, capsys):
         # the sparsity prox refuses such a box, and the zero control the
@@ -422,6 +444,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("solver error: separation lost at time step 82")
         assert err.count("\n") == 1
+        # verify's checks march u0 in one batch with their points; its
+        # failure still reads as u0's own solve, naming no batch member
+        assert cli_main(["verify", "--config", str(cfgp),
+                         "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "solver error: separation lost at time step 82: margin "
+            "8.411e-12\n")
 
     def test_solver_failure_leaves_no_run_directory(self, tmp_path, capsys):
         cfgp = write_cfg(tmp_path, "[run]\npreset = stress-separation\n"

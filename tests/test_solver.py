@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -139,10 +140,32 @@ class TestHelmholtzSolver:
             for row in range(3):
                 hh = solver._HelmholtzSolver(grid)
                 c = coeff[row] if np.ndim(coeff) else coeff
-                assert np.array_equal(x[row], hh.solve(c, b[row]))
+                assert x[row].tobytes() == hh.solve(c, b[row]).tobytes()
                 iterations += hh.iterations
             assert np.all(x[1] == 0.0)
             assert batch.iterations == iterations
+        if grid.dim > 1:
+            return
+        # 1D batches just below, at and above THOMAS_COLUMN_ROWS, where the
+        # sweep turns from rows to numpy columns, on 1 to 64 cells; they
+        # draw from generators of their own, so that the later tests' draws
+        # from the shared one do not depend on them
+        for n in (1, 2, 16, 64):
+            hh = solver._HelmholtzSolver(grid1d(n))
+            gen = np.random.default_rng(n)
+            for rows in (solver.THOMAS_COLUMN_ROWS + d for d in (-1, 0, 1)):
+                b = gen.standard_normal((rows, n))
+                b[1] = 0.0
+                b[2] = -0.0
+                b[3, ::2] = -0.0
+                for coeff in (10.0 ** gen.uniform(-3.0, 3.0, (rows, n)),
+                              3.0):
+                    x = hh.solve(coeff, b)
+                    assert x.flags.c_contiguous
+                    for row in range(rows):
+                        c = coeff[row] if np.ndim(coeff) else coeff
+                        assert x[row].tobytes() == \
+                            hh.solve(c, b[row]).tobytes()
 
     def test_stiff_newton_jacobian_needs_many_iterations(self, monkeypatch):
         # a large initial mu pushes phi towards the log potential's wall:
@@ -243,6 +266,20 @@ class TestHelmholtzSolver:
         with pytest.raises(SolveFailure) as exc:
             hh.solve(coeff, np.ones((2, 16)), members=np.array([5, 7]))
         assert exc.value.member == 7
+        # so it is by the column sweep of a larger batch, which warns of
+        # nothing: later members' pivots vanish, and the first is named
+        rows = solver.THOMAS_COLUMN_ROWS + 1
+        coeff = np.full((rows, 16), 3.0)
+        coeff[rows - 3:] = 1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolveFailure) as exc:
+                hh.solve(coeff, np.ones((rows, 16)),
+                         members=np.arange(100, 100 + rows))
+        assert exc.value.member == 100 + rows - 3
+        assert str(exc.value) == (
+            "1D Helmholtz solve: pivot of cell 15 vanished (diagonal "
+            f"2.560e+02, off-diagonal -2.560e+02) (member {100 + rows - 3})")
 
     # norms of mu, phi, sigma at T and of psi2 at t = 0, recorded with the
     # Jacobi-preconditioned solver this one replaced

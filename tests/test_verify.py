@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import random_admissible_controls
-from tumorctrl import verify
+from tumorctrl import optim, runner, solver, verify
 from tumorctrl.fields import SpaceTimeField
 from tumorctrl.presets import preset_names, preset_problem
 from tumorctrl.solver import solve_state
@@ -201,3 +201,45 @@ def test_check_csv(tmp_path):
     assert "metric,a,1.0,2.0,1" in text
     assert "refinement,,,,,0,0.1,0.2,0.001" in text
     assert "metric,passed,1" in text
+
+
+class TestVerifyCommand:
+    # the CLI's checks on a reduced time-sparsity-demo: 49 controls in the
+    # nominal batch, so its 1D solves sweep as numpy columns
+    @pytest.fixture(scope="class")
+    def demo(self):
+        return preset_problem("time-sparsity-demo", n_steps=12)
+
+    def test_reports_equal_the_public_checks(self, demo):
+        traj = solve_state(demo.params, demo.pot, demo.hspec, demo.u0,
+                           demo.init)
+        assert verify.verify_checks(demo) == (
+            fd_gradient_check(demo, n_directions=3),
+            linearized_fd_refinement(demo, 3), duality_gap(demo, 3),
+            separation_monitor(traj, demo.pot))
+
+    def test_nominal_grid_is_marched_once(self, demo, tmp_path,
+                                          monkeypatch):
+        # one state march and one adjoint on the problem's own grid serve
+        # all four checks
+        marches, adjoints = [], []
+        march = solver._march
+
+        def counted_march(params, pot, hspec, tg, *args, **kwargs):
+            marches.append(tg.n_steps)
+            return march(params, pot, hspec, tg, *args, **kwargs)
+
+        def counted_adjoint(params, pot, hspec, base, *args):
+            adjoints.append(base.phi.timegrid.n_steps)
+            return solver.solve_adjoint(params, pot, hspec, base, *args)
+
+        monkeypatch.setattr(solver, "_march", counted_march)
+        for mod in (verify, optim):
+            monkeypatch.setattr(mod, "solve_adjoint", counted_adjoint)
+        cfg = runner.parse_config_text(
+            "[run]\ncommand = verify\npreset = time-sparsity-demo\n"
+            "[time]\nn_steps = 12\n")
+        assert runner.run(cfg, tmp_path).passed
+        # the refined levels march 24 and 48 steps
+        assert marches.count(12) == 1
+        assert adjoints.count(12) == 1
