@@ -201,7 +201,7 @@ class ValidationReport:
 
 
 def validate_setup(params: ModelParams, pot: PotentialSpec, init,
-                   hspec: InterpolantSpec | None = None) -> ValidationReport:
+                   hspec: InterpolantSpec) -> ValidationReport:
     """Check the model assumptions on a concrete setup.
 
     Verifies strict interior separation of the initial phase field, the
@@ -236,14 +236,13 @@ def validate_setup(params: ModelParams, pot: PotentialSpec, init,
     check(abs(float(f1_0)) <= 1e-12, "F1(0) zero", f"F1(0) = {float(f1_0)!r}")
     check(math.isfinite(float(f1_0 + f2_0)), "F(0) finite", "F(0) not finite")
 
-    if hspec is not None:
-        rh = rs[(rs >= -1.0) & (rs <= 1.0)]
-        hs, hds = hspec.h(rh), hspec.hd(rh)
-        check(np.all((hs >= -1e-12) & (hs <= 1.0 + 1e-12)), "h range",
-              "h must take values in [0, 1]")
-        inner = np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, SETUP_SAMPLES)
-        hv = hspec.h(inner)
-        check(np.all(hv > 0.0), "h positive", "h must be positive on (-1, 1)")
-        check(np.all(np.isfinite(hds)), "h' bounded", "h' must be finite")
+    rh = rs[(rs >= -1.0) & (rs <= 1.0)]
+    hs, hds = hspec.h(rh), hspec.hd(rh)
+    check(np.all((hs >= -1e-12) & (hs <= 1.0 + 1e-12)), "h range",
+          "h must take values in [0, 1]")
+    inner = np.linspace(-1.0 + 1e-6, 1.0 - 1e-6, SETUP_SAMPLES)
+    hv = hspec.h(inner)
+    check(np.all(hv > 0.0), "h positive", "h must be positive on (-1, 1)")
+    check(np.all(np.isfinite(hds)), "h' bounded", "h' must be finite")
 
     return ValidationReport(tuple(bad))

@@ -51,7 +51,7 @@ class StepsizeCollapse(SolveFailure):
         self.iteration = iteration
         self.eta = eta
         super().__init__(
-            f"step size {eta:.3e} below floor at iteration {iteration}", None)
+            f"step size {eta:.3e} below floor at iteration {iteration}")
 
 
 @dataclass(frozen=True)
@@ -323,7 +323,7 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
                                        bounds)
             except FloatingPointError as exc:
                 raise SolveFailure(f"prox step overflows at iteration {it} "
-                                   f"with eta {eta:.3e}", None) from exc
+                                   f"with eta {eta:.3e}") from exc
             f1, f2 = p1.values - u.u1.values, p2.values - u.u2.values
             # the epsilon pad keeps the test meaningful when the decrease
             # reaches rounding level near a stationary point

@@ -246,6 +246,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
             issues.append(ConfigIssue(f"{section}.{key}", lineno,
                                       "unknown key", "unknown-key"))
             continue
+        if (section, key) in raw:
+            first = raw[section, key][1]
+            issues.append(ConfigIssue(f"{section}.{key}", lineno, "set again "
+                                      f"(first on line {first})", "parse"))
+            continue
         raw[(section, key)] = (val, lineno)
 
     # validate explicit values with their line numbers
@@ -268,8 +273,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read, parse and validate a config file."""
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    """Read (dropping a UTF-8 byte-order mark), parse and validate a file."""
+    return parse_config_text(Path(path).read_text(encoding="utf-8-sig"))
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,8 @@ stopping tests, and a 1D solve makes the same IEEE operations on each row
 rows up), so each member takes the iterations, and gets the bits, of its
 own solve_state, which runs the same loop on one unbatched field.  On the
 presets' 16-64-cell grids an array operation's cost is per-call overhead,
-so a batch of B members costs far less than B solves.
+so a batch of B members costs far less than B solves.  A failed batch
+raises the failure of its first control that fails alone.
 """
 
 from __future__ import annotations
@@ -85,41 +86,30 @@ THOMAS_COLUMN_ROWS = 20
 
 
 class SolveFailure(RuntimeError):
-    """A failed solve.  member is the failing control's index in the
-    solve_states list, None for an unbatched solve or the optimizer."""
+    """A failed solve.  Only solve_states sets member: the index of the
+    control whose own solve failed."""
 
-    def __init__(self, message: str, member: int | None):
-        self.member = member
-        if member is not None:
-            message += f" (member {member})"
-        super().__init__(message)
+    member: int | None = None
 
 
 class NewtonDivergence(SolveFailure):
     """The phi-step nonlinear solve failed to converge."""
 
-    def __init__(self, step: int, residual: float, member: int | None = None):
+    def __init__(self, step: int, residual: float):
         self.step = step
         self.residual = residual
         super().__init__(
-            f"phi-step Newton stalled at step {step}: |G| = {residual:.3e}",
-            member)
+            f"phi-step Newton stalled at step {step}: |G| = {residual:.3e}")
 
 
 class SeparationLoss(SolveFailure):
     """phi left the admissible interval of a singular potential."""
 
-    def __init__(self, step: int, margin: float, member: int | None = None):
+    def __init__(self, step: int, margin: float):
         self.step = step
         self.margin = margin
         super().__init__(
-            f"separation lost at time step {step}: margin {margin:.3e}",
-            member)
-
-
-def _member(members: np.ndarray | None, row: int) -> int | None:
-    """The solve_states list index of a batch row (None if unbatched)."""
-    return None if members is None else int(members[row])
+            f"separation lost at time step {step}: margin {margin:.3e}")
 
 
 @dataclass(frozen=True)
@@ -221,14 +211,12 @@ class LinearSolveError(SolveFailure):
     is direct and never raises it.
     """
 
-    def __init__(self, iterations: int, residual: float,
-                 member: int | None = None):
+    def __init__(self, iterations: int, residual: float):
         self.iterations = iterations
         self.residual = residual
         super().__init__(
             f"conjugate gradient did not reach tolerance after {iterations} "
-            f"iterations: relative residual {residual:.3e}",
-            member)
+            f"iterations: relative residual {residual:.3e}")
 
 
 def _dct_matrix(n: int) -> np.ndarray:
@@ -243,7 +231,7 @@ def _dct_matrix(n: int) -> np.ndarray:
 
 def _freeze(done, rows, out, x, *arrays):
     """Write the rows of x that done marks into out; return rows, x and
-    every per-row array (None passes) cut to the other, working rows.
+    every per-row array cut to the other, working rows.
 
     rows maps the working rows x onto out (None until the first freeze).
     """
@@ -251,20 +239,24 @@ def _freeze(done, rows, out, x, *arrays):
         rows = np.arange(done.size)
     fin, keep = np.flatnonzero(done), np.flatnonzero(~done)
     out[rows[fin]] = x[fin]
-    return [rows[keep], x[keep]] + [None if a is None else a[keep]
-                                    for a in arrays]
+    return [rows[keep]] + [a[keep] for a in (x,) + arrays]
 
 
-def _at(values, row: int) -> float:
-    """Entry row of a per-member quantity (a number if unbatched)."""
-    return float(np.ravel(values)[row])
+def _first(values, mask) -> float:
+    """Per-member values (or a number) at the first member mask marks."""
+    return float(np.ravel(values)[np.argmax(mask)])
 
 
-def _thomas_columns(e: float, diag: np.ndarray,
-                    b: np.ndarray) -> np.ndarray | None:
+def _vanished_pivot(cell: int, diag: float, e: float) -> SolveFailure:
+    return SolveFailure(f"1D Helmholtz solve: pivot of cell {cell} vanished "
+                        f"(diagonal {diag:.3e}, off-diagonal {-e:.3e})")
+
+
+def _thomas_columns(e: float, diag: np.ndarray, b: np.ndarray) -> np.ndarray:
     """_HelmholtzSolver._thomas's sweep of a (members, cells) batch, cell by
     cell with all rows as one numpy column: the operations of the row
-    sweep, entry by entry.  None if a pivot vanished."""
+    sweep, entry by entry.  A vanished pivot raises the row sweep's
+    SolveFailure, at the first row's first such cell."""
     d = np.broadcast_to(diag, b.shape).T
     piv, ys, ws = (np.empty(d.shape) for _ in range(3))
     y = w = np.zeros(len(b))
@@ -284,7 +276,10 @@ def _thomas_columns(e: float, diag: np.ndarray,
             np.multiply(wi, x, out=t)
             np.add(yi, t, out=yi)
             x = yi
-    return np.ascontiguousarray(ys.T) if piv.all() else None
+    if not piv.all():
+        row, cell = np.argwhere(piv.T == 0.0)[0]
+        raise _vanished_pivot(int(cell), d[cell, row], e)
+    return np.ascontiguousarray(ys.T)
 
 
 class _HelmholtzSolver:
@@ -340,17 +335,15 @@ class _HelmholtzSolver:
         x = y.reshape(y.shape[:-1] + self.shape)
         return (self.qx.T @ x @ self.qy).reshape(y.shape)
 
-    def solve(self, coeff, b: np.ndarray, members: np.ndarray | None = None):
+    def solve(self, coeff, b: np.ndarray):
         """x with (diag(coeff) - Lap) x = b: one system, or one per row.
 
         b is a flat cell vector or a (members, cells) batch; coeff is a
         scalar, a cell vector or one row per member.  Only an array coeff
-        on a 2D grid iterates (CG, from zero); a member with b = 0 gets
-        x = 0.  members holds the rows' solve_states list indices, to name
-        a row in a LinearSolveError.
+        on a 2D grid iterates (CG, from zero); a row with b = 0 gets x = 0.
         """
         if len(self.shape) == 1:
-            return self._thomas(coeff, b, members)
+            return self._thomas(coeff, b)
         if not isinstance(coeff, np.ndarray):
             return self.idct(self.dct(b) / (coeff + self.eig))
         # per-member scalars are columns, one row per member
@@ -372,13 +365,11 @@ class _HelmholtzSolver:
             if n_done == done.size:
                 break
             if it == self.maxiter:
-                j = int(np.flatnonzero(~done)[0])
-                raise LinearSolveError(self.maxiter, _at(rnorm / bnorm, j),
-                                       _member(members, j))
+                raise LinearSolveError(self.maxiter,
+                                       _first(rnorm / bnorm, ~done))
             if n_done:
-                rows, x, r, p, rz, tol, bnorm, coeff, inv_m, members = \
-                    _freeze(done, rows, out, x, r, p, rz, tol, bnorm, coeff,
-                            inv_m, members)
+                rows, x, r, p, rz, tol, bnorm, coeff, inv_m = _freeze(
+                    done, rows, out, x, r, p, rz, tol, bnorm, coeff, inv_m)
             ap = self.dct(coeff * self.idct(p)) + self.eig * p
             alpha = rz / np.vecdot(p, ap, keepdims=True)
             x += alpha * p
@@ -392,8 +383,7 @@ class _HelmholtzSolver:
             out[rows] = x
         return self.idct(out)
 
-    def _thomas(self, coeff, b: np.ndarray,
-                members: np.ndarray | None) -> np.ndarray:
+    def _thomas(self, coeff, b: np.ndarray) -> np.ndarray:
         """The 1D solve: LU without pivoting of the tridiagonal system, in
         one forward and one backward sweep.
 
@@ -402,8 +392,8 @@ class _HelmholtzSolver:
         sweep row by row on Python floats.  Both make the same IEEE
         operations on every entry, so a batch member gets the bits of its
         own solve.  A pivot that rounds to 0 (c below round-off next to
-        1/h^2) raises SolveFailure, naming the cell and the first row
-        whose pivot vanished.
+        1/h^2) raises SolveFailure, naming the cell and its diagonal in the
+        first row whose pivot vanished.
         """
         # minus the off-diagonal entries: 1/h^2, the end cells' diagonal of
         # -Lap (0 on a 1-cell grid, which has none, so x = b / c there)
@@ -413,11 +403,7 @@ class _HelmholtzSolver:
             rows, diags = [b.tolist()], [diag.tolist()]
         else:
             if len(b) >= THOMAS_COLUMN_ROWS:
-                x = _thomas_columns(e, diag, b)
-                if x is not None:
-                    return x
-                # a vanished pivot: the row sweep below meets it in the
-                # same bits and raises, naming it as an unbatched solve would
+                return _thomas_columns(e, diag, b)
             rows = b.tolist()
             diags = (diag.tolist() if diag.ndim == 2
                      else [diag.tolist()] * len(rows))
@@ -435,11 +421,7 @@ class _HelmholtzSolver:
                     ys.append(y)
                     ws.append(w)
             except ZeroDivisionError:
-                # c below round-off next to 1/h^2 leaves the singular -Lap
-                raise SolveFailure(
-                    f"1D Helmholtz solve: pivot of cell {len(ys)} vanished "
-                    f"(diagonal {di:.3e}, off-diagonal {-e:.3e})",
-                    _member(members, len(out))) from None
+                raise _vanished_pivot(len(ys), di, e) from None
             # backward, in place of y: x_i = y_i + w_i x_{i+1}
             x = 0.0
             for i in range(len(ys) - 1, -1, -1):
@@ -451,8 +433,7 @@ class _HelmholtzSolver:
 
 def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
                      phi_n: np.ndarray, rhs: np.ndarray, start: np.ndarray,
-                     step: int,
-                     members: np.ndarray | None = None) -> np.ndarray:
+                     step: int) -> np.ndarray:
     """Solve beta/tau (p - phi_n) - Lap p + F1'(p) = rhs by damped Newton.
 
     phi_n, rhs and the first iterate start are a flat cell vector or one
@@ -462,7 +443,6 @@ def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
     fraction-to-boundary step and line search and stops on its own test,
     so it takes the iterations, and gets the bits, of its unbatched solve.
     """
-    all_members = members
 
     def norm(v):  # per-member max norm, as a column
         return np.abs(v).max(axis=-1, keepdims=True)
@@ -488,22 +468,21 @@ def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
         if n_done == done.size:
             break
         if it == NEWTON_MAX_ITER:
-            j = int(np.flatnonzero(~done)[0])
             if pot.is_singular:
-                margin = _at(pot.margin(p), j)
+                margin = _first(pot.margin(p), ~done)
                 if margin <= 1e-5:
-                    raise SeparationLoss(step, margin, _member(members, j))
-            raise NewtonDivergence(step, _at(gnorm, j), _member(members, j))
+                    raise SeparationLoss(step, margin)
+            raise NewtonDivergence(step, _first(gnorm, ~done))
         if n_done:
-            rows, p, g, gnorm, floor, tol, pn, r, members = _freeze(
-                done, rows, out, p, g, gnorm, floor, tol, pn, r, members)
+            rows, p, g, gnorm, floor, tol, pn, r = _freeze(
+                done, rows, out, p, g, gnorm, floor, tol, pn, r)
         jac = beta_tau + pot.f1[2](pot.clamp(p))
         # one-ulp changes of p move the residual by about diag * |p|, with
         # the stencil's 2 diag(-Lap) (about 4/h^2) in diag: that caps the
         # attainable residual on fine grids and where F1'' blows up
         floor = 8.0 * np.finfo(float).eps * norm(
             (jac + hh.lap_diag2) * np.maximum(np.abs(p), 1.0))
-        delta = hh.solve(jac, -g, members=members)
+        delta = hh.solve(jac, -g)
         step_len = np.ones_like(gnorm)
         if pot.is_singular:
             # fraction-to-boundary rule keeps iterates strictly interior:
@@ -514,10 +493,8 @@ def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
                                  where=delta != 0.0)
             step_len = np.fmin(step_len, 0.9 * np.fmin.reduce(
                 to_bound, axis=-1, keepdims=True))
-            stuck = ~(step_len > 0.0)
-            if np.count_nonzero(stuck):
-                j = int(np.flatnonzero(stuck)[0])
-                raise SeparationLoss(step, 0.0, _member(members, j))
+            if np.count_nonzero(~(step_len > 0.0)):
+                raise SeparationLoss(step, 0.0)
 
         def attempt(sel):  # trial rows sel at their step lengths
             t = p[sel] + step_len[sel] * delta[sel]
@@ -533,8 +510,7 @@ def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
                 break
             j = np.flatnonzero(~better)
             if halving == 39:
-                raise NewtonDivergence(step, _at(gnorm, j[0]),
-                                       _member(members, j[0]))
+                raise NewtonDivergence(step, _first(gnorm, ~better))
             if n_better == 0:
                 step_len = 0.5 * step_len
                 trial, g_trial, trial_norm = attempt(...)
@@ -550,9 +526,7 @@ def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
         margin = pot.margin(p)
         low = margin <= MIN_MARGIN
         if np.count_nonzero(low):
-            j = int(np.flatnonzero(low)[0])
-            raise SeparationLoss(step, _at(margin, j),
-                                 _member(all_members, j))
+            raise SeparationLoss(step, _first(margin, low))
     return p
 
 
@@ -584,8 +558,7 @@ def _newton_start(pot: PotentialSpec, phi: np.ndarray, n: int) -> np.ndarray:
 
 
 def _march(params: ModelParams, pot: PotentialSpec, hspec: InterpolantSpec,
-           tg: TimeGrid, u1: np.ndarray, u2: np.ndarray, init: StateTriple,
-           members: np.ndarray | None = None):
+           tg: TimeGrid, u1: np.ndarray, u2: np.ndarray, init: StateTriple):
     """The state scheme's time loop for controls shaped (steps, cells), or
     (steps, members, cells) for a batch.
 
@@ -608,16 +581,16 @@ def _march(params: ModelParams, pot: PotentialSpec, hspec: InterpolantSpec,
         # (i) phi-step, implicit convex part
         rhs_phi = mu[n] + pr.chi * sig[n] - pot.f2[1](pot.clamp(phi[n]))
         phi[n + 1] = _phi_newton_step(pot, hh, pr.beta / tau, phi[n], rhs_phi,
-                                      _newton_start(pot, phi, n), n, members)
+                                      _newton_start(pot, phi, n), n)
         # (ii) mu-step
         source = (pr.p_rate * sig[n] - pr.a_rate - u1[n]) * h_n
         b_mu = (pr.alpha / tau) * mu[n] + source - (phi[n + 1] - phi[n]) / tau
-        mu[n + 1] = hh.solve(pr.alpha / tau, b_mu, members=members)
+        mu[n + 1] = hh.solve(pr.alpha / tau, b_mu)
         # (iii) sigma-step, implicit supply/consumption decay
         b_sig = (sig[n] / tau - pr.chi * hh.lap(phi[n + 1])
                  + pr.b_rate * pr.sigma_s + u2[n])
         coeff = 1.0 / tau + pr.b_rate + pr.e_rate * h_n
-        sig[n + 1] = hh.solve(coeff, b_sig, members=members)
+        sig[n + 1] = hh.solve(coeff, b_sig)
     return mu, phi, sig, hh.iterations
 
 
@@ -662,30 +635,37 @@ def solve_states(params: ModelParams, pot: PotentialSpec,
     Yields (control, trajectory) for each control, in order.  Takes
     controls in chunks of at most BATCH_BYTES of states and marches each
     chunk as rows of one array, so a lazy sequence is never held whole.
-    Every trajectory is bitwise equal to its own solve_state.  An error
-    names the first failing control by its index in the sequence (the
-    exception's member attribute).
+    Every trajectory is bitwise equal to its own solve_state, so a failed
+    chunk is solved again control by control: the first that fails alone
+    raises its own failure, with member set to its index in the sequence.
     """
     controls = iter(controls)
     first = next(controls, None)
     if first is None:
         return
     grid, tg = init.grid, first.timegrid
-    controls = itertools.chain([first], controls)
+    controls = enumerate(itertools.chain([first], controls))
     size = max(1, BATCH_BYTES // (24 * (tg.n_steps + 1) * grid.n_cells))
-    start = 0
     while chunk := list(itertools.islice(controls, size)):
-        if any(c.grid != grid or c.timegrid != tg for c in chunk):
+        if any(c.grid != grid or c.timegrid != tg for _, c in chunk):
             raise ShapeMismatch("controls and initial data on different grids")
-        mu, phi, sig, _ = _march(
-            params, pot, hspec, tg,
-            np.stack([c.u1.values for c in chunk], axis=1),
-            np.stack([c.u2.values for c in chunk], axis=1),
-            init, np.arange(start, start + len(chunk)))
-        for j, c in enumerate(chunk):
+        try:
+            mu, phi, sig, _ = _march(
+                params, pot, hspec, tg,
+                np.stack([c.u1.values for _, c in chunk], axis=1),
+                np.stack([c.u2.values for _, c in chunk], axis=1), init)
+        except SolveFailure:
+            # an earlier control may fail at a later step than the batch
+            for i, c in chunk:
+                try:
+                    solve_state(params, pot, hspec, c, init)
+                except SolveFailure as exc:
+                    exc.member = i
+                    raise exc from None
+            raise
+        for j, (_, c) in enumerate(chunk):
             yield c, _trajectory(tg, grid, mu[:, j], phi[:, j], sig[:, j])
         del mu, phi, sig  # before the next chunk's march
-        start += len(chunk)
 
 
 def _base_coefficients(pot, hspec, base: Trajectory):

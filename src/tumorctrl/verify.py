@@ -14,7 +14,8 @@ verify_checks runs the verify command's four checks with their solves on
 the problem's own grid shared: the nominal control, the gradient check's
 ladders and the linearized check's first level march as one batch, and the
 nominal trajectory and adjoint serve all four.  Each public check builds
-its report with the same code.
+its report with the same code.  A solver failure names the check, level
+and eps where it arose (none for u0 itself on the problem's own grid).
 """
 
 from __future__ import annotations
@@ -149,37 +150,47 @@ def _draw(problem: Problem, check: int,
     return [_unit_direction(problem, rng) for _ in range(n)]
 
 
+def _prefix(member: int | None, n_fd: int, level: int) -> str:
+    """Where _nominal_batch's control member lies, as a message prefix ("" for
+    u on the problem's own grid); n_fd counts fd_gradient_check's points."""
+    if member and member <= n_fd:
+        eps = FD_EPS_LADDER[(member - 1) // 2 % len(FD_EPS_LADDER)]
+        return f"fd_gradient_check, eps {eps:g}: "
+    lin = f"linearized_fd_refinement level {level}"
+    if member:
+        eps = LINEARIZED_EPS_LADDER[(member - n_fd - 1) // 2]
+        return f"{lin}, eps {eps:g}: "
+    return f"{lin}: " if level else ""
+
+
 def _nominal_batch(problem: Problem, u: ControlPair, fd_directions,
-                   lin_direction) -> tuple[Trajectory, list, list]:
-    """u's trajectory, fd's smooth costs and linearized level 0's errors,
-    from one solve_states batch on the problem's own grid.
+                   lin_direction, level=0) -> tuple[Trajectory, list, list]:
+    """u's trajectory, fd's smooth costs and the linearized check's errors
+    at level (0: the problem's own grid), from one solve_states batch.
 
     The batch marches u, then the FD_EPS_LADDER points of
     fd_gradient_check along each of fd_directions, then the
     LINEARIZED_EPS_LADDER points of linearized_fd_refinement along
     lin_direction (None for none).  The points are built lazily and each
-    trajectory is reduced as it arrives.  If the batch fails and u fails
-    on its own as well, u's own failure is raised, as an unbatched solve
-    names it.
+    trajectory is reduced as it arrives.
     """
-    pr, pot, hspec = problem.params, problem.pot, problem.hspec
     fd_points = (c for k1, k2 in fd_directions
                  for c in _fd_ladder(problem, u, k1, k2, FD_EPS_LADDER))
     lin_points = () if lin_direction is None else _fd_ladder(
         problem, u, *lin_direction, LINEARIZED_EPS_LADDER)
-    pairs = solve_states(pr, pot, hspec,
+    pairs = solve_states(problem.params, problem.pot, problem.hspec,
                          itertools.chain([u], fd_points, lin_points),
                          problem.init)
+    n_fd = 2 * len(FD_EPS_LADDER) * len(fd_directions)
     try:
         _, base = next(pairs)
-    except SolveFailure:
-        solve_state(pr, pot, hspec, u, problem.init)
+        costs = [_smooth_cost(problem, c, traj)
+                 for c, traj in itertools.islice(pairs, n_fd)]
+        errs = [] if lin_direction is None else _linearized_vs_fd_error(
+            problem, u, base, *lin_direction, pairs)
+    except SolveFailure as exc:
+        exc.args = (_prefix(exc.member, n_fd, level) + str(exc),)
         raise
-    n_fd = 2 * len(FD_EPS_LADDER) * len(fd_directions)
-    costs = [_smooth_cost(problem, c, traj)
-             for c, traj in itertools.islice(pairs, n_fd)]
-    errs = [] if lin_direction is None else _linearized_vs_fd_error(
-        problem, u, base, *lin_direction, pairs)
     return base, costs, errs
 
 
@@ -273,7 +284,7 @@ def _linearized_report(problem: Problem, k, errs, levels: int) -> CheckReport:
         if lev:
             prob = problem.with_resolution(scale, scale)
             k_lev = [_prolong(a, problem.grid, scale) for a in k]
-            errs = _nominal_batch(prob, prob.u0, (), k_lev)[2]
+            errs = _nominal_batch(prob, prob.u0, (), k_lev, lev)[2]
         rows.append((lev, max(prob.grid.spacing), prob.timegrid.tau,
                      float(min(errs))))
     worst = max(r[3] for r in rows)
@@ -339,9 +350,13 @@ def _duality_report(problem: Problem, k, base: Trajectory, adj,
         k1, k2, u1, u2 = (np.repeat(a, scale, axis=0)
                           for a in k + (u.u1.values, u.u2.values))
         uu = ControlPair.from_arrays(prob.timegrid, prob.grid, u1, u2)
-        if lev:
-            base, adj = _state_and_adjoint(prob, uu)
-        gap, pairing = _duality_gap_at(prob, uu, k1, k2, base, adj)
+        try:
+            if lev:
+                base, adj = _state_and_adjoint(prob, uu)
+            gap, pairing = _duality_gap_at(prob, uu, k1, k2, base, adj)
+        except SolveFailure as exc:
+            exc.args = (f"duality_gap level {lev}: {exc}",)
+            raise
         gaps.append(gap)
         rows.append((lev, max(prob.grid.spacing), prob.timegrid.tau,
                      gap / pairing))

@@ -81,6 +81,32 @@ class TestConfigParsing:
         assert f"config error: unknown-key: {name} (line 5): unknown key" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,key,line,first", [
+        ("[run]\npreset = time-sparsity-demo\n[model]\nnu = 0.2\n"
+         "[model]\nnu = 0.3\n", "model.nu", 6, 4),
+        ("[run]\npreset = time-sparsity-demo\npreset = stress-separation\n",
+         "run.preset", 3, 2)], ids=["model.nu", "run.preset"])
+    def test_key_set_twice(self, tmp_path, capsys, text, key, line, first):
+        # a repeated section header is fine; a repeated key is not, rather
+        # than the last value silently winning
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(text)
+        issue = exc.value.issues[0]
+        assert (issue.kind, issue.key, issue.line) == ("parse", key, line)
+        assert cli_main(["simulate", "--config", str(write_cfg(tmp_path, text)),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: parse: {key} (line {line}): set again (first on "
+            f"line {first})\n")
+
+    def test_byte_order_mark(self, tmp_path):
+        # Windows editors may start a UTF-8 file with U+FEFF
+        text = "[run]\npreset = time-sparsity-demo\n[model]\nnu = 0.2\n"
+        plain = load_config(write_cfg(tmp_path, text))
+        marked = load_config(write_cfg(tmp_path, "\ufeff" + text, "bom.cfg"))
+        assert marked == plain
+        assert marked.config_hash() == plain.config_hash()
+
     def test_multiple_errors_collected(self):
         with pytest.raises(ConfigError) as exc:
             parse_config_text("[model]\nnu = 0\nkappa = -1\n")
@@ -445,12 +471,27 @@ class TestCli:
         assert err.startswith("solver error: separation lost at time step 82")
         assert err.count("\n") == 1
         # verify's checks march u0 in one batch with their points; its
-        # failure still reads as u0's own solve, naming no batch member
+        # failure reads as u0's own solve, naming no check
         assert cli_main(["verify", "--config", str(cfgp),
                          "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == (
             "solver error: separation lost at time step 82: margin "
             "8.411e-12\n")
+
+    @pytest.mark.parametrize("u0_1,where", [
+        ("-32", "linearized_fd_refinement level 1, eps 0.01: separation "
+                "lost at time step 191: margin 9.966e-12"),
+        ("-32.2", "linearized_fd_refinement level 1: separation lost at time "
+                  "step 191: margin 9.016e-12")])
+    def test_verify_failure_names_its_check(self, tmp_path, capsys, u0_1,
+                                            where):
+        # u0 solves on the preset's grid; a solve on the linearized check's
+        # first refined level fails: a ladder point, or that level's u0
+        cfgp = write_cfg(tmp_path, "[run]\npreset = stress-separation\n"
+                                   f"[controls]\nu0_1 = constant {u0_1}\n")
+        assert cli_main(["verify", "--config", str(cfgp),
+                         "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"solver error: {where}\n"
 
     def test_solver_failure_leaves_no_run_directory(self, tmp_path, capsys):
         cfgp = write_cfg(tmp_path, "[run]\npreset = stress-separation\n"

@@ -241,15 +241,18 @@ class TestHelmholtzSolver:
         assert str(exc.value) == (
             "conjugate gradient did not reach tolerance after 1 iterations: "
             f"relative residual {exc.value.residual:.3e}")
-        # in a batch, the first row that misses the tolerance is named; the
-        # constant-coefficient row converges in its one iteration
-        coeff = np.stack([np.full(grid.n_cells, 3.0), coeff])
-        members = np.array([5, 7])
+        # a batch raises the failure of its first row that misses the
+        # tolerance, as that row's own solve does; the constant-coefficient
+        # row converges in its one iteration
+        coeff = np.stack([np.full(grid.n_cells, 3.0), coeff, coeff[::-1]])
+        b = rng.standard_normal((2, grid.n_cells))
+        b = np.vstack([b, b[:1]])
+        with pytest.raises(LinearSolveError) as alone:
+            hh.solve(coeff[1], b[1])
         with pytest.raises(LinearSolveError) as exc:
-            hh.solve(coeff, rng.standard_normal((2, grid.n_cells)),
-                     members=members)
-        assert exc.value.member == 7
-        assert str(exc.value).endswith(" (member 7)")
+            hh.solve(coeff, b)
+        assert vars(exc.value) == vars(alone.value)
+        assert str(exc.value) == str(alone.value)
 
     def test_vanished_1d_pivot_is_a_solve_failure(self):
         # c = 1e-300 is below round-off next to 1/h^2 = 256, so the sweep
@@ -261,25 +264,24 @@ class TestHelmholtzSolver:
         assert str(exc.value) == (
             "1D Helmholtz solve: pivot of cell 15 vanished (diagonal "
             "2.560e+02, off-diagonal -2.560e+02)")
-        # in a batch, the failing row is named
-        coeff = np.stack([np.full(16, 3.0), np.full(16, 1e-300)])
-        with pytest.raises(SolveFailure) as exc:
-            hh.solve(coeff, np.ones((2, 16)), members=np.array([5, 7]))
-        assert exc.value.member == 7
-        # so it is by the column sweep of a larger batch, which warns of
-        # nothing: later members' pivots vanish, and the first is named
-        rows = solver.THOMAS_COLUMN_ROWS + 1
-        coeff = np.full((rows, 16), 3.0)
-        coeff[rows - 3:] = 1e-300
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(SolveFailure) as exc:
-                hh.solve(coeff, np.ones((rows, 16)),
-                         members=np.arange(100, 100 + rows))
-        assert exc.value.member == 100 + rows - 3
-        assert str(exc.value) == (
-            "1D Helmholtz solve: pivot of cell 15 vanished (diagonal "
-            f"2.560e+02, off-diagonal -2.560e+02) (member {100 + rows - 3})")
+        # a batch raises its first failing row's own failure, by the row
+        # sweep and by the column sweep of a larger batch, which warns of
+        # nothing.  Row 2's pivot vanishes at cell 15; the later row 3's at
+        # cell 5 (c = -1/h^2 there, 0 before it), so the row named is the
+        # first in order, not the first to fail
+        zero_at_5 = np.zeros(16)
+        zero_at_5[5] = -256.0
+        with pytest.raises(SolveFailure, match="pivot of cell 5 vanished"):
+            hh.solve(zero_at_5, np.ones(16))
+        for rows in (4, solver.THOMAS_COLUMN_ROWS + 1):
+            coeff = np.full((rows, 16), 3.0)
+            coeff[2], coeff[3:] = 1e-300, zero_at_5
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SolveFailure) as batch:
+                    hh.solve(coeff, np.ones((rows, 16)))
+            assert type(batch.value) is SolveFailure
+            assert str(batch.value) == str(exc.value)
 
     # norms of mu, phi, sigma at T and of psi2 at t = 0, recorded with the
     # Jacobi-preconditioned solver this one replaced
@@ -339,10 +341,10 @@ class TestPhiNewtonStep:
         rows = []
         solve = solver._HelmholtzSolver.solve
 
-        def counted(hh, coeff, b, members=None):
+        def counted(hh, coeff, b):
             if sys._getframe(1).f_code is solver._phi_newton_step.__code__:
                 rows.append(len(b) if b.ndim == 2 else 1)
-            return solve(hh, coeff, b, members=members)
+            return solve(hh, coeff, b)
 
         monkeypatch.setattr(solver._HelmholtzSolver, "solve", counted)
         prob = preset_problem(preset)
@@ -493,18 +495,22 @@ class TestStateSolver:
 
     def test_separation_loss_names_member(self):
         # one control driven out of the interval among healthy ones: the
-        # batch fails where that member fails alone, and names it
+        # batch fails as that control does alone, and names it
         prob = preset_problem("stress-separation")
         bad = preset_problem("stress-separation", u0_1="constant -40").u0
-        with pytest.raises(SeparationLoss) as alone:
-            solve_state(prob.params, prob.pot, prob.hspec, bad, prob.init)
-        with pytest.raises(SeparationLoss) as exc:
-            list(solve_states(prob.params, prob.pot, prob.hspec,
-                              [prob.u0, prob.u0, bad, prob.u0], prob.init))
-        assert exc.value.member == 2
-        assert (exc.value.step, exc.value.margin) == (alone.value.step,
-                                                      alone.value.margin)
-        assert str(exc.value) == f"{alone.value} (member 2)"
+        assert_batch_fails_as(prob, [prob.u0, prob.u0, bad, prob.u0], 2,
+                              SeparationLoss)
+
+    def test_first_failing_control_is_named(self):
+        # -34 loses separation at step 92 and -40 at step 82: the batch
+        # stops at step 82, in member 2, yet member 1 is the one named
+        prob = preset_problem("stress-separation")
+        late, early = (preset_problem("stress-separation",
+                                      u0_1=f"constant {v}").u0
+                       for v in (-34, -40))
+        err = assert_batch_fails_as(prob, [prob.u0, late, early], 1,
+                                    SeparationLoss)
+        assert err.step == 92
 
     def test_newton_divergence_names_step_and_residual(self, monkeypatch):
         monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 1)
@@ -515,11 +521,31 @@ class TestStateSolver:
         assert exc.value.residual > solver.NEWTON_TOL
         assert f"|G| = {exc.value.residual:.3e}" in str(exc.value)
         assert exc.value.member is None
-        with pytest.raises(NewtonDivergence) as batched:
-            list(solve_states(prob.params, prob.pot, prob.hspec,
-                              [prob.u0, prob.u0], prob.init))
-        assert batched.value.member == 0
-        assert str(batched.value) == f"{exc.value} (member 0)"
+        assert_batch_fails_as(prob, [prob.u0, prob.u0], 0, NewtonDivergence)
+
+    @pytest.mark.parametrize("size", [3, solver.THOMAS_COLUMN_ROWS + 1])
+    def test_vanished_pivot_in_a_batch(self, size):
+        # alpha/tau h^2 below round-off: the 1D solve meets -Lap, by rows in
+        # the smaller batch and by columns in the larger
+        prob = preset_problem("time-sparsity-demo", t_final=1e17)
+        ctrls = [prob.u0] + [random_admissible_controls(prob, seed)
+                             for seed in range(size - 1)]
+        err = assert_batch_fails_as(prob, ctrls, 0, SolveFailure)
+        assert "pivot of cell 15 vanished" in str(err)
+
+    def test_linear_solve_error_in_a_2d_batch(self, monkeypatch):
+        init = solver._HelmholtzSolver.__init__
+
+        def capped(hh, grid):
+            init(hh, grid)
+            hh.maxiter = 3  # step 0's first Jacobian solve takes 4
+
+        monkeypatch.setattr(solver._HelmholtzSolver, "__init__", capped)
+        prob = preset_problem("2D-regular-default")
+        ctrls = [prob.u0] + [random_admissible_controls(prob, seed)
+                             for seed in range(2)]
+        err = assert_batch_fails_as(prob, ctrls, 0, LinearSolveError)
+        assert err.iterations == 3
 
     @pytest.mark.parametrize("potential", ["logarithmic", "regular"])
     @pytest.mark.parametrize("preset,n", [
@@ -569,6 +595,27 @@ def solo_solves(request):
     solos = [solve_state(prob.params, prob.pot, prob.hspec, c, prob.init)
              for c in ctrls]
     return prob, ctrls, solos
+
+
+def assert_batch_fails_as(prob, ctrls, first, kind):
+    """solve_states over ctrls raises, with no warning, the very failure of
+    ctrls[first]'s own solve_state (type, message and attributes), with
+    member first; the controls before it solve alone.  Returns it."""
+    for c in ctrls[:first]:
+        solve_state(prob.params, prob.pot, prob.hspec, c, prob.init)
+    with pytest.raises(kind) as alone:
+        solve_state(prob.params, prob.pot, prob.hspec, ctrls[first],
+                    prob.init)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(kind) as batch:
+            list(solve_states(prob.params, prob.pot, prob.hspec, ctrls,
+                              prob.init))
+    assert type(batch.value) is type(alone.value)
+    assert str(batch.value) == str(alone.value)
+    assert alone.value.member is None
+    assert vars(batch.value) == {**vars(alone.value), "member": first}
+    return batch.value
 
 
 def _same_trajectory(a, b):

@@ -243,3 +243,46 @@ class TestVerifyCommand:
         # the refined levels march 24 and 48 steps
         assert marches.count(12) == 1
         assert adjoints.count(12) == 1
+
+
+class TestFailureNaming:
+    # verify_checks' nominal batch on the small instance: u, then 3 fd
+    # directions of 7 eps and 2 signs (members 1-42), then the linearized
+    # ladder's 3 eps and 2 signs (members 43-48)
+    @pytest.mark.parametrize("member,where", [
+        (0, ""),
+        (1, "fd_gradient_check, eps 0.1: "),
+        (18, "fd_gradient_check, eps 0.01: "),
+        (42, "fd_gradient_check, eps 1e-07: "),
+        (43, "linearized_fd_refinement level 0, eps 0.01: "),
+        (48, "linearized_fd_refinement level 0, eps 0.0001: ")])
+    def test_batch_member_is_named_by_its_point(self, small_problem,
+                                                monkeypatch, member, where):
+        def failing(*args):
+            exc = solver.SeparationLoss(7, 0.0)
+            exc.member = member
+            raise exc
+            yield
+
+        monkeypatch.setattr(verify, "solve_states", failing)
+        with pytest.raises(solver.SeparationLoss) as exc:
+            verify.verify_checks(small_problem)
+        assert str(exc.value) == \
+            f"{where}separation lost at time step 7: margin 0.000e+00"
+        assert (exc.value.step, exc.value.member) == (7, member)
+
+    def test_refined_duality_level_is_named(self, small_problem,
+                                            monkeypatch):
+        # only the solve on duality_gap's level 1 (2 tau) fails
+        steps = small_problem.timegrid.n_steps
+
+        def failing(params, pot, hspec, u, init):
+            if u.timegrid.n_steps != steps:
+                raise solver.SeparationLoss(3, 0.0)
+            return solve_state(params, pot, hspec, u, init)
+
+        monkeypatch.setattr(verify, "solve_state", failing)
+        with pytest.raises(solver.SeparationLoss) as exc:
+            duality_gap(small_problem, 2)
+        assert str(exc.value) == ("duality_gap level 1: separation lost at "
+                                  "time step 3: margin 0.000e+00")
