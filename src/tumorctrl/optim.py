@@ -11,6 +11,10 @@ one adjoint solve, and accelerates it by safeguarded type-II Anderson
 extrapolation (Walker & Ni, SIAM J. Numer. Anal. 49, 2011; Mai & Johansson,
 ICML 2020): an extrapolated point is kept only if it passes the plain step's
 sufficient-decrease test.
+
+Every function here that solves takes the one presets.Problem it works on;
+a run with other parts (a start, a kappa, no sparsity) is a
+dataclasses.replace copy of it.
 """
 
 from __future__ import annotations
@@ -18,16 +22,19 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fields import SpaceTimeField, StateTriple, inner
-from .model import BoxBounds, InterpolantSpec, ModelParams, PotentialSpec
-from .solver import (AdjointTriple, ControlPair, SolveFailure, Targets,
-                     Trajectory, adjoint_mismatch_fields, solve_adjoint,
-                     solve_state)
+from .fields import SpaceTimeField, inner
+from .model import BoxBounds
+from .solver import (AdjointTriple, ControlPair, SolveFailure, Trajectory,
+                     adjoint_mismatch_fields, solve_adjoint, solve_state)
 from .sparsity import (SparsityMode, eval_g, group_layout, mode_norms,
                        prox_pair, select_subgradient)
+
+if TYPE_CHECKING:  # presets imports this module for OptimizeOptions
+    from .presets import Problem
 
 # a failed trial multiplies the step size by this factor
 BACKTRACK = 0.5
@@ -105,35 +112,34 @@ class ThresholdReport:
         return max(self.kappa1, self.kappa2)
 
 
-def _tracking_cost(params, targets: Targets, traj: Trajectory) -> float:
+def _solve(problem: Problem, u: ControlPair) -> Trajectory:
+    return solve_state(problem.params, problem.pot, problem.hspec, u,
+                       problem.init)
+
+
+def _cost(problem: Problem, u: ControlPair, traj: Trajectory) -> float:
+    pr, targets = problem.params, problem.targets
     diff = traj.phi.values - targets.phi_q.values
     w = traj.phi.time_weights()
     vol = traj.grid.cell_volume
-    q_term = 0.5 * params.beta1 * vol * float(np.dot(w, np.sum(diff ** 2, axis=1)))
+    q_term = 0.5 * pr.beta1 * vol * float(np.dot(w, np.sum(diff ** 2, axis=1)))
     dT = traj.phi.values[-1] - targets.phi_omega.values
-    o_term = 0.5 * params.beta2 * vol * float(np.sum(dT ** 2))
-    return q_term + o_term
+    o_term = 0.5 * pr.beta2 * vol * float(np.sum(dT ** 2))
+    quad = 0.5 * pr.nu * (inner(u.u1, u.u1) + inner(u.u2, u.u2))
+    return (q_term + o_term) + (quad + pr.kappa * eval_g(problem.mode, u))
 
 
-def _control_cost(params, mode, u: ControlPair) -> float:
-    quad = 0.5 * params.nu * (inner(u.u1, u.u1) + inner(u.u2, u.u2))
-    return quad + params.kappa * eval_g(mode, u)
-
-
-def reduced_cost(params: ModelParams, pot: PotentialSpec,
-                 hspec: InterpolantSpec, targets: Targets, mode: SparsityMode,
-                 u: ControlPair, init: StateTriple,
+def reduced_cost(problem: Problem, u: ControlPair,
                  traj: Trajectory | None = None) -> float:
     """Cost of the control u through the state solve.
 
     beta1/2 ||phi_u - phi_q||_Q^2 + beta2/2 ||phi_u(T) - phi_omega||^2
     + nu/2 ||u||_Q^2 + kappa g(u), with trapezoidal time quadrature for the
-    tracking term and interval quadrature for the control terms.  traj is
-    u's state trajectory if it is already solved.
+    tracking term and interval quadrature for the control terms; g is the
+    problem's sparsity mode.  traj is u's state trajectory if it is already
+    solved.
     """
-    if traj is None:
-        traj = solve_state(params, pot, hspec, u, init)
-    return _tracking_cost(params, targets, traj) + _control_cost(params, mode, u)
+    return _cost(problem, u, _solve(problem, u) if traj is None else traj)
 
 
 @dataclass(frozen=True)
@@ -146,30 +152,31 @@ class _GradientBundle:
     g2: np.ndarray
 
 
-def _gradient_bundle(params, pot, hspec, targets, u: ControlPair,
-                     init: StateTriple, traj: Trajectory | None = None,
+def _gradient_bundle(problem: Problem, u: ControlPair,
+                     traj: Trajectory | None = None,
                      adj: AdjointTriple | None = None) -> _GradientBundle:
     if traj is None:
-        traj = solve_state(params, pot, hspec, u, init)
+        traj = _solve(problem, u)
     if adj is None:
-        adj = solve_adjoint(params, pot, hspec, traj, u, targets)
-    d1, d2 = adjoint_mismatch_fields(hspec, traj, adj)
-    g1 = d1 + params.nu * u.u1.values
-    g2 = d2 + params.nu * u.u2.values
+        adj = solve_adjoint(problem.params, problem.pot, problem.hspec, traj,
+                            u, problem.targets)
+    d1, d2 = adjoint_mismatch_fields(problem.hspec, traj, adj)
+    g1 = d1 + problem.params.nu * u.u1.values
+    g2 = d2 + problem.params.nu * u.u2.values
     return _GradientBundle(traj, adj, d1, d2, g1, g2)
 
 
-def smooth_gradient(params: ModelParams, pot: PotentialSpec,
-                    hspec: InterpolantSpec, targets: Targets, u: ControlPair,
-                    init: StateTriple, traj: Trajectory | None = None,
+def smooth_gradient(problem: Problem, u: ControlPair,
+                    traj: Trajectory | None = None,
                     adj: AdjointTriple | None = None
                     ) -> tuple[SpaceTimeField, SpaceTimeField]:
     """Gradient of the smooth reduced cost: (-psi1 h(phi) + nu u1, psi3 + nu u2).
 
     One forward and one backward (adjoint) solve; traj and adj are u's
-    state trajectory and adjoint if they are already solved.
+    state trajectory and adjoint if they are already solved.  The
+    problem's sparsity mode and kappa play no part.
     """
-    b = _gradient_bundle(params, pot, hspec, targets, u, init, traj, adj)
+    b = _gradient_bundle(problem, u, traj, adj)
     tg, grid = u.timegrid, u.grid
     return (SpaceTimeField(tg, grid, b.g1), SpaceTimeField(tg, grid, b.g2))
 
@@ -180,15 +187,14 @@ def _q_norm(u: ControlPair, a1: np.ndarray, a2: np.ndarray) -> float:
     return math.sqrt(tau * vol * (float(np.sum(a1 ** 2)) + float(np.sum(a2 ** 2))))
 
 
-def _vi_residual_from(params, mode, bounds: BoxBounds, u: ControlPair,
-                      d1: np.ndarray, d2: np.ndarray) -> float:
+def _vi_residual_from(problem: Problem, u: ControlPair, d1: np.ndarray,
+                      d2: np.ndarray) -> float:
     """||u - P_box(-(d + kappa lambda)/nu)||_Q, lambda the residual-minimizing
     subgradient selection: zero exactly where u is stationary."""
-    lam1, lam2 = select_subgradient(mode, u, (d1, d2), params.kappa)
-    t1 = np.clip(-(d1 + params.kappa * lam1) / params.nu,
-                 bounds.lo1, bounds.hi1)
-    t2 = np.clip(-(d2 + params.kappa * lam2) / params.nu,
-                 bounds.lo2, bounds.hi2)
+    pr, bounds = problem.params, problem.bounds
+    lam1, lam2 = select_subgradient(problem.mode, u, (d1, d2), pr.kappa)
+    t1 = np.clip(-(d1 + pr.kappa * lam1) / pr.nu, bounds.lo1, bounds.hi1)
+    t2 = np.clip(-(d2 + pr.kappa * lam2) / pr.nu, bounds.lo2, bounds.hi2)
     return _q_norm(u, u.u1.values - t1, u.u2.values - t2)
 
 
@@ -257,17 +263,14 @@ def _anderson_point(hist, f: tuple, g: tuple, bounds: BoxBounds) -> tuple:
     return tuple(out)
 
 
-def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
-                            hspec: InterpolantSpec, targets: Targets,
-                            mode: SparsityMode, bounds: BoxBounds,
-                            u0: ControlPair, opts: OptimizeOptions,
-                            init: StateTriple) -> OptimizeResult:
-    """Minimize the reduced cost by accelerated proximal gradient.
+def proximal_gradient_solve(problem: Problem) -> OptimizeResult:
+    """Minimize the problem's reduced cost by accelerated proximal gradient.
 
-    Iterates the map G(u) = prox(u - eta grad J1(u)), where the prox handles
-    kappa*g + box jointly.  A step must decrease the full cost by at least
-    (DECREASE/eta) ||G(u) - u||_Q^2, so the cost history is nonincreasing
-    up to a rounding pad of 4 eps (1 + |cost|).  The first trial of a step
+    Starts from problem.u0, clipped to the box, and stops as problem.opts
+    says.  Iterates the map G(u) = prox(u - eta grad J1(u)), where the
+    prox handles kappa*g + box jointly.  A step must decrease the full cost
+    by at least (DECREASE/eta) ||G(u) - u||_Q^2, so the cost history is
+    nonincreasing up to a rounding pad of 4 eps (1 + |cost|).  The first trial of a step
     is the type-II Anderson point built from G(u) and up to AA_MEMORY
     difference pairs of G at the same eta (_anderson_point); only if it
     fails the test is the plain point G(u) solved.  eta starts at 1/nu and
@@ -279,6 +282,8 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
     state_solves counts the state solves made when each VI residual was
     recorded.  A prox step that overflows raises SolveFailure.
     """
+    pr, bounds, opts, u0 = (problem.params, problem.bounds, problem.opts,
+                            problem.u0)
     tg, grid = u0.timegrid, u0.grid
     n_solves = 0
 
@@ -286,18 +291,17 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
         """u's state trajectory and full cost."""
         nonlocal n_solves
         n_solves += 1
-        traj = solve_state(params, pot, hspec, u, init)
-        return traj, (_tracking_cost(params, targets, traj)
-                      + _control_cost(params, mode, u))
+        traj = _solve(problem, u)
+        return traj, _cost(problem, u, traj)
 
     u = ControlPair.from_arrays(
         tg, grid, np.clip(u0.u1.values, bounds.lo1, bounds.hi1),
         np.clip(u0.u2.values, bounds.lo2, bounds.hi2))
     traj, cost = evaluate(u)
-    bundle = _gradient_bundle(params, pot, hspec, targets, u, init, traj=traj)
+    bundle = _gradient_bundle(problem, u, traj=traj)
 
     costs, vis, etas, solves = [cost], [], [], []
-    eta = 1.0 / params.nu
+    eta = 1.0 / pr.nu
     # Anderson history: difference pairs (dF1, dF2, dG1, dG2) of the map G
     # at the current eta, and the residual and point (f1, f2, g1, g2) of the
     # last prox point at that eta
@@ -305,8 +309,7 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
     last = None
     # it counts accepted steps; every pass first records the VI residual
     for it in range(opts.max_iters + 1):
-        vis.append(_vi_residual_from(params, mode, bounds, u,
-                                     bundle.d1, bundle.d2))
+        vis.append(_vi_residual_from(problem, u, bundle.d1, bundle.d2))
         solves.append(n_solves)
         if vis[-1] <= opts.tol_vi or it == opts.max_iters:
             break
@@ -319,7 +322,7 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
                                         u.u1.values - eta * bundle.g1)
                     v2 = SpaceTimeField(tg, grid,
                                         u.u2.values - eta * bundle.g2)
-                    p1, p2 = prox_pair(mode, v1, v2, eta, params.kappa,
+                    p1, p2 = prox_pair(problem.mode, v1, v2, eta, pr.kappa,
                                        bounds)
             except FloatingPointError as exc:
                 raise SolveFailure(f"prox step overflows at iteration {it} "
@@ -354,8 +357,7 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
             hist.clear()
             last = None
         u, cost = u_trial, cost_trial
-        bundle = _gradient_bundle(params, pot, hspec, targets, u, init,
-                                  traj=traj_trial)
+        bundle = _gradient_bundle(problem, u, traj=traj_trial)
         costs.append(cost)
         etas.append(eta)
 
@@ -366,37 +368,30 @@ def proximal_gradient_solve(params: ModelParams, pot: PotentialSpec,
         converged=vis[-1] <= opts.tol_vi, state_solves=np.asarray(solves))
 
 
-def zero_control_threshold(params: ModelParams, pot: PotentialSpec,
-                           hspec: InterpolantSpec, targets: Targets,
-                           mode: SparsityMode,
-                           init: StateTriple) -> ThresholdReport:
-    """Mode-norm suprema of d at the zero control.
+def zero_control_threshold(problem: Problem) -> ThresholdReport:
+    """Mode-norm suprema of d at the zero control, in the problem's mode.
 
     The returned kappa0 estimate is the smallest sparsity weight for which
     u = 0 satisfies the variational inequality: for kappa above it the
     optimizer returns the zero control.
     """
+    mode = problem.mode
     if mode is SparsityMode.NONE:
         raise ValueError("threshold needs a sparsity mode other than 'none'")
-    grid = init.grid
-    tg = targets.phi_q.timegrid
-    u = ControlPair.zeros(tg, grid)
-    b = _gradient_bundle(params, pot, hspec, targets, u, init)
-    d1 = SpaceTimeField(tg, grid, b.d1)
-    d2 = SpaceTimeField(tg, grid, b.d2)
-    n1 = mode_norms(mode, d1)
-    n2 = mode_norms(mode, d2)
+    tg, grid = problem.timegrid, problem.grid
+    b = _gradient_bundle(problem, ControlPair.zeros(tg, grid))
+    n1 = mode_norms(mode, SpaceTimeField(tg, grid, b.d1))
+    n2 = mode_norms(mode, SpaceTimeField(tg, grid, b.d2))
     return ThresholdReport(float(np.max(n1)), float(np.max(n2)))
 
 
-def kappa_sweep(params: ModelParams, pot: PotentialSpec,
-                hspec: InterpolantSpec, targets: Targets, mode: SparsityMode,
-                bounds: BoxBounds, u0: ControlPair, opts: OptimizeOptions,
-                kappas, init: StateTriple) -> list:
+def kappa_sweep(problem: Problem, kappas) -> list:
     """Optimize for each kappa (ascending) and record support statistics.
 
-    kappa = 0 runs the unregularized box-constrained problem (g disabled).
-    Support monotonicity in kappa is reported, never asserted.
+    Each run is the problem with only kappa changed; kappa = 0 runs it with
+    mode none instead (the unregularized box-constrained problem).  Support
+    is measured in the problem's mode.  Support monotonicity in kappa is
+    reported, never asserted.
     """
     ks = [float(k) for k in kappas]
     if any(b < a for a, b in zip(ks, ks[1:])):
@@ -404,12 +399,11 @@ def kappa_sweep(params: ModelParams, pot: PotentialSpec,
     rows = []
     for k in ks:
         if k == 0.0:
-            pr, md = params, SparsityMode.NONE
+            run = replace(problem, mode=SparsityMode.NONE)
         else:
-            pr, md = replace(params, kappa=k), mode
-        res = proximal_gradient_solve(pr, pot, hspec, targets, md, bounds,
-                                      u0, opts, init)
-        s1, s2 = support_measure(mode, res.control)
+            run = replace(problem, params=replace(problem.params, kappa=k))
+        res = proximal_gradient_solve(run)
+        s1, s2 = support_measure(problem.mode, res.control)
         rows.append({
             "kappa": k,
             "cost": res.cost,

@@ -260,7 +260,13 @@ DEFAULT_SETTINGS = {name: d for name, (_, _, d, _) in SETTINGS.items()}
 
 @dataclass(frozen=True)
 class Problem:
-    """One fully-specified experiment instance."""
+    """One fully-specified experiment instance.
+
+    The optimizer layer and the verification checks take it whole; a run
+    with other parts (a start, a kappa, no sparsity) is a
+    dataclasses.replace copy.  Such a copy keeps the original settings, so
+    its with_resolution rebuilds the original problem, not the copy.
+    """
 
     params: ModelParams
     pot: PotentialSpec

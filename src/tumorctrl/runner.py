@@ -69,10 +69,7 @@ def _run_simulate(problem: Problem, out: Path, kappas):
 
 
 def _run_optimize(problem: Problem, out: Path, kappas):
-    res = proximal_gradient_solve(problem.params, problem.pot, problem.hspec,
-                                  problem.targets, problem.mode,
-                                  problem.bounds, problem.u0, problem.opts,
-                                  problem.init)
+    res = proximal_gradient_solve(problem)
     files = _write_fields(out, res.control, ("u1", "u2"), "control_")
     files += _write_fields(out, res.trajectory, _STATE_NAMES)
     p = out / "convergence.csv"
@@ -97,8 +94,7 @@ def _run_optimize(problem: Problem, out: Path, kappas):
 
 
 def _run_threshold(problem: Problem, out: Path, kappas):
-    rep = zero_control_threshold(problem.params, problem.pot, problem.hspec,
-                                 problem.targets, problem.mode, problem.init)
+    rep = zero_control_threshold(problem)
     p = out / "threshold.csv"
     write_csv(p, ("quantity", "value"),
               [("kappa1", "kappa2", "kappa0_estimate"),
@@ -109,14 +105,9 @@ def _run_threshold(problem: Problem, out: Path, kappas):
 def _run_sweep(problem: Problem, out: Path, kappas):
     ks = list(kappas)
     if not ks:
-        rep = zero_control_threshold(problem.params, problem.pot,
-                                     problem.hspec, problem.targets,
-                                     problem.mode, problem.init)
-        k0 = rep.kappa0_estimate
+        k0 = zero_control_threshold(problem).kappa0_estimate
         ks = [0.0, 0.5 * k0, 2.0 * k0] if k0 > 0 else [0.0]
-    rows = kappa_sweep(problem.params, problem.pot, problem.hspec,
-                       problem.targets, problem.mode, problem.bounds,
-                       problem.u0, problem.opts, ks, problem.init)
+    rows = kappa_sweep(problem, ks)
     p = out / "kappa_sweep.csv"
     names = ("kappa", "cost", "vi_residual", "support1", "support2",
              "control_norm", "iterations")

@@ -757,7 +757,9 @@ def solve_adjoint(params: ModelParams, pot: PotentialSpec,
     cost (discretize-then-optimize).  The first backward step starts from a
     terminal layer that adds the half-weight tracking contribution of the
     trapezoidal cost quadrature and one implicit smoothing step to the
-    terminal value.
+    terminal value.  A recursion that overflows (say under a huge tracking
+    weight) raises SolveFailure naming the latest node where psi is not
+    finite, the first backward step that left the floats.
     """
     grid, tg = base.grid, base.timegrid
     if targets.phi_q.grid != grid or targets.phi_q.timegrid != tg:
@@ -806,6 +808,11 @@ def solve_adjoint(params: ModelParams, pot: PotentialSpec,
         psi2[m] = hh.solve(pr.beta / tau + f1dd_all[m], b2)
         psi2_prev = psi2[m]
 
+    bad = ~(np.isfinite(psi1) & np.isfinite(psi2)
+            & np.isfinite(psi3)).all(axis=1)
+    if bad.any():
+        raise SolveFailure("adjoint solve overflows at time step "
+                           f"{np.flatnonzero(bad)[-1]}")
     return AdjointTriple(SpaceTimeField(tg, grid, psi1),
                          SpaceTimeField(tg, grid, psi2),
                          SpaceTimeField(tg, grid, psi3))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -123,13 +123,6 @@ def _unit_direction(problem: Problem, rng) -> tuple[np.ndarray, np.ndarray]:
     return k1 / nrm, k2 / nrm
 
 
-def _smooth_cost(problem: Problem, u: ControlPair, traj=None) -> float:
-    """Reduced cost without the sparsity term (the FD oracle's objective)."""
-    return reduced_cost(problem.params, problem.pot, problem.hspec,
-                        problem.targets, SparsityMode.NONE, u, problem.init,
-                        traj)
-
-
 def _fd_ladder(problem: Problem, u: ControlPair, k1: np.ndarray,
                k2: np.ndarray, eps_ladder) -> Iterator[ControlPair]:
     """u + eps k and u - eps k for every eps of the ladder, in that order."""
@@ -163,17 +156,19 @@ def _prefix(member: int | None, n_fd: int, level: int) -> str:
     return f"{lin}: " if level else ""
 
 
-def _nominal_batch(problem: Problem, u: ControlPair, fd_directions,
-                   lin_direction, level=0) -> tuple[Trajectory, list, list]:
-    """u's trajectory, fd's smooth costs and the linearized check's errors
+def _nominal_batch(problem: Problem, fd_directions, lin_direction,
+                   level=0) -> tuple[Trajectory, list, list]:
+    """u0's trajectory, fd's smooth costs and the linearized check's errors
     at level (0: the problem's own grid), from one solve_states batch.
 
-    The batch marches u, then the FD_EPS_LADDER points of
-    fd_gradient_check along each of fd_directions, then the
-    LINEARIZED_EPS_LADDER points of linearized_fd_refinement along
+    The smooth cost, the FD oracle's objective, is the reduced cost with
+    mode none (no sparsity term).  The batch marches u0, then the
+    FD_EPS_LADDER points of fd_gradient_check along each of fd_directions,
+    then the LINEARIZED_EPS_LADDER points of linearized_fd_refinement along
     lin_direction (None for none).  The points are built lazily and each
     trajectory is reduced as it arrives.
     """
+    u, smooth = problem.u0, replace(problem, mode=SparsityMode.NONE)
     fd_points = (c for k1, k2 in fd_directions
                  for c in _fd_ladder(problem, u, k1, k2, FD_EPS_LADDER))
     lin_points = () if lin_direction is None else _fd_ladder(
@@ -184,22 +179,21 @@ def _nominal_batch(problem: Problem, u: ControlPair, fd_directions,
     n_fd = 2 * len(FD_EPS_LADDER) * len(fd_directions)
     try:
         _, base = next(pairs)
-        costs = [_smooth_cost(problem, c, traj)
+        costs = [reduced_cost(smooth, c, traj)
                  for c, traj in itertools.islice(pairs, n_fd)]
         errs = [] if lin_direction is None else _linearized_vs_fd_error(
-            problem, u, base, *lin_direction, pairs)
+            problem, base, *lin_direction, pairs)
     except SolveFailure as exc:
         exc.args = (_prefix(exc.member, n_fd, level) + str(exc),)
         raise
     return base, costs, errs
 
 
-def _fd_report(problem: Problem, u: ControlPair, base: Trajectory, adjoint,
-               directions, costs) -> CheckReport:
-    """fd_gradient_check's report from u's trajectory base and adjoint
+def _fd_report(problem: Problem, base: Trajectory, adjoint, directions,
+               costs) -> CheckReport:
+    """fd_gradient_check's report from u0's trajectory base and adjoint
     (None: solved here) and the smooth costs of its ladder points."""
-    g1, g2 = smooth_gradient(problem.params, problem.pot, problem.hspec,
-                             problem.targets, u, problem.init, base, adjoint)
+    g1, g2 = smooth_gradient(problem, problem.u0, base, adjoint)
     tau, vol = problem.timegrid.tau, problem.grid.cell_volume
     tol = FD_GRADIENT_RTOL
     floor = FD_GRADIENT_FLOOR * problem.params.nu
@@ -221,11 +215,11 @@ def _fd_report(problem: Problem, u: ControlPair, base: Trajectory, adjoint,
                        passed=worst_best <= tol)
 
 
-def fd_gradient_check(problem: Problem, u: ControlPair | None = None,
-                      n_directions: int = 5) -> CheckReport:
+def fd_gradient_check(problem: Problem, n_directions: int = 5) -> CheckReport:
     """Adjoint gradient versus central finite differences of the smooth cost.
 
-    For each random unit direction k, compares <grad J1(u), k> with
+    At u = problem.u0 (check another point on replace(problem, u0=u)), for
+    each random unit direction k, compares <grad J1(u), k> with
     (J1(u + eps k) - J1(u - eps k)) / (2 eps) over the epsilon ladder and
     records the best relative error, relative to the larger side but at
     least to FD_GRADIENT_FLOOR nu (k is a unit direction).  The adjoint
@@ -234,22 +228,21 @@ def fd_gradient_check(problem: Problem, u: ControlPair | None = None,
     eps^2 truncation and its round-off floor.  Passes iff every direction's
     best error is at most FD_GRADIENT_RTOL.
     """
-    u = problem.u0 if u is None else u
     directions = _draw(problem, 1, n_directions)
-    base, costs, _ = _nominal_batch(problem, u, directions, None)
-    return _fd_report(problem, u, base, None, directions, costs)
+    base, costs, _ = _nominal_batch(problem, directions, None)
+    return _fd_report(problem, base, None, directions, costs)
 
 
-def _linearized_vs_fd_error(problem: Problem, u: ControlPair,
-                            base: Trajectory, k1: np.ndarray, k2: np.ndarray,
+def _linearized_vs_fd_error(problem: Problem, base: Trajectory,
+                            k1: np.ndarray, k2: np.ndarray,
                             pairs) -> list[float]:
-    """The error at each eps of LINEARIZED_EPS_LADDER, from the ladder's
-    next (control, trajectory) pairs."""
+    """The error at each eps of LINEARIZED_EPS_LADDER around u0 (trajectory
+    base), from the ladder's next (control, trajectory) pairs."""
     tg, grid = problem.timegrid, problem.grid
     spec = LinearizedSpec(k1=SpaceTimeField(tg, grid, k1),
                           k2=SpaceTimeField(tg, grid, k2))
     lin = solve_linearized(problem.params, problem.pot, problem.hspec, base,
-                           u, spec)
+                           problem.u0, spec)
     errs = []
     for eps, (_, up), (_, dn) in zip(LINEARIZED_EPS_LADDER, pairs, pairs):
         num = den = 0.0
@@ -284,7 +277,7 @@ def _linearized_report(problem: Problem, k, errs, levels: int) -> CheckReport:
         if lev:
             prob = problem.with_resolution(scale, scale)
             k_lev = [_prolong(a, problem.grid, scale) for a in k]
-            errs = _nominal_batch(prob, prob.u0, (), k_lev, lev)[2]
+            errs = _nominal_batch(prob, (), k_lev, lev)[2]
         rows.append((lev, max(prob.grid.spacing), prob.timegrid.tau,
                      float(min(errs))))
     worst = max(r[3] for r in rows)
@@ -303,7 +296,7 @@ def linearized_fd_refinement(problem: Problem, levels: int = 3) -> CheckReport:
     LINEARIZED_RTOL at every level.
     """
     k = _draw(problem, 2, 1)[0]
-    errs = _nominal_batch(problem, problem.u0, (), k)[2]
+    errs = _nominal_batch(problem, (), k)[2]
     return _linearized_report(problem, k, errs, levels)
 
 
@@ -392,11 +385,10 @@ def verify_checks(problem: Problem) -> tuple[CheckReport, ...]:
     """
     fd_dirs = _draw(problem, 1, 3)
     lin_k, dual_k = _draw(problem, 2, 1)[0], _draw(problem, 3, 1)[0]
-    u = problem.u0
-    base, costs, errs = _nominal_batch(problem, u, fd_dirs, lin_k)
-    adj = solve_adjoint(problem.params, problem.pot, problem.hspec, base, u,
-                        problem.targets)
-    return (_fd_report(problem, u, base, adj, fd_dirs, costs),
+    base, costs, errs = _nominal_batch(problem, fd_dirs, lin_k)
+    adj = solve_adjoint(problem.params, problem.pot, problem.hspec, base,
+                        problem.u0, problem.targets)
+    return (_fd_report(problem, base, adj, fd_dirs, costs),
             _linearized_report(problem, lin_k, errs, 3),
             _duality_report(problem, dual_k, base, adj, 3),
             separation_monitor(base, problem.pot))

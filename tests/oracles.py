@@ -13,7 +13,7 @@ import numpy as np
 
 from tumorctrl.optim import reduced_cost
 from tumorctrl.presets import Problem
-from tumorctrl.solver import ControlPair, Targets, solve_states
+from tumorctrl.solver import ControlPair, solve_states
 from tumorctrl.sparsity import SparsityMode
 
 # brute_force_optimize: lattice points per axis, shrink-and-rescan rounds,
@@ -28,9 +28,8 @@ class DimensionTooLarge(ValueError):
     """Brute-force search refused: control dimension exceeds its budget."""
 
 
-def brute_force_optimize(params, pot, hspec, targets: Targets,
-                         mode: SparsityMode, bounds, init):
-    """Lattice oracle for the reduced cost on tiny instances.
+def brute_force_optimize(problem: Problem):
+    """Lattice oracle for the problem's reduced cost on tiny instances.
 
     Cycles exhaustive scans over the nonsmooth-coupled blocks of the control
     (one time slice per control for time sparsity, one cell column for space
@@ -43,8 +42,7 @@ def brute_force_optimize(params, pot, hspec, targets: Targets,
 
     Returns (best ControlPair, best cost).
     """
-    grid = init.grid
-    tg = targets.phi_q.timegrid
+    tg, grid, bounds = problem.timegrid, problem.grid, problem.bounds
     nt, nc = tg.n_steps, grid.n_cells
     dim = 2 * nt * nc
     if nc > 3 or nt > 3 or dim > 18:
@@ -65,14 +63,13 @@ def brute_force_optimize(params, pot, hspec, targets: Targets,
                 u[comp][sl] = cand
                 yield ControlPair.from_arrays(tg, grid, *u)
 
-        for c, traj in solve_states(params, pot, hspec, ctrls(), init):
-            yield reduced_cost(params, pot, hspec, targets, mode, c, init,
-                               traj)
+        for c, traj in solve_states(problem.params, problem.pot,
+                                    problem.hspec, ctrls(), problem.init):
+            yield reduced_cost(problem, c, traj)
 
-    best = reduced_cost(params, pot, hspec, targets, mode,
-                        ControlPair.from_arrays(tg, grid, *u), init)
+    best = reduced_cost(problem, ControlPair.from_arrays(tg, grid, *u))
 
-    if mode is SparsityMode.SPACE:
+    if problem.mode is SparsityMode.SPACE:
         blocks = [(c, np.s_[:, j]) for c in (0, 1) for j in range(nc)]
     else:
         blocks = [(c, np.s_[n, :]) for c in (0, 1) for n in range(nt)]

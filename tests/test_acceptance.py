@@ -35,8 +35,7 @@ def test_c1_stationary_exactness():
     traj = tc.solve_state(prob.params, prob.pot, prob.hspec, prob.u0,
                           prob.init)
     bal = tc.state_balance_report(traj, prob.params, prob.u0, prob.hspec)
-    cost = tc.reduced_cost(prob.params, prob.pot, prob.hspec, prob.targets,
-                           prob.mode, prob.u0, prob.init)
+    cost = tc.reduced_cost(prob, prob.u0)
     elapsed = time.perf_counter() - t0
     constant = (np.all(traj.mu.values == 0.0) and np.all(traj.phi.values == 1.0)
                 and np.all(traj.sigma.values == 0.0))
@@ -272,13 +271,9 @@ def test_c5_optimizer_vs_brute_force():
     results = {}
     for mode_name in ("full", "time"):
         prob = tc.make_problem({**TINY, "mode": mode_name})
-        u_star, j_star = brute_force_optimize(
-            prob.params, prob.pot, prob.hspec, prob.targets, prob.mode,
-            prob.bounds, prob.init)
+        u_star, j_star = brute_force_optimize(prob)
         assert repr(j_star) == C5_MINIMA[mode_name]
-        res = tc.proximal_gradient_solve(
-            prob.params, prob.pot, prob.hspec, prob.targets, prob.mode,
-            prob.bounds, prob.u0, prob.opts, prob.init)
+        res = tc.proximal_gradient_solve(prob)
         results[mode_name] = (abs(res.cost - j_star), 1e-4 * (1 + abs(j_star)))
     elapsed = time.perf_counter() - t0
     ok = all(gap <= tol for gap, tol in results.values()) and elapsed < 60.0
@@ -303,18 +298,13 @@ def _certificate_agreement(prob, res, norms_of):
 
 def test_c6_sparsity_certificate_agreement():
     prob = tc.preset_problem("time-sparsity-demo")
-    res = tc.proximal_gradient_solve(prob.params, prob.pot, prob.hspec,
-                                     prob.targets, prob.mode, prob.bounds,
-                                     prob.u0, prob.opts, prob.init)
+    res = tc.proximal_gradient_solve(prob)
     vol = prob.grid.cell_volume
     mm_t = _certificate_agreement(
         prob, res, lambda c: np.sqrt(vol * np.sum(c.values ** 2, axis=1)))
 
     prob_f = tc.preset_problem("time-sparsity-demo", mode="full", kappa=4e-4)
-    res_f = tc.proximal_gradient_solve(prob_f.params, prob_f.pot,
-                                       prob_f.hspec, prob_f.targets,
-                                       prob_f.mode, prob_f.bounds, prob_f.u0,
-                                       prob_f.opts, prob_f.init)
+    res_f = tc.proximal_gradient_solve(prob_f)
     mm_q = _certificate_agreement(prob_f, res_f, lambda c: np.abs(c.values))
     ok = res.converged and res_f.converged and mm_t == 0 and mm_q == 0
     report(6, "sparsity certificate agreement", ok,
@@ -323,24 +313,23 @@ def test_c6_sparsity_certificate_agreement():
 
 def test_c7_vanishing_control_threshold():
     prob = tc.preset_problem("time-sparsity-demo")
-    th = tc.zero_control_threshold(prob.params, prob.pot, prob.hspec,
-                                   prob.targets, prob.mode, prob.init)
+    th = tc.zero_control_threshold(prob)
     k0 = th.kappa0_estimate
     assert k0 > 0
     opts = dataclasses.replace(prob.opts, tol_vi=1e-8)
+
+    def solve(u0, kappa):
+        return tc.proximal_gradient_solve(dataclasses.replace(
+            prob, u0=u0, opts=opts,
+            params=dataclasses.replace(prob.params, kappa=kappa)))
+
     above_ok, below_ok = True, True
     for seed in (7, 99):
         u0 = random_admissible_controls(prob, seed)
-        pr = dataclasses.replace(prob.params, kappa=1.01 * k0)
-        res = tc.proximal_gradient_solve(pr, prob.pot, prob.hspec,
-                                         prob.targets, prob.mode, prob.bounds,
-                                         u0, opts, prob.init)
+        res = solve(u0, 1.01 * k0)
         above_ok &= _q_norm(res.control, res.control.u1.values,
                             res.control.u2.values) <= 1e-6
-        pr = dataclasses.replace(prob.params, kappa=0.5 * k0)
-        res = tc.proximal_gradient_solve(pr, prob.pot, prob.hspec,
-                                         prob.targets, prob.mode, prob.bounds,
-                                         u0, opts, prob.init)
+        res = solve(u0, 0.5 * k0)
         s1, s2 = tc.support_measure(prob.mode, res.control)
         below_ok &= (s1 + s2) > 0.0
     ok = above_ok and below_ok
@@ -378,9 +367,7 @@ def test_c8_separation_preservation():
 
 def test_c9_full_sparsity_lambda_formula():
     prob = tc.preset_problem("time-sparsity-demo", mode="full", kappa=4e-4)
-    res = tc.proximal_gradient_solve(prob.params, prob.pot, prob.hspec,
-                                     prob.targets, prob.mode, prob.bounds,
-                                     prob.u0, prob.opts, prob.init)
+    res = tc.proximal_gradient_solve(prob)
     kappa = prob.params.kappa
     u2 = res.control.u2.values
     d = adjoint_mismatch_fields(prob.hspec, res.trajectory, res.adjoint)

@@ -5,20 +5,16 @@ import numpy as np
 import pytest
 
 from oracles import random_admissible_controls
-from tumorctrl.fields import (Field, SpaceTimeField, StateTriple, TimeGrid,
-                              grid1d)
+from tumorctrl.fields import SpaceTimeField, TimeGrid, grid1d
 from tumorctrl import optim
-from tumorctrl.model import ModelParams, regular_potential, smoothstep7
 from tumorctrl.optim import (StepsizeCollapse, kappa_sweep,
                              proximal_gradient_solve, reduced_cost,
                              smooth_gradient, support_measure,
                              zero_control_threshold)
-from tumorctrl.presets import preset_problem
-from tumorctrl.solver import (ControlPair, SolveFailure, Targets,
+from tumorctrl.presets import make_problem, preset_problem
+from tumorctrl.solver import (ControlPair, SolveFailure,
                               adjoint_mismatch_fields, solve_state)
 from tumorctrl.sparsity import SparsityMode, prox, select_subgradient
-
-HS = smoothstep7()
 
 
 def stationary_problem():
@@ -28,25 +24,19 @@ def stationary_problem():
 class TestReducedCost:
     def test_stationary_zero_cost(self):
         p = stationary_problem()
-        cost = reduced_cost(p.params, p.pot, p.hspec, p.targets, p.mode,
-                            p.u0, p.init)
-        assert cost == 0.0
+        assert reduced_cost(p, p.u0) == 0.0
 
     def test_one_point_arithmetic(self):
         # beta1 = beta2 = 0, u1 = 2 on one unit cell/step, nu = 2, kappa = 1:
         # cost = nu/2 * 4 + kappa * 2 = 6
-        pr = ModelParams(alpha=1.0, beta=1.0, chi=0.0, p_rate=0.0, a_rate=0.0,
-                         b_rate=0.0, e_rate=0.0, sigma_s=0.0, nu=2.0,
-                         kappa=1.0, beta1=0.0, beta2=0.0)
-        tg, g = TimeGrid(1.0, 1), grid1d(1, 1.0)
-        u = ControlPair(SpaceTimeField(tg, g, [[2.0]]),
-                        SpaceTimeField(tg, g, [[0.0]]))
-        init = StateTriple(Field.full(g, 0.0), Field.full(g, 0.0),
-                           Field.full(g, 0.0))
-        targets = Targets(SpaceTimeField.zeros(tg, g, on_nodes=True),
-                          Field.full(g, 0.0))
-        cost = reduced_cost(pr, regular_potential(), HS, targets,
-                            SparsityMode.FULL_Q, u, init)
+        p = make_problem({
+            "chi": 0.0, "p_rate": 0.0, "a_rate": 0.0, "b_rate": 0.0,
+            "e_rate": 0.0, "sigma_s": 0.0, "nu": 2.0, "kappa": 1.0,
+            "beta1": 0.0, "beta2": 0.0, "n": (1,), "t_final": 1.0,
+            "n_steps": 1, "init_sigma": "constant 0", "mode": "full",
+            "u0_1": "constant 2"})
+        assert p.u0.u1.values.tolist() == [[2.0]]
+        cost = reduced_cost(p, p.u0)
         assert cost == pytest.approx(6.0, abs=1e-14)
 
     def test_matches_independent_quadrature(self, rng):
@@ -56,8 +46,7 @@ class TestReducedCost:
         u = ControlPair(
             SpaceTimeField(p.timegrid, p.grid, rng.uniform(-0.5, 0.5, shape)),
             SpaceTimeField(p.timegrid, p.grid, rng.uniform(-0.5, 0.5, shape)))
-        cost = reduced_cost(p.params, p.pot, p.hspec, p.targets, p.mode, u,
-                            p.init)
+        cost = reduced_cost(p, u)
         traj = solve_state(p.params, p.pot, p.hspec, u, p.init)
         tau, vol = p.timegrid.tau, p.grid.cell_volume
         w = np.full(p.timegrid.n_steps + 1, tau)
@@ -84,15 +73,13 @@ class TestSmoothGradient:
         u = ControlPair(
             SpaceTimeField(p.timegrid, p.grid, rng.uniform(-1, 1, shape)),
             SpaceTimeField(p.timegrid, p.grid, rng.uniform(-1, 1, shape)))
-        g1, g2 = smooth_gradient(p.params, p.pot, p.hspec, p.targets, u,
-                                 p.init)
+        g1, g2 = smooth_gradient(p, u)
         assert np.array_equal(g1.values, p.params.nu * u.u1.values)
         assert np.array_equal(g2.values, p.params.nu * u.u2.values)
 
     def test_stationary_gradient_zero(self):
         p = stationary_problem()
-        g1, g2 = smooth_gradient(p.params, p.pot, p.hspec, p.targets, p.u0,
-                                 p.init)
+        g1, g2 = smooth_gradient(p, p.u0)
         assert np.all(g1.values == 0.0) and np.all(g2.values == 0.0)
 
 
@@ -100,17 +87,14 @@ class TestViResidual:
     # vi_history[0] is the VI residual at the (box-clipped) start
     def test_zero_at_trivial_optimum(self):
         p = stationary_problem()
-        res = proximal_gradient_solve(p.params, p.pot, p.hspec, p.targets,
-                                      p.mode, p.bounds, p.u0, p.opts, p.init)
+        res = proximal_gradient_solve(p)
         assert res.vi_history[0] <= 1e-10
 
     def test_positive_off_optimum(self):
         p = preset_problem("time-sparsity-demo")
         u = random_admissible_controls(p, seed=5)
-        res = proximal_gradient_solve(p.params, p.pot, p.hspec, p.targets,
-                                      p.mode, p.bounds, u,
-                                      dataclasses.replace(p.opts, max_iters=1),
-                                      p.init)
+        res = proximal_gradient_solve(dataclasses.replace(
+            p, u0=u, opts=dataclasses.replace(p.opts, max_iters=1)))
         assert res.vi_history[0] > 1e-4
 
 
@@ -119,16 +103,14 @@ def _backtracking_run():
     # so the solve must backtrack
     p = preset_problem("time-sparsity-demo", nu=1e-3, beta1=10.0)
     opts = dataclasses.replace(p.opts, max_iters=100)
-    return p, proximal_gradient_solve(p.params, p.pot, p.hspec, p.targets,
-                                      p.mode, p.bounds, p.u0, opts, p.init)
+    return p, proximal_gradient_solve(dataclasses.replace(p, opts=opts))
 
 
 class TestOptimizer:
     def test_pure_regularization_converges_to_zero(self):
         p = preset_problem("time-sparsity-demo", beta1=0.0, beta2=0.0)
         u0 = random_admissible_controls(p, seed=11)
-        res = proximal_gradient_solve(p.params, p.pot, p.hspec, p.targets,
-                                      p.mode, p.bounds, u0, p.opts, p.init)
+        res = proximal_gradient_solve(dataclasses.replace(p, u0=u0))
         assert res.converged
         assert np.all(res.control.u1.values == 0.0)
         assert np.all(res.control.u2.values == 0.0)
@@ -136,8 +118,7 @@ class TestOptimizer:
     def test_monotone_descent_and_fixed_point(self):
         p = preset_problem("time-sparsity-demo")
         u0 = random_admissible_controls(p, seed=3)
-        res = proximal_gradient_solve(p.params, p.pot, p.hspec, p.targets,
-                                      p.mode, p.bounds, u0, p.opts, p.init)
+        res = proximal_gradient_solve(dataclasses.replace(p, u0=u0))
         pad = 4 * np.finfo(float).eps * (1.0 + np.abs(res.cost_history[:-1]))
         assert np.all(np.diff(res.cost_history) <= pad)
         assert res.converged and res.vi_residual <= p.opts.tol_vi
@@ -153,8 +134,7 @@ class TestOptimizer:
         # at the lower bound (and symmetrically at the upper bound)
         p = preset_problem("time-sparsity-demo", kappa=5e-4, nu=0.002,
                            lo1=-0.02, hi1=0.02, lo2=-0.02, hi2=0.02)
-        res = proximal_gradient_solve(p.params, p.pot, p.hspec, p.targets,
-                                      p.mode, p.bounds, p.u0, p.opts, p.init)
+        res = proximal_gradient_solve(p)
         assert res.converged
         d1, d2 = adjoint_mismatch_fields(p.hspec, res.trajectory, res.adjoint)
         lam1, lam2 = select_subgradient(p.mode, res.control, (d1, d2),
@@ -178,8 +158,7 @@ class TestOptimizer:
         p = preset_problem("time-sparsity-demo")
         u0 = random_admissible_controls(p, seed=3)
         with pytest.raises(StepsizeCollapse) as exc:
-            proximal_gradient_solve(p.params, p.pot, p.hspec, p.targets,
-                                    p.mode, p.bounds, u0, p.opts, p.init)
+            proximal_gradient_solve(dataclasses.replace(p, u0=u0))
         assert isinstance(exc.value, SolveFailure)
         assert exc.value.member is None
         assert (exc.value.iteration, exc.value.eta) == (0, 5.0)
@@ -206,8 +185,7 @@ class TestOptimizer:
 
     def test_history_lengths(self):
         p = preset_problem("time-sparsity-demo")
-        res = proximal_gradient_solve(p.params, p.pot, p.hspec, p.targets,
-                                      p.mode, p.bounds, p.u0, p.opts, p.init)
+        res = proximal_gradient_solve(p)
         assert res.cost_history.size == res.n_iters + 1
         assert res.vi_history.size == res.n_iters + 1
         assert res.eta_history.size == res.n_iters
@@ -222,8 +200,7 @@ class TestOptimizer:
     def test_small_nu_converges_in_few_state_solves(self):
         # the plain prox-gradient iteration takes 133 state solves here
         p = preset_problem("time-sparsity-demo", nu=1e-3)
-        res = proximal_gradient_solve(p.params, p.pot, p.hspec, p.targets,
-                                      p.mode, p.bounds, p.u0, p.opts, p.init)
+        res = proximal_gradient_solve(p)
         assert res.converged and res.state_solves[-1] <= 15
         # the optimum the plain iteration reaches
         assert res.cost == pytest.approx(1.275524772120774e-02, rel=1e-12)
@@ -272,8 +249,7 @@ def test_anderson_point_keeps_prox_zeros(mode, kappa):
 class TestThreshold:
     def test_zero_tracking_zero_threshold(self):
         p = preset_problem("time-sparsity-demo", beta1=0.0, beta2=0.0)
-        rep = zero_control_threshold(p.params, p.pot, p.hspec, p.targets,
-                                     p.mode, p.init)
+        rep = zero_control_threshold(p)
         assert rep.kappa0_estimate == 0.0
 
     def test_time_mode_formula(self):
@@ -281,8 +257,7 @@ class TestThreshold:
         from tumorctrl.solver import adjoint_mismatch_fields, solve_adjoint
 
         p = preset_problem("time-sparsity-demo")
-        rep = zero_control_threshold(p.params, p.pot, p.hspec, p.targets,
-                                     p.mode, p.init)
+        rep = zero_control_threshold(p)
         u0 = ControlPair.zeros(p.timegrid, p.grid)
         traj = solve_state(p.params, p.pot, p.hspec, u0, p.init)
         adj = solve_adjoint(p.params, p.pot, p.hspec, traj, u0, p.targets)
@@ -296,29 +271,44 @@ class TestThreshold:
 
     def test_mode_none_rejected(self):
         p = stationary_problem()
+        assert p.mode is SparsityMode.NONE
         with pytest.raises(ValueError):
-            zero_control_threshold(p.params, p.pot, p.hspec, p.targets,
-                                   SparsityMode.NONE, p.init)
+            zero_control_threshold(p)
 
 
 class TestKappaSweep:
     def test_requires_ascending(self):
         p = preset_problem("time-sparsity-demo")
         with pytest.raises(ValueError):
-            kappa_sweep(p.params, p.pot, p.hspec, p.targets, p.mode,
-                        p.bounds, p.u0, p.opts, [0.1, 0.01], p.init)
+            kappa_sweep(p, [0.1, 0.01])
 
     def test_support_vanishes_beyond_threshold(self):
         p = preset_problem("time-sparsity-demo")
-        rep = zero_control_threshold(p.params, p.pot, p.hspec, p.targets,
-                                     p.mode, p.init)
+        rep = zero_control_threshold(p)
         k0 = rep.kappa0_estimate
-        rows = kappa_sweep(p.params, p.pot, p.hspec, p.targets, p.mode,
-                           p.bounds, p.u0, p.opts, [0.0, 0.5 * k0, 2.0 * k0],
-                           p.init)
+        rows = kappa_sweep(p, [0.0, 0.5 * k0, 2.0 * k0])
         assert rows[0]["support1"] > 0.0
         assert rows[-1]["support1"] == 0.0 and rows[-1]["support2"] == 0.0
         assert rows[-1]["control_norm"] == 0.0
+
+    def test_runs_are_copies_of_the_problem(self):
+        # kappa 0 runs the problem with mode none, any other kappa the
+        # problem with only kappa changed; the problem itself stays as built
+        p = preset_problem("time-sparsity-demo")
+        k = 4.0 * p.params.kappa
+        rows = kappa_sweep(p, [0.0, k])
+        runs = (dataclasses.replace(p, mode=SparsityMode.NONE),
+                dataclasses.replace(p, params=dataclasses.replace(
+                    p.params, kappa=k)))
+        for row, run in zip(rows, runs, strict=True):
+            res = proximal_gradient_solve(run)
+            assert (row["cost"], row["iterations"]) == (res.cost, res.n_iters)
+        fresh = preset_problem("time-sparsity-demo")
+        assert (p.params, p.mode, p.bounds, p.opts) == \
+            (fresh.params, fresh.mode, fresh.bounds, fresh.opts)
+        assert p.params.kappa == 5e-4 and p.mode is SparsityMode.TIME
+        for a, b in ((p.u0.u1, fresh.u0.u1), (p.u0.u2, fresh.u0.u2)):
+            assert np.array_equal(a.values, b.values)
 
 
 def test_support_measure_units():

@@ -878,3 +878,12 @@ class TestAdjointSolver:
         adj = solve_adjoint(pr, self.pot, HS, self.base, self.ctrl, targets)
         for comp in (adj.psi1, adj.psi2, adj.psi3):
             assert np.max(np.abs(comp.values)) <= 1e-14
+
+    def test_overflow_names_the_step(self):
+        # beta1 = 1e308 overflows the backward recursion of
+        # time-sparsity-demo: psi is not finite from node 22 of 40 down
+        p = preset_problem("time-sparsity-demo", beta1=1e308)
+        base = solve_state(p.params, p.pot, p.hspec, p.u0, p.init)
+        with np.errstate(all="ignore"), pytest.raises(SolveFailure) as exc:
+            solve_adjoint(p.params, p.pot, p.hspec, base, p.u0, p.targets)
+        assert str(exc.value) == "adjoint solve overflows at time step 22"

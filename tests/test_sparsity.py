@@ -163,13 +163,16 @@ class TestProx:
             prox(SparsityMode.TIME, v, 1.0, 1.0, 0.0, 1.0)
 
     @pytest.mark.parametrize("mode", [SparsityMode.TIME, SparsityMode.SPACE])
-    def test_batched_equals_one_group_calls(self, rng, mode):
+    def test_batched_equals_one_group_calls(self, mode):
         # 2D 32x32, 8 steps, box [-0.3, 0.3].  Each reference call holds one
         # group alone: one time step (TIME) or one cell (SPACE), whose norm
         # weight (cell volume, tau) is unchanged.  A SPACE group is a strided
         # column of the batched field and a contiguous one of the one-cell
         # field, and the result must not depend on that.  Zero groups and
-        # clipped (bisected) groups both occur.
+        # clipped (bisected) groups both occur: 3 and 5 of the 8 TIME
+        # groups, 357 and 213 of the 1024 SPACE groups, from a generator of
+        # the test's own, so no other test's draws move them
+        rng = np.random.default_rng(1)
         tg, g = TimeGrid(0.25, 8), grid2d(32, 32)
         vals = (rng.uniform(-1, 1, (8, 1024)) * rng.uniform(0.05, 1.0, (8, 1))
                 * rng.uniform(0.1, 1.0, 1024))

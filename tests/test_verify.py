@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,8 @@ class TestFdGradientCheck:
         # gradient correctness away from the nominal control
         for seed in (1, 2, 3):
             u = random_admissible_controls(small_problem, seed, scale=0.4)
-            rep = fd_gradient_check(small_problem, u=u, n_directions=1)
+            rep = fd_gradient_check(
+                dataclasses.replace(small_problem, u0=u), n_directions=1)
             assert rep.metric("max_best_rel_error") <= 1e-8
 
     def test_two_dimensional_instance(self):
@@ -47,11 +50,11 @@ class TestFdGradientCheck:
 
     def test_stationary_point_both_sides_tiny(self):
         prob = preset_problem("stationary-trivial")
-        from tumorctrl.optim import smooth_gradient
-        from tumorctrl.verify import _smooth_cost, _unit_direction
+        from tumorctrl.optim import reduced_cost, smooth_gradient
+        from tumorctrl.sparsity import SparsityMode
+        from tumorctrl.verify import _unit_direction
 
-        g1, g2 = smooth_gradient(prob.params, prob.pot, prob.hspec,
-                                 prob.targets, prob.u0, prob.init)
+        g1, g2 = smooth_gradient(prob, prob.u0)
         rng = np.random.default_rng(0)
         k1, k2 = _unit_direction(prob, rng)
         tau, vol = prob.timegrid.tau, prob.grid.cell_volume
@@ -63,7 +66,8 @@ class TestFdGradientCheck:
                                      prob.u0.u2.values + eps * k2)
         dn = ControlPair.from_arrays(tg, grid, prob.u0.u1.values - eps * k1,
                                      prob.u0.u2.values - eps * k2)
-        fd = (_smooth_cost(prob, up) - _smooth_cost(prob, dn)) / (2 * eps)
+        smooth = dataclasses.replace(prob, mode=SparsityMode.NONE)
+        fd = (reduced_cost(smooth, up) - reduced_cost(smooth, dn)) / (2 * eps)
         assert abs(adj) <= 1e-10 and abs(fd) <= 1e-10
 
     def test_gradient_off_by_one_percent_fails(self, monkeypatch):
