@@ -89,6 +89,12 @@ class TimeGrid:
         if int(self.n_steps) < 1:
             raise ValueError("need at least one time step")
         object.__setattr__(self, "n_steps", int(self.n_steps))
+        tau = self.tau
+        if not (0.0 < tau < math.inf and 1.0 / tau < math.inf):
+            raise ValueError(
+                f"time.t_final = {self.t_final:g} over time.n_steps = "
+                f"{self.n_steps} gives tau = {tau:g}: need a finite positive "
+                "tau and 1/tau")
 
     @property
     def tau(self) -> float:

@@ -373,16 +373,21 @@ def zero_control_threshold(problem: Problem) -> ThresholdReport:
 
     The returned kappa0 estimate is the smallest sparsity weight for which
     u = 0 satisfies the variational inequality: for kappa above it the
-    optimizer returns the zero control.
+    optimizer returns the zero control.  A norm that overflows raises
+    SolveFailure naming its control.
     """
     mode = problem.mode
     if mode is SparsityMode.NONE:
         raise ValueError("threshold needs a sparsity mode other than 'none'")
     tg, grid = problem.timegrid, problem.grid
     b = _gradient_bundle(problem, ControlPair.zeros(tg, grid))
-    n1 = mode_norms(mode, SpaceTimeField(tg, grid, b.d1))
-    n2 = mode_norms(mode, SpaceTimeField(tg, grid, b.d2))
-    return ThresholdReport(float(np.max(n1)), float(np.max(n2)))
+    kappas = [float(np.max(mode_norms(mode, SpaceTimeField(tg, grid, d))))
+              for d in (b.d1, b.d2)]
+    for name, k in zip(("u1", "u2"), kappas):
+        if not math.isfinite(k):
+            raise SolveFailure(f"zero-control threshold of {name} overflows: "
+                               f"its largest {mode.value} mode norm is {k:g}")
+    return ThresholdReport(*kappas)
 
 
 def kappa_sweep(problem: Problem, kappas) -> list:

@@ -26,7 +26,14 @@ diffusion and eliminating the time derivative of the first adjoint from the
 second equation.  The symmetric positive definite Helmholtz solves
 (diag(c) - Lap) x = b are direct on 1D grids: one tridiagonal LU sweep
 (Thomas), stable without pivoting because the matrix is strictly
-diagonally dominant for c > 0, and exact to round-off.  On 2D grids the
+diagonally dominant for c > 0, and exact to round-off.  Its pivots depend
+on c alone, so they are made once and reused: a solver instance keeps the
+pivots of a scalar c (the mu- and psi1-steps' alpha/tau) for every step and
+batch row, and the tangent and adjoint factor every step's phi/psi2 and
+sigma/psi3 coefficient before their loops.  A reused pivot makes the same
+IEEE operations as the one-pass sweep, so the bits do not change; the
+Newton Jacobian and the forward sigma-step, whose c is new at every solve,
+make their pivots on the way.  On 2D grids the
 orthonormal DCT-II diagonalizes the Neumann stencil, so a constant c (the
 mu- and psi1-steps) is one exact DCT solve, and a variable c takes a few
 conjugate-gradient iterations to a relative residual of 1e-12 on every
@@ -79,9 +86,12 @@ MIN_MARGIN = 1e-11
 # members x (steps + 1) x cells x 3 fields x 8 bytes
 BATCH_BYTES = 4 * 2 ** 20
 # a 1D batch of at least this many rows sweeps as numpy columns, a smaller
-# one row by row: on one core of an Intel Xeon, 16 rows took 51 us by rows
-# against 56 us by columns at 16 cells and 171 against 200 us at 64 cells,
-# and 20 rows 64 against 56 us and 209 against 201 us
+# one row by row, and so do a factor's pivots: on one core of an Intel Xeon,
+# 16 rows took 51 us by rows against 56 us by columns at 16 cells and 171
+# against 200 us at 64 cells, and 20 rows 64 against 56 us and 209 against
+# 201 us; on kept pivots 16 rows took 39 us either way at 16 cells and 123
+# at 64 cells, and 20 rows 49 against 39 us and 153 against 124 us; the
+# pivots alone of 20 rows 24 against 22 us and 86 against 81 us
 THOMAS_COLUMN_ROWS = 20
 
 
@@ -252,33 +262,99 @@ def _vanished_pivot(cell: int, diag: float, e: float) -> SolveFailure:
                         f"(diagonal {diag:.3e}, off-diagonal {-e:.3e})")
 
 
-def _thomas_columns(e: float, diag: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_HelmholtzSolver._thomas's sweep of a (members, cells) batch, cell by
-    cell with all rows as one numpy column: the operations of the row
-    sweep, entry by entry.  A vanished pivot raises the row sweep's
-    SolveFailure, at the first row's first such cell."""
-    d = np.broadcast_to(diag, b.shape).T
-    piv, ys, ws = (np.empty(d.shape) for _ in range(3))
-    y = w = np.zeros(len(b))
+class _Factor:
+    """The pivots of a 1D Helmholtz matrix diag(d) - Lap, with e = 1/h^2
+    minus its off-diagonal entries: m_i = d_i - e w_{i-1} and w_i = e / m_i,
+    for one system (cell vectors) or one per row ((rows, cells) arrays).
+
+    They depend on the coefficient alone, so one factor serves every
+    right-hand side it is solved with; indexing takes rows.  A pivot that
+    rounded to 0 stays in m: the substitution that meets it raises, at the
+    solve where the one-pass sweep would.
+    """
+
+    __slots__ = ("diag", "m", "w", "_lists")
+
+    def __init__(self, diag, m, w):
+        self.diag, self.m, self.w = diag, m, w
+        self._lists = None
+
+    @classmethod
+    def of(cls, e: float, diag: np.ndarray) -> "_Factor":
+        """The pivot sweep: row by row on Python floats below
+        THOMAS_COLUMN_ROWS rows, else cell by cell with all rows as one
+        numpy column.  Either makes the one-pass sweep's operations on
+        every entry; after a pivot that rounded to 0, a row's values are
+        never read."""
+        if diag.ndim == 1 or len(diag) < THOMAS_COLUMN_ROWS:
+            ms, ws = zip(*(_pivots(e, d) for d in
+                           np.atleast_2d(diag).tolist()))
+            f = cls(diag, np.array(ms).reshape(diag.shape),
+                    np.array(ws).reshape(diag.shape))
+            if diag.ndim == 1:
+                f._lists = ms[0], ws[0]
+            return f
+        d = diag.T
+        m, w = np.empty(d.shape), np.empty(d.shape)
+        prev = np.zeros(d.shape[1])
+        e0 = np.array(e)  # a ufunc takes a 0-d array faster than a float
+        # as Python floats do, a 0 pivot or an overflow warns of nothing
+        with np.errstate(all="ignore"):
+            for di, mi, wi in zip(d, m, w):
+                np.multiply(e0, prev, out=mi)
+                np.subtract(di, mi, out=mi)
+                np.divide(e0, mi, out=wi)
+                prev = wi
+        return cls(diag, m.T, w.T)
+
+    def __getitem__(self, row) -> "_Factor":
+        return _Factor(self.diag[row], self.m[row], self.w[row])
+
+    def lists(self) -> tuple[list, list]:
+        """m and w as Python floats, converted once per factor."""
+        if self._lists is None:
+            self._lists = self.m.tolist(), self.w.tolist()
+        return self._lists
+
+
+def _pivots(e: float, d: list) -> tuple[list, list]:
+    """One row's pivots on Python floats: m_i = d_i - e w_{i-1} and
+    w_i = e / m_i, or 0 where m_i rounded to 0."""
+    ms, ws = [], []
+    w = 0.0
+    for di in d:
+        m = di - e * w
+        w = e / m if m else 0.0
+        ms.append(m)
+        ws.append(w)
+    return ms, ws
+
+
+def _thomas_columns(e: float, f: _Factor, b: np.ndarray) -> np.ndarray:
+    """The substitution sweeps of a (members, cells) batch, cell by cell
+    with all rows as one numpy column: the operations of the row sweep,
+    entry by entry.  A vanished pivot raises the row sweep's SolveFailure,
+    at the first row's first such cell."""
+    m = np.broadcast_to(f.m, b.shape)
+    if not m.all():
+        row, cell = np.argwhere(m == 0.0)[0]
+        raise _vanished_pivot(int(cell),
+                              np.broadcast_to(f.diag, b.shape)[row, cell], e)
+    ys = np.empty(m.T.shape)
+    y = np.zeros(len(b))
     t = np.empty(len(b))
-    # as Python floats do, a 0 pivot or an overflow warns of nothing
+    e0 = np.array(e)
     with np.errstate(all="ignore"):
-        for di, ri, mi, yi, wi in zip(d, b.T, piv, ys, ws):
-            np.multiply(e, w, out=t)
-            np.subtract(di, t, out=mi)
-            np.multiply(e, y, out=t)
+        for ri, mi, yi in zip(b.T, m.T, ys):
+            np.multiply(e0, y, out=t)
             np.add(ri, t, out=t)
             np.divide(t, mi, out=yi)
-            np.divide(e, mi, out=wi)
-            y, w = yi, wi
+            y = yi
         x = np.zeros(len(b))
-        for yi, wi in zip(ys[::-1], ws[::-1]):
+        for yi, wi in zip(ys[::-1], np.broadcast_to(f.w, b.shape).T[::-1]):
             np.multiply(wi, x, out=t)
             np.add(yi, t, out=yi)
             x = yi
-    if not piv.all():
-        row, cell = np.argwhere(piv.T == 0.0)[0]
-        raise _vanished_pivot(int(cell), d[cell, row], e)
     return np.ascontiguousarray(ys.T)
 
 
@@ -287,7 +363,11 @@ class _HelmholtzSolver:
 
     A 1D system is tridiagonal, symmetric and strictly diagonally dominant,
     so one Thomas sweep solves it exactly to round-off, with no iteration
-    cap; it counts no iterations.
+    cap; it counts no iterations.  The sweep's pivots depend on c alone:
+    factor makes them once (_Factor), for a scalar c once per instance, and
+    solve then runs only the substitution sweeps on them, with the same
+    IEEE operations, and bits, as the one-pass sweep an array c takes.  On
+    2D grids factor hands c back unchanged.
 
     On 2D grids the orthonormal DCT-II Q diagonalizes the mirrored-ghost
     stencil, -Lap = Q^T diag(eig) Q with eig = sum over axes of
@@ -318,6 +398,10 @@ class _HelmholtzSolver:
         self.iterations = 0
         self.shape = grid.n
         if grid.dim == 1:
+            # minus the off-diagonal entries: 1/h^2, the end cells' diagonal
+            # of -Lap (0 on a 1-cell grid, which has none, so x = b / c)
+            self.e = float(self.neg_lap_diag[0])
+            self._scalar = self._scalar_factor = None
             return  # the Thomas sweep needs no transform tables
         self.maxiter = 2 * grid.n_cells + 200
         self.qx, self.qy = (_dct_matrix(n) for n in grid.n)
@@ -339,8 +423,9 @@ class _HelmholtzSolver:
         """x with (diag(coeff) - Lap) x = b: one system, or one per row.
 
         b is a flat cell vector or a (members, cells) batch; coeff is a
-        scalar, a cell vector or one row per member.  Only an array coeff
-        on a 2D grid iterates (CG, from zero); a row with b = 0 gets x = 0.
+        scalar, a cell vector, one row per member, or what factor made of
+        one of these.  Only an array coeff on a 2D grid iterates (CG, from
+        zero); a row with b = 0 gets x = 0.
         """
         if len(self.shape) == 1:
             return self._thomas(coeff, b)
@@ -383,52 +468,101 @@ class _HelmholtzSolver:
             out[rows] = x
         return self.idct(out)
 
-    def _thomas(self, coeff, b: np.ndarray) -> np.ndarray:
-        """The 1D solve: LU without pivoting of the tridiagonal system, in
-        one forward and one backward sweep.
+    def factor(self, coeff):
+        """coeff made ready for solve to reuse: on a 1D grid its _Factor,
+        one per row of a (rows, cells) coeff, and for a scalar the factor
+        this instance keeps for it; on a 2D grid coeff itself."""
+        if len(self.shape) > 1:
+            return coeff
+        if isinstance(coeff, np.ndarray):
+            return _Factor.of(self.e, coeff + self.neg_lap_diag)
+        # a scalar's pivots serve every later solve with it; NaN never
+        # equals itself, so it is factored again
+        if coeff != self._scalar:
+            self._scalar = coeff
+            self._scalar_factor = _Factor.of(self.e,
+                                             coeff + self.neg_lap_diag)
+        return self._scalar_factor
 
-        A batch of at least THOMAS_COLUMN_ROWS rows sweeps as numpy
-        columns (_thomas_columns); fewer rows, and an unbatched solve,
-        sweep row by row on Python floats.  Both make the same IEEE
-        operations on every entry, so a batch member gets the bits of its
-        own solve.  A pivot that rounds to 0 (c below round-off next to
-        1/h^2) raises SolveFailure, naming the cell and its diagonal in the
-        first row whose pivot vanished.
+    def _thomas(self, coeff, b: np.ndarray) -> np.ndarray:
+        """The 1D solve: LU without pivoting of the tridiagonal system.
+
+        A scalar or factored coeff runs the substitution sweeps on its
+        pivots; an array coeff (the Newton Jacobian, the sigma-step) runs
+        one forward sweep that makes the pivots on the way, then the
+        backward sweep.  A batch of at least THOMAS_COLUMN_ROWS rows sweeps
+        as numpy columns (_thomas_columns), from the pivots; fewer rows, and
+        an unbatched solve, sweep row by row on Python floats.  All make
+        the same IEEE operations on every entry, so a batch member gets the
+        bits of its own solve, and a factored solve those of the one-pass
+        sweep.  A pivot that rounds to 0 (c below round-off next to 1/h^2)
+        raises SolveFailure, naming the cell and its diagonal in the first
+        row whose pivot vanished.
         """
-        # minus the off-diagonal entries: 1/h^2, the end cells' diagonal of
-        # -Lap (0 on a 1-cell grid, which has none, so x = b / c there)
-        e = float(self.neg_lap_diag[0])
-        diag = coeff + self.neg_lap_diag
-        if b.ndim == 1:
-            rows, diags = [b.tolist()], [diag.tolist()]
-        else:
-            if len(b) >= THOMAS_COLUMN_ROWS:
-                return _thomas_columns(e, diag, b)
-            rows = b.tolist()
-            diags = (diag.tolist() if diag.ndim == 2
-                     else [diag.tolist()] * len(rows))
+        e = self.e
+        if b.ndim == 2 and len(b) >= THOMAS_COLUMN_ROWS:
+            f = coeff if isinstance(coeff, _Factor) else self.factor(coeff)
+            return _thomas_columns(e, f, b)
+        rows = [b.tolist()] if b.ndim == 1 else b.tolist()
         out = []
-        for d, r in zip(diags, rows):
-            # forward: pivots m_i = d_i - e w_{i-1}, w_i = e / m_i and
-            # y_i = (r_i + e y_{i-1}) / m_i
-            ys, ws = [], []
-            y = w = 0.0
-            try:
-                for di, ri in zip(d, r):
-                    m = di - e * w
-                    y = (ri + e * y) / m
-                    w = e / m
-                    ys.append(y)
-                    ws.append(w)
-            except ZeroDivisionError:
-                raise _vanished_pivot(len(ys), di, e) from None
-            # backward, in place of y: x_i = y_i + w_i x_{i+1}
-            x = 0.0
-            for i in range(len(ys) - 1, -1, -1):
-                x = ys[i] + ws[i] * x
-                ys[i] = x
-            out.append(ys)
-        return np.array(out).reshape(b.shape)
+        if isinstance(coeff, np.ndarray):
+            diag = coeff + self.neg_lap_diag
+            diags = diag.tolist()
+            for d, r in zip(diags if diag.ndim == 2 else itertools.repeat(
+                    diags), rows):
+                out.append(_one_pass(e, d, r))
+        else:
+            f = coeff if isinstance(coeff, _Factor) else self.factor(coeff)
+            ms, ws = f.lists()
+            if f.m.ndim == 1:
+                ms, ws = itertools.repeat(ms), itertools.repeat(ws)
+            for m, w, r in zip(ms, ws, rows):
+                try:
+                    out.append(_substitute(e, m, w, r))
+                except ZeroDivisionError:
+                    cell = m.index(0.0)
+                    diag = f.diag if f.diag.ndim == 1 else f.diag[len(out)]
+                    raise _vanished_pivot(cell, diag[cell], e) from None
+        return np.array(out[0]) if b.ndim == 1 else np.array(out).reshape(
+            b.shape)
+
+
+def _one_pass(e: float, d: list, r: list) -> list:
+    """One row's solve with the pivots made on the way: m_i = d_i - e w_{i-1},
+    w_i = e / m_i and y_i = (r_i + e y_{i-1}) / m_i, then the backward
+    sweep."""
+    ys, ws = [], []
+    y = w = 0.0
+    try:
+        for di, ri in zip(d, r):
+            m = di - e * w
+            y = (ri + e * y) / m
+            w = e / m
+            ys.append(y)
+            ws.append(w)
+    except ZeroDivisionError:
+        raise _vanished_pivot(len(ys), di, e) from None
+    return _backward(ys, ws)
+
+
+def _substitute(e: float, m: list, w: list, r: list) -> list:
+    """One row's solve on its pivots: y_i = (r_i + e y_{i-1}) / m_i, then
+    the backward sweep.  A 0 pivot raises ZeroDivisionError."""
+    ys = []
+    y = 0.0
+    for mi, ri in zip(m, r):
+        y = (ri + e * y) / mi
+        ys.append(y)
+    return _backward(ys, w)
+
+
+def _backward(ys: list, ws: list) -> list:
+    """The backward sweep, in place of y: x_i = y_i + w_i x_{i+1}."""
+    x = 0.0
+    for i in range(len(ys) - 1, -1, -1):
+        x = ys[i] + ws[i] * x
+        ys[i] = x
+    return ys
 
 
 def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
@@ -591,6 +725,16 @@ def _march(params: ModelParams, pot: PotentialSpec, hspec: InterpolantSpec,
                  + pr.b_rate * pr.sigma_s + u2[n])
         coeff = 1.0 / tau + pr.b_rate + pr.e_rate * h_n
         sig[n + 1] = hh.solve(coeff, b_sig)
+
+    # once after the loop: the first node where a field left the floats,
+    # and the first field, in the order the step makes them
+    finite = np.stack([np.isfinite(f.reshape(nt + 1, -1)).all(axis=1)
+                       for f in (phi, mu, sig)])
+    if not finite.all():
+        node = int(np.argmin(finite.all(axis=0)))
+        name = ("phi", "mu", "sigma")[int(np.argmin(finite[:, node]))]
+        raise SolveFailure(f"state solve overflows at time step {node - 1}: "
+                           f"{name} is not finite")
     return mu, phi, sig, hh.iterations
 
 
@@ -715,12 +859,15 @@ def solve_linearized(params: ModelParams, pot: PotentialSpec,
     sig = np.zeros_like(mu)
 
     l1 = float(spec.reaction)
+    # every step's phi and sigma coefficient is known: factor them at once
+    phi_f = hh.factor(pr.beta / tau + l1 * f1dd_all[1:])
+    sig_f = hh.factor(1.0 / tau + l1 * (pr.b_rate + pr.e_rate * h_all[:nt]))
     for n in range(nt):
         # phi-step
         b_phi = ((pr.beta / tau) * phi[n] + mu[n]
                  + l1 * (pr.chi * sig[n] - f2dd_all[n] * phi[n])
                  + slice_or_zero(spec.f2, n))
-        phi[n + 1] = hh.solve(pr.beta / tau + l1 * f1dd_all[n + 1], b_phi)
+        phi[n + 1] = hh.solve(phi_f[n], b_phi)
         # mu-step
         b_mu = ((pr.alpha / tau) * mu[n]
                 + l1 * (pr.p_rate * sig[n] * h_all[n]
@@ -735,8 +882,7 @@ def solve_linearized(params: ModelParams, pot: PotentialSpec,
                  - l1 * pr.e_rate * sigb[n + 1] * hp_all[n] * phi[n]
                  + slice_or_zero(spec.k2, n)
                  + slice_or_zero(spec.f3, n))
-        coeff = 1.0 / tau + l1 * (pr.b_rate + pr.e_rate * h_all[n])
-        sig[n + 1] = hh.solve(coeff, b_sig)
+        sig[n + 1] = hh.solve(sig_f[n], b_sig)
 
     return _trajectory(tg, grid, mu, phi, sig)
 
@@ -782,19 +928,23 @@ def solve_adjoint(params: ModelParams, pot: PotentialSpec,
     # terminal layer: the value the recursion sees in place of psi2(T)
     b_eff = ((pr.beta2 / tau) * (phib[nt] - targets.phi_omega.values)
              + 0.5 * pr.beta1 * (phib[nt] - phiq[nt]))
-    psi2_prev = hh.solve(pr.beta / tau + f1dd_all[nt], b_eff)
+    # every node's psi2 and psi3 coefficient is known: factor them at once;
+    # psi3's decay lags one node below the arrival node, as the forward
+    # scheme's consumption coefficient does
+    psi2_f = hh.factor(pr.beta / tau + f1dd_all)
+    psi3_f = hh.factor(1.0 / tau + pr.b_rate
+                       + pr.e_rate * h_all[np.maximum(np.arange(nt) - 1, 0)])
+    psi2_prev = hh.solve(psi2_f[nt], b_eff)
 
     for m in range(nt - 1, -1, -1):
         w_track = 0.5 if m == 0 else 1.0
         # psi1-step
         b1 = (pr.alpha / tau) * psi1[m + 1] + psi2_prev
         psi1[m] = hh.solve(pr.alpha / tau, b1)
-        # psi3-step (implicit decay one node below the arrival node,
-        # matching the forward scheme's lagged consumption coefficient)
+        # psi3-step (implicit decay)
         b3 = ((1.0 / tau) * psi3[m + 1] + pr.p_rate * h_all[m] * psi1[m + 1]
               + pr.chi * psi2_prev)
-        coeff3 = 1.0 / tau + pr.b_rate + pr.e_rate * h_all[max(m - 1, 0)]
-        psi3[m] = hh.solve(coeff3, b3)
+        psi3[m] = hh.solve(psi3_f[m], b3)
         # psi2-step; (psi1[m+1] - psi1[m])/tau realizes the substituted
         # d_t psi1 = -(Lap psi1 + psi2)/alpha term.
         b2 = ((pr.beta / tau) * psi2_prev
@@ -805,7 +955,7 @@ def solve_adjoint(params: ModelParams, pot: PotentialSpec,
               - pr.e_rate * sigb[m + 1] * hp_all[m] * psi3[m + 1]
               - pr.chi * hh.lap(psi3[m])
               + pr.beta1 * w_track * (phib[m] - phiq[m]))
-        psi2[m] = hh.solve(pr.beta / tau + f1dd_all[m], b2)
+        psi2[m] = hh.solve(psi2_f[m], b2)
         psi2_prev = psi2[m]
 
     bad = ~(np.isfinite(psi1) & np.isfinite(psi2)

@@ -4,6 +4,8 @@ brute_force_optimize is a lattice search for the reduced cost's minimum on
 tiny instances.  It uses only the forward solver and the reduced cost, so it
 shares no code with the proximal-gradient path it checks.
 random_admissible_controls draws optimizer and gradient-check starts.
+thomas_one_pass is the 1D Helmholtz solve as one forward sweep that makes
+its pivots on the way, the form the factored solves must match bit for bit.
 """
 
 import itertools
@@ -13,7 +15,7 @@ import numpy as np
 
 from tumorctrl.optim import reduced_cost
 from tumorctrl.presets import Problem
-from tumorctrl.solver import ControlPair, solve_states
+from tumorctrl.solver import ControlPair, _vanished_pivot, solve_states
 from tumorctrl.sparsity import SparsityMode
 
 # brute_force_optimize: lattice points per axis, shrink-and-rescan rounds,
@@ -112,3 +114,31 @@ def random_admissible_controls(problem: Problem, seed: int,
     u2 = rng.uniform(scale * np.broadcast_to(b.lo2, shape),
                      scale * np.broadcast_to(b.hi2, shape))
     return ControlPair.from_arrays(problem.timegrid, problem.grid, u1, u2)
+
+
+def thomas_one_pass(hh, coeff, b: np.ndarray) -> np.ndarray:
+    """(diag(coeff) - Lap) x = b on hh's 1D grid, row by row on Python
+    floats: pivots m_i = d_i - e w_{i-1}, w_i = e / m_i and
+    y_i = (r_i + e y_{i-1}) / m_i in one forward sweep, then
+    x_i = y_i + w_i x_{i+1}.  coeff broadcasts against b; a pivot that
+    rounds to 0 raises the solver's SolveFailure for its row and cell."""
+    e = float(hh.neg_lap_diag[0])
+    diags = np.broadcast_to(coeff + hh.neg_lap_diag, b.shape)
+    out = []
+    for d, r in zip(np.atleast_2d(diags).tolist(), np.atleast_2d(b).tolist()):
+        ys, ws = [], []
+        y = w = 0.0
+        for di, ri in zip(d, r):
+            m = di - e * w
+            if m == 0.0:
+                raise _vanished_pivot(len(ys), di, e)
+            y = (ri + e * y) / m
+            w = e / m
+            ys.append(y)
+            ws.append(w)
+        x = 0.0
+        for i in range(len(ys) - 1, -1, -1):
+            x = ys[i] + ws[i] * x
+            ys[i] = x
+        out.append(ys)
+    return np.array(out).reshape(b.shape)

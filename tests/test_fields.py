@@ -34,6 +34,15 @@ class TestGrids:
         for length in (1e6, 1e-6, 1e-150):
             assert grid1d(16, length).cell_volume == length / 16
 
+    def test_rejects_tau_without_float_reciprocal(self):
+        # the schemes divide by tau: tau and 1/tau must be finite positive
+        # floats, so a t_final that is no float over n_steps is refused
+        for t_final, n_steps in ((5e-324, 40), (1e-310, 1), (math.inf, 4)):
+            with pytest.raises(ValueError, match="finite positive tau"):
+                TimeGrid(t_final, n_steps)
+        assert TimeGrid(1e-300, 40).tau == 1e-300 / 40
+        assert TimeGrid(1e308, 1).tau == 1e308
+
     def test_time_weights_sum_to_T(self):
         tg = TimeGrid(0.7, 9)
         assert tg.node_weights().sum() == pytest.approx(0.7)

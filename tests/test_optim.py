@@ -269,6 +269,15 @@ class TestThreshold:
         assert rep.kappa2 == pytest.approx(k2, rel=1e-13)
         assert rep.kappa0_estimate == pytest.approx(max(k1, k2), rel=1e-13)
 
+    def test_overflowing_threshold_is_a_solve_failure(self):
+        # a tracking target of 1e300 overflows the mode norm of d1 at u = 0
+        p = preset_problem("1D-logarithmic-default",
+                           target_phi_q="random 1e300")
+        with np.errstate(all="ignore"), pytest.raises(SolveFailure) as exc:
+            zero_control_threshold(p)
+        assert str(exc.value) == ("zero-control threshold of u1 overflows: "
+                                  "its largest time mode norm is inf")
+
     def test_mode_none_rejected(self):
         p = stationary_problem()
         assert p.mode is SparsityMode.NONE

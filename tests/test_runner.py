@@ -588,6 +588,43 @@ class TestCli:
         assert proc.stderr.startswith("solver error: ")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("command,preset,section,code,err", [
+        ("simulate", "stress-separation", "[model]\na_rate = 1.7e308\n", 1,
+         "solver error: state solve overflows at time step 0: mu is not "
+         "finite"),
+        ("simulate", "1D-logarithmic-default",
+         "[model]\nsigma_s = 1.7e308\n", 1,
+         "solver error: state solve overflows at time step 0: sigma is not "
+         "finite"),
+        ("simulate", "time-sparsity-demo", "[time]\nt_final = 5e-324\n", 2,
+         "config error: range: <problem>: time.t_final = 4.94066e-324 over "
+         "time.n_steps = 40 gives tau = 0: need a finite positive tau and "
+         "1/tau"),
+        ("threshold", "1D-logarithmic-default",
+         "[targets]\nphi_q = random 1e300\n", 1,
+         "solver error: zero-control threshold of u1 overflows: its largest "
+         "time mode norm is inf"),
+        ("sweep-kappa", "1D-logarithmic-default",
+         "[targets]\nphi_q = random 1e300\n", 1,
+         "solver error: zero-control threshold of u1 overflows: its largest "
+         "time mode norm is inf")],
+        ids=["a_rate", "sigma_s", "t_final", "threshold", "sweep-kappa"])
+    def test_unusable_run_ends_in_one_line(self, tmp_path, command, preset,
+                                           section, code, err):
+        # a forward state that overflows, a tau that underflows and an
+        # infinite threshold: one stderr line, no warning, no run directory
+        cfgp = write_cfg(tmp_path, f"[run]\npreset = {preset}\n" + section)
+        src = str(Path(tumorctrl.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tumorctrl.cli", command, "--config",
+             str(cfgp), "--out", str(out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == code
+        assert proc.stderr == err + "\n"
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_command_override(self, tmp_path):
         # stationary preset has mode none: threshold must refuse it cleanly
         cfgp = write_cfg(tmp_path, MINIMAL)

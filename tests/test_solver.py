@@ -1,10 +1,11 @@
+import itertools
 import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from oracles import random_admissible_controls
+from oracles import random_admissible_controls, thomas_one_pass
 from tumorctrl.fields import (Field, SpaceTimeField, StateTriple, TimeGrid,
                               grid1d, grid2d, inner)
 from tumorctrl.model import (ModelParams, logarithmic_potential,
@@ -308,6 +309,89 @@ class TestHelmholtzSolver:
         assert got == pytest.approx(norms, rel=1e-10, abs=0.0)
 
 
+class TestFactoredSweeps:
+    """The 1D solve on reused pivots against the one-pass sweep."""
+
+    SHAPES = [(), (1,), (7,), (solver.THOMAS_COLUMN_ROWS,)]
+
+    @staticmethod
+    def rhs(gen, rows, n):
+        b = gen.standard_normal(rows + (n,))
+        if rows and rows[0] > 3:
+            b[1] = 0.0
+            b[2] = -0.0
+            b[3, ::2] = -0.0
+        return b
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 64])
+    def test_bitwise_equal_to_the_one_pass_sweep(self, n):
+        # a length of 1.3 keeps 1/h^2 off the powers of 2, where e / m and
+        # e * (1 / m) would agree
+        gen = np.random.default_rng(n)
+        for rows in self.SHAPES:
+            # a scalar coefficient: factored on the first solve, its kept
+            # pivots reused on the second, and a new scalar factored anew
+            hh = solver._HelmholtzSolver(grid1d(n, 1.3))
+            c1, c2 = 10.0 ** gen.uniform(-3.0, 3.0, 2)
+            for c in (c1, c1, c2):
+                b = self.rhs(gen, rows, n)
+                x = hh.solve(c, b)
+                assert x.shape == b.shape and x.flags.c_contiguous
+                assert x.tobytes() == thomas_one_pass(hh, c, b).tobytes()
+                assert hh.factor(c) is hh.factor(c)
+            # per-step rows, factored at once as the tangent and the
+            # adjoint do (by rows, and by columns from THOMAS_COLUMN_ROWS
+            # steps up), each solved on its own row of pivots
+            for steps in (5, solver.THOMAS_COLUMN_ROWS):
+                coeff = 10.0 ** gen.uniform(-3.0, 3.0, (steps, n))
+                f = hh.factor(coeff)
+                for step in (0, 1, steps - 1):
+                    b = self.rhs(gen, rows, n)
+                    assert hh.solve(f[step], b).tobytes() == \
+                        thomas_one_pass(hh, coeff[step], b).tobytes()
+        # a 2D grid's DCT and CG solves take the coefficient itself
+        hh = solver._HelmholtzSolver(grid2d(4, 3))
+        for c in (3.0, coeff[:, :12]):
+            assert hh.factor(c) is c
+
+    def test_vanished_pivot_raises_at_the_same_solve(self):
+        # c = 1e-300 vanishes the last pivot of 16 cells; c = -1/h^2 at
+        # cell 5 (0 before it) vanishes cell 5's
+        hh = solver._HelmholtzSolver(grid1d(16))
+        zero_at_5 = np.zeros(16)
+        zero_at_5[5] = -256.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for steps in (4, solver.THOMAS_COLUMN_ROWS):
+                coeff = np.full((steps, 16), 3.0)
+                coeff[2], coeff[3] = 1e-300, zero_at_5
+                f = hh.factor(coeff)  # the factor itself never raises
+                for rows, step in itertools.product(self.SHAPES, range(4)):
+                    b = np.ones(rows + (16,))
+                    try:
+                        expected = thomas_one_pass(hh, coeff[step], b)
+                    except SolveFailure as exc:
+                        expected = exc
+                    for piv in (f[step], hh.factor(coeff[step])):
+                        if isinstance(expected, np.ndarray):
+                            assert hh.solve(piv, b).tobytes() == \
+                                expected.tobytes()
+                            continue
+                        with pytest.raises(SolveFailure) as got:
+                            hh.solve(piv, b)
+                        assert type(got.value) is SolveFailure
+                        assert str(got.value) == str(expected)
+            for rows in self.SHAPES:
+                b = np.ones(rows + (16,))
+                # a scalar: on the solve that factors it and on the next
+                for call in range(2):
+                    with pytest.raises(SolveFailure) as got:
+                        hh.solve(1e-300, b)
+                    assert str(got.value) == (
+                        "1D Helmholtz solve: pivot of cell 15 vanished "
+                        "(diagonal 2.560e+02, off-diagonal -2.560e+02)")
+
+
 class TestPhiNewtonStep:
     @pytest.mark.parametrize("pot,rhs_scale", [
         (regular_potential(), 200.0), (logarithmic_potential(), 12.0)],
@@ -522,6 +606,23 @@ class TestStateSolver:
         assert f"|G| = {exc.value.residual:.3e}" in str(exc.value)
         assert exc.value.member is None
         assert_batch_fails_as(prob, [prob.u0, prob.u0], 0, NewtonDivergence)
+
+    @pytest.mark.parametrize("preset,setting,message", [
+        ("stress-separation", {"a_rate": 1.7e308}, "0: mu"),
+        ("1D-logarithmic-default", {"sigma_s": 1.7e308}, "0: sigma")],
+        ids=["a_rate", "sigma_s"])
+    def test_overflow_names_step_and_field(self, preset, setting, message):
+        # a huge rate overflows the first step's mu (or sigma) source: the
+        # march ends in one SolveFailure, and a batch names its member
+        prob = preset_problem(preset, **setting)
+        with np.errstate(all="ignore"):
+            with pytest.raises(SolveFailure) as exc:
+                solve_state(prob.params, prob.pot, prob.hspec, prob.u0,
+                            prob.init)
+            assert type(exc.value) is SolveFailure
+            assert str(exc.value) == (
+                f"state solve overflows at time step {message} is not finite")
+            assert_batch_fails_as(prob, [prob.u0, prob.u0], 0, SolveFailure)
 
     @pytest.mark.parametrize("size", [3, solver.THOMAS_COLUMN_ROWS + 1])
     def test_vanished_pivot_in_a_batch(self, size):
