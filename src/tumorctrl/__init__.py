@@ -25,5 +25,4 @@ from .solver import (AdjointTriple, ControlPair, LinearizedSpec,
                      solve_state, solve_states, state_balance_report)
 from .sparsity import (BadBounds, CertificateReport, SparsityMode,
                        certificate, eval_g, prox, select_subgradient)
-from .verify import (CheckReport, duality_gap, fd_gradient_check,
-                     linearized_fd_refinement, separation_monitor)
+from .verify import CheckReport, separation_monitor, verify_checks

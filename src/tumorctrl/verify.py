@@ -8,14 +8,14 @@ which hand back each control with its trajectory.  The linearized and
 adjoint solvers are the exact discrete tangent and adjoint of the forward
 scheme, so each check passes on one absolute bound, a module constant, at
 every refinement level.  Reports carry measured values, tolerances and
-refinement tables.
+refinement tables; an error that is NaN fails its check.
 
-verify_checks runs the verify command's four checks with their solves on
-the problem's own grid shared: the nominal control, the gradient check's
-ladders and the linearized check's first level march as one batch, and the
-nominal trajectory and adjoint serve all four.  Each public check builds
-its report with the same code.  A solver failure names the check, level
-and eps where it arose (none for u0 itself on the problem's own grid).
+verify_checks, the verify command's four checks, is the one entry point.
+Their solves on the problem's own grid are shared: the nominal control, the
+gradient check's ladders and the linearized check's first level march as
+one batch, and the nominal trajectory and adjoint serve all four.  A solver
+failure names the check, level and eps where it arose (none for u0 itself
+on the problem's own grid).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +35,11 @@ from .solver import (ControlPair, LinearizedSpec, SolveFailure,
                      solve_state, solve_states)
 from .sparsity import SparsityMode
 
+# random directions of fd_gradient_check, and levels of the linearized and
+# duality checks' refinement tables (level 0 is the problem's own grid,
+# level l refines it by 2 ** l)
+FD_DIRECTIONS = 3
+REFINEMENT_LEVELS = 3
 # finite-difference steps of fd_gradient_check and linearized_fd_refinement
 FD_EPS_LADDER = tuple(10.0 ** (-k) for k in range(1, 8))
 LINEARIZED_EPS_LADDER = (1e-2, 1e-3, 1e-4)
@@ -65,12 +70,13 @@ class CheckReport:
 
     metrics rows are (name, value, tolerance, passed); tolerance None marks
     informational values.  refinement rows are (level, h, tau, error).
+    passed has no default: every report states its own outcome.
     """
 
     name: str
     metrics: tuple
     refinement: tuple = ()
-    passed: bool = True
+    passed: bool = field(kw_only=True)
 
     def metric(self, key: str) -> float:
         for k, v, _, _ in self.metrics:
@@ -165,14 +171,13 @@ def _nominal_batch(problem: Problem, fd_directions, lin_direction,
     mode none (no sparsity term).  The batch marches u0, then the
     FD_EPS_LADDER points of fd_gradient_check along each of fd_directions,
     then the LINEARIZED_EPS_LADDER points of linearized_fd_refinement along
-    lin_direction (None for none).  The points are built lazily and each
-    trajectory is reduced as it arrives.
+    lin_direction.  The points are built lazily and each trajectory is
+    reduced as it arrives.
     """
     u, smooth = problem.u0, replace(problem, mode=SparsityMode.NONE)
     fd_points = (c for k1, k2 in fd_directions
                  for c in _fd_ladder(problem, u, k1, k2, FD_EPS_LADDER))
-    lin_points = () if lin_direction is None else _fd_ladder(
-        problem, u, *lin_direction, LINEARIZED_EPS_LADDER)
+    lin_points = _fd_ladder(problem, u, *lin_direction, LINEARIZED_EPS_LADDER)
     pairs = solve_states(problem.params, problem.pot, problem.hspec,
                          itertools.chain([u], fd_points, lin_points),
                          problem.init)
@@ -181,8 +186,7 @@ def _nominal_batch(problem: Problem, fd_directions, lin_direction,
         _, base = next(pairs)
         costs = [reduced_cost(smooth, c, traj)
                  for c, traj in itertools.islice(pairs, n_fd)]
-        errs = [] if lin_direction is None else _linearized_vs_fd_error(
-            problem, base, *lin_direction, pairs)
+        errs = _linearized_vs_fd_error(problem, base, *lin_direction, pairs)
     except SolveFailure as exc:
         exc.args = (_prefix(exc.member, n_fd, level) + str(exc),)
         raise
@@ -191,15 +195,24 @@ def _nominal_batch(problem: Problem, fd_directions, lin_direction,
 
 def _fd_report(problem: Problem, base: Trajectory, adjoint, directions,
                costs) -> CheckReport:
-    """fd_gradient_check's report from u0's trajectory base and adjoint
-    (None: solved here) and the smooth costs of its ladder points."""
+    """fd_gradient_check's report from u0's trajectory base and adjoint and
+    the smooth costs of its ladder points.
+
+    For each random unit direction k, compares <grad J1(u0), k> with
+    (J1(u0 + eps k) - J1(u0 - eps k)) / (2 eps) over the eps ladder and
+    records the best relative error, relative to the larger side but at
+    least to FD_GRADIENT_FLOOR nu.  The adjoint gradient is the exact
+    derivative of the discrete cost, so the best-over-ladder selection only
+    steps past the central difference's eps^2 truncation and its round-off
+    floor.  Passes iff every direction's best error is at most
+    FD_GRADIENT_RTOL.
+    """
     g1, g2 = smooth_gradient(problem, problem.u0, base, adjoint)
     tau, vol = problem.timegrid.tau, problem.grid.cell_volume
     tol = FD_GRADIENT_RTOL
     floor = FD_GRADIENT_FLOOR * problem.params.nu
     costs = iter(costs)
     metrics = []
-    worst_best = 0.0
     for j, (k1, k2) in enumerate(directions):
         adj = tau * vol * (float(np.sum(g1.values * k1))
                            + float(np.sum(g2.values * k2)))
@@ -207,30 +220,14 @@ def _fd_report(problem: Problem, base: Trajectory, adjoint, directions,
         for eps in FD_EPS_LADDER:
             fd = (next(costs) - next(costs)) / (2.0 * eps)
             errs.append(abs(adj - fd) / max(abs(fd), abs(adj), floor))
-        best = float(min(errs))
+        # np.min and np.max carry a NaN through wherever it lies, where
+        # Python's min and max keep it only when it comes first
+        best = float(np.min(errs))
         metrics.append((f"direction_{j}_best_rel_error", best, tol, best <= tol))
-        worst_best = max(worst_best, best)
-    metrics.append(("max_best_rel_error", worst_best, tol, worst_best <= tol))
+    worst = float(np.max([m[1] for m in metrics]))
+    metrics.append(("max_best_rel_error", worst, tol, worst <= tol))
     return CheckReport("fd_gradient_check", tuple(metrics),
-                       passed=worst_best <= tol)
-
-
-def fd_gradient_check(problem: Problem, n_directions: int = 5) -> CheckReport:
-    """Adjoint gradient versus central finite differences of the smooth cost.
-
-    At u = problem.u0 (check another point on replace(problem, u0=u)), for
-    each random unit direction k, compares <grad J1(u), k> with
-    (J1(u + eps k) - J1(u - eps k)) / (2 eps) over the epsilon ladder and
-    records the best relative error, relative to the larger side but at
-    least to FD_GRADIENT_FLOOR nu (k is a unit direction).  The adjoint
-    gradient is the exact derivative of the discrete cost, so the
-    best-over-ladder selection only steps past the central difference's
-    eps^2 truncation and its round-off floor.  Passes iff every direction's
-    best error is at most FD_GRADIENT_RTOL.
-    """
-    directions = _draw(problem, 1, n_directions)
-    base, costs, _ = _nominal_batch(problem, directions, None)
-    return _fd_report(problem, base, None, directions, costs)
+                       passed=worst <= tol)
 
 
 def _linearized_vs_fd_error(problem: Problem, base: Trajectory,
@@ -269,7 +266,14 @@ def _prolong(arr: np.ndarray, grid, scale: int) -> np.ndarray:
 
 def _linearized_report(problem: Problem, k, errs, levels: int) -> CheckReport:
     """linearized_fd_refinement's report along the coarse direction k,
-    given the errors errs of level 0, the problem's own grid."""
+    given the errors errs of level 0, the problem's own grid.
+
+    Each level refines h and tau by 2 ** level and records the best
+    linearized-vs-FD error.  k is prolonged as a piecewise-constant
+    function, so every level differentiates along the same continuous
+    perturbation.  Passes iff the error is at most LINEARIZED_RTOL at every
+    level.
+    """
     rows = []
     for lev in range(levels):
         scale = 2 ** lev
@@ -279,32 +283,12 @@ def _linearized_report(problem: Problem, k, errs, levels: int) -> CheckReport:
             k_lev = [_prolong(a, problem.grid, scale) for a in k]
             errs = _nominal_batch(prob, (), k_lev, lev)[2]
         rows.append((lev, max(prob.grid.spacing), prob.timegrid.tau,
-                     float(min(errs))))
-    worst = max(r[3] for r in rows)
+                     float(np.min(errs))))
+    worst = float(np.max([r[3] for r in rows]))
     ok = worst <= LINEARIZED_RTOL
     return CheckReport("linearized_fd_refinement",
                        (("max_rel_error", worst, LINEARIZED_RTOL, ok),),
                        tuple(rows), passed=ok)
-
-
-def linearized_fd_refinement(problem: Problem, levels: int = 3) -> CheckReport:
-    """Best linearized-vs-FD error at successively refined (h, tau).
-
-    The random direction is drawn once on the coarse grid and prolonged as a
-    piecewise-constant function, so every level differentiates along the
-    same continuous perturbation.  Passes iff the error is at most
-    LINEARIZED_RTOL at every level.
-    """
-    k = _draw(problem, 2, 1)[0]
-    errs = _nominal_batch(problem, (), k)[2]
-    return _linearized_report(problem, k, errs, levels)
-
-
-def _state_and_adjoint(problem: Problem, u: ControlPair):
-    pr = problem.params
-    base = solve_state(pr, problem.pot, problem.hspec, u, problem.init)
-    return base, solve_adjoint(pr, problem.pot, problem.hspec, base, u,
-                               problem.targets)
 
 
 def _duality_gap_at(problem: Problem, u: ControlPair, k1: np.ndarray,
@@ -334,7 +318,13 @@ def _duality_gap_at(problem: Problem, u: ControlPair, k1: np.ndarray,
 def _duality_report(problem: Problem, k, base: Trajectory, adj,
                     levels: int) -> CheckReport:
     """duality_gap's report along k, given the nominal control's trajectory
-    base and adjoint adj on the problem's own grid (level 0)."""
+    base and adjoint adj on the problem's own grid (level 0).
+
+    gap = |<beta1 (phi - phi_q), phi_lin>_Q + <beta2 (phi(T) - phi_omega),
+    phi_lin(T)> - <d, k>_Q| at u0, with u0 and k prolonged in time on level
+    tau / 2 ** level.  The refinement table holds the gap relative to the
+    larger pairing; passes iff it is at most DUALITY_RTOL at every level.
+    """
     u = problem.u0
     rows, gaps = [], []
     for lev in range(levels):
@@ -345,7 +335,10 @@ def _duality_report(problem: Problem, k, base: Trajectory, adj,
         uu = ControlPair.from_arrays(prob.timegrid, prob.grid, u1, u2)
         try:
             if lev:
-                base, adj = _state_and_adjoint(prob, uu)
+                base = solve_state(prob.params, prob.pot, prob.hspec, uu,
+                                   prob.init)
+                adj = solve_adjoint(prob.params, prob.pot, prob.hspec, base,
+                                    uu, prob.targets)
             gap, pairing = _duality_gap_at(prob, uu, k1, k2, base, adj)
         except SolveFailure as exc:
             exc.args = (f"duality_gap level {lev}: {exc}",)
@@ -353,44 +346,33 @@ def _duality_report(problem: Problem, k, base: Trajectory, adj,
         gaps.append(gap)
         rows.append((lev, max(prob.grid.spacing), prob.timegrid.tau,
                      gap / pairing))
-    worst = max(r[3] for r in rows)
+    worst = float(np.max([r[3] for r in rows]))
     ok = worst <= DUALITY_RTOL
     metrics = (("base_gap", gaps[0], None, None),
                ("max_relative_gap", worst, DUALITY_RTOL, ok))
     return CheckReport("duality_gap", metrics, tuple(rows), passed=ok)
 
 
-def duality_gap(problem: Problem, levels: int = 3) -> CheckReport:
-    """Linearized-versus-adjoint duality identity under tau-refinement.
-
-    gap = |<beta1 (phi - phi_q), phi_lin>_Q + <beta2 (phi(T) - phi_omega),
-    phi_lin(T)> - <d, k>_Q| at the nominal control, with the control and
-    the random direction prolonged in time.  The refinement table holds the
-    gap relative to the larger pairing; the check passes iff it is at most
-    DUALITY_RTOL at every level.
-    """
-    k = _draw(problem, 3, 1)[0]
-    return _duality_report(problem, k,
-                           *_state_and_adjoint(problem, problem.u0), levels)
-
-
 def verify_checks(problem: Problem) -> tuple[CheckReport, ...]:
-    """The four checks of the verify command, at the nominal control u0.
+    """The verify command's four checks at the nominal control u0:
+    fd_gradient_check along FD_DIRECTIONS random directions,
+    linearized_fd_refinement and duality_gap on REFINEMENT_LEVELS levels,
+    and separation_monitor on u0's trajectory.
 
-    Their reports equal those of fd_gradient_check(problem, n_directions=3),
-    linearized_fd_refinement(problem, 3), duality_gap(problem, 3) and
-    separation_monitor on u0's trajectory.  Every forward solve the first
-    two need on the problem's own grid marches in one solve_states batch
-    with u0, and u0's trajectory and adjoint serve all four checks.
+    Check another point on replace(problem, u0=u).  Each check draws its
+    directions from its own stream of problem.seed (see _draw).  Every
+    forward solve the first two need on the problem's own grid marches in
+    one solve_states batch with u0, and u0's trajectory and adjoint serve
+    all four checks.
     """
-    fd_dirs = _draw(problem, 1, 3)
+    fd_dirs = _draw(problem, 1, FD_DIRECTIONS)
     lin_k, dual_k = _draw(problem, 2, 1)[0], _draw(problem, 3, 1)[0]
     base, costs, errs = _nominal_batch(problem, fd_dirs, lin_k)
     adj = solve_adjoint(problem.params, problem.pot, problem.hspec, base,
                         problem.u0, problem.targets)
     return (_fd_report(problem, base, adj, fd_dirs, costs),
-            _linearized_report(problem, lin_k, errs, 3),
-            _duality_report(problem, dual_k, base, adj, 3),
+            _linearized_report(problem, lin_k, errs, REFINEMENT_LEVELS),
+            _duality_report(problem, dual_k, base, adj, REFINEMENT_LEVELS),
             separation_monitor(base, problem.pot))
 
 

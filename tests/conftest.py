@@ -8,6 +8,8 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    # a fresh stream per test, so a test's data does not depend on what
+    # the tests before it drew
     return np.random.default_rng(20260808)

@@ -13,6 +13,7 @@ import pytest
 
 import tumorctrl as tc
 from oracles import brute_force_optimize, random_admissible_controls
+from tumorctrl import verify
 from tumorctrl.fields import SpaceTimeField, TimeGrid, grid1d
 from tumorctrl.optim import _q_norm
 from tumorctrl.runner import load_config, run
@@ -46,14 +47,25 @@ def test_c1_stationary_exactness():
            f"{elapsed:.2f}s]")
 
 
-def test_c2_gradient_fidelity():
-    t0 = time.perf_counter()
+@pytest.fixture(scope="module")
+def default_checks():
+    """verify_checks' reports on 1D-logarithmic-default along 5 gradient
+    directions, with the verify command's refinement levels, and the
+    seconds they took."""
     prob = tc.preset_problem("1D-logarithmic-default")
-    fd = tc.fd_gradient_check(prob, n_directions=5)
-    gap = tc.duality_gap(prob, levels=3)
-    elapsed = time.perf_counter() - t0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "FD_DIRECTIONS", 5)
+        t0 = time.perf_counter()
+        reports = {rep.name: rep for rep in tc.verify_checks(prob)}
+    return reports, time.perf_counter() - t0
+
+
+def test_c2_gradient_fidelity(default_checks):
+    reports, elapsed = default_checks
+    fd, gap = reports["fd_gradient_check"], reports["duality_gap"]
     rel_gaps = [r[3] for r in gap.refinement]
-    ok = (fd.metric("max_best_rel_error") <= 1e-8
+    ok = (len(fd.metrics) == 5 + 1
+          and fd.metric("max_best_rel_error") <= 1e-8
           and len(rel_gaps) >= 3 and max(rel_gaps) <= 1e-10
           and elapsed < 120.0)
     report(2, "gradient fidelity", ok,
@@ -61,13 +73,12 @@ def test_c2_gradient_fidelity():
            f"relative duality gap {max(rel_gaps):.2e}, {elapsed:.1f}s]")
 
 
-def test_c3_linearized_map_fidelity():
-    prob = tc.preset_problem("1D-logarithmic-default")
-    rep = tc.linearized_fd_refinement(prob, levels=2)
+def test_c3_linearized_map_fidelity(default_checks):
+    rep = default_checks[0]["linearized_fd_refinement"]
     errs = [r[3] for r in rep.refinement]
-    ok = len(errs) == 2 and max(errs) <= 1e-6
+    ok = len(errs) >= 2 and max(errs) <= 1e-6
     report(3, "linearized map fidelity", ok,
-           f" [default {errs[0]:.2e} -> refined {errs[1]:.2e}]")
+           f" [default {errs[0]:.2e} -> refined {errs[-1]:.2e}]")
 
 
 def _prox_oracle_caches(n_points=10**6, seed=5):

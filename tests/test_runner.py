@@ -522,6 +522,22 @@ class TestCli:
         assert capsys.readouterr().err == \
             "verification checks FAILED (see verify_summary.csv)\n"
 
+    def test_nan_gradient_error_fails_verify(self, tmp_path, capsys):
+        # phi_q = 1e300 overflows the smooth cost, so every central
+        # difference is inf - inf: a NaN error fails the gradient check
+        cfgp = write_cfg(tmp_path, "[run]\npreset = 1D-logarithmic-default\n"
+                                   "[grid]\nn = 12\n[time]\nn_steps = 16\n"
+                                   "[targets]\nphi_q = random 1e300\n")
+        assert cli_main(["verify", "--config", str(cfgp),
+                         "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == \
+            "verification checks FAILED (see verify_summary.csv)\n"
+        out = next((tmp_path / "o").iterdir())
+        assert (out / "verify_summary.csv").read_text().splitlines()[1] \
+            == "fd_gradient_check,0"
+        assert "metric,max_best_rel_error,nan,0.0001,0," in \
+            (out / "check_fd_gradient_check.csv").read_text()
+
     def test_overflowing_step_is_a_solver_error(self, tmp_path, capsys):
         # eta = 1/nu = 1e200 overflows the group norms of the first prox
         cfgp = write_cfg(tmp_path, "[run]\npreset = time-sparsity-demo\n"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from tumorctrl.fields import SpaceTimeField
 from tumorctrl.presets import preset_names, preset_problem
 from tumorctrl.solver import solve_state
 from tumorctrl.verify import (FD_GRADIENT_RTOL, SEPARATION_FLOOR,
-                              CheckReport, duality_gap, fd_gradient_check,
-                              linearized_fd_refinement, separation_monitor,
+                              CheckReport, separation_monitor,
                               write_check_csv)
 
 # a small instance keeps these oracle tests fast; the full-size preset runs
@@ -23,30 +23,49 @@ def small_problem():
     return preset_problem("1D-logarithmic-default", **SMALL)
 
 
+def checks(problem, monkeypatch, directions=verify.FD_DIRECTIONS,
+           levels=verify.REFINEMENT_LEVELS):
+    """verify_checks' reports by check name, with the gradient check along
+    directions random directions and levels refinement levels."""
+    monkeypatch.setattr(verify, "FD_DIRECTIONS", directions)
+    monkeypatch.setattr(verify, "REFINEMENT_LEVELS", levels)
+    return {rep.name: rep for rep in verify.verify_checks(problem)}
+
+
+@pytest.fixture(scope="module")
+def small_checks(small_problem):
+    """The small instance's reports with the verify command's directions
+    and levels."""
+    return {rep.name: rep for rep in verify.verify_checks(small_problem)}
+
+
 class TestFdGradientCheck:
-    def test_passes_on_small_instance(self, small_problem):
-        rep = fd_gradient_check(small_problem, n_directions=3)
+    def test_passes_on_small_instance(self, small_checks):
+        rep = small_checks["fd_gradient_check"]
+        assert len(rep.metrics) == 3 + 1
         assert rep.passed
         assert rep.metric("max_best_rel_error") <= 1e-8
         assert {tol for _, _, tol, _ in rep.metrics} == {FD_GRADIENT_RTOL}
 
-    def test_random_admissible_points(self, small_problem):
+    def test_random_admissible_points(self, small_problem, monkeypatch):
         # gradient correctness away from the nominal control
         for seed in (1, 2, 3):
             u = random_admissible_controls(small_problem, seed, scale=0.4)
-            rep = fd_gradient_check(
-                dataclasses.replace(small_problem, u0=u), n_directions=1)
+            rep = checks(dataclasses.replace(small_problem, u0=u),
+                         monkeypatch, directions=1,
+                         levels=1)["fd_gradient_check"]
             assert rep.metric("max_best_rel_error") <= 1e-8
 
-    def test_two_dimensional_instance(self):
+    def test_two_dimensional_instance(self, monkeypatch):
         prob = preset_problem("2D-regular-default")
-        rep = fd_gradient_check(prob, n_directions=2)
+        rep = checks(prob, monkeypatch, directions=2,
+                     levels=1)["fd_gradient_check"]
         assert rep.passed
 
-    def test_deterministic_given_seed(self, small_problem):
-        a = fd_gradient_check(small_problem, n_directions=2)
-        b = fd_gradient_check(small_problem, n_directions=2)
-        assert a.metrics == b.metrics
+    def test_deterministic_given_seed(self, small_problem, monkeypatch):
+        a = checks(small_problem, monkeypatch, directions=2, levels=1)
+        b = checks(small_problem, monkeypatch, directions=2, levels=1)
+        assert a == b
 
     def test_stationary_point_both_sides_tiny(self):
         prob = preset_problem("stationary-trivial")
@@ -78,16 +97,43 @@ class TestFdGradientCheck:
                          for g in smooth_gradient(*args))
 
         prob = preset_problem("time-sparsity-demo")
-        assert fd_gradient_check(prob, n_directions=1).passed
+        assert checks(prob, monkeypatch, directions=1,
+                      levels=1)["fd_gradient_check"].passed
         monkeypatch.setattr(verify, "smooth_gradient", scaled)
-        rep = fd_gradient_check(prob, n_directions=1)
+        rep = checks(prob, monkeypatch, directions=1,
+                     levels=1)["fd_gradient_check"]
         assert not rep.passed
         assert rep.metric("max_best_rel_error") > 1e-3
 
+    @pytest.mark.parametrize("order", [1, -1], ids=["ladder", "reversed"])
+    def test_nan_error_fails_wherever_it_lies(self, small_problem,
+                                              monkeypatch, order):
+        # the smooth cost at u0 + 0.1 k is NaN: that eps's error is NaN,
+        # and so are the direction's best error and the worst of them,
+        # whichever place eps 0.1 takes in the ladder
+        ladder = verify.FD_EPS_LADDER[::order]
+        monkeypatch.setattr(verify, "FD_EPS_LADDER", ladder)
+        nan_call = 2 * ladder.index(0.1)
+        calls = []
+
+        def cost(*args):
+            calls.append(None)
+            return (math.nan if len(calls) == nan_call + 1
+                    else optim.reduced_cost(*args))
+
+        monkeypatch.setattr(verify, "reduced_cost", cost)
+        rep = checks(small_problem, monkeypatch, directions=1,
+                     levels=1)["fd_gradient_check"]
+        assert not rep.passed
+        for name in ("direction_0_best_rel_error", "max_best_rel_error"):
+            assert math.isnan(rep.metric(name))
+        assert [ok for _, _, _, ok in rep.metrics] == [False, False]
+
 
 class TestLinearizedChecks:
-    def test_single_level(self, small_problem):
-        rep = linearized_fd_refinement(small_problem, levels=1)
+    def test_single_level(self, small_problem, monkeypatch):
+        rep = checks(small_problem, monkeypatch, directions=1,
+                     levels=1)["linearized_fd_refinement"]
         assert rep.passed
         assert len(rep.refinement) == 1
         assert rep.metric("max_rel_error") <= 1e-6
@@ -109,29 +155,31 @@ class TestLinearizedChecks:
                                spec)
         assert np.all(lin.phi.values == 0.0)
 
-    def test_refinement_table_three_levels(self, small_problem):
-        rep = linearized_fd_refinement(small_problem, levels=3)
+    def test_refinement_table_three_levels(self, small_checks):
+        rep = small_checks["linearized_fd_refinement"]
         assert len(rep.refinement) >= 3
         assert all(r[3] <= 1e-6 for r in rep.refinement)
         assert rep.passed
 
 
 class TestDualityGap:
-    def test_zero_tracking_zero_gap(self):
+    def test_zero_tracking_zero_gap(self, monkeypatch):
         prob = preset_problem("1D-logarithmic-default", beta1=0.0, beta2=0.0,
                               **SMALL)
-        rep = duality_gap(prob, levels=3)
+        rep = checks(prob, monkeypatch, directions=1,
+                     levels=3)["duality_gap"]
         assert rep.metric("base_gap") == 0.0
         assert rep.passed
 
-    def test_exact_under_tau_refinement(self, small_problem):
-        rep = duality_gap(small_problem, levels=3)
+    def test_exact_under_tau_refinement(self, small_checks):
+        rep = small_checks["duality_gap"]
         assert len(rep.refinement) >= 3
         assert all(r[3] <= 1e-10 for r in rep.refinement)
         assert rep.passed
 
-    def test_exact_on_refined_space_grid(self, small_problem):
-        rep = duality_gap(small_problem.with_resolution(2, 2), levels=3)
+    def test_exact_on_refined_space_grid(self, small_problem, monkeypatch):
+        rep = checks(small_problem.with_resolution(2, 2), monkeypatch,
+                     directions=1, levels=3)["duality_gap"]
         assert len(rep.refinement) >= 3
         assert all(r[3] <= 1e-10 for r in rep.refinement)
         assert rep.passed
@@ -140,12 +188,42 @@ class TestDualityGap:
 @pytest.mark.parametrize("preset", ["stationary-trivial", "time-sparsity-demo",
                                     "stress-separation",
                                     "2D-regular-default"])
-def test_tangent_and_adjoint_exact_on_preset(preset):
-    prob = preset_problem(preset)
-    gap = duality_gap(prob, levels=2)
-    lin = linearized_fd_refinement(prob, levels=2)
+def test_tangent_and_adjoint_exact_on_preset(preset, monkeypatch):
+    reports = checks(preset_problem(preset), monkeypatch, directions=1,
+                     levels=2)
+    gap = reports["duality_gap"]
+    lin = reports["linearized_fd_refinement"]
     assert gap.passed and gap.metric("max_relative_gap") <= 1e-10
     assert lin.passed and lin.metric("max_rel_error") <= 1e-6
+
+
+def test_nan_on_a_refined_level_fails(small_problem, monkeypatch):
+    # level 1 (2 tau) has a NaN error at eps 1e-3 of the linearized check
+    # and a NaN duality gap; levels 0 and 2 are sound
+    steps = 2 * small_problem.timegrid.n_steps
+    lin_errors, gap_at = verify._linearized_vs_fd_error, verify._duality_gap_at
+
+    def lin_nan(problem, *args):
+        errs = lin_errors(problem, *args)
+        if problem.timegrid.n_steps == steps:
+            errs[1] = math.nan
+        return errs
+
+    def gap_nan(problem, *args):
+        gap, pairing = gap_at(problem, *args)
+        return (math.nan if problem.timegrid.n_steps == steps else gap,
+                pairing)
+
+    monkeypatch.setattr(verify, "_linearized_vs_fd_error", lin_nan)
+    monkeypatch.setattr(verify, "_duality_gap_at", gap_nan)
+    reports = checks(small_problem, monkeypatch, directions=1, levels=3)
+    for name, worst in (("linearized_fd_refinement", "max_rel_error"),
+                        ("duality_gap", "max_relative_gap")):
+        rep = reports[name]
+        assert not rep.passed
+        assert math.isnan(rep.metric(worst))
+        assert [math.isnan(r[3]) for r in rep.refinement] == \
+            [False, True, False]
 
 
 class TestSeparationMonitor:
@@ -180,17 +258,13 @@ class TestSeparationMonitor:
 
 
 @pytest.mark.parametrize("preset", preset_names())
-def test_verify_outcome_on_every_preset(preset):
+def test_verify_outcome_on_every_preset(preset, monkeypatch):
     # verify's four checks, with one refinement level where the CLI runs
     # three: all pass, except the separation monitor on stress-separation,
     # whose phi comes within 8.4e-8 of the singular wall
-    prob = preset_problem(preset)
-    traj = solve_state(prob.params, prob.pot, prob.hspec, prob.u0, prob.init)
-    checks = (fd_gradient_check(prob, n_directions=3),
-              linearized_fd_refinement(prob, levels=1),
-              duality_gap(prob, levels=1),
-              separation_monitor(traj, prob.pot))
-    failed = [rep.name for rep in checks if not rep.passed]
+    reports = checks(preset_problem(preset), monkeypatch, directions=3,
+                     levels=1)
+    failed = [rep.name for rep in reports.values() if not rep.passed]
     assert failed == (["separation_monitor"]
                       if preset == "stress-separation" else [])
 
@@ -208,24 +282,11 @@ def test_check_csv(tmp_path):
 
 
 class TestVerifyCommand:
-    # the CLI's checks on a reduced time-sparsity-demo: 49 controls in the
-    # nominal batch, so its 1D solves sweep as numpy columns
-    @pytest.fixture(scope="class")
-    def demo(self):
-        return preset_problem("time-sparsity-demo", n_steps=12)
-
-    def test_reports_equal_the_public_checks(self, demo):
-        traj = solve_state(demo.params, demo.pot, demo.hspec, demo.u0,
-                           demo.init)
-        assert verify.verify_checks(demo) == (
-            fd_gradient_check(demo, n_directions=3),
-            linearized_fd_refinement(demo, 3), duality_gap(demo, 3),
-            separation_monitor(traj, demo.pot))
-
-    def test_nominal_grid_is_marched_once(self, demo, tmp_path,
-                                          monkeypatch):
-        # one state march and one adjoint on the problem's own grid serve
-        # all four checks
+    def test_nominal_grid_is_marched_once(self, tmp_path, monkeypatch):
+        # the CLI's checks on a reduced time-sparsity-demo: 49 controls in
+        # the nominal batch, so its 1D solves sweep as numpy columns.  One
+        # state march and one adjoint on the problem's own grid serve all
+        # four checks
         marches, adjoints = [], []
         march = solver._march
 
@@ -287,6 +348,6 @@ class TestFailureNaming:
 
         monkeypatch.setattr(verify, "solve_state", failing)
         with pytest.raises(solver.SeparationLoss) as exc:
-            duality_gap(small_problem, 2)
+            checks(small_problem, monkeypatch, levels=2)
         assert str(exc.value) == ("duality_gap level 1: separation lost at "
                                   "time step 3: margin 0.000e+00")
