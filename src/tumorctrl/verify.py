@@ -16,12 +16,24 @@ gradient check's ladders and the linearized check's first level march as
 one batch, and the nominal trajectory and adjoint serve all four.  A solver
 failure names the check, level and eps where it arose (none for u0 itself
 on the problem's own grid).
+
+With more than one refinement level, the linearized check's finest level,
+the largest job and one whose row nothing else needs, runs in a forked
+child while the caller runs the rest; its bits are the serial code's.  A
+child that hands back no result has its level run again in-process, so the
+caller raises every failure, in the serial order.  Nothing is forked where
+os.fork is missing or fails, or where another thread runs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
+import pickle
+import threading
+import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
@@ -264,26 +276,32 @@ def _prolong(arr: np.ndarray, grid, scale: int) -> np.ndarray:
     return out.reshape(out.shape[0], -1)
 
 
-def _linearized_report(problem: Problem, k, errs, levels: int) -> CheckReport:
-    """linearized_fd_refinement's report along the coarse direction k,
-    given the errors errs of level 0, the problem's own grid.
+def _row(problem: Problem, level: int, err: float) -> tuple:
+    """A refinement row (level, h, tau, err) on problem's grid."""
+    return (level, max(problem.grid.spacing), problem.timegrid.tau, err)
 
-    Each level refines h and tau by 2 ** level and records the best
-    linearized-vs-FD error.  k is prolonged as a piecewise-constant
-    function, so every level differentiates along the same continuous
-    perturbation.  Passes iff the error is at most LINEARIZED_RTOL at every
-    level.
+
+def _linearized_rows(problem: Problem, k, levels) -> list[tuple]:
+    """linearized_fd_refinement's rows along the coarse direction k on the
+    refined levels (each >= 1), each with its best linearized-vs-FD error.
+
+    Level l refines h and tau by 2 ** l.  k is prolonged as a
+    piecewise-constant function, so every level differentiates along the
+    same continuous perturbation.
     """
     rows = []
-    for lev in range(levels):
+    for lev in levels:
         scale = 2 ** lev
-        prob = problem
-        if lev:
-            prob = problem.with_resolution(scale, scale)
-            k_lev = [_prolong(a, problem.grid, scale) for a in k]
-            errs = _nominal_batch(prob, (), k_lev, lev)[2]
-        rows.append((lev, max(prob.grid.spacing), prob.timegrid.tau,
-                     float(np.min(errs))))
+        prob = problem.with_resolution(scale, scale)
+        k_lev = [_prolong(a, problem.grid, scale) for a in k]
+        errs = _nominal_batch(prob, (), k_lev, lev)[2]
+        rows.append(_row(prob, lev, float(np.min(errs))))
+    return rows
+
+
+def _linearized_report(rows) -> CheckReport:
+    """linearized_fd_refinement's report from its refinement rows; passes
+    iff the error is at most LINEARIZED_RTOL at every level."""
     worst = float(np.max([r[3] for r in rows]))
     ok = worst <= LINEARIZED_RTOL
     return CheckReport("linearized_fd_refinement",
@@ -344,13 +362,64 @@ def _duality_report(problem: Problem, k, base: Trajectory, adj,
             exc.args = (f"duality_gap level {lev}: {exc}",)
             raise
         gaps.append(gap)
-        rows.append((lev, max(prob.grid.spacing), prob.timegrid.tau,
-                     gap / pairing))
+        rows.append(_row(prob, lev, gap / pairing))
     worst = float(np.max([r[3] for r in rows]))
     ok = worst <= DUALITY_RTOL
     metrics = (("base_gap", gaps[0], None, None),
                ("max_relative_gap", worst, DUALITY_RTOL, ok))
     return CheckReport("duality_gap", metrics, tuple(rows), passed=ok)
+
+
+@contextlib.contextmanager
+def _forked(fork: bool, fn, *args):
+    """Yield a function that returns fn(*args), computed meanwhile in a
+    forked child if fork is set.
+
+    The function computes fn(*args) in-process where os.fork is missing or
+    fails, where another thread runs (a fork copies only the calling
+    thread, not the locks the others hold) and where the child hands back
+    no result, so fn's failures are raised here.  The child writes only to
+    the pipe (a warning fails it) and ends in os._exit; one not collected
+    is killed on exit.
+    """
+    pid = read = None
+    if fork and hasattr(os, "fork") and threading.active_count() == 1:
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to be had
+            pass
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read)
+                warnings.simplefilter("error")
+                with os.fdopen(write, "wb") as pipe:
+                    pickle.dump(fn(*args), pipe)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+
+    def collect():
+        nonlocal pid
+        if pid:
+            data = b"".join(iter(lambda: os.read(read, 1 << 16), b""))
+            status = os.waitpid(pid, 0)[1]
+            pid = None
+            if status == 0 and data:
+                return pickle.loads(data)
+        return fn(*args)
+
+    try:
+        yield collect
+    finally:
+        if pid:
+            import signal  # 1 ms to import, so only when a child is left
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if read is not None:
+            os.close(read)
 
 
 def verify_checks(problem: Problem) -> tuple[CheckReport, ...]:
@@ -364,16 +433,40 @@ def verify_checks(problem: Problem) -> tuple[CheckReport, ...]:
     forward solve the first two need on the problem's own grid marches in
     one solve_states batch with u0, and u0's trajectory and adjoint serve
     all four checks.
+
+    The linearized check's finest level, which refines h and tau by
+    2 ** (REFINEMENT_LEVELS - 1), is the largest job, and no other needs
+    its row.  So with more than one level it runs in a forked child (see
+    _forked) while this process runs the rest: the nominal batch, the
+    adjoint, the gradient report, the lower linearized levels, every
+    duality level and the separation monitor.  The reports are bit for bit
+    those of the serial code.  A failed child's level runs again here, and
+    failures keep the serial order (level 0, the linearized levels, the
+    duality levels): when a later check fails, the finest linearized level
+    is collected first and its own failure, if any, is raised.  Nothing is
+    forked where os.fork is missing or fails or where another thread runs,
+    and no child outlives the call.
     """
     fd_dirs = _draw(problem, 1, FD_DIRECTIONS)
     lin_k, dual_k = _draw(problem, 2, 1)[0], _draw(problem, 3, 1)[0]
-    base, costs, errs = _nominal_batch(problem, fd_dirs, lin_k)
-    adj = solve_adjoint(problem.params, problem.pot, problem.hspec, base,
-                        problem.u0, problem.targets)
-    return (_fd_report(problem, base, adj, fd_dirs, costs),
-            _linearized_report(problem, lin_k, errs, REFINEMENT_LEVELS),
-            _duality_report(problem, dual_k, base, adj, REFINEMENT_LEVELS),
-            separation_monitor(base, problem.pot))
+    levels = range(1, REFINEMENT_LEVELS)
+    with _forked(bool(levels), _linearized_rows, problem, lin_k,
+                 levels[-1:]) as finest:
+        base, costs, errs = _nominal_batch(problem, fd_dirs, lin_k)
+        adj = solve_adjoint(problem.params, problem.pot, problem.hspec, base,
+                            problem.u0, problem.targets)
+        fd = _fd_report(problem, base, adj, fd_dirs, costs)
+        rows = [_row(problem, 0, float(np.min(errs)))]
+        rows += _linearized_rows(problem, lin_k, levels[:-1])
+        try:
+            dual = _duality_report(problem, dual_k, base, adj,
+                                   REFINEMENT_LEVELS)
+            sep = separation_monitor(base, problem.pot)
+        except Exception:
+            finest()  # a failure on the finest level comes first
+            raise
+        rows += finest()
+    return fd, _linearized_report(rows), dual, sep
 
 
 def separation_monitor(traj, pot) -> CheckReport:

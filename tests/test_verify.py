@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -351,3 +353,136 @@ class TestFailureNaming:
             checks(small_problem, monkeypatch, levels=2)
         assert str(exc.value) == ("duality_gap level 1: separation lost at "
                                   "time step 3: margin 0.000e+00")
+
+
+def outcome(problem):
+    """verify_checks' reports as text (a float's repr gives its bits), or
+    its failure's type, message and attributes (step, member, ...)."""
+    try:
+        return repr(verify.verify_checks(problem))
+    except solver.SolveFailure as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+def forked_and_in_process(problem, monkeypatch, capfd):
+    """outcome(problem) run as verify runs it, and in-process (a second
+    thread alive forbids the fork), with the forks each run made; after
+    either, no child is left and nothing was written to stdout or stderr."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    runs = []
+    for threaded in (False, True):
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        if threaded:
+            thread.start()
+        try:
+            runs.append((outcome(problem), len(forks)))
+        finally:
+            done.set()
+            if threaded:
+                thread.join(10)
+                assert not thread.is_alive()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert capfd.readouterr() == ("", "")
+        forks.clear()
+    return runs
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+class TestForkedFinestLevel:
+    # verify_checks runs the linearized check's finest level in a forked
+    # child; the reports and failures are those of the in-process run
+
+    @pytest.mark.parametrize("preset,levels", [("time-sparsity-demo", 3),
+                                               ("2D-regular-default", 2)])
+    def test_reports_are_bitwise_equal(self, preset, levels, monkeypatch,
+                                       capfd):
+        # the levels this process computes: the child's finest level is
+        # not among them when the child hands back its row
+        here, rows = [], verify._linearized_rows
+
+        def counted_rows(problem, k, lin_levels):
+            here.append(list(lin_levels))
+            return rows(problem, k, lin_levels)
+
+        monkeypatch.setattr(verify, "_linearized_rows", counted_rows)
+        monkeypatch.setattr(verify, "REFINEMENT_LEVELS", levels)
+        (forked, n_forked), (in_process, n_in_process) = \
+            forked_and_in_process(preset_problem(preset), monkeypatch, capfd)
+        assert (n_forked, n_in_process) == (1, 0)
+        assert forked == in_process
+        assert "linearized_fd_refinement" in forked
+        lower = list(range(1, levels - 1))
+        assert here == [lower, lower, [levels - 1]]
+
+    def test_one_level_forks_nothing(self, small_problem, monkeypatch,
+                                     capfd):
+        monkeypatch.setattr(verify, "REFINEMENT_LEVELS", 1)
+        (forked, n_forked), (in_process, _) = \
+            forked_and_in_process(small_problem, monkeypatch, capfd)
+        assert n_forked == 0 and forked == in_process
+
+    @pytest.mark.parametrize("u0_1,where", [
+        # the child's linearized level 2 and the parent's duality level 2
+        # fail: the linearized level comes first
+        ("-31.9", "linearized_fd_refinement level 2: separation lost at "
+                  "time step 383: margin 9.606e-12"),
+        # the parent's linearized level 1 fails while the child runs
+        ("-32", "linearized_fd_refinement level 1, eps 0.01: separation "
+                "lost at time step 191: margin 9.966e-12")],
+        ids=["-31.9", "-32"])
+    def test_failure_is_the_serial_one(self, u0_1, where, monkeypatch,
+                                       capfd):
+        prob = preset_problem("stress-separation", u0_1=f"constant {u0_1}")
+        (forked, n_forked), (in_process, _) = \
+            forked_and_in_process(prob, monkeypatch, capfd)
+        assert n_forked == 1
+        assert forked == in_process
+        assert forked[:2] == (solver.SeparationLoss, where)
+
+    def test_failure_on_the_nominal_grid(self, small_problem, monkeypatch,
+                                         capfd):
+        # TestFailureNaming's member 0: every batch fails, the parent's on
+        # level 0 first
+        def failing(*args):
+            exc = solver.SeparationLoss(7, 0.0)
+            exc.member = 0
+            raise exc
+            yield
+
+        monkeypatch.setattr(verify, "solve_states", failing)
+        (forked, n_forked), (in_process, _) = \
+            forked_and_in_process(small_problem, monkeypatch, capfd)
+        assert n_forked == 1
+        assert forked == in_process == (
+            solver.SeparationLoss,
+            "separation lost at time step 7: margin 0.000e+00",
+            {"step": 7, "margin": 0.0, "member": 0})
+
+    def test_failed_fork_computes_in_process(self, small_problem,
+                                             monkeypatch):
+        expected = outcome(small_problem)
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert outcome(small_problem) == expected
+
+    def test_interrupt_leaves_no_child(self, small_problem, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(verify, "solve_adjoint", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            verify.verify_checks(small_problem)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
