@@ -114,6 +114,17 @@ class TimeGrid:
         return w
 
 
+def prolong(values: np.ndarray, grid: GridSpec, space_scale: int,
+            time_scale: int) -> np.ndarray:
+    """Piecewise-constant prolongation of (slices, cells) values on grid to
+    cells space_scale times narrower on every axis and slices time_scale
+    times shorter."""
+    out = np.repeat(values, time_scale, axis=0).reshape((-1,) + grid.n)
+    for axis in range(1, grid.dim + 1):
+        out = np.repeat(out, space_scale, axis=axis)
+    return out.reshape(len(out), -1)
+
+
 def _freeze(values: np.ndarray) -> np.ndarray:
     out = np.array(values, dtype=float)
     if not np.all(np.isfinite(out)):

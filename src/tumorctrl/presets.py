@@ -7,7 +7,9 @@ report failures as located ConfigIssues, collected into one ConfigError.
 A Problem collects everything one experiment needs (parameters, potential,
 interpolant, grids, initial data, targets, bounds, sparsity mode, starting
 control) and remembers the flat settings it was built from, so verification
-studies can rebuild the same problem at refined resolutions.
+studies can refine it: with_resolution re-samples the initial data and
+targets from the settings' recipes, prolongs the starting control and keeps
+every other part.
 
 Field recipes are small textual descriptions evaluated on a grid:
 
@@ -26,12 +28,13 @@ midpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from types import MappingProxyType
 
 import numpy as np
 
-from .fields import (Field, GridSpec, SpaceTimeField, StateTriple, TimeGrid)
+from .fields import (Field, GridSpec, SpaceTimeField, StateTriple, TimeGrid,
+                     prolong)
 from .model import (BoxBounds, InterpolantSpec, ModelParams, PotentialSpec,
                     logarithmic_potential, regular_potential, smoothstep7)
 from .optim import OptimizeOptions
@@ -264,8 +267,7 @@ class Problem:
 
     The optimizer layer and the verification checks take it whole; a run
     with other parts (a start, a kappa, no sparsity) is a
-    dataclasses.replace copy.  Such a copy keeps the original settings, so
-    its with_resolution rebuilds the original problem, not the copy.
+    dataclasses.replace copy.
     """
 
     params: ModelParams
@@ -284,11 +286,22 @@ class Problem:
 
     def with_resolution(self, space_scale: int = 1,
                         time_scale: int = 1) -> "Problem":
-        """Rebuild the same problem with refined grids (recipes re-sampled)."""
+        """This problem on grids refined by space_scale and time_scale.
+
+        init and targets are re-sampled from the settings' recipes, u0 is
+        prolonged piecewise-constant, and every other part is kept, so a
+        replace copy refines as itself.
+        """
         s = dict(self.settings)
         s["n"] = tuple(int(v) * int(space_scale) for v in s["n"])
         s["n_steps"] = int(s["n_steps"]) * int(time_scale)
-        return make_problem(s)
+        fine = make_problem(s)
+        u0 = ControlPair.from_arrays(fine.timegrid, fine.grid, *(
+            prolong(u.values, self.grid, space_scale, time_scale)
+            for u in (self.u0.u1, self.u0.u2)))
+        return replace(self, grid=fine.grid, timegrid=fine.timegrid,
+                       init=fine.init, targets=fine.targets, u0=u0,
+                       settings=fine.settings)
 
 
 def _from_fields(cls, s):

@@ -306,11 +306,12 @@ def run(config: ExperimentConfig, out_dir) -> RunManifest:
             and problem.mode is not SparsityMode.NONE:
         issues = [ConfigIssue(f"bounds.{key}", 0,
                               f"sparsity mode {problem.mode.value!r} needs "
-                              f"{key} {op} 0, got {problem.settings[key]!r}",
+                              f"{key} {op} 0, got "
+                              f"{getattr(problem.bounds, key)!r}",
                               "range")
                   for key, op, sign in (("lo1", "<", -1.0), ("hi1", ">", 1.0),
                                         ("lo2", "<", -1.0), ("hi2", ">", 1.0))
-                  if not sign * problem.settings[key] > 0.0]
+                  if not sign * getattr(problem.bounds, key) > 0.0]
         if issues:
             raise ConfigError(issues)
 

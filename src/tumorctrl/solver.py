@@ -25,25 +25,22 @@ adjoint solver is its exact transpose, stepping backward with implicit
 diffusion and eliminating the time derivative of the first adjoint from the
 second equation.  The symmetric positive definite Helmholtz solves
 (diag(c) - Lap) x = b are direct on 1D grids: one tridiagonal LU sweep
-(Thomas), stable without pivoting because the matrix is strictly
-diagonally dominant for c > 0, and exact to round-off.  Its pivots depend
-on c alone, so they are made once and reused: a solver instance keeps the
-pivots of a scalar c (the mu- and psi1-steps' alpha/tau) for every step and
-batch row, and the tangent and adjoint factor every step's phi/psi2 and
-sigma/psi3 coefficient before their loops.  A reused pivot makes the same
-IEEE operations as the one-pass sweep, so the bits do not change; the
-Newton Jacobian and the forward sigma-step, whose c is new at every solve,
-make their pivots on the way.  On 2D grids the
-orthonormal DCT-II diagonalizes the Neumann stencil, so a constant c (the
-mu- and psi1-steps) is one exact DCT solve, and a variable c takes a few
-conjugate-gradient iterations to a relative residual of 1e-12 on every
-grid.  That CG runs in the DCT basis, where -Lap and its preconditioner,
-the DCT solve at the mean coefficient, are diagonals, so an iteration
-makes no stencil pass.  Only that CG iterates: it stops at 2 n + 200
-iterations with a LinearSolveError, and stats["cg_iterations"] counts its
-iterations (0 in 1D).  The DCT is one dense orthonormal matrix per axis,
-applied as two BLAS matrix products: O(n^3) per transform on an n x n
-grid against O(n^2 log n) for an FFT.
+(Thomas), stable without pivoting because the matrix is strictly diagonally
+dominant for c > 0, and exact to round-off.  Each solver factors its
+constant coefficients once, before its time loop: the mu- and psi1-steps'
+alpha/tau and the tangent's and adjoint's per-step rows.  A solve on those
+pivots has the bits of the one-pass sweep, which makes its pivots on the way
+for the Newton Jacobian and the forward sigma-step, new at every solve.  On
+2D grids the orthonormal DCT-II diagonalizes the Neumann stencil, so a
+constant c (the mu- and psi1-steps) is one exact DCT solve, and a variable c
+takes a few conjugate-gradient iterations to a relative residual of 1e-12 on
+every grid.  That CG runs in the DCT basis, where -Lap and its
+preconditioner, the DCT solve at the mean coefficient, are diagonals, so an
+iteration makes no stencil pass.  Only that CG iterates: it stops at
+2 n + 200 iterations with a LinearSolveError, and stats["cg_iterations"]
+counts its iterations (0 in 1D).  The DCT is one dense orthonormal matrix
+per axis, applied as two BLAS matrix products: O(n^3) per transform on an
+n x n grid against O(n^2 log n) for an FFT.
 On one BLAS thread of an Intel Xeon a constant-coefficient solve (one
 forward and one inverse transform) took 15-22 us against 54-84 us through
 numpy's FFT at 24^2 and 0.19-0.20 against 0.78-1.34 ms at 96^2; the two
@@ -86,12 +83,11 @@ MIN_MARGIN = 1e-11
 # members x (steps + 1) x cells x 3 fields x 8 bytes
 BATCH_BYTES = 4 * 2 ** 20
 # a 1D batch of at least this many rows sweeps as numpy columns, a smaller
-# one row by row, and so do a factor's pivots: on one core of an Intel Xeon,
-# 16 rows took 51 us by rows against 56 us by columns at 16 cells and 171
-# against 200 us at 64 cells, and 20 rows 64 against 56 us and 209 against
-# 201 us; on kept pivots 16 rows took 39 us either way at 16 cells and 123
-# at 64 cells, and 20 rows 49 against 39 us and 153 against 124 us; the
-# pivots alone of 20 rows 24 against 22 us and 86 against 81 us
+# one row by row unless it has per-row pivots: on one core of an Intel
+# Xeon, 16 rows took 51 us by rows against 56 us by columns at 16 cells and
+# 171 against 200 us at 64 cells, and 20 rows 64 against 56 us and 209
+# against 201 us; on kept pivots 16 rows took 39 us either way at 16 cells
+# and 123 at 64 cells, and 20 rows 49 against 39 us and 153 against 124 us
 THOMAS_COLUMN_ROWS = 20
 
 
@@ -257,95 +253,78 @@ def _first(values, mask) -> float:
     return float(np.ravel(values)[np.argmax(mask)])
 
 
-def _vanished_pivot(cell: int, diag: float, e: float) -> SolveFailure:
-    return SolveFailure(f"1D Helmholtz solve: pivot of cell {cell} vanished "
-                        f"(diagonal {diag:.3e}, off-diagonal {-e:.3e})")
-
-
 class _Factor:
     """The pivots of a 1D Helmholtz matrix diag(d) - Lap, with e = 1/h^2
     minus its off-diagonal entries: m_i = d_i - e w_{i-1} and w_i = e / m_i,
     for one system (cell vectors) or one per row ((rows, cells) arrays).
 
-    They depend on the coefficient alone, so one factor serves every
-    right-hand side it is solved with; indexing takes rows.  A pivot that
-    rounded to 0 stays in m: the substitution that meets it raises, at the
-    solve where the one-pass sweep would.
+    A factor is its pivots, and serves every right-hand side solved with
+    its coefficient; indexing takes rows.  A pivot that rounded to 0 stays
+    in m, and the solve that meets it raises, as the one-pass sweep would.
     """
 
-    __slots__ = ("diag", "m", "w", "_lists")
+    __slots__ = ("m", "w", "lists")
 
-    def __init__(self, diag, m, w):
-        self.diag, self.m, self.w = diag, m, w
-        self._lists = None
+    def __init__(self, m, w):
+        self.m, self.w = m, w
+        # one system's pivots as Python floats, for the row sweep
+        self.lists = (m.tolist(), w.tolist()) if m.ndim == 1 else None
 
     @classmethod
     def of(cls, e: float, diag: np.ndarray) -> "_Factor":
-        """The pivot sweep: row by row on Python floats below
-        THOMAS_COLUMN_ROWS rows, else cell by cell with all rows as one
-        numpy column.  Either makes the one-pass sweep's operations on
+        """The pivot sweep: on Python floats for one system (w = 0 after a
+        0 pivot), and cell by cell with all rows as one numpy column for
+        (rows, cells).  Either makes the one-pass sweep's operations on
         every entry; after a pivot that rounded to 0, a row's values are
         never read."""
-        if diag.ndim == 1 or len(diag) < THOMAS_COLUMN_ROWS:
-            ms, ws = zip(*(_pivots(e, d) for d in
-                           np.atleast_2d(diag).tolist()))
-            f = cls(diag, np.array(ms).reshape(diag.shape),
-                    np.array(ws).reshape(diag.shape))
-            if diag.ndim == 1:
-                f._lists = ms[0], ws[0]
-            return f
-        d = diag.T
-        m, w = np.empty(d.shape), np.empty(d.shape)
-        prev = np.zeros(d.shape[1])
+        if diag.ndim == 1:
+            ms, ws, w = [], [], 0.0
+            for di in diag.tolist():
+                m = di - e * w
+                w = e / m if m else 0.0
+                ms.append(m)
+                ws.append(w)
+            return cls(np.array(ms), np.array(ws))
+        m, w = np.empty((2,) + diag.T.shape)
+        prev = np.zeros(len(diag))
         e0 = np.array(e)  # a ufunc takes a 0-d array faster than a float
         # as Python floats do, a 0 pivot or an overflow warns of nothing
         with np.errstate(all="ignore"):
-            for di, mi, wi in zip(d, m, w):
+            for di, mi, wi in zip(diag.T, m, w):
                 np.multiply(e0, prev, out=mi)
                 np.subtract(di, mi, out=mi)
                 np.divide(e0, mi, out=wi)
                 prev = wi
-        return cls(diag, m.T, w.T)
+        return cls(m.T, w.T)
 
     def __getitem__(self, row) -> "_Factor":
-        return _Factor(self.diag[row], self.m[row], self.w[row])
+        return _Factor(self.m[row], self.w[row])
 
-    def lists(self) -> tuple[list, list]:
-        """m and w as Python floats, converted once per factor."""
-        if self._lists is None:
-            self._lists = self.m.tolist(), self.w.tolist()
-        return self._lists
-
-
-def _pivots(e: float, d: list) -> tuple[list, list]:
-    """One row's pivots on Python floats: m_i = d_i - e w_{i-1} and
-    w_i = e / m_i, or 0 where m_i rounded to 0."""
-    ms, ws = [], []
-    w = 0.0
-    for di in d:
-        m = di - e * w
-        w = e / m if m else 0.0
-        ms.append(m)
-        ws.append(w)
-    return ms, ws
+    def vanished(self, e: float) -> SolveFailure:
+        """The failure of every 1D solve whose pivot vanished, at the first
+        row's first 0 pivot.  m_i = d_i - e w_{i-1} rounds to 0 exactly
+        when d_i equals fl(e w_{i-1}): that is the diagonal named, bit for
+        bit (0 at cell 0)."""
+        m, w = np.atleast_2d(self.m, self.w)
+        row, cell = np.argwhere(m == 0.0)[0]
+        diag = e * w[row, cell - 1] if cell else 0.0
+        return SolveFailure(f"1D Helmholtz solve: pivot of cell {cell} "
+                            f"vanished (diagonal {diag:.3e}, off-diagonal "
+                            f"{-e:.3e})")
 
 
 def _thomas_columns(e: float, f: _Factor, b: np.ndarray) -> np.ndarray:
     """The substitution sweeps of a (members, cells) batch, cell by cell
     with all rows as one numpy column: the operations of the row sweep,
-    entry by entry.  A vanished pivot raises the row sweep's SolveFailure,
-    at the first row's first such cell."""
-    m = np.broadcast_to(f.m, b.shape)
-    if not m.all():
-        row, cell = np.argwhere(m == 0.0)[0]
-        raise _vanished_pivot(int(cell),
-                              np.broadcast_to(f.diag, b.shape)[row, cell], e)
-    ys = np.empty(m.T.shape)
+    entry by entry, and its SolveFailure where a pivot vanished."""
+    if not f.m.all():
+        raise f.vanished(e)
+    ys = np.empty(b.T.shape)
     y = np.zeros(len(b))
     t = np.empty(len(b))
     e0 = np.array(e)
     with np.errstate(all="ignore"):
-        for ri, mi, yi in zip(b.T, m.T, ys):
+        for ri, mi, yi in zip(b.T, np.broadcast_to(f.m, b.shape).T, ys):
             np.multiply(e0, y, out=t)
             np.add(ri, t, out=t)
             np.divide(t, mi, out=yi)
@@ -364,10 +343,10 @@ class _HelmholtzSolver:
     A 1D system is tridiagonal, symmetric and strictly diagonally dominant,
     so one Thomas sweep solves it exactly to round-off, with no iteration
     cap; it counts no iterations.  The sweep's pivots depend on c alone:
-    factor makes them once (_Factor), for a scalar c once per instance, and
-    solve then runs only the substitution sweeps on them, with the same
-    IEEE operations, and bits, as the one-pass sweep an array c takes.  On
-    2D grids factor hands c back unchanged.
+    a caller that solves with one c again and again factors it once
+    (_Factor), and solve runs only the substitution sweeps on it, with the
+    bits of the one-pass sweep an array c takes.  The solver keeps no state
+    of c; on 2D grids factor hands c back unchanged.
 
     On 2D grids the orthonormal DCT-II Q diagonalizes the mirrored-ghost
     stencil, -Lap = Q^T diag(eig) Q with eig = sum over axes of
@@ -401,7 +380,6 @@ class _HelmholtzSolver:
             # minus the off-diagonal entries: 1/h^2, the end cells' diagonal
             # of -Lap (0 on a 1-cell grid, which has none, so x = b / c)
             self.e = float(self.neg_lap_diag[0])
-            self._scalar = self._scalar_factor = None
             return  # the Thomas sweep needs no transform tables
         self.maxiter = 2 * grid.n_cells + 200
         self.qx, self.qy = (_dct_matrix(n) for n in grid.n)
@@ -424,8 +402,9 @@ class _HelmholtzSolver:
 
         b is a flat cell vector or a (members, cells) batch; coeff is a
         scalar, a cell vector, one row per member, or what factor made of
-        one of these.  Only an array coeff on a 2D grid iterates (CG, from
-        zero); a row with b = 0 gets x = 0.
+        one of these (a scalar on a 1D grid is factored on this call).
+        Only an array coeff on a 2D grid iterates (CG, from zero); a row
+        with b = 0 gets x = 0.
         """
         if len(self.shape) == 1:
             return self._thomas(coeff, b)
@@ -469,79 +448,54 @@ class _HelmholtzSolver:
         return self.idct(out)
 
     def factor(self, coeff):
-        """coeff made ready for solve to reuse: on a 1D grid its _Factor,
-        one per row of a (rows, cells) coeff, and for a scalar the factor
-        this instance keeps for it; on a 2D grid coeff itself."""
-        if len(self.shape) > 1:
+        """coeff made ready for solve to reuse: on a 1D grid its _Factor
+        (one per row of a (rows, cells) coeff), on a 2D grid, or if it is
+        one already, coeff itself."""
+        if len(self.shape) > 1 or isinstance(coeff, _Factor):
             return coeff
-        if isinstance(coeff, np.ndarray):
-            return _Factor.of(self.e, coeff + self.neg_lap_diag)
-        # a scalar's pivots serve every later solve with it; NaN never
-        # equals itself, so it is factored again
-        if coeff != self._scalar:
-            self._scalar = coeff
-            self._scalar_factor = _Factor.of(self.e,
-                                             coeff + self.neg_lap_diag)
-        return self._scalar_factor
+        return _Factor.of(self.e, coeff + self.neg_lap_diag)
 
     def _thomas(self, coeff, b: np.ndarray) -> np.ndarray:
         """The 1D solve: LU without pivoting of the tridiagonal system.
 
-        A scalar or factored coeff runs the substitution sweeps on its
-        pivots; an array coeff (the Newton Jacobian, the sigma-step) runs
-        one forward sweep that makes the pivots on the way, then the
-        backward sweep.  A batch of at least THOMAS_COLUMN_ROWS rows sweeps
-        as numpy columns (_thomas_columns), from the pivots; fewer rows, and
-        an unbatched solve, sweep row by row on Python floats.  All make
-        the same IEEE operations on every entry, so a batch member gets the
-        bits of its own solve, and a factored solve those of the one-pass
-        sweep.  A pivot that rounds to 0 (c below round-off next to 1/h^2)
-        raises SolveFailure, naming the cell and its diagonal in the first
-        row whose pivot vanished.
+        An array coeff of one system or of fewer than THOMAS_COLUMN_ROWS
+        rows runs the one-pass sweep on Python floats; any other runs the
+        substitution sweeps on its factor, by rows on one system's pivots,
+        else as numpy columns.  A pivot that rounds to 0 (c below round-off
+        next to 1/h^2) raises SolveFailure (_Factor.vanished).
         """
         e = self.e
         if b.ndim == 2 and len(b) >= THOMAS_COLUMN_ROWS:
-            f = coeff if isinstance(coeff, _Factor) else self.factor(coeff)
-            return _thomas_columns(e, f, b)
+            return _thomas_columns(e, self.factor(coeff), b)
         rows = [b.tolist()] if b.ndim == 1 else b.tolist()
-        out = []
-        if isinstance(coeff, np.ndarray):
-            diag = coeff + self.neg_lap_diag
-            diags = diag.tolist()
-            for d, r in zip(diags if diag.ndim == 2 else itertools.repeat(
-                    diags), rows):
-                out.append(_one_pass(e, d, r))
-        else:
-            f = coeff if isinstance(coeff, _Factor) else self.factor(coeff)
-            ms, ws = f.lists()
-            if f.m.ndim == 1:
-                ms, ws = itertools.repeat(ms), itertools.repeat(ws)
-            for m, w, r in zip(ms, ws, rows):
-                try:
-                    out.append(_substitute(e, m, w, r))
-                except ZeroDivisionError:
-                    cell = m.index(0.0)
-                    diag = f.diag if f.diag.ndim == 1 else f.diag[len(out)]
-                    raise _vanished_pivot(cell, diag[cell], e) from None
-        return np.array(out[0]) if b.ndim == 1 else np.array(out).reshape(
-            b.shape)
+        try:
+            if isinstance(coeff, np.ndarray):
+                d = (coeff + self.neg_lap_diag).tolist()
+                diags = d if coeff.ndim == 2 else itertools.repeat(d)
+                out = [_one_pass(e, d, r) for d, r in zip(diags, rows)]
+            else:
+                f = self.factor(coeff)
+                if f.lists is None:  # per-row pivots
+                    return _thomas_columns(e, f, b)
+                m, w = f.lists
+                out = [_substitute(e, m, w, r) for r in rows]
+        except ZeroDivisionError:
+            raise self.factor(coeff).vanished(e) from None
+        return np.array(out).reshape(b.shape)
 
 
 def _one_pass(e: float, d: list, r: list) -> list:
     """One row's solve with the pivots made on the way: m_i = d_i - e w_{i-1},
     w_i = e / m_i and y_i = (r_i + e y_{i-1}) / m_i, then the backward
-    sweep."""
+    sweep.  A 0 pivot raises ZeroDivisionError."""
     ys, ws = [], []
     y = w = 0.0
-    try:
-        for di, ri in zip(d, r):
-            m = di - e * w
-            y = (ri + e * y) / m
-            w = e / m
-            ys.append(y)
-            ws.append(w)
-    except ZeroDivisionError:
-        raise _vanished_pivot(len(ys), di, e) from None
+    for di, ri in zip(d, r):
+        m = di - e * w
+        y = (ri + e * y) / m
+        w = e / m
+        ys.append(y)
+        ws.append(w)
     return _backward(ys, ws)
 
 
@@ -710,6 +664,7 @@ def _march(params: ModelParams, pot: PotentialSpec, hspec: InterpolantSpec,
     mu[0], phi[0], sig[0] = init.mu.values, init.phi.values, init.sigma.values
 
     pr = params
+    mu_f = hh.factor(pr.alpha / tau)
     for n in range(nt):
         h_n = hspec.h(phi[n])
         # (i) phi-step, implicit convex part
@@ -719,7 +674,7 @@ def _march(params: ModelParams, pot: PotentialSpec, hspec: InterpolantSpec,
         # (ii) mu-step
         source = (pr.p_rate * sig[n] - pr.a_rate - u1[n]) * h_n
         b_mu = (pr.alpha / tau) * mu[n] + source - (phi[n + 1] - phi[n]) / tau
-        mu[n + 1] = hh.solve(pr.alpha / tau, b_mu)
+        mu[n + 1] = hh.solve(mu_f, b_mu)
         # (iii) sigma-step, implicit supply/consumption decay
         b_sig = (sig[n] / tau - pr.chi * hh.lap(phi[n + 1])
                  + pr.b_rate * pr.sigma_s + u2[n])
@@ -859,7 +814,8 @@ def solve_linearized(params: ModelParams, pot: PotentialSpec,
     sig = np.zeros_like(mu)
 
     l1 = float(spec.reaction)
-    # every step's phi and sigma coefficient is known: factor them at once
+    # every step's coefficients are known: factor them at once
+    mu_f = hh.factor(pr.alpha / tau)
     phi_f = hh.factor(pr.beta / tau + l1 * f1dd_all[1:])
     sig_f = hh.factor(1.0 / tau + l1 * (pr.b_rate + pr.e_rate * h_all[:nt]))
     for n in range(nt):
@@ -876,7 +832,7 @@ def solve_linearized(params: ModelParams, pot: PotentialSpec,
                 - slice_or_zero(spec.k1, n) * h_all[n]
                 + slice_or_zero(spec.f1, n)
                 - (phi[n + 1] - phi[n]) / tau)
-        mu[n + 1] = hh.solve(pr.alpha / tau, b_mu)
+        mu[n + 1] = hh.solve(mu_f, b_mu)
         # sigma-step
         b_sig = (sig[n] / tau - pr.chi * hh.lap(phi[n + 1])
                  - l1 * pr.e_rate * sigb[n + 1] * hp_all[n] * phi[n]
@@ -928,9 +884,10 @@ def solve_adjoint(params: ModelParams, pot: PotentialSpec,
     # terminal layer: the value the recursion sees in place of psi2(T)
     b_eff = ((pr.beta2 / tau) * (phib[nt] - targets.phi_omega.values)
              + 0.5 * pr.beta1 * (phib[nt] - phiq[nt]))
-    # every node's psi2 and psi3 coefficient is known: factor them at once;
-    # psi3's decay lags one node below the arrival node, as the forward
-    # scheme's consumption coefficient does
+    # every node's coefficients are known: factor them at once; psi3's
+    # decay lags one node below the arrival node, as the forward scheme's
+    # consumption coefficient does
+    psi1_f = hh.factor(pr.alpha / tau)
     psi2_f = hh.factor(pr.beta / tau + f1dd_all)
     psi3_f = hh.factor(1.0 / tau + pr.b_rate
                        + pr.e_rate * h_all[np.maximum(np.arange(nt) - 1, 0)])
@@ -940,7 +897,7 @@ def solve_adjoint(params: ModelParams, pot: PotentialSpec,
         w_track = 0.5 if m == 0 else 1.0
         # psi1-step
         b1 = (pr.alpha / tau) * psi1[m + 1] + psi2_prev
-        psi1[m] = hh.solve(pr.alpha / tau, b1)
+        psi1[m] = hh.solve(psi1_f, b1)
         # psi3-step (implicit decay)
         b3 = ((1.0 / tau) * psi3[m + 1] + pr.p_rate * h_all[m] * psi1[m + 1]
               + pr.chi * psi2_prev)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fields import SpaceTimeField, Trajectory, write_csv
+from .fields import SpaceTimeField, Trajectory, prolong, write_csv
 from .optim import reduced_cost, smooth_gradient
 from .presets import Problem
 from .solver import (ControlPair, LinearizedSpec, SolveFailure,
@@ -266,16 +266,6 @@ def _linearized_vs_fd_error(problem: Problem, base: Trajectory,
     return errs
 
 
-def _prolong(arr: np.ndarray, grid, scale: int) -> np.ndarray:
-    """Piecewise-constant prolongation to (h / scale, tau / scale)."""
-    out = np.repeat(arr, scale, axis=0)
-    if grid.dim == 1:
-        return np.repeat(out, scale, axis=1)
-    out = out.reshape(out.shape[0], *grid.n)
-    out = np.repeat(np.repeat(out, scale, axis=1), scale, axis=2)
-    return out.reshape(out.shape[0], -1)
-
-
 def _row(problem: Problem, level: int, err: float) -> tuple:
     """A refinement row (level, h, tau, err) on problem's grid."""
     return (level, max(problem.grid.spacing), problem.timegrid.tau, err)
@@ -285,15 +275,15 @@ def _linearized_rows(problem: Problem, k, levels) -> list[tuple]:
     """linearized_fd_refinement's rows along the coarse direction k on the
     refined levels (each >= 1), each with its best linearized-vs-FD error.
 
-    Level l refines h and tau by 2 ** l.  k is prolonged as a
-    piecewise-constant function, so every level differentiates along the
-    same continuous perturbation.
+    Level l refines h and tau by 2 ** l.  u0 and k are prolonged as
+    piecewise-constant functions, so every level differentiates at the same
+    continuous control along the same continuous perturbation.
     """
     rows = []
     for lev in levels:
         scale = 2 ** lev
         prob = problem.with_resolution(scale, scale)
-        k_lev = [_prolong(a, problem.grid, scale) for a in k]
+        k_lev = [prolong(a, problem.grid, scale, scale) for a in k]
         errs = _nominal_batch(prob, (), k_lev, lev)[2]
         rows.append(_row(prob, lev, float(np.min(errs))))
     return rows
@@ -309,14 +299,14 @@ def _linearized_report(rows) -> CheckReport:
                        tuple(rows), passed=ok)
 
 
-def _duality_gap_at(problem: Problem, u: ControlPair, k1: np.ndarray,
-                    k2: np.ndarray, base: Trajectory,
-                    adj) -> tuple[float, float]:
+def _duality_gap_at(problem: Problem, k1: np.ndarray, k2: np.ndarray,
+                    base: Trajectory, adj) -> tuple[float, float]:
     pr = problem.params
     tg, grid = problem.timegrid, problem.grid
     spec = LinearizedSpec(k1=SpaceTimeField(tg, grid, k1),
                           k2=SpaceTimeField(tg, grid, k2))
-    lin = solve_linearized(pr, problem.pot, problem.hspec, base, u, spec)
+    lin = solve_linearized(pr, problem.pot, problem.hspec, base, problem.u0,
+                           spec)
 
     vol = grid.cell_volume
     w = base.phi.time_weights()
@@ -343,21 +333,18 @@ def _duality_report(problem: Problem, k, base: Trajectory, adj,
     tau / 2 ** level.  The refinement table holds the gap relative to the
     larger pairing; passes iff it is at most DUALITY_RTOL at every level.
     """
-    u = problem.u0
     rows, gaps = [], []
     for lev in range(levels):
         scale = 2 ** lev
         prob = problem.with_resolution(1, scale) if lev else problem
-        k1, k2, u1, u2 = (np.repeat(a, scale, axis=0)
-                          for a in k + (u.u1.values, u.u2.values))
-        uu = ControlPair.from_arrays(prob.timegrid, prob.grid, u1, u2)
+        k1, k2 = (prolong(a, problem.grid, 1, scale) for a in k)
         try:
             if lev:
-                base = solve_state(prob.params, prob.pot, prob.hspec, uu,
+                base = solve_state(prob.params, prob.pot, prob.hspec, prob.u0,
                                    prob.init)
                 adj = solve_adjoint(prob.params, prob.pot, prob.hspec, base,
-                                    uu, prob.targets)
-            gap, pairing = _duality_gap_at(prob, uu, k1, k2, base, adj)
+                                    prob.u0, prob.targets)
+            gap, pairing = _duality_gap_at(prob, k1, k2, base, adj)
         except SolveFailure as exc:
             exc.args = (f"duality_gap level {lev}: {exc}",)
             raise
@@ -428,7 +415,8 @@ def verify_checks(problem: Problem) -> tuple[CheckReport, ...]:
     linearized_fd_refinement and duality_gap on REFINEMENT_LEVELS levels,
     and separation_monitor on u0's trajectory.
 
-    Check another point on replace(problem, u0=u).  Each check draws its
+    Check another point on replace(problem, u0=u): the refined levels run
+    at u, prolonged (Problem.with_resolution).  Each check draws its
     directions from its own stream of problem.seed (see _draw).  Every
     forward solve the first two need on the problem's own grid marches in
     one solve_states batch with u0, and u0's trajectory and adjoint serve

@@ -15,7 +15,7 @@ import numpy as np
 
 from tumorctrl.optim import reduced_cost
 from tumorctrl.presets import Problem
-from tumorctrl.solver import ControlPair, _vanished_pivot, solve_states
+from tumorctrl.solver import ControlPair, SolveFailure, solve_states
 from tumorctrl.sparsity import SparsityMode
 
 # brute_force_optimize: lattice points per axis, shrink-and-rescan rounds,
@@ -121,7 +121,8 @@ def thomas_one_pass(hh, coeff, b: np.ndarray) -> np.ndarray:
     floats: pivots m_i = d_i - e w_{i-1}, w_i = e / m_i and
     y_i = (r_i + e y_{i-1}) / m_i in one forward sweep, then
     x_i = y_i + w_i x_{i+1}.  coeff broadcasts against b; a pivot that
-    rounds to 0 raises the solver's SolveFailure for its row and cell."""
+    rounds to 0 raises the solver's SolveFailure for its row and cell,
+    with the diagonal d_i itself in its message."""
     e = float(hh.neg_lap_diag[0])
     diags = np.broadcast_to(coeff + hh.neg_lap_diag, b.shape)
     out = []
@@ -131,7 +132,9 @@ def thomas_one_pass(hh, coeff, b: np.ndarray) -> np.ndarray:
         for di, ri in zip(d, r):
             m = di - e * w
             if m == 0.0:
-                raise _vanished_pivot(len(ys), di, e)
+                raise SolveFailure(
+                    f"1D Helmholtz solve: pivot of cell {len(ys)} vanished "
+                    f"(diagonal {di:.3e}, off-diagonal {-e:.3e})")
             y = (ri + e * y) / m
             w = e / m
             ys.append(y)

@@ -402,6 +402,7 @@ def test_c10_determinism(tmp_path):
         ("simulate", "2D-regular-default"),
         ("optimize", "time-sparsity-demo"),
         ("threshold", "time-sparsity-demo"),
+        ("verify", "time-sparsity-demo"),
     ]
     identical = True
     for command, preset in cases:

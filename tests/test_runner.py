@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tumorctrl
@@ -16,7 +18,7 @@ from tumorctrl.presets import (_POTENTIALS, DEFAULT_SETTINGS, PRESET_SETTINGS,
                                preset_problem)
 from tumorctrl.runner import (ConfigError, load_config, parse_config_text,
                               run)
-from tumorctrl.solver import SeparationLoss
+from tumorctrl.solver import ControlPair, SeparationLoss
 from tumorctrl.sparsity import SparsityMode
 
 
@@ -130,6 +132,30 @@ class TestConfigParsing:
         fine = prob.with_resolution(2, 2)
         assert (fine.grid.n, fine.timegrid.n_steps) == ((32,), 80)
         assert fine.grid.length == (1.0,)
+
+    def test_refined_copy_keeps_its_parts(self):
+        # a replace copy refines as itself: its start prolonged piecewise
+        # constant in space and time, its parameters kept, and only its
+        # initial data and targets re-sampled from the settings
+        prob = preset_problem("2D-regular-default")
+        u1, u2 = np.random.default_rng(1).uniform(-1.0, 1.0, (2, 32, 144))
+        copy = dataclasses.replace(
+            prob, u0=ControlPair.from_arrays(prob.timegrid, prob.grid, u1, u2),
+            params=dataclasses.replace(prob.params, kappa=0.5))
+        fine = copy.with_resolution(2, 3)
+        assert (fine.grid.n, fine.timegrid.n_steps) == ((24, 24), 96)
+        assert fine.params == copy.params
+        t, x, y = np.ix_(np.arange(96) // 3, np.arange(24) // 2,
+                         np.arange(24) // 2)
+        for coarse, refined in ((u1, fine.u0.u1), (u2, fine.u0.u2)):
+            assert np.array_equal(refined.values.reshape(96, 24, 24),
+                                  coarse.reshape(32, 12, 12)[t, x, y])
+        sampled = preset_problem("2D-regular-default", n=(24, 24), n_steps=96)
+        assert fine.settings == sampled.settings
+        for got, want in ((fine.init.phi, sampled.init.phi),
+                          (fine.init.sigma, sampled.init.sigma),
+                          (fine.targets.phi_q, sampled.targets.phi_q)):
+            assert np.array_equal(got.values, want.values)
 
 
 # config_hash() and sha256 of serialize() for each text, recorded when

@@ -267,9 +267,10 @@ class TestHelmholtzSolver:
             "2.560e+02, off-diagonal -2.560e+02)")
         # a batch raises its first failing row's own failure, by the row
         # sweep and by the column sweep of a larger batch, which warns of
-        # nothing.  Row 2's pivot vanishes at cell 15; the later row 3's at
-        # cell 5 (c = -1/h^2 there, 0 before it), so the row named is the
-        # first in order, not the first to fail
+        # nothing, whether it makes its pivots or was factored before.
+        # Row 2's pivot vanishes at cell 15; the later row 3's at cell 5
+        # (c = -1/h^2 there, 0 before it), so the row named is the first in
+        # order, not the first to fail
         zero_at_5 = np.zeros(16)
         zero_at_5[5] = -256.0
         with pytest.raises(SolveFailure, match="pivot of cell 5 vanished"):
@@ -277,12 +278,13 @@ class TestHelmholtzSolver:
         for rows in (4, solver.THOMAS_COLUMN_ROWS + 1):
             coeff = np.full((rows, 16), 3.0)
             coeff[2], coeff[3:] = 1e-300, zero_at_5
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(SolveFailure) as batch:
-                    hh.solve(coeff, np.ones((rows, 16)))
-            assert type(batch.value) is SolveFailure
-            assert str(batch.value) == str(exc.value)
+            for piv in (coeff, hh.factor(coeff)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(SolveFailure) as batch:
+                        hh.solve(piv, np.ones((rows, 16)))
+                assert type(batch.value) is SolveFailure
+                assert str(batch.value) == str(exc.value)
 
     # norms of mu, phi, sigma at T and of psi2 at t = 0, recorded with the
     # Jacobi-preconditioned solver this one replaced
@@ -329,19 +331,19 @@ class TestFactoredSweeps:
         # e * (1 / m) would agree
         gen = np.random.default_rng(n)
         for rows in self.SHAPES:
-            # a scalar coefficient: factored on the first solve, its kept
-            # pivots reused on the second, and a new scalar factored anew
+            # a scalar coefficient, factored on the solve, and its factor
+            # made once and solved with again, as the time loops do
             hh = solver._HelmholtzSolver(grid1d(n, 1.3))
-            c1, c2 = 10.0 ** gen.uniform(-3.0, 3.0, 2)
-            for c in (c1, c1, c2):
+            c = 10.0 ** gen.uniform(-3.0, 3.0)
+            f = hh.factor(c)
+            for piv in (c, f, f):
                 b = self.rhs(gen, rows, n)
-                x = hh.solve(c, b)
+                x = hh.solve(piv, b)
                 assert x.shape == b.shape and x.flags.c_contiguous
                 assert x.tobytes() == thomas_one_pass(hh, c, b).tobytes()
-                assert hh.factor(c) is hh.factor(c)
             # per-step rows, factored at once as the tangent and the
-            # adjoint do (by rows, and by columns from THOMAS_COLUMN_ROWS
-            # steps up), each solved on its own row of pivots
+            # adjoint do, each solved on its own row of pivots, and all
+            # rows at once (as columns, however few)
             for steps in (5, solver.THOMAS_COLUMN_ROWS):
                 coeff = 10.0 ** gen.uniform(-3.0, 3.0, (steps, n))
                 f = hh.factor(coeff)
@@ -349,10 +351,36 @@ class TestFactoredSweeps:
                     b = self.rhs(gen, rows, n)
                     assert hh.solve(f[step], b).tobytes() == \
                         thomas_one_pass(hh, coeff[step], b).tobytes()
+                b = self.rhs(gen, (steps,), n)
+                assert hh.solve(f, b).tobytes() == \
+                    thomas_one_pass(hh, coeff, b).tobytes()
         # a 2D grid's DCT and CG solves take the coefficient itself
         hh = solver._HelmholtzSolver(grid2d(4, 3))
         for c in (3.0, coeff[:, :12]):
             assert hh.factor(c) is c
+
+    def test_each_solve_factors_its_coefficients_once(self, monkeypatch):
+        # per call: the state alpha/tau, the tangent and the adjoint also
+        # every step's phi/psi2 and sigma/psi3 rows; an unbatched Newton
+        # Jacobian and sigma-step make their pivots on the way
+        prob = preset_problem("time-sparsity-demo")
+        nt, cells = prob.timegrid.n_steps, prob.grid.n_cells
+        of, shapes = solver._Factor.of, []
+
+        def counted(cls, e, diag):
+            shapes.append(diag.shape)
+            return of(e, diag)
+
+        monkeypatch.setattr(solver._Factor, "of", classmethod(counted))
+        args = prob.params, prob.pot, prob.hspec
+        traj = solve_state(*args, prob.u0, prob.init)
+        assert shapes == [(cells,)]
+        shapes.clear()
+        solve_linearized(*args, traj, prob.u0, LinearizedSpec(k1=prob.u0.u1))
+        assert shapes == [(cells,), (nt, cells), (nt, cells)]
+        shapes.clear()
+        solve_adjoint(*args, traj, prob.u0, prob.targets)
+        assert shapes == [(cells,), (nt + 1, cells), (nt, cells)]
 
     def test_vanished_pivot_raises_at_the_same_solve(self):
         # c = 1e-300 vanishes the last pivot of 16 cells; c = -1/h^2 at
@@ -383,10 +411,10 @@ class TestFactoredSweeps:
                         assert str(got.value) == str(expected)
             for rows in self.SHAPES:
                 b = np.ones(rows + (16,))
-                # a scalar: on the solve that factors it and on the next
-                for call in range(2):
+                # a scalar, factored on the solve and before it
+                for piv in (1e-300, hh.factor(1e-300)):
                     with pytest.raises(SolveFailure) as got:
-                        hh.solve(1e-300, b)
+                        hh.solve(piv, b)
                     assert str(got.value) == (
                         "1D Helmholtz solve: pivot of cell 15 vanished "
                         "(diagonal 2.560e+02, off-diagonal -2.560e+02)")

@@ -187,6 +187,23 @@ class TestDualityGap:
         assert rep.passed
 
 
+def test_a_replaced_start_is_checked_on_every_level(monkeypatch):
+    # the refined levels of replace(problem, u0=u) run at u, prolonged: as
+    # on the problem whose recipes give u, not at the problem's own u0
+    prob = preset_problem("time-sparsity-demo")
+    shape = (prob.timegrid.n_steps, prob.grid.n_cells)
+    u = solver.ControlPair.from_arrays(prob.timegrid, prob.grid,
+                                       np.full(shape, 0.7),
+                                       np.full(shape, -0.4))
+    copy = checks(dataclasses.replace(prob, u0=u), monkeypatch,
+                  directions=1, levels=2)
+    recipe = checks(preset_problem("time-sparsity-demo",
+                                   u0_1="constant 0.7", u0_2="constant -0.4"),
+                    monkeypatch, directions=1, levels=2)
+    for name in ("linearized_fd_refinement", "duality_gap"):
+        assert copy[name].refinement == recipe[name].refinement
+
+
 @pytest.mark.parametrize("preset", ["stationary-trivial", "time-sparsity-demo",
                                     "stress-separation",
                                     "2D-regular-default"])
