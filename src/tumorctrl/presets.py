@@ -29,6 +29,7 @@ midpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -290,8 +291,17 @@ class Problem:
 
         init and targets are re-sampled from the settings' recipes, u0 is
         prolonged piecewise-constant, and every other part is kept, so a
-        replace copy refines as itself.
+        replace copy refines as itself.  A copy whose init or targets are
+        not the ones its settings build here raises ValueError naming the
+        part, since the recipes would refine other data.
         """
+        built = make_problem(self.settings)
+        for part in ("init.mu", "init.phi", "init.sigma", "targets.phi_q",
+                     "targets.phi_omega"):
+            values = attrgetter(part + ".values")
+            if values(self).tobytes() != values(built).tobytes():
+                raise ValueError(f"with_resolution: {part} is not the one the "
+                                 "settings build, so they cannot refine it")
         s = dict(self.settings)
         s["n"] = tuple(int(v) * int(space_scale) for v in s["n"])
         s["n_steps"] = int(s["n_steps"]) * int(time_scale)

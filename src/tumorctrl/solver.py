@@ -26,21 +26,18 @@ diffusion and eliminating the time derivative of the first adjoint from the
 second equation.  The symmetric positive definite Helmholtz solves
 (diag(c) - Lap) x = b are direct on 1D grids: one tridiagonal LU sweep
 (Thomas), stable without pivoting because the matrix is strictly diagonally
-dominant for c > 0, and exact to round-off.  Each solver factors its
-constant coefficients once, before its time loop: the mu- and psi1-steps'
-alpha/tau and the tangent's and adjoint's per-step rows.  A solve on those
-pivots has the bits of the one-pass sweep, which makes its pivots on the way
-for the Newton Jacobian and the forward sigma-step, new at every solve.  On
-2D grids the orthonormal DCT-II diagonalizes the Neumann stencil, so a
-constant c (the mu- and psi1-steps) is one exact DCT solve, and a variable c
-takes a few conjugate-gradient iterations to a relative residual of 1e-12 on
-every grid.  That CG runs in the DCT basis, where -Lap and its
-preconditioner, the DCT solve at the mean coefficient, are diagonals, so an
-iteration makes no stencil pass.  Only that CG iterates: it stops at
-2 n + 200 iterations with a LinearSolveError, and stats["cg_iterations"]
-counts its iterations (0 in 1D).  The DCT is one dense orthonormal matrix
-per axis, applied as two BLAS matrix products: O(n^3) per transform on an
-n x n grid against O(n^2 log n) for an FFT.
+dominant for c > 0, and exact to round-off.  Every 1D solve makes its pivots
+on the way, in one forward and one backward sweep.  On 2D grids the
+orthonormal DCT-II diagonalizes the Neumann stencil, so a constant c (the
+mu- and psi1-steps) is one exact DCT solve, and a variable c takes a few
+conjugate-gradient iterations to a relative residual of 1e-12 on every grid.
+That CG runs in the DCT basis, where -Lap and its preconditioner, the DCT
+solve at the mean coefficient, are diagonals, so an iteration makes no
+stencil pass.  Only that CG iterates: it stops at 2 n + 200 iterations with
+a LinearSolveError, and stats["cg_iterations"] counts its iterations (0 in
+1D).  The DCT is one dense orthonormal matrix per axis, applied as two BLAS
+matrix products: O(n^3) per transform on an n x n grid against O(n^2 log n)
+for an FFT.
 On one BLAS thread of an Intel Xeon a constant-coefficient solve (one
 forward and one inverse transform) took 15-22 us against 54-84 us through
 numpy's FFT at 24^2 and 0.19-0.20 against 0.78-1.34 ms at 96^2; the two
@@ -83,11 +80,10 @@ MIN_MARGIN = 1e-11
 # members x (steps + 1) x cells x 3 fields x 8 bytes
 BATCH_BYTES = 4 * 2 ** 20
 # a 1D batch of at least this many rows sweeps as numpy columns, a smaller
-# one row by row unless it has per-row pivots: on one core of an Intel
-# Xeon, 16 rows took 51 us by rows against 56 us by columns at 16 cells and
-# 171 against 200 us at 64 cells, and 20 rows 64 against 56 us and 209
-# against 201 us; on kept pivots 16 rows took 39 us either way at 16 cells
-# and 123 at 64 cells, and 20 rows 49 against 39 us and 153 against 124 us
+# one row by row: on one core of an Intel Xeon (medians of 300 interleaved
+# samples, per-row coefficients), 16 rows took 76 us by rows against 74 us
+# by columns at 16 cells and 245 against 252 us at 64 cells, and 20 rows
+# 94 against 74 us and 305 against 253 us
 THOMAS_COLUMN_ROWS = 20
 
 
@@ -253,87 +249,61 @@ def _first(values, mask) -> float:
     return float(np.ravel(values)[np.argmax(mask)])
 
 
-class _Factor:
-    """The pivots of a 1D Helmholtz matrix diag(d) - Lap, with e = 1/h^2
-    minus its off-diagonal entries: m_i = d_i - e w_{i-1} and w_i = e / m_i,
-    for one system (cell vectors) or one per row ((rows, cells) arrays).
-
-    A factor is its pivots, and serves every right-hand side solved with
-    its coefficient; indexing takes rows.  A pivot that rounded to 0 stays
-    in m, and the solve that meets it raises, as the one-pass sweep would.
-    """
-
-    __slots__ = ("m", "w", "lists")
-
-    def __init__(self, m, w):
-        self.m, self.w = m, w
-        # one system's pivots as Python floats, for the row sweep
-        self.lists = (m.tolist(), w.tolist()) if m.ndim == 1 else None
-
-    @classmethod
-    def of(cls, e: float, diag: np.ndarray) -> "_Factor":
-        """The pivot sweep: on Python floats for one system (w = 0 after a
-        0 pivot), and cell by cell with all rows as one numpy column for
-        (rows, cells).  Either makes the one-pass sweep's operations on
-        every entry; after a pivot that rounded to 0, a row's values are
-        never read."""
-        if diag.ndim == 1:
-            ms, ws, w = [], [], 0.0
-            for di in diag.tolist():
-                m = di - e * w
-                w = e / m if m else 0.0
-                ms.append(m)
-                ws.append(w)
-            return cls(np.array(ms), np.array(ws))
-        m, w = np.empty((2,) + diag.T.shape)
-        prev = np.zeros(len(diag))
-        e0 = np.array(e)  # a ufunc takes a 0-d array faster than a float
-        # as Python floats do, a 0 pivot or an overflow warns of nothing
-        with np.errstate(all="ignore"):
-            for di, mi, wi in zip(diag.T, m, w):
-                np.multiply(e0, prev, out=mi)
-                np.subtract(di, mi, out=mi)
-                np.divide(e0, mi, out=wi)
-                prev = wi
-        return cls(m.T, w.T)
-
-    def __getitem__(self, row) -> "_Factor":
-        return _Factor(self.m[row], self.w[row])
-
-    def vanished(self, e: float) -> SolveFailure:
-        """The failure of every 1D solve whose pivot vanished, at the first
-        row's first 0 pivot.  m_i = d_i - e w_{i-1} rounds to 0 exactly
-        when d_i equals fl(e w_{i-1}): that is the diagonal named, bit for
-        bit (0 at cell 0)."""
-        m, w = np.atleast_2d(self.m, self.w)
-        row, cell = np.argwhere(m == 0.0)[0]
-        diag = e * w[row, cell - 1] if cell else 0.0
-        return SolveFailure(f"1D Helmholtz solve: pivot of cell {cell} "
-                            f"vanished (diagonal {diag:.3e}, off-diagonal "
-                            f"{-e:.3e})")
+def _vanished_pivot(cell: int, diag: float, e: float) -> SolveFailure:
+    return SolveFailure(f"1D Helmholtz solve: pivot of cell {cell} vanished "
+                        f"(diagonal {diag:.3e}, off-diagonal {-e:.3e})")
 
 
-def _thomas_columns(e: float, f: _Factor, b: np.ndarray) -> np.ndarray:
-    """The substitution sweeps of a (members, cells) batch, cell by cell
-    with all rows as one numpy column: the operations of the row sweep,
-    entry by entry, and its SolveFailure where a pivot vanished."""
-    if not f.m.all():
-        raise f.vanished(e)
-    ys = np.empty(b.T.shape)
-    y = np.zeros(len(b))
+def _one_pass(e: float, d: list, r: list) -> list:
+    """One row's 1D solve on Python floats, with the pivots made on the way:
+    m_i = d_i - e w_{i-1}, w_i = e / m_i and y_i = (r_i + e y_{i-1}) / m_i,
+    then x_i = y_i + w_i x_{i+1} backward, in place of y.  A pivot that
+    rounds to 0 raises SolveFailure naming its cell and the d_i read."""
+    ys, ws = [], []
+    y = w = 0.0
+    try:
+        for di, ri in zip(d, r):
+            m = di - e * w
+            y = (ri + e * y) / m
+            w = e / m
+            ys.append(y)
+            ws.append(w)
+    except ZeroDivisionError:
+        raise _vanished_pivot(len(ys), di, e) from None
+    x = 0.0
+    for i in range(len(ys) - 1, -1, -1):
+        x = ys[i] + ws[i] * x
+        ys[i] = x
+    return ys
+
+
+def _thomas_columns(e: float, diag: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_one_pass on a (members, cells) batch, cell by cell with all rows as
+    one numpy column: its operations, entry by entry, and its SolveFailure
+    at the first row's first vanished pivot."""
+    d = np.broadcast_to(diag, b.shape).T
+    piv, ys, ws = np.empty((3,) + d.shape)
+    y = w = np.zeros(len(b))
     t = np.empty(len(b))
-    e0 = np.array(e)
+    e0 = np.array(e)  # a ufunc takes a 0-d array faster than a float
+    # as Python floats do, a 0 pivot or an overflow warns of nothing
     with np.errstate(all="ignore"):
-        for ri, mi, yi in zip(b.T, np.broadcast_to(f.m, b.shape).T, ys):
+        for di, ri, mi, yi, wi in zip(d, b.T, piv, ys, ws):
+            np.multiply(e0, w, out=t)
+            np.subtract(di, t, out=mi)
             np.multiply(e0, y, out=t)
             np.add(ri, t, out=t)
             np.divide(t, mi, out=yi)
-            y = yi
+            np.divide(e0, mi, out=wi)
+            y, w = yi, wi
         x = np.zeros(len(b))
-        for yi, wi in zip(ys[::-1], np.broadcast_to(f.w, b.shape).T[::-1]):
+        for yi, wi in zip(ys[::-1], ws[::-1]):
             np.multiply(wi, x, out=t)
             np.add(yi, t, out=yi)
             x = yi
+    if not piv.all():
+        row, cell = np.argwhere(piv.T == 0.0)[0]
+        raise _vanished_pivot(int(cell), d[cell, row], e)
     return np.ascontiguousarray(ys.T)
 
 
@@ -342,11 +312,7 @@ class _HelmholtzSolver:
 
     A 1D system is tridiagonal, symmetric and strictly diagonally dominant,
     so one Thomas sweep solves it exactly to round-off, with no iteration
-    cap; it counts no iterations.  The sweep's pivots depend on c alone:
-    a caller that solves with one c again and again factors it once
-    (_Factor), and solve runs only the substitution sweeps on it, with the
-    bits of the one-pass sweep an array c takes.  The solver keeps no state
-    of c; on 2D grids factor hands c back unchanged.
+    cap; it counts no iterations.
 
     On 2D grids the orthonormal DCT-II Q diagonalizes the mirrored-ghost
     stencil, -Lap = Q^T diag(eig) Q with eig = sum over axes of
@@ -401,10 +367,8 @@ class _HelmholtzSolver:
         """x with (diag(coeff) - Lap) x = b: one system, or one per row.
 
         b is a flat cell vector or a (members, cells) batch; coeff is a
-        scalar, a cell vector, one row per member, or what factor made of
-        one of these (a scalar on a 1D grid is factored on this call).
-        Only an array coeff on a 2D grid iterates (CG, from zero); a row
-        with b = 0 gets x = 0.
+        scalar, a cell vector or one row per member.  Only an array coeff
+        on a 2D grid iterates (CG, from zero); a row with b = 0 gets x = 0.
         """
         if len(self.shape) == 1:
             return self._thomas(coeff, b)
@@ -447,76 +411,21 @@ class _HelmholtzSolver:
             out[rows] = x
         return self.idct(out)
 
-    def factor(self, coeff):
-        """coeff made ready for solve to reuse: on a 1D grid its _Factor
-        (one per row of a (rows, cells) coeff), on a 2D grid, or if it is
-        one already, coeff itself."""
-        if len(self.shape) > 1 or isinstance(coeff, _Factor):
-            return coeff
-        return _Factor.of(self.e, coeff + self.neg_lap_diag)
-
     def _thomas(self, coeff, b: np.ndarray) -> np.ndarray:
-        """The 1D solve: LU without pivoting of the tridiagonal system.
-
-        An array coeff of one system or of fewer than THOMAS_COLUMN_ROWS
-        rows runs the one-pass sweep on Python floats; any other runs the
-        substitution sweeps on its factor, by rows on one system's pivots,
-        else as numpy columns.  A pivot that rounds to 0 (c below round-off
-        next to 1/h^2) raises SolveFailure (_Factor.vanished).
-        """
-        e = self.e
+        """The 1D solve: LU without pivoting of the tridiagonal system, as
+        numpy columns (_thomas_columns) for a batch of at least
+        THOMAS_COLUMN_ROWS rows, else row by row (_one_pass).  A pivot that
+        rounds to 0 (c below round-off next to 1/h^2) raises SolveFailure,
+        naming the cell and its diagonal in the first row whose pivot
+        vanished."""
+        diag = coeff + self.neg_lap_diag
         if b.ndim == 2 and len(b) >= THOMAS_COLUMN_ROWS:
-            return _thomas_columns(e, self.factor(coeff), b)
+            return _thomas_columns(self.e, diag, b)
         rows = [b.tolist()] if b.ndim == 1 else b.tolist()
-        try:
-            if isinstance(coeff, np.ndarray):
-                d = (coeff + self.neg_lap_diag).tolist()
-                diags = d if coeff.ndim == 2 else itertools.repeat(d)
-                out = [_one_pass(e, d, r) for d, r in zip(diags, rows)]
-            else:
-                f = self.factor(coeff)
-                if f.lists is None:  # per-row pivots
-                    return _thomas_columns(e, f, b)
-                m, w = f.lists
-                out = [_substitute(e, m, w, r) for r in rows]
-        except ZeroDivisionError:
-            raise self.factor(coeff).vanished(e) from None
-        return np.array(out).reshape(b.shape)
-
-
-def _one_pass(e: float, d: list, r: list) -> list:
-    """One row's solve with the pivots made on the way: m_i = d_i - e w_{i-1},
-    w_i = e / m_i and y_i = (r_i + e y_{i-1}) / m_i, then the backward
-    sweep.  A 0 pivot raises ZeroDivisionError."""
-    ys, ws = [], []
-    y = w = 0.0
-    for di, ri in zip(d, r):
-        m = di - e * w
-        y = (ri + e * y) / m
-        w = e / m
-        ys.append(y)
-        ws.append(w)
-    return _backward(ys, ws)
-
-
-def _substitute(e: float, m: list, w: list, r: list) -> list:
-    """One row's solve on its pivots: y_i = (r_i + e y_{i-1}) / m_i, then
-    the backward sweep.  A 0 pivot raises ZeroDivisionError."""
-    ys = []
-    y = 0.0
-    for mi, ri in zip(m, r):
-        y = (ri + e * y) / mi
-        ys.append(y)
-    return _backward(ys, w)
-
-
-def _backward(ys: list, ws: list) -> list:
-    """The backward sweep, in place of y: x_i = y_i + w_i x_{i+1}."""
-    x = 0.0
-    for i in range(len(ys) - 1, -1, -1):
-        x = ys[i] + ws[i] * x
-        ys[i] = x
-    return ys
+        diags = (diag.tolist() if diag.ndim == 2
+                 else itertools.repeat(diag.tolist()))
+        return np.array([_one_pass(self.e, d, r)
+                         for d, r in zip(diags, rows)]).reshape(b.shape)
 
 
 def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
@@ -584,27 +493,18 @@ def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
             if np.count_nonzero(~(step_len > 0.0)):
                 raise SeparationLoss(step, 0.0)
 
-        def attempt(sel):  # trial rows sel at their step lengths
-            t = p[sel] + step_len[sel] * delta[sel]
-            g_t = residual(t, pn[sel], r[sel])
-            return t, g_t, norm(g_t)
-
-        # halve on residual increase, up to 40 trials per row
-        trial, g_trial, trial_norm = attempt(...)
+        # halve on residual increase, up to 40 trials per row; a row that
+        # is not halved repeats its trial bit for bit
         for halving in range(40):
+            trial = p + step_len * delta
+            g_trial = residual(trial, pn, r)
+            trial_norm = norm(g_trial)
             better = trial_norm <= np.fmax(gnorm, tol)
-            n_better = np.count_nonzero(better)
-            if n_better == better.size:
+            if np.count_nonzero(better) == better.size:
                 break
-            j = np.flatnonzero(~better)
             if halving == 39:
                 raise NewtonDivergence(step, _first(gnorm, ~better))
-            if n_better == 0:
-                step_len = 0.5 * step_len
-                trial, g_trial, trial_norm = attempt(...)
-            else:
-                step_len[j] *= 0.5
-                trial[j], g_trial[j], trial_norm[j] = attempt(j)
+            step_len = np.where(better, step_len, 0.5 * step_len)
         p, g, gnorm = trial, g_trial, trial_norm
 
     if rows is not None:
@@ -664,7 +564,6 @@ def _march(params: ModelParams, pot: PotentialSpec, hspec: InterpolantSpec,
     mu[0], phi[0], sig[0] = init.mu.values, init.phi.values, init.sigma.values
 
     pr = params
-    mu_f = hh.factor(pr.alpha / tau)
     for n in range(nt):
         h_n = hspec.h(phi[n])
         # (i) phi-step, implicit convex part
@@ -674,7 +573,7 @@ def _march(params: ModelParams, pot: PotentialSpec, hspec: InterpolantSpec,
         # (ii) mu-step
         source = (pr.p_rate * sig[n] - pr.a_rate - u1[n]) * h_n
         b_mu = (pr.alpha / tau) * mu[n] + source - (phi[n + 1] - phi[n]) / tau
-        mu[n + 1] = hh.solve(mu_f, b_mu)
+        mu[n + 1] = hh.solve(pr.alpha / tau, b_mu)
         # (iii) sigma-step, implicit supply/consumption decay
         b_sig = (sig[n] / tau - pr.chi * hh.lap(phi[n + 1])
                  + pr.b_rate * pr.sigma_s + u2[n])
@@ -814,16 +713,15 @@ def solve_linearized(params: ModelParams, pot: PotentialSpec,
     sig = np.zeros_like(mu)
 
     l1 = float(spec.reaction)
-    # every step's coefficients are known: factor them at once
-    mu_f = hh.factor(pr.alpha / tau)
-    phi_f = hh.factor(pr.beta / tau + l1 * f1dd_all[1:])
-    sig_f = hh.factor(1.0 / tau + l1 * (pr.b_rate + pr.e_rate * h_all[:nt]))
+    # every step's coefficients are known: form them at once
+    phi_c = pr.beta / tau + l1 * f1dd_all[1:]
+    sig_c = 1.0 / tau + l1 * (pr.b_rate + pr.e_rate * h_all[:nt])
     for n in range(nt):
         # phi-step
         b_phi = ((pr.beta / tau) * phi[n] + mu[n]
                  + l1 * (pr.chi * sig[n] - f2dd_all[n] * phi[n])
                  + slice_or_zero(spec.f2, n))
-        phi[n + 1] = hh.solve(phi_f[n], b_phi)
+        phi[n + 1] = hh.solve(phi_c[n], b_phi)
         # mu-step
         b_mu = ((pr.alpha / tau) * mu[n]
                 + l1 * (pr.p_rate * sig[n] * h_all[n]
@@ -832,13 +730,13 @@ def solve_linearized(params: ModelParams, pot: PotentialSpec,
                 - slice_or_zero(spec.k1, n) * h_all[n]
                 + slice_or_zero(spec.f1, n)
                 - (phi[n + 1] - phi[n]) / tau)
-        mu[n + 1] = hh.solve(mu_f, b_mu)
+        mu[n + 1] = hh.solve(pr.alpha / tau, b_mu)
         # sigma-step
         b_sig = (sig[n] / tau - pr.chi * hh.lap(phi[n + 1])
                  - l1 * pr.e_rate * sigb[n + 1] * hp_all[n] * phi[n]
                  + slice_or_zero(spec.k2, n)
                  + slice_or_zero(spec.f3, n))
-        sig[n + 1] = hh.solve(sig_f[n], b_sig)
+        sig[n + 1] = hh.solve(sig_c[n], b_sig)
 
     return _trajectory(tg, grid, mu, phi, sig)
 
@@ -884,24 +782,23 @@ def solve_adjoint(params: ModelParams, pot: PotentialSpec,
     # terminal layer: the value the recursion sees in place of psi2(T)
     b_eff = ((pr.beta2 / tau) * (phib[nt] - targets.phi_omega.values)
              + 0.5 * pr.beta1 * (phib[nt] - phiq[nt]))
-    # every node's coefficients are known: factor them at once; psi3's
+    # every node's coefficients are known: form them at once; psi3's
     # decay lags one node below the arrival node, as the forward scheme's
     # consumption coefficient does
-    psi1_f = hh.factor(pr.alpha / tau)
-    psi2_f = hh.factor(pr.beta / tau + f1dd_all)
-    psi3_f = hh.factor(1.0 / tau + pr.b_rate
-                       + pr.e_rate * h_all[np.maximum(np.arange(nt) - 1, 0)])
-    psi2_prev = hh.solve(psi2_f[nt], b_eff)
+    psi2_c = pr.beta / tau + f1dd_all
+    psi3_c = (1.0 / tau + pr.b_rate
+              + pr.e_rate * h_all[np.maximum(np.arange(nt) - 1, 0)])
+    psi2_prev = hh.solve(psi2_c[nt], b_eff)
 
     for m in range(nt - 1, -1, -1):
         w_track = 0.5 if m == 0 else 1.0
         # psi1-step
         b1 = (pr.alpha / tau) * psi1[m + 1] + psi2_prev
-        psi1[m] = hh.solve(psi1_f, b1)
+        psi1[m] = hh.solve(pr.alpha / tau, b1)
         # psi3-step (implicit decay)
         b3 = ((1.0 / tau) * psi3[m + 1] + pr.p_rate * h_all[m] * psi1[m + 1]
               + pr.chi * psi2_prev)
-        psi3[m] = hh.solve(psi3_f[m], b3)
+        psi3[m] = hh.solve(psi3_c[m], b3)
         # psi2-step; (psi1[m+1] - psi1[m])/tau realizes the substituted
         # d_t psi1 = -(Lap psi1 + psi2)/alpha term.
         b2 = ((pr.beta / tau) * psi2_prev
@@ -912,7 +809,7 @@ def solve_adjoint(params: ModelParams, pot: PotentialSpec,
               - pr.e_rate * sigb[m + 1] * hp_all[m] * psi3[m + 1]
               - pr.chi * hh.lap(psi3[m])
               + pr.beta1 * w_track * (phib[m] - phiq[m]))
-        psi2[m] = hh.solve(psi2_f[m], b2)
+        psi2[m] = hh.solve(psi2_c[m], b2)
         psi2_prev = psi2[m]
 
     bad = ~(np.isfinite(psi1) & np.isfinite(psi2)

@@ -416,11 +416,11 @@ def verify_checks(problem: Problem) -> tuple[CheckReport, ...]:
     and separation_monitor on u0's trajectory.
 
     Check another point on replace(problem, u0=u): the refined levels run
-    at u, prolonged (Problem.with_resolution).  Each check draws its
-    directions from its own stream of problem.seed (see _draw).  Every
-    forward solve the first two need on the problem's own grid marches in
-    one solve_states batch with u0, and u0's trajectory and adjoint serve
-    all four checks.
+    at u, prolonged (Problem.with_resolution, which refuses a copy with
+    other init or targets).  Each check draws its directions from its own
+    stream of problem.seed (see _draw).  Every forward solve the first two
+    need on the problem's own grid marches in one solve_states batch with
+    u0, and u0's trajectory and adjoint serve all four checks.
 
     The linearized check's finest level, which refines h and tau by
     2 ** (REFINEMENT_LEVELS - 1), is the largest job, and no other needs

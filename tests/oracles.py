@@ -5,7 +5,8 @@ tiny instances.  It uses only the forward solver and the reduced cost, so it
 shares no code with the proximal-gradient path it checks.
 random_admissible_controls draws optimizer and gradient-check starts.
 thomas_one_pass is the 1D Helmholtz solve as one forward sweep that makes
-its pivots on the way, the form the factored solves must match bit for bit.
+its pivots on the way, written apart from the solver: its row and column
+sweeps must match it bit for bit.
 """
 
 import itertools

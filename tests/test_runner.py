@@ -12,6 +12,7 @@ import pytest
 import tumorctrl
 from tumorctrl import runner
 from tumorctrl.cli import main as cli_main
+from tumorctrl.fields import Field, SpaceTimeField
 from tumorctrl.optim import OptimizeOptions
 from tumorctrl.presets import (_POTENTIALS, DEFAULT_SETTINGS, PRESET_SETTINGS,
                                SETTINGS, make_problem, preset_names,
@@ -156,6 +157,27 @@ class TestConfigParsing:
                           (fine.init.sigma, sampled.init.sigma),
                           (fine.targets.phi_q, sampled.targets.phi_q)):
             assert np.array_equal(got.values, want.values)
+
+    def test_a_copy_with_other_data_is_not_refined(self):
+        # the settings' recipes would refine a copy's own targets or initial
+        # data to the settings' ones: a constant phi_q of 0.3 to the
+        # preset's pulse, of maximum 0.599.  Such a copy is refused, with
+        # the part named
+        prob = preset_problem("time-sparsity-demo")
+        q = prob.targets.phi_q
+        flat = dataclasses.replace(prob, targets=dataclasses.replace(
+            prob.targets, phi_q=SpaceTimeField(q.timegrid, q.grid,
+                                               np.full_like(q.values, 0.3))))
+        with pytest.raises(ValueError, match=r"^with_resolution: "
+                           r"targets\.phi_q is not the one the settings"):
+            flat.with_resolution(2, 2)
+        other = dataclasses.replace(prob, init=dataclasses.replace(
+            prob.init, sigma=Field.full(prob.grid, 0.3)))
+        with pytest.raises(ValueError, match=r"init\.sigma is not"):
+            other.with_resolution(1, 2)
+        # the same data, built again, refines
+        same = dataclasses.replace(prob, init=make_problem(prob.settings).init)
+        assert same.with_resolution(2, 2).grid.n == (32,)
 
 
 # config_hash() and sha256 of serialize() for each text, recorded when

@@ -1,4 +1,3 @@
-import itertools
 import sys
 import warnings
 
@@ -267,10 +266,9 @@ class TestHelmholtzSolver:
             "2.560e+02, off-diagonal -2.560e+02)")
         # a batch raises its first failing row's own failure, by the row
         # sweep and by the column sweep of a larger batch, which warns of
-        # nothing, whether it makes its pivots or was factored before.
-        # Row 2's pivot vanishes at cell 15; the later row 3's at cell 5
-        # (c = -1/h^2 there, 0 before it), so the row named is the first in
-        # order, not the first to fail
+        # nothing.  Row 2's pivot vanishes at cell 15; the later row 3's at
+        # cell 5 (c = -1/h^2 there, 0 before it), so the row named is the
+        # first in order, not the first to fail
         zero_at_5 = np.zeros(16)
         zero_at_5[5] = -256.0
         with pytest.raises(SolveFailure, match="pivot of cell 5 vanished"):
@@ -278,13 +276,12 @@ class TestHelmholtzSolver:
         for rows in (4, solver.THOMAS_COLUMN_ROWS + 1):
             coeff = np.full((rows, 16), 3.0)
             coeff[2], coeff[3:] = 1e-300, zero_at_5
-            for piv in (coeff, hh.factor(coeff)):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    with pytest.raises(SolveFailure) as batch:
-                        hh.solve(piv, np.ones((rows, 16)))
-                assert type(batch.value) is SolveFailure
-                assert str(batch.value) == str(exc.value)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SolveFailure) as batch:
+                    hh.solve(coeff, np.ones((rows, 16)))
+            assert type(batch.value) is SolveFailure
+            assert str(batch.value) == str(exc.value)
 
     # norms of mu, phi, sigma at T and of psi2 at t = 0, recorded with the
     # Jacobi-preconditioned solver this one replaced
@@ -312,9 +309,14 @@ class TestHelmholtzSolver:
 
 
 class TestFactoredSweeps:
-    """The 1D solve on reused pivots against the one-pass sweep."""
+    """The 1D solve's fused LU sweeps, which make their pivots on the way,
+    against the one-pass oracle: by rows on Python floats (_one_pass) and
+    by numpy columns (_thomas_columns)."""
 
-    SHAPES = [(), (1,), (7,), (solver.THOMAS_COLUMN_ROWS,)]
+    # one system, and batches below, at and above THOMAS_COLUMN_ROWS, where
+    # the solve turns from the row sweep to the column sweep
+    SHAPES = [(), (1,), (7,)] + [(solver.THOMAS_COLUMN_ROWS + d,)
+                                 for d in (-1, 0, 1)]
 
     @staticmethod
     def rhs(gen, rows, n):
@@ -325,99 +327,70 @@ class TestFactoredSweeps:
             b[3, ::2] = -0.0
         return b
 
+    @staticmethod
+    def sweeps(hh, coeff, b):
+        """The solve of b, and for a batch each sweep alone on all rows."""
+        diag = coeff + hh.neg_lap_diag
+        calls = [lambda: hh.solve(coeff, b)]
+        if b.ndim == 2:
+            diags = np.broadcast_to(diag, b.shape).tolist()
+            calls += [
+                lambda: np.array([solver._one_pass(hh.e, d, r)
+                                  for d, r in zip(diags, b.tolist())]),
+                lambda: solver._thomas_columns(hh.e, diag, b)]
+        return calls
+
     @pytest.mark.parametrize("n", [1, 2, 16, 64])
     def test_bitwise_equal_to_the_one_pass_sweep(self, n):
         # a length of 1.3 keeps 1/h^2 off the powers of 2, where e / m and
         # e * (1 / m) would agree
+        hh = solver._HelmholtzSolver(grid1d(n, 1.3))
         gen = np.random.default_rng(n)
         for rows in self.SHAPES:
-            # a scalar coefficient, factored on the solve, and its factor
-            # made once and solved with again, as the time loops do
-            hh = solver._HelmholtzSolver(grid1d(n, 1.3))
-            c = 10.0 ** gen.uniform(-3.0, 3.0)
-            f = hh.factor(c)
-            for piv in (c, f, f):
+            # a scalar, a cell vector and, for a batch, one row per member
+            coeffs = [float(10.0 ** gen.uniform(-3.0, 3.0)),
+                      10.0 ** gen.uniform(-3.0, 3.0, n)]
+            if rows:
+                coeffs.append(10.0 ** gen.uniform(-3.0, 3.0, rows + (n,)))
+            for c in coeffs:
                 b = self.rhs(gen, rows, n)
-                x = hh.solve(piv, b)
-                assert x.shape == b.shape and x.flags.c_contiguous
-                assert x.tobytes() == thomas_one_pass(hh, c, b).tobytes()
-            # per-step rows, factored at once as the tangent and the
-            # adjoint do, each solved on its own row of pivots, and all
-            # rows at once (as columns, however few)
-            for steps in (5, solver.THOMAS_COLUMN_ROWS):
-                coeff = 10.0 ** gen.uniform(-3.0, 3.0, (steps, n))
-                f = hh.factor(coeff)
-                for step in (0, 1, steps - 1):
-                    b = self.rhs(gen, rows, n)
-                    assert hh.solve(f[step], b).tobytes() == \
-                        thomas_one_pass(hh, coeff[step], b).tobytes()
-                b = self.rhs(gen, (steps,), n)
-                assert hh.solve(f, b).tobytes() == \
-                    thomas_one_pass(hh, coeff, b).tobytes()
-        # a 2D grid's DCT and CG solves take the coefficient itself
-        hh = solver._HelmholtzSolver(grid2d(4, 3))
-        for c in (3.0, coeff[:, :12]):
-            assert hh.factor(c) is c
-
-    def test_each_solve_factors_its_coefficients_once(self, monkeypatch):
-        # per call: the state alpha/tau, the tangent and the adjoint also
-        # every step's phi/psi2 and sigma/psi3 rows; an unbatched Newton
-        # Jacobian and sigma-step make their pivots on the way
-        prob = preset_problem("time-sparsity-demo")
-        nt, cells = prob.timegrid.n_steps, prob.grid.n_cells
-        of, shapes = solver._Factor.of, []
-
-        def counted(cls, e, diag):
-            shapes.append(diag.shape)
-            return of(e, diag)
-
-        monkeypatch.setattr(solver._Factor, "of", classmethod(counted))
-        args = prob.params, prob.pot, prob.hspec
-        traj = solve_state(*args, prob.u0, prob.init)
-        assert shapes == [(cells,)]
-        shapes.clear()
-        solve_linearized(*args, traj, prob.u0, LinearizedSpec(k1=prob.u0.u1))
-        assert shapes == [(cells,), (nt, cells), (nt, cells)]
-        shapes.clear()
-        solve_adjoint(*args, traj, prob.u0, prob.targets)
-        assert shapes == [(cells,), (nt + 1, cells), (nt, cells)]
+                expected = thomas_one_pass(hh, c, b).tobytes()
+                for sweep in self.sweeps(hh, c, b):
+                    x = sweep()
+                    assert x.shape == b.shape and x.flags.c_contiguous
+                    assert x.tobytes() == expected
 
     def test_vanished_pivot_raises_at_the_same_solve(self):
         # c = 1e-300 vanishes the last pivot of 16 cells; c = -1/h^2 at
-        # cell 5 (0 before it) vanishes cell 5's
+        # cell 5 (0 before it) vanishes cell 5's.  Per row, row 2 fails at
+        # cell 15 and every later row at cell 5: the first row is named.
+        # Both sweeps raise the oracle's message, with the d_i it read,
+        # and warn of nothing
         hh = solver._HelmholtzSolver(grid1d(16))
         zero_at_5 = np.zeros(16)
         zero_at_5[5] = -256.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for steps in (4, solver.THOMAS_COLUMN_ROWS):
-                coeff = np.full((steps, 16), 3.0)
-                coeff[2], coeff[3] = 1e-300, zero_at_5
-                f = hh.factor(coeff)  # the factor itself never raises
-                for rows, step in itertools.product(self.SHAPES, range(4)):
-                    b = np.ones(rows + (16,))
-                    try:
-                        expected = thomas_one_pass(hh, coeff[step], b)
-                    except SolveFailure as exc:
-                        expected = exc
-                    for piv in (f[step], hh.factor(coeff[step])):
-                        if isinstance(expected, np.ndarray):
-                            assert hh.solve(piv, b).tobytes() == \
-                                expected.tobytes()
-                            continue
-                        with pytest.raises(SolveFailure) as got:
-                            hh.solve(piv, b)
-                        assert type(got.value) is SolveFailure
-                        assert str(got.value) == str(expected)
             for rows in self.SHAPES:
                 b = np.ones(rows + (16,))
-                # a scalar, factored on the solve and before it
-                for piv in (1e-300, hh.factor(1e-300)):
-                    with pytest.raises(SolveFailure) as got:
-                        hh.solve(piv, b)
-                    assert str(got.value) == (
-                        "1D Helmholtz solve: pivot of cell 15 vanished "
-                        "(diagonal 2.560e+02, off-diagonal -2.560e+02)")
+                coeffs = [1e-300, zero_at_5]
+                if rows and rows[0] > 3:
+                    per_row = np.full(rows + (16,), 3.0)
+                    per_row[2], per_row[3:] = 1e-300, zero_at_5
+                    coeffs.append(per_row)
+                for c in coeffs:
+                    with pytest.raises(SolveFailure) as expected:
+                        thomas_one_pass(hh, c, b)
+                    for sweep in self.sweeps(hh, c, b):
+                        with pytest.raises(SolveFailure) as got:
+                            sweep()
+                        assert type(got.value) is SolveFailure
+                        assert str(got.value) == str(expected.value)
+            with pytest.raises(SolveFailure) as got:
+                hh.solve(1e-300, np.ones((solver.THOMAS_COLUMN_ROWS, 16)))
+            assert str(got.value) == (
+                "1D Helmholtz solve: pivot of cell 15 vanished "
+                "(diagonal 2.560e+02, off-diagonal -2.560e+02)")
 
 
 class TestPhiNewtonStep:

@@ -204,6 +204,18 @@ def test_a_replaced_start_is_checked_on_every_level(monkeypatch):
         assert copy[name].refinement == recipe[name].refinement
 
 
+def test_a_replaced_target_is_refused(monkeypatch):
+    # the refined levels cannot check a copy whose phi_q the settings do not
+    # build: they would check the preset's pulse in place of the constant
+    prob = preset_problem("time-sparsity-demo")
+    q = prob.targets.phi_q
+    copy = dataclasses.replace(prob, targets=dataclasses.replace(
+        prob.targets, phi_q=SpaceTimeField(q.timegrid, q.grid,
+                                           np.full_like(q.values, 0.3))))
+    with pytest.raises(ValueError, match=r"targets\.phi_q is not the one"):
+        checks(copy, monkeypatch, directions=1, levels=2)
+
+
 @pytest.mark.parametrize("preset", ["stationary-trivial", "time-sparsity-demo",
                                     "stress-separation",
                                     "2D-regular-default"])
