@@ -6,6 +6,12 @@ conservative (its volume-weighted sum vanishes to round-off).  States live on
 time nodes (n_steps + 1 snapshots); controls are piecewise constant on the
 intervals between nodes (n_steps slices).  All inner products are volume- and
 tau-weighted so norms approximate their L^2 counterparts.
+
+CSV output has one cell format (write_csv).  A field file can be written
+in two parts at a snapshot boundary, the header and the snapshots before it
+(write_field_csv with stop) and the rest (_write_snapshots), whose
+concatenation is the whole file byte for byte: runner writes a large run's
+second halves in a forked child.
 """
 
 from __future__ import annotations
@@ -385,24 +391,37 @@ def write_csv(path, header, columns) -> None:
                           for row in zip(*block, strict=True))
 
 
-def write_field_csv(path, u: SpaceTimeField, name: str) -> None:
+def write_field_csv(path, u: SpaceTimeField, name: str,
+                    stop: int | None = None) -> None:
     """CSV export: one row per cell per snapshot, columns t, x[, y], value.
 
     Cells are formatted as by write_csv.  Each coordinate is formatted once
     per file and joined into one "x,y," prefix per cell, and the time once
     per snapshot; a snapshot's rows are joined one block at a time, so repr
-    of the values is the only per-row Python work.
+    of the values is the only per-row Python work.  With stop, only the
+    header and the snapshots before stop are written: _write_snapshots
+    writes the rest of the file, from stop on, into another.
     """
+    header = ["t", "x", "y"][: 1 + u.grid.dim] + [name]
+    _write_snapshots(path, u, 0, stop, ",".join(header))
+
+
+def _write_snapshots(path, u: SpaceTimeField, start: int,
+                     stop: int | None = None, head: str = "") -> None:
+    """Write head, then write_field_csv's rows of the snapshots from start
+    to stop, each begun by a newline, into path; without stop, up to the
+    last snapshot and the newline that ends the file."""
     times = u.timegrid.node_times() if u.on_nodes else u.timegrid.slice_times()
     prefix = [",".join(xy) + "," for xy in
               zip(*map(repr_column, u.grid.cell_centers()))]
-    header = ["t", "x", "y"][: 1 + u.grid.dim] + [name]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header))
-        for t, row in zip(map(repr, times.tolist()), u.values):
+        fh.write(head)
+        for t, row in zip(map(repr, times[start:stop].tolist()),
+                          u.values[start:stop]):
             sep = "\n" + t + ","
             for lo in range(0, row.size, _CSV_BLOCK_ROWS):
                 hi = lo + _CSV_BLOCK_ROWS
                 fh.write(sep + sep.join(map(operator.add, prefix[lo:hi],
                                             map(repr, row[lo:hi].tolist()))))
-        fh.write("\n")
+        if stop is None:
+            fh.write("\n")

@@ -22,12 +22,18 @@ Field recipes are small textual descriptions evaluated on a grid:
 
 A recipe with the wrong number of arguments raises ValueError.
 
+make_problem refuses, with a ConfigError naming grid.n and time.n_steps, a
+problem whose node fields ((n_steps + 1) x cells float64 values, its
+largest arrays) would each take more than MAX_FIELD_BYTES, before it
+allocates anything.
+
 Node fields sample recipes at node times, interval fields at interval
 midpoints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from types import MappingProxyType
@@ -215,6 +221,10 @@ def _floats_key(raw, key, line, issues):
         return None
 
 
+# the bytes one node field may take: a run holds tens of them (states,
+# adjoints, trial points), so a problem above this cannot be run here
+MAX_FIELD_BYTES = 1 << 28
+
 _POSITIVE = _float_key(lo=0, lo_strict=True)
 _NONNEG = _float_key(lo=0)
 
@@ -337,6 +347,14 @@ def make_problem(settings: dict) -> Problem:
                            else (s[key],)))
     grid = GridSpec(int(s["dim"]), s["n"], s["length"])
     timegrid = TimeGrid(float(s["t_final"]), int(s["n_steps"]))
+    shape = (timegrid.n_steps + 1, math.prod(grid.n))
+    if 8 * math.prod(shape) > MAX_FIELD_BYTES:
+        raise ConfigError([ConfigIssue(
+            "grid.n, time.n_steps", 0,
+            f"a node field of {shape[0]} x {shape[1]} float64 values takes "
+            f"{8 * math.prod(shape) / 2 ** 30:.4g} GiB, over the budget of "
+            f"{MAX_FIELD_BYTES / 2 ** 30:g} GiB (presets.MAX_FIELD_BYTES)",
+            "range")])
 
     rng = np.random.default_rng(int(s["seed"]))
     init = StateTriple(

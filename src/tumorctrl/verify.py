@@ -19,27 +19,25 @@ on the problem's own grid).
 
 With more than one refinement level, the linearized check's finest level,
 the largest job and one whose row nothing else needs, runs in a forked
-child while the caller runs the rest; its bits are the serial code's.  A
-child that hands back no result has its level run again in-process, so the
-caller raises every failure, in the serial order.  Nothing is forked where
-os.fork is missing or fails, or where another thread runs.
+child (forking._forked, which runner's field writer shares) while the
+caller runs the rest; its bits are the serial code's.  A child that hands
+back no result has its level run again in-process, so the caller raises
+every failure, in the serial order.  Nothing is forked where os.fork is
+missing or fails, where another thread runs, or where this process may run
+on one CPU only.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
-import os
-import pickle
-import threading
-import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .fields import SpaceTimeField, Trajectory, prolong, write_csv
+from .forking import _forked
 from .optim import reduced_cost, smooth_gradient
 from .presets import Problem
 from .solver import (ControlPair, LinearizedSpec, SolveFailure,
@@ -67,7 +65,9 @@ FD_GRADIENT_RTOL = 1e-4
 # the stationary point along k by less than 1e-8.  At a stationary point
 # (stationary-trivial) both sides fall to about 1e-19
 FD_GRADIENT_FLOOR = 1e-8
-# relative duality gap: the identity is exact up to round-off
+# duality gap relative to the pairings' absolute termwise sums: the identity
+# is exact up to round-off (level 0 on 400 seeds of time-sparsity-demo:
+# at most 3.1e-16)
 DUALITY_RTOL = 1e-10
 # best linearized-vs-FD error: central differences at eps = 1e-4 leave a
 # truncation error of up to about 1e-8
@@ -301,6 +301,10 @@ def _linearized_report(rows) -> CheckReport:
 
 def _duality_gap_at(problem: Problem, k1: np.ndarray, k2: np.ndarray,
                     base: Trajectory, adj) -> tuple[float, float]:
+    """The gap between the two pairings along (k1, k2), and its scale: the
+    sum of both pairings' absolute termwise products, which round-off in
+    either pairing is relative to.  Unlike the pairings themselves it does
+    not vanish for a direction almost orthogonal to the gradient."""
     pr = problem.params
     tg, grid = problem.timegrid, problem.grid
     spec = LinearizedSpec(k1=SpaceTimeField(tg, grid, k1),
@@ -310,17 +314,23 @@ def _duality_gap_at(problem: Problem, k1: np.ndarray, k2: np.ndarray,
 
     vol = grid.cell_volume
     w = base.phi.time_weights()
-    diff_q = base.phi.values - problem.targets.phi_q.values
-    lhs_q = pr.beta1 * vol * float(
-        np.dot(w, np.sum(diff_q * lin.phi.values, axis=1)))
-    diff_t = base.phi.values[-1] - problem.targets.phi_omega.values
-    lhs_t = pr.beta2 * vol * float(np.sum(diff_t * lin.phi.values[-1]))
-    lhs = lhs_q + lhs_t
-
+    terms_q = (base.phi.values - problem.targets.phi_q.values) \
+        * lin.phi.values
+    terms_t = (base.phi.values[-1] - problem.targets.phi_omega.values) \
+        * lin.phi.values[-1]
     d1, d2 = adjoint_mismatch_fields(problem.hspec, base, adj)
-    rhs = tg.tau * vol * (float(np.sum(d1 * k1)) + float(np.sum(d2 * k2)))
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return abs(lhs - rhs), scale
+    terms_1, terms_2 = d1 * k1, d2 * k2
+
+    def pairings(f):
+        lhs = pr.beta1 * vol * float(np.dot(w, np.sum(f(terms_q), axis=1))) \
+            + pr.beta2 * vol * float(np.sum(f(terms_t)))
+        rhs = tg.tau * vol * (float(np.sum(f(terms_1)))
+                              + float(np.sum(f(terms_2))))
+        return lhs, rhs
+
+    lhs, rhs = pairings(lambda terms: terms)
+    abs_lhs, abs_rhs = pairings(np.abs)
+    return abs(lhs - rhs), max(abs_lhs + abs_rhs, 1e-300)
 
 
 def _duality_report(problem: Problem, k, base: Trajectory, adj,
@@ -331,7 +341,8 @@ def _duality_report(problem: Problem, k, base: Trajectory, adj,
     gap = |<beta1 (phi - phi_q), phi_lin>_Q + <beta2 (phi(T) - phi_omega),
     phi_lin(T)> - <d, k>_Q| at u0, with u0 and k prolonged in time on level
     tau / 2 ** level.  The refinement table holds the gap relative to the
-    larger pairing; passes iff it is at most DUALITY_RTOL at every level.
+    pairings' absolute termwise sums (_duality_gap_at); passes iff it is at
+    most DUALITY_RTOL at every level.
     """
     rows, gaps = [], []
     for lev in range(levels):
@@ -357,58 +368,6 @@ def _duality_report(problem: Problem, k, base: Trajectory, adj,
     return CheckReport("duality_gap", metrics, tuple(rows), passed=ok)
 
 
-@contextlib.contextmanager
-def _forked(fork: bool, fn, *args):
-    """Yield a function that returns fn(*args), computed meanwhile in a
-    forked child if fork is set.
-
-    The function computes fn(*args) in-process where os.fork is missing or
-    fails, where another thread runs (a fork copies only the calling
-    thread, not the locks the others hold) and where the child hands back
-    no result, so fn's failures are raised here.  The child writes only to
-    the pipe (a warning fails it) and ends in os._exit; one not collected
-    is killed on exit.
-    """
-    pid = read = None
-    if fork and hasattr(os, "fork") and threading.active_count() == 1:
-        read, write = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # no process to be had
-            pass
-        if pid == 0:
-            code = 1
-            try:
-                os.close(read)
-                warnings.simplefilter("error")
-                with os.fdopen(write, "wb") as pipe:
-                    pickle.dump(fn(*args), pipe)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write)
-
-    def collect():
-        nonlocal pid
-        if pid:
-            data = b"".join(iter(lambda: os.read(read, 1 << 16), b""))
-            status = os.waitpid(pid, 0)[1]
-            pid = None
-            if status == 0 and data:
-                return pickle.loads(data)
-        return fn(*args)
-
-    try:
-        yield collect
-    finally:
-        if pid:
-            import signal  # 1 ms to import, so only when a child is left
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        if read is not None:
-            os.close(read)
-
-
 def verify_checks(problem: Problem) -> tuple[CheckReport, ...]:
     """The verify command's four checks at the nominal control u0:
     fd_gradient_check along FD_DIRECTIONS random directions,
@@ -432,8 +391,9 @@ def verify_checks(problem: Problem) -> tuple[CheckReport, ...]:
     failures keep the serial order (level 0, the linearized levels, the
     duality levels): when a later check fails, the finest linearized level
     is collected first and its own failure, if any, is raised.  Nothing is
-    forked where os.fork is missing or fails or where another thread runs,
-    and no child outlives the call.
+    forked where os.fork is missing or fails, where another thread runs or
+    where this process may run on one CPU only, and no child outlives the
+    call.
     """
     fd_dirs = _draw(problem, 1, FD_DIRECTIONS)
     lin_k, dual_k = _draw(problem, 2, 1)[0], _draw(problem, 3, 1)[0]

@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tumorctrl.fields import (Field, ShapeMismatch, SpaceTimeField, TimeGrid,
-                              grid1d, grid2d, inner, make_laplacian,
-                              slice_norms, write_csv, write_field_csv)
+                              _write_snapshots, grid1d, grid2d, inner,
+                              make_laplacian, slice_norms, write_csv,
+                              write_field_csv)
 
 
 class TestGrids:
@@ -240,6 +241,21 @@ def test_field_csv_matches_per_cell_loop(tmp_path, rng, make_field):
     path = tmp_path / "u.csv"
     write_field_csv(path, u, "u")
     assert path.read_text() == _field_csv_per_cell(u, "u")
+
+
+@pytest.mark.parametrize("on_nodes", [True, False], ids=["nodes", "slices"])
+def test_field_csv_splits_at_every_snapshot(tmp_path, rng, on_nodes):
+    # the header and the snapshots before stop, then the rest from stop on
+    # in another file: together the bytes of the whole file
+    tg = TimeGrid(0.5, 3)
+    u = SpaceTimeField(tg, grid2d(3, 2), rng.standard_normal(
+        (tg.n_steps + on_nodes, 6)))
+    whole = _field_csv_per_cell(u, "u")
+    for stop in range(u.n_slices + 1):
+        write_field_csv(tmp_path / "head.csv", u, "u", stop)
+        _write_snapshots(tmp_path / "rest.part", u, stop)
+        assert (tmp_path / "head.csv").read_text() \
+            + (tmp_path / "rest.part").read_text() == whole
 
 
 def test_field_csv_memory_is_one_snapshot(tmp_path, rng):

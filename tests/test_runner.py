@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tumorctrl
-from tumorctrl import runner
+from tumorctrl import fields, presets, runner
 from tumorctrl.cli import main as cli_main
 from tumorctrl.fields import Field, SpaceTimeField
 from tumorctrl.optim import OptimizeOptions
@@ -30,6 +30,31 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
 
 
 MINIMAL = "[run]\ncommand = simulate\npreset = stationary-trivial\n"
+GOLDEN_SIMULATE = {
+    "balance.csv": "4b39570b9794e7b99eaa91ba1aeed361"
+                   "64412b08ef74180fcf2f0ec2d14691bd",
+    "config.echo.cfg": "04d19a9dd467acea1d40aa4674abb9c6"
+                       "f40085f22cfed77e547a41f03e58f23d",
+    "mu.csv": "e7083cad40facb8977fc3087239f4635"
+              "77007f04724868fa60e5878190d35351",
+    "phi.csv": "fd6887d01ed64d53ceedb92bb0ebb919"
+               "4201a62bbbddedcf82edc3db25346670",
+    "separation.csv": "7f3ec3bcb08bb2dcd6bf5c9b24136e14"
+                      "a80677437d7f6db31550518b4ed71421",
+    "sigma.csv": "708e58b2435b4987ff57c43d5d241205"
+                 "23ce9c7c5c220f3758e2a4fc80dfc2bf",
+    "solver_manifest.json": "bd4829e129884724cd8876fba49e8ba7"
+                            "84ae7e17f7061b0958f1ac2cb9a20e1e",
+}
+
+
+def artifacts(text, out):
+    """Run the config text into out: {name: path} of every file the run
+    left in its directory (manifest.txt too), after checking that no field
+    part is left anywhere under out."""
+    out_dir = run(parse_config_text(text), out).out_dir
+    assert not list(Path(out).rglob("*.part"))
+    return {p.name: p for p in sorted(out_dir.iterdir())}
 
 
 class TestConfigParsing:
@@ -295,27 +320,22 @@ class TestRun:
     def test_simulate_golden_bytes(self, tmp_path):
         # stationary-trivial's solution is exactly (0, 1, 0), so these bytes
         # do not depend on BLAS rounding; manifest.txt names the numpy version
-        golden = {
-            "balance.csv": "4b39570b9794e7b99eaa91ba1aeed361"
-                           "64412b08ef74180fcf2f0ec2d14691bd",
-            "config.echo.cfg": "04d19a9dd467acea1d40aa4674abb9c6"
-                               "f40085f22cfed77e547a41f03e58f23d",
-            "mu.csv": "e7083cad40facb8977fc3087239f4635"
-                      "77007f04724868fa60e5878190d35351",
-            "phi.csv": "fd6887d01ed64d53ceedb92bb0ebb919"
-                       "4201a62bbbddedcf82edc3db25346670",
-            "separation.csv": "7f3ec3bcb08bb2dcd6bf5c9b24136e14"
-                              "a80677437d7f6db31550518b4ed71421",
-            "sigma.csv": "708e58b2435b4987ff57c43d5d241205"
-                         "23ce9c7c5c220f3758e2a4fc80dfc2bf",
-            "solver_manifest.json": "bd4829e129884724cd8876fba49e8ba7"
-                                    "84ae7e17f7061b0958f1ac2cb9a20e1e",
-        }
         manifest = run(parse_config_text(MINIMAL), tmp_path / "out")
-        assert set(manifest.artifacts) == set(golden)
-        for name, digest in golden.items():
+        assert set(manifest.artifacts) == set(GOLDEN_SIMULATE)
+        for name, digest in GOLDEN_SIMULATE.items():
             data = (manifest.out_dir / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, name
+
+    def test_forked_writer_keeps_the_golden_bytes(self, tmp_path,
+                                                  monkeypatch,
+                                                  forked_and_in_process):
+        # every field file split, even the smallest
+        monkeypatch.setattr(runner, "FIELD_FORK_ROWS", 0)
+        (digests, n_forked), _ = forked_and_in_process(lambda: {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in artifacts(MINIMAL, tmp_path / "out").values()})
+        assert n_forked == 1
+        assert {k: digests[k] for k in GOLDEN_SIMULATE} == GOLDEN_SIMULATE
 
     def test_optimize_zero_target_writes_zero_controls(self, tmp_path):
         text = ("[run]\ncommand = optimize\npreset = time-sparsity-demo\n"
@@ -370,6 +390,79 @@ class TestRun:
         with pytest.raises(ConfigError) as exc:
             run(cfg, tmp_path / "out")
         assert any("separation" in i.key for i in exc.value.issues)
+
+
+# 2D runs whose field files hold 57k (simulate) and 94k (optimize) values,
+# over runner.FIELD_FORK_ROWS
+FORKED_RUNS = {
+    command: f"[run]\ncommand = {command}\npreset = 2D-regular-default\n"
+             "[grid]\nn = 24 24\n" for command in ("simulate", "optimize")}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+class TestForkedFieldWriter:
+    # a forked child writes the second half of every field file of a large
+    # run; the files are those of the in-process writer, byte for byte
+
+    @pytest.mark.parametrize("command", sorted(FORKED_RUNS))
+    def test_artifacts_are_bytewise_equal(self, command, tmp_path,
+                                          forked_and_in_process):
+        outs = iter(["forked", "in-process"])
+        (forked, n_forked), (in_process, n_in_process) = \
+            forked_and_in_process(lambda: {
+                name: p.read_bytes() for name, p in artifacts(
+                    FORKED_RUNS[command], tmp_path / next(outs)).items()})
+        assert (n_forked, n_in_process) == (1, 0)
+        assert forked == in_process
+        assert "phi.csv" in forked
+
+    def test_one_cpu_forks_nothing(self, tmp_path, monkeypatch,
+                                   forked_and_in_process):
+        text = FORKED_RUNS["simulate"]
+
+        def files(out):
+            return {name: p.read_bytes()
+                    for name, p in artifacts(text, tmp_path / out).items()}
+
+        (forked, n_forked), _ = forked_and_in_process(lambda: files("two"))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        (one_cpu, n_one_cpu), _ = forked_and_in_process(lambda: files("one"))
+        assert (n_forked, n_one_cpu) == (1, 0)
+        assert one_cpu == forked
+
+    @pytest.mark.parametrize("existing", [False, True],
+                             ids=["new-directory", "existing-directory"])
+    def test_child_failure_is_the_serial_one(self, existing, tmp_path,
+                                             monkeypatch,
+                                             forked_and_in_process):
+        # the last snapshot, t = t_final = 0.2, is always the child's share;
+        # formatting its time fails, in the child and then here
+        text = FORKED_RUNS["simulate"]
+        out = tmp_path / "out"
+        kept = out / parse_config_text(text).config_hash()
+        if existing:
+            kept.mkdir(parents=True)
+
+        def planted(x):
+            if x == 0.2:
+                raise ValueError(f"cannot format {x!r}")
+            return repr(x)
+
+        monkeypatch.setattr(fields, "repr", planted, raising=False)
+
+        def outcome():
+            try:
+                run(parse_config_text(text), out)
+            except ValueError as exc:
+                # a failed run removes only the directory it made
+                assert kept.is_dir() == existing
+                assert not list(out.rglob("*.part"))
+                return type(exc), str(exc)
+
+        (forked, n_forked), (in_process, _) = forked_and_in_process(outcome)
+        assert n_forked == 1
+        assert forked == in_process == (ValueError, "cannot format 0.2")
 
 
 class TestCli:
@@ -688,6 +781,39 @@ class TestCli:
         assert proc.returncode == code
         assert proc.stderr == err + "\n"
         assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("text,shape,size", [
+        ("[run]\npreset = 1D-logarithmic-default\n"
+         "[time]\nn_steps = 2147483648\n", "2147483649 x 64", "1024"),
+        ("[run]\npreset = 2D-regular-default\n[grid]\nn = 65536 65536\n",
+         "33 x 4294967296", "1056")], ids=["n_steps", "n"])
+    def test_unallocatable_grid_is_config_error(self, tmp_path, capsys,
+                                                monkeypatch, text, shape,
+                                                size):
+        # refused before any field is allocated: no recipe is evaluated
+        def allocates(*args):
+            raise AssertionError("a field was allocated")
+
+        monkeypatch.setattr(presets, "eval_space_recipe", allocates)
+        monkeypatch.setattr(presets, "eval_spacetime_recipe", allocates)
+        cfgp = write_cfg(tmp_path, text)
+        assert cli_main(["simulate", "--config", str(cfgp),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: range: grid.n, time.n_steps: a node field of "
+            f"{shape} float64 values takes {size} GiB, over the budget of "
+            "0.25 GiB (presets.MAX_FIELD_BYTES)\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_field_budget_is_inclusive(self, monkeypatch):
+        # time-sparsity-demo's node fields hold 41 x 16 values
+        settings = PRESET_SETTINGS["time-sparsity-demo"]
+        monkeypatch.setattr(presets, "MAX_FIELD_BYTES", 8 * 41 * 16)
+        make_problem(settings)
+        monkeypatch.setattr(presets, "MAX_FIELD_BYTES", 8 * 41 * 16 - 1)
+        with pytest.raises(ConfigError) as exc:
+            make_problem(settings)
+        assert [i.key for i in exc.value.issues] == ["grid.n, time.n_steps"]
 
     def test_command_override(self, tmp_path):
         # stationary preset has mode none: threshold must refuse it cleanly

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import os
-import threading
 
 import numpy as np
 import pytest
@@ -185,6 +184,33 @@ class TestDualityGap:
         assert len(rep.refinement) >= 3
         assert all(r[3] <= 1e-10 for r in rep.refinement)
         assert rep.passed
+
+    def test_direction_almost_orthogonal_to_the_gradient(self, monkeypatch):
+        # this seed draws a duality direction whose level-0 pairings are
+        # 1.85e-11: a round-off gap of 1.3e-19 over the larger pairing read
+        # 6.9e-9 and failed; over the pairings' absolute terms it reads
+        # 2.5e-16
+        prob = preset_problem("time-sparsity-demo", seed=201469092)
+        rep = checks(prob, monkeypatch, directions=1)["duality_gap"]
+        assert rep.passed
+        assert all(r[3] < 1e-15 for r in rep.refinement)
+
+    @pytest.mark.parametrize("preset", ["time-sparsity-demo",
+                                        "2D-regular-default"])
+    def test_planted_adjoint_error_fails(self, preset, monkeypatch):
+        # the adjoint's mismatch fields off by a relative 1e-6 read a gap
+        # of about 4e-7, far over DUALITY_RTOL
+        mismatch = verify.adjoint_mismatch_fields
+
+        def planted(*args):
+            d1, d2 = mismatch(*args)
+            return d1 * (1.0 + 1e-6), d2 * (1.0 + 1e-6)
+
+        monkeypatch.setattr(verify, "adjoint_mismatch_fields", planted)
+        rep = checks(preset_problem(preset), monkeypatch, directions=1,
+                     levels=1)["duality_gap"]
+        assert not rep.passed
+        assert rep.metric("max_relative_gap") > 1e-7
 
 
 def test_a_replaced_start_is_checked_on_every_level(monkeypatch):
@@ -393,36 +419,10 @@ def outcome(problem):
         return type(exc), str(exc), vars(exc)
 
 
-def forked_and_in_process(problem, monkeypatch, capfd):
-    """outcome(problem) run as verify runs it, and in-process (a second
-    thread alive forbids the fork), with the forks each run made; after
-    either, no child is left and nothing was written to stdout or stderr."""
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    runs = []
-    for threaded in (False, True):
-        done = threading.Event()
-        thread = threading.Thread(target=done.wait)
-        if threaded:
-            thread.start()
-        try:
-            runs.append((outcome(problem), len(forks)))
-        finally:
-            done.set()
-            if threaded:
-                thread.join(10)
-                assert not thread.is_alive()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert capfd.readouterr() == ("", "")
-        forks.clear()
-    return runs
+def two_cpus(monkeypatch):
+    """Let a fork help whatever CPUs the host gives this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
@@ -433,7 +433,7 @@ class TestForkedFinestLevel:
     @pytest.mark.parametrize("preset,levels", [("time-sparsity-demo", 3),
                                                ("2D-regular-default", 2)])
     def test_reports_are_bitwise_equal(self, preset, levels, monkeypatch,
-                                       capfd):
+                                       forked_and_in_process):
         # the levels this process computes: the child's finest level is
         # not among them when the child hands back its row
         here, rows = [], verify._linearized_rows
@@ -445,7 +445,7 @@ class TestForkedFinestLevel:
         monkeypatch.setattr(verify, "_linearized_rows", counted_rows)
         monkeypatch.setattr(verify, "REFINEMENT_LEVELS", levels)
         (forked, n_forked), (in_process, n_in_process) = \
-            forked_and_in_process(preset_problem(preset), monkeypatch, capfd)
+            forked_and_in_process(lambda: outcome(preset_problem(preset)))
         assert (n_forked, n_in_process) == (1, 0)
         assert forked == in_process
         assert "linearized_fd_refinement" in forked
@@ -453,11 +453,24 @@ class TestForkedFinestLevel:
         assert here == [lower, lower, [levels - 1]]
 
     def test_one_level_forks_nothing(self, small_problem, monkeypatch,
-                                     capfd):
+                                     forked_and_in_process):
         monkeypatch.setattr(verify, "REFINEMENT_LEVELS", 1)
         (forked, n_forked), (in_process, _) = \
-            forked_and_in_process(small_problem, monkeypatch, capfd)
+            forked_and_in_process(lambda: outcome(small_problem))
         assert n_forked == 0 and forked == in_process
+
+    def test_one_cpu_forks_nothing(self, small_problem, monkeypatch,
+                                   forked_and_in_process):
+        # on one CPU the child would only take turns with its parent
+        monkeypatch.setattr(verify, "REFINEMENT_LEVELS", 2)
+        (forked, n_forked), _ = \
+            forked_and_in_process(lambda: outcome(small_problem))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        (one_cpu, n_one_cpu), _ = \
+            forked_and_in_process(lambda: outcome(small_problem))
+        assert (n_forked, n_one_cpu) == (1, 0)
+        assert one_cpu == forked
 
     @pytest.mark.parametrize("u0_1,where", [
         # the child's linearized level 2 and the parent's duality level 2
@@ -468,17 +481,17 @@ class TestForkedFinestLevel:
         ("-32", "linearized_fd_refinement level 1, eps 0.01: separation "
                 "lost at time step 191: margin 9.966e-12")],
         ids=["-31.9", "-32"])
-    def test_failure_is_the_serial_one(self, u0_1, where, monkeypatch,
-                                       capfd):
+    def test_failure_is_the_serial_one(self, u0_1, where,
+                                       forked_and_in_process):
         prob = preset_problem("stress-separation", u0_1=f"constant {u0_1}")
         (forked, n_forked), (in_process, _) = \
-            forked_and_in_process(prob, monkeypatch, capfd)
+            forked_and_in_process(lambda: outcome(prob))
         assert n_forked == 1
         assert forked == in_process
         assert forked[:2] == (solver.SeparationLoss, where)
 
     def test_failure_on_the_nominal_grid(self, small_problem, monkeypatch,
-                                         capfd):
+                                         forked_and_in_process):
         # TestFailureNaming's member 0: every batch fails, the parent's on
         # level 0 first
         def failing(*args):
@@ -489,7 +502,7 @@ class TestForkedFinestLevel:
 
         monkeypatch.setattr(verify, "solve_states", failing)
         (forked, n_forked), (in_process, _) = \
-            forked_and_in_process(small_problem, monkeypatch, capfd)
+            forked_and_in_process(lambda: outcome(small_problem))
         assert n_forked == 1
         assert forked == in_process == (
             solver.SeparationLoss,
@@ -499,18 +512,23 @@ class TestForkedFinestLevel:
     def test_failed_fork_computes_in_process(self, small_problem,
                                              monkeypatch):
         expected = outcome(small_problem)
+        tried = []
 
         def no_fork():
+            tried.append(None)
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", no_fork)
+        two_cpus(monkeypatch)
         assert outcome(small_problem) == expected
+        assert tried == [None]
 
     def test_interrupt_leaves_no_child(self, small_problem, monkeypatch):
         def interrupted(*args):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(verify, "solve_adjoint", interrupted)
+        two_cpus(monkeypatch)
         with pytest.raises(KeyboardInterrupt):
             verify.verify_checks(small_problem)
         with pytest.raises(ChildProcessError):
