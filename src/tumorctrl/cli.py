@@ -8,9 +8,10 @@ optimizer did not converge, or a solver failure (one "solver error:" line);
 2 config error: a config file that cannot be read as UTF-8 text, a bad key,
 value or section, a problem the settings cannot build, an optimize,
 threshold or sweep-kappa whose sparsity mode meets a box that does not hold
-0 strictly inside, or an --out under which the run directory cannot be
-made (say a file).  Every config key, its section and its default are in
-tumorctrl.presets.SETTINGS.
+0 strictly inside, an --out under which the run directory cannot be made
+(say a file), or an artifact that cannot be written (a directory in its
+place, a full disk, no permission).  Every config key, its section and its
+default are in tumorctrl.presets.SETTINGS.
 """
 
 from __future__ import annotations
@@ -51,21 +52,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        for issue in exc.issues:
-            print(f"config error: {issue}", file=sys.stderr)
-        return 2
-    # the positional command wins over the file's run.command
-    values = tuple((sk, args.command if sk == ("run", "command") else v)
-                   for sk, v in cfg.values)
-    cfg = type(cfg)(values)
-    try:
+        # the positional command wins over the file's run.command
+        values = tuple((sk, args.command if sk == ("run", "command") else v)
+                       for sk, v in cfg.values)
+        cfg = type(cfg)(values)
         # non-finite values end in a typed error, not in numpy's warnings
         with np.errstate(all="ignore"):
             manifest = run(cfg, args.out)
+    except (OSError, UnicodeDecodeError) as exc:
+        # a config that cannot be read, or an artifact that cannot be written
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         for issue in exc.issues:
             print(f"config error: {issue}", file=sys.stderr)

@@ -8,9 +8,11 @@ Every run writes its CSV artifacts into a subdirectory of the output
 directory named by the hash of the fully-defaulted config, plus a flat
 key = value manifest listing the artifacts, versions and the config echo.
 Artifacts are deterministic: two runs of one config produce byte-identical
-files.  simulate and optimize write their field CSVs from two processes
-when they hold FIELD_FORK_ROWS values or more in all (_write_fields): a
-forked child writes the second half of every file, with the same bytes.
+files.  A run that fails, in its command or while it writes, removes the
+directory it made.  simulate and optimize write their field CSVs from two
+processes when they hold FIELD_FORK_ROWS values or more in all
+(_write_fields): a forked child writes the second half of every file, with
+the same bytes.
 """
 
 from __future__ import annotations
@@ -374,28 +376,27 @@ def run(config: ExperimentConfig, out_dir) -> RunManifest:
             from exc
     try:
         files, passed = _COMMANDS[command](problem, out, kappas)
+        echo = out / "config.echo.cfg"
+        echo.write_text(config.serialize(), encoding="utf-8")
+        files.append(echo)
+
+        elapsed = time.perf_counter() - t0
+        manifest = RunManifest(config.config_hash(), command, out,
+                               tuple(sorted(f.name for f in files)), passed,
+                               elapsed)
+        lines = [f"config_hash = {manifest.config_hash}",
+                 f"command = {command}",
+                 f"passed = {int(passed)}",
+                 f"artifact_count = {len(manifest.artifacts)}"]
+        lines += [f"artifact.{i} = {name}"
+                  for i, name in enumerate(manifest.artifacts)]
+        lines += [f"version.tumorctrl = {__version__}",
+                  f"version.numpy = {np.__version__}"]
+        lines += [f"config.{s}.{k} = {v}" for (s, k), v in config.values]
+        (out / "manifest.txt").write_text("\n".join(lines) + "\n",
+                                          encoding="utf-8")
     except BaseException:
         if created:  # a failed run leaves no directory of its own behind
             shutil.rmtree(out, ignore_errors=True)
         raise
-
-    echo = out / "config.echo.cfg"
-    echo.write_text(config.serialize(), encoding="utf-8")
-    files.append(echo)
-
-    elapsed = time.perf_counter() - t0
-    manifest = RunManifest(config.config_hash(), command, out,
-                           tuple(sorted(f.name for f in files)), passed,
-                           elapsed)
-    lines = [f"config_hash = {manifest.config_hash}",
-             f"command = {command}",
-             f"passed = {int(passed)}",
-             f"artifact_count = {len(manifest.artifacts)}"]
-    lines += [f"artifact.{i} = {name}"
-              for i, name in enumerate(manifest.artifacts)]
-    lines += [f"version.tumorctrl = {__version__}",
-              f"version.numpy = {np.__version__}"]
-    lines += [f"config.{s}.{k} = {v}" for (s, k), v in config.values]
-    (out / "manifest.txt").write_text("\n".join(lines) + "\n",
-                                      encoding="utf-8")
     return manifest

@@ -213,6 +213,22 @@ class TestDualityGap:
         assert rep.metric("max_relative_gap") > 1e-7
 
 
+# the duality_gap repro above, whose direction is almost orthogonal to the
+# gradient, and 39 more seeds
+SWEEP_SEEDS = (201469092, *range(1, 40))
+
+
+def test_every_check_passes_over_a_seed_sweep(monkeypatch):
+    # each seed draws its own directions: a correct problem must pass for
+    # every one, not only for the preset's
+    monkeypatch.setattr(verify, "REFINEMENT_LEVELS", 1)
+    failed = [(seed, rep.name) for seed in SWEEP_SEEDS
+              for rep in verify.verify_checks(
+                  preset_problem("time-sparsity-demo", seed=seed))
+              if not rep.passed]
+    assert failed == []
+
+
 def test_a_replaced_start_is_checked_on_every_level(monkeypatch):
     # the refined levels of replace(problem, u0=u) run at u, prolonged: as
     # on the problem whose recipes give u, not at the problem's own u0
