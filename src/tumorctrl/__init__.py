@@ -13,15 +13,15 @@ from .fields import (Field, GridSpec, ShapeMismatch, SpaceTimeField,
 from .model import (BoxBounds, InterpolantSpec, ModelParams, PotentialSpec,
                     ValidationReport, logarithmic_potential,
                     regular_potential, smoothstep7, validate_setup)
-from .optim import (OptimizeOptions, OptimizeResult, StepsizeCollapse,
-                    ThresholdReport, kappa_sweep, proximal_gradient_solve,
-                    reduced_cost, smooth_gradient, support_measure,
-                    zero_control_threshold)
-from .presets import (Problem, make_problem, preset_names, preset_problem,
-                      preset_settings)
+from .optim import (GradientBundle, OptimizeOptions, OptimizeResult,
+                    StepsizeCollapse, ThresholdReport, gradient_bundle,
+                    kappa_sweep, proximal_gradient_solve, reduced_cost,
+                    support_measure, zero_control_threshold)
+from .presets import (Problem, Targets, make_problem, preset_names,
+                      preset_problem, preset_settings)
 from .solver import (AdjointTriple, ControlPair, LinearizedSpec,
                      LinearSolveError, NewtonDivergence, SeparationLoss,
-                     SolveFailure, Targets, solve_adjoint, solve_linearized,
+                     SolveFailure, solve_adjoint, solve_linearized,
                      solve_state, solve_states, state_balance_report)
 from .sparsity import (BadBounds, CertificateReport, SparsityMode,
                        certificate, eval_g, prox, select_subgradient)

@@ -10,8 +10,10 @@ value or section, a problem the settings cannot build, an optimize,
 threshold or sweep-kappa whose sparsity mode meets a box that does not hold
 0 strictly inside, an --out under which the run directory cannot be made
 (say a file), or an artifact that cannot be written (a directory in its
-place, a full disk, no permission).  Every config key, its section and its
-default are in tumorctrl.presets.SETTINGS.
+place, a full disk, no permission).  A run that fails once its run
+directory is made removes it, even one an earlier run left; a failed check
+keeps its artifacts.  Every config key, its section and its default are in
+tumorctrl.presets.SETTINGS.
 """
 
 from __future__ import annotations

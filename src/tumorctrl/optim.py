@@ -2,7 +2,10 @@
 
 The reduced cost splits into a smooth part (tracking + nu/2 ||u||^2, whose
 gradient comes from one forward and one adjoint solve) and the nonsmooth
-part kappa*g + box indicator handled entirely by the prox.  Stationarity is
+part kappa*g + box indicator handled entirely by the prox.  The tracking
+terms' time quadrature lives here only: _cost sums them, and
+gradient_bundle, the one call that solves an adjoint, hands their gradient
+in phi to the solver as the adjoint's source.  Stationarity is
 measured by the variational-inequality residual
 ||u - P_box(-(d + kappa*lambda)/nu)||, which vanishes exactly at points
 satisfying the first-order conditions.  The optimizer iterates the
@@ -143,7 +146,10 @@ def reduced_cost(problem: Problem, u: ControlPair,
 
 
 @dataclass(frozen=True)
-class _GradientBundle:
+class GradientBundle:
+    """u's state trajectory and adjoint, the adjoint mismatch d = (d1, d2)
+    and the smooth gradient (g1, g2) = d + nu u, on the control slices."""
+
     trajectory: Trajectory
     adjoint: AdjointTriple
     d1: np.ndarray
@@ -152,33 +158,30 @@ class _GradientBundle:
     g2: np.ndarray
 
 
-def _gradient_bundle(problem: Problem, u: ControlPair,
-                     traj: Trajectory | None = None,
-                     adj: AdjointTriple | None = None) -> _GradientBundle:
+def gradient_bundle(problem: Problem, u: ControlPair,
+                    traj: Trajectory | None = None) -> GradientBundle:
+    """Gradient of the smooth reduced cost at u, (-psi1 h(phi) + nu u1,
+    psi3 + nu u2), from one forward (unless traj, u's trajectory, is given)
+    and one adjoint solve; the sparsity mode and kappa play no part.
+
+    The adjoint's source is the gradient in phi of _cost's tracking terms
+    over tau * cell volume: beta1 w_m (phi_m - phi_q,m) at node m, with
+    trapezoidal weights w_m (1/2 at the end nodes, 1 inside), plus
+    (beta2 / tau) (phi(T) - phi_omega) at the last node.
+    """
     if traj is None:
         traj = _solve(problem, u)
-    if adj is None:
-        adj = solve_adjoint(problem.params, problem.pot, problem.hspec, traj,
-                            u, problem.targets)
+    pr, targets, tau = problem.params, problem.targets, u.timegrid.tau
+    phi = traj.phi.values
+    w = np.ones(len(phi))
+    w[0] = 0.5
+    source = (pr.beta1 * w)[:, None] * (phi - targets.phi_q.values)
+    source[-1] = ((pr.beta2 / tau) * (phi[-1] - targets.phi_omega.values)
+                  + 0.5 * pr.beta1 * (phi[-1] - targets.phi_q.values[-1]))
+    adj = solve_adjoint(pr, problem.pot, problem.hspec, traj, u, source)
     d1, d2 = adjoint_mismatch_fields(problem.hspec, traj, adj)
-    g1 = d1 + problem.params.nu * u.u1.values
-    g2 = d2 + problem.params.nu * u.u2.values
-    return _GradientBundle(traj, adj, d1, d2, g1, g2)
-
-
-def smooth_gradient(problem: Problem, u: ControlPair,
-                    traj: Trajectory | None = None,
-                    adj: AdjointTriple | None = None
-                    ) -> tuple[SpaceTimeField, SpaceTimeField]:
-    """Gradient of the smooth reduced cost: (-psi1 h(phi) + nu u1, psi3 + nu u2).
-
-    One forward and one backward (adjoint) solve; traj and adj are u's
-    state trajectory and adjoint if they are already solved.  The
-    problem's sparsity mode and kappa play no part.
-    """
-    b = _gradient_bundle(problem, u, traj, adj)
-    tg, grid = u.timegrid, u.grid
-    return (SpaceTimeField(tg, grid, b.g1), SpaceTimeField(tg, grid, b.g2))
+    return GradientBundle(traj, adj, d1, d2, d1 + pr.nu * u.u1.values,
+                          d2 + pr.nu * u.u2.values)
 
 
 def _q_norm(u: ControlPair, a1: np.ndarray, a2: np.ndarray) -> float:
@@ -298,7 +301,7 @@ def proximal_gradient_solve(problem: Problem) -> OptimizeResult:
         tg, grid, np.clip(u0.u1.values, bounds.lo1, bounds.hi1),
         np.clip(u0.u2.values, bounds.lo2, bounds.hi2))
     traj, cost = evaluate(u)
-    bundle = _gradient_bundle(problem, u, traj=traj)
+    bundle = gradient_bundle(problem, u, traj=traj)
 
     costs, vis, etas, solves = [cost], [], [], []
     eta = 1.0 / pr.nu
@@ -357,7 +360,7 @@ def proximal_gradient_solve(problem: Problem) -> OptimizeResult:
             hist.clear()
             last = None
         u, cost = u_trial, cost_trial
-        bundle = _gradient_bundle(problem, u, traj=traj_trial)
+        bundle = gradient_bundle(problem, u, traj=traj_trial)
         costs.append(cost)
         etas.append(eta)
 
@@ -380,7 +383,7 @@ def zero_control_threshold(problem: Problem) -> ThresholdReport:
     if mode is SparsityMode.NONE:
         raise ValueError("threshold needs a sparsity mode other than 'none'")
     tg, grid = problem.timegrid, problem.grid
-    b = _gradient_bundle(problem, ControlPair.zeros(tg, grid))
+    b = gradient_bundle(problem, ControlPair.zeros(tg, grid))
     kappas = [float(np.max(mode_norms(mode, SpaceTimeField(tg, grid, d))))
               for d in (b.d1, b.d2)]
     for name, k in zip(("u1", "u2"), kappas):

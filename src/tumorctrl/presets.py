@@ -40,12 +40,12 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .fields import (Field, GridSpec, SpaceTimeField, StateTriple, TimeGrid,
-                     prolong)
+from .fields import (Field, GridSpec, ShapeMismatch, SpaceTimeField,
+                     StateTriple, TimeGrid, prolong)
 from .model import (BoxBounds, InterpolantSpec, ModelParams, PotentialSpec,
                     logarithmic_potential, regular_potential, smoothstep7)
 from .optim import OptimizeOptions
-from .solver import ControlPair, Targets
+from .solver import ControlPair
 from .sparsity import SparsityMode
 
 
@@ -270,6 +270,20 @@ SETTINGS = {
 }
 
 DEFAULT_SETTINGS = {name: d for name, (_, _, d, _) in SETTINGS.items()}
+
+
+@dataclass(frozen=True)
+class Targets:
+    """Tracking targets: phi_q over the space-time cylinder, phi_omega at T."""
+
+    phi_q: SpaceTimeField
+    phi_omega: Field
+
+    def __post_init__(self):
+        if not self.phi_q.on_nodes:
+            raise ShapeMismatch("phi_q must live on time nodes")
+        if self.phi_q.grid != self.phi_omega.grid:
+            raise ShapeMismatch("targets must share one grid")
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,12 @@ Every run writes its CSV artifacts into a subdirectory of the output
 directory named by the hash of the fully-defaulted config, plus a flat
 key = value manifest listing the artifacts, versions and the config echo.
 Artifacts are deterministic: two runs of one config produce byte-identical
-files.  A run that fails, in its command or while it writes, removes the
-directory it made.  simulate and optimize write their field CSVs from two
-processes when they hold FIELD_FORK_ROWS values or more in all
-(_write_fields): a forked child writes the second half of every file, with
-the same bytes.
+files.  A run that fails, in its command or while it writes, removes its
+run directory, whether it made it or an earlier run did, so no cut-short
+artifact stays beside an older manifest.  simulate and optimize write their
+field CSVs from two processes when they hold FIELD_FORK_ROWS values or more
+in all (_write_fields): a forked child writes the second half of every
+file, with the same bytes.
 """
 
 from __future__ import annotations
@@ -367,7 +368,6 @@ def run(config: ExperimentConfig, out_dir) -> RunManifest:
             raise ConfigError(issues)
 
     out = Path(out_dir) / config.config_hash()
-    created = not out.exists()
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # say an output directory that is a file
@@ -396,7 +396,6 @@ def run(config: ExperimentConfig, out_dir) -> RunManifest:
         (out / "manifest.txt").write_text("\n".join(lines) + "\n",
                                           encoding="utf-8")
     except BaseException:
-        if created:  # a failed run leaves no directory of its own behind
-            shutil.rmtree(out, ignore_errors=True)
+        shutil.rmtree(out, ignore_errors=True)  # even one made before
         raise
     return manifest

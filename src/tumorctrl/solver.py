@@ -23,8 +23,10 @@ The linearized solver applies the same splitting to the linear system
 (reaction terms on or off) and is the exact tangent of this scheme; the
 adjoint solver is its exact transpose, stepping backward with implicit
 diffusion and eliminating the time derivative of the first adjoint from the
-second equation.  The symmetric positive definite Helmholtz solves
-(diag(c) - Lap) x = b are direct on 1D grids: one tridiagonal LU sweep
+second equation.  Its source, the cost's gradient in phi at each node,
+comes from the caller (optim), so no solver here knows the cost.  The
+symmetric positive definite Helmholtz solves (diag(c) - Lap) x = b are
+direct on 1D grids: one tridiagonal LU sweep
 (Thomas), stable without pivoting because the matrix is strictly diagonally
 dominant for c > 0, and exact to round-off.  Every 1D solve makes its pivots
 on the way, in one forward and one backward sweep.  On 2D grids the
@@ -67,8 +69,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (Field, GridSpec, ShapeMismatch, SpaceTimeField,
-                     StateTriple, TimeGrid, Trajectory, make_laplacian)
+from .fields import (GridSpec, ShapeMismatch, SpaceTimeField, StateTriple,
+                     TimeGrid, Trajectory, make_laplacian)
 from .model import CLAMP_MARGIN, InterpolantSpec, ModelParams, PotentialSpec
 
 CG_RTOL = 1e-12
@@ -173,20 +175,6 @@ class AdjointTriple:
     psi1: SpaceTimeField
     psi2: SpaceTimeField
     psi3: SpaceTimeField
-
-
-@dataclass(frozen=True)
-class Targets:
-    """Tracking targets: phi_q over the space-time cylinder, phi_omega at T."""
-
-    phi_q: SpaceTimeField
-    phi_omega: Field
-
-    def __post_init__(self):
-        if not self.phi_q.on_nodes:
-            raise ShapeMismatch("phi_q must live on time nodes")
-        if self.phi_q.grid != self.phi_omega.grid:
-            raise ShapeMismatch("targets must share one grid")
 
 
 def _neg_lap_diag(grid: GridSpec) -> np.ndarray:
@@ -743,74 +731,69 @@ def solve_linearized(params: ModelParams, pot: PotentialSpec,
 
 def solve_adjoint(params: ModelParams, pot: PotentialSpec,
                   hspec: InterpolantSpec, base: Trajectory,
-                  base_controls: ControlPair, targets: Targets) -> AdjointTriple:
+                  base_controls: ControlPair,
+                  source: np.ndarray) -> AdjointTriple:
     """Backward-in-time adjoint solve around a base trajectory.
 
-    Terminal conditions: psi1(T) = psi3(T) = 0 and
-    beta psi2(T) = beta2 (phi(T) - phi_omega), all imposed exactly.  Each
-    backward step solves three implicit-diffusion systems (psi1, psi3, psi2
-    in that order); the time derivative of psi1 in the psi2-equation is
-    eliminated via its own equation, remaining couplings are lagged, and
+    source holds one row per time node: the cost's gradient in phi at that
+    node, divided by tau * cell volume.  Terminal conditions: psi1(T) =
+    psi3(T) = 0, and psi2(T) is the terminal layer, one implicit smoothing
+    step of the last row: (beta/tau + F1''(phi(T)) - Lap) psi2(T) =
+    source[nt].  Each backward step solves three implicit-diffusion systems
+    (psi1, psi3, psi2 in that order) and adds the node's row last to the
+    psi2 right-hand side; the time derivative of psi1 in the psi2-equation
+    is eliminated via its own equation, remaining couplings are lagged, and
     coefficient fields are evaluated at the arrival node, mirroring the lag
     pattern of the forward scheme, so the recursion is the exact transpose
-    of the discrete tangent and yields the exact gradient of the discrete
-    cost (discretize-then-optimize).  The first backward step starts from a
-    terminal layer that adds the half-weight tracking contribution of the
-    trapezoidal cost quadrature and one implicit smoothing step to the
-    terminal value.  A recursion that overflows (say under a huge tracking
-    weight) raises SolveFailure naming the latest node where psi is not
-    finite, the first backward step that left the floats.
+    of the discrete tangent: with the cost's gradient as source it yields
+    the exact gradient of the discrete cost (discretize-then-optimize).  A
+    recursion that overflows (say under a huge source) raises SolveFailure
+    naming the latest node where psi is not finite, the first backward step
+    that left the floats.
     """
     grid, tg = base.grid, base.timegrid
-    if targets.phi_q.grid != grid or targets.phi_q.timegrid != tg:
-        raise ShapeMismatch("targets and base trajectory on different grids")
+    if np.shape(source) != base.phi.values.shape:
+        raise ShapeMismatch("adjoint source and base trajectory on different "
+                            "grids")
     tau = tg.tau
     nt = tg.n_steps
     hh = _HelmholtzSolver(grid)
     pr = params
 
     h_all, hp_all, f1dd_all, f2dd_all = _base_coefficients(pot, hspec, base)
-    phib, sigb = base.phi.values, base.sigma.values
+    sigb = base.sigma.values
     u1b = base_controls.u1.values
-    phiq = targets.phi_q.values
 
     psi1 = np.zeros((nt + 1, grid.n_cells))
     psi2 = np.zeros_like(psi1)
     psi3 = np.zeros_like(psi1)
-    psi2[nt] = (pr.beta2 / pr.beta) * (phib[nt] - targets.phi_omega.values)
-
-    # terminal layer: the value the recursion sees in place of psi2(T)
-    b_eff = ((pr.beta2 / tau) * (phib[nt] - targets.phi_omega.values)
-             + 0.5 * pr.beta1 * (phib[nt] - phiq[nt]))
     # every node's coefficients are known: form them at once; psi3's
     # decay lags one node below the arrival node, as the forward scheme's
     # consumption coefficient does
     psi2_c = pr.beta / tau + f1dd_all
     psi3_c = (1.0 / tau + pr.b_rate
               + pr.e_rate * h_all[np.maximum(np.arange(nt) - 1, 0)])
-    psi2_prev = hh.solve(psi2_c[nt], b_eff)
+    psi2[nt] = hh.solve(psi2_c[nt], source[nt])
 
     for m in range(nt - 1, -1, -1):
-        w_track = 0.5 if m == 0 else 1.0
         # psi1-step
-        b1 = (pr.alpha / tau) * psi1[m + 1] + psi2_prev
+        b1 = (pr.alpha / tau) * psi1[m + 1] + psi2[m + 1]
         psi1[m] = hh.solve(pr.alpha / tau, b1)
         # psi3-step (implicit decay)
         b3 = ((1.0 / tau) * psi3[m + 1] + pr.p_rate * h_all[m] * psi1[m + 1]
-              + pr.chi * psi2_prev)
+              + pr.chi * psi2[m + 1])
         psi3[m] = hh.solve(psi3_c[m], b3)
         # psi2-step; (psi1[m+1] - psi1[m])/tau realizes the substituted
         # d_t psi1 = -(Lap psi1 + psi2)/alpha term.
-        b2 = ((pr.beta / tau) * psi2_prev
-              - f2dd_all[m] * psi2_prev
+        b2 = ((pr.beta / tau) * psi2[m + 1]
+              - f2dd_all[m] * psi2[m + 1]
               + (psi1[m + 1] - psi1[m]) / tau
               + (pr.p_rate * sigb[m] - pr.a_rate - u1b[m]) * hp_all[m]
               * psi1[m + 1]
               - pr.e_rate * sigb[m + 1] * hp_all[m] * psi3[m + 1]
               - pr.chi * hh.lap(psi3[m])
-              + pr.beta1 * w_track * (phib[m] - phiq[m]))
+              + source[m])
         psi2[m] = hh.solve(psi2_c[m], b2)
-        psi2_prev = psi2[m]
 
     bad = ~(np.isfinite(psi1) & np.isfinite(psi2)
             & np.isfinite(psi3)).all(axis=1)

@@ -2,7 +2,11 @@
 
 Every oracle here avoids the code path it checks: finite differences use
 only the forward solver and the reduced cost, and the duality gap pairs the
-linearized and adjoint solvers against each other.  The independent forward
+linearized and adjoint solvers against each other.  The adjoint, the
+mismatch d and the gradient under check come from optim.gradient_bundle,
+the optimizer's own gradient call, on every level.  The duality gap forms
+its tracking pairing itself: that side of the identity does not pass
+through the adjoint's source.  The independent forward
 solves of a finite-difference ladder run as batched solve_states calls,
 which hand back each control with its trajectory.  The linearized and
 adjoint solvers are the exact discrete tangent and adjoint of the forward
@@ -13,7 +17,7 @@ refinement tables; an error that is NaN fails its check.
 verify_checks, the verify command's four checks, is the one entry point.
 Their solves on the problem's own grid are shared: the nominal control, the
 gradient check's ladders and the linearized check's first level march as
-one batch, and the nominal trajectory and adjoint serve all four.  A solver
+one batch, and the nominal trajectory and gradient serve all four.  A solver
 failure names the check, level and eps where it arose (none for u0 itself
 on the problem's own grid).
 
@@ -38,11 +42,10 @@ import numpy as np
 
 from .fields import SpaceTimeField, Trajectory, prolong, write_csv
 from .forking import _forked
-from .optim import reduced_cost, smooth_gradient
+from .optim import GradientBundle, gradient_bundle, reduced_cost
 from .presets import Problem
 from .solver import (ControlPair, LinearizedSpec, SolveFailure,
-                     adjoint_mismatch_fields, solve_adjoint, solve_linearized,
-                     solve_state, solve_states)
+                     solve_linearized, solve_states)
 from .sparsity import SparsityMode
 
 # random directions of fd_gradient_check, and levels of the linearized and
@@ -205,10 +208,10 @@ def _nominal_batch(problem: Problem, fd_directions, lin_direction,
     return base, costs, errs
 
 
-def _fd_report(problem: Problem, base: Trajectory, adjoint, directions,
+def _fd_report(problem: Problem, grad: GradientBundle, directions,
                costs) -> CheckReport:
-    """fd_gradient_check's report from u0's trajectory base and adjoint and
-    the smooth costs of its ladder points.
+    """fd_gradient_check's report from u0's gradient bundle grad and the
+    smooth costs of its ladder points.
 
     For each random unit direction k, compares <grad J1(u0), k> with
     (J1(u0 + eps k) - J1(u0 - eps k)) / (2 eps) over the eps ladder and
@@ -219,15 +222,14 @@ def _fd_report(problem: Problem, base: Trajectory, adjoint, directions,
     floor.  Passes iff every direction's best error is at most
     FD_GRADIENT_RTOL.
     """
-    g1, g2 = smooth_gradient(problem, problem.u0, base, adjoint)
     tau, vol = problem.timegrid.tau, problem.grid.cell_volume
     tol = FD_GRADIENT_RTOL
     floor = FD_GRADIENT_FLOOR * problem.params.nu
     costs = iter(costs)
     metrics = []
     for j, (k1, k2) in enumerate(directions):
-        adj = tau * vol * (float(np.sum(g1.values * k1))
-                           + float(np.sum(g2.values * k2)))
+        adj = tau * vol * (float(np.sum(grad.g1 * k1))
+                           + float(np.sum(grad.g2 * k2)))
         errs = []
         for eps in FD_EPS_LADDER:
             fd = (next(costs) - next(costs)) / (2.0 * eps)
@@ -300,13 +302,13 @@ def _linearized_report(rows) -> CheckReport:
 
 
 def _duality_gap_at(problem: Problem, k1: np.ndarray, k2: np.ndarray,
-                    base: Trajectory, adj) -> tuple[float, float]:
+                    grad: GradientBundle) -> tuple[float, float]:
     """The gap between the two pairings along (k1, k2), and its scale: the
     sum of both pairings' absolute termwise products, which round-off in
     either pairing is relative to.  Unlike the pairings themselves it does
     not vanish for a direction almost orthogonal to the gradient."""
     pr = problem.params
-    tg, grid = problem.timegrid, problem.grid
+    tg, grid, base = problem.timegrid, problem.grid, grad.trajectory
     spec = LinearizedSpec(k1=SpaceTimeField(tg, grid, k1),
                           k2=SpaceTimeField(tg, grid, k2))
     lin = solve_linearized(pr, problem.pot, problem.hspec, base, problem.u0,
@@ -318,8 +320,7 @@ def _duality_gap_at(problem: Problem, k1: np.ndarray, k2: np.ndarray,
         * lin.phi.values
     terms_t = (base.phi.values[-1] - problem.targets.phi_omega.values) \
         * lin.phi.values[-1]
-    d1, d2 = adjoint_mismatch_fields(problem.hspec, base, adj)
-    terms_1, terms_2 = d1 * k1, d2 * k2
+    terms_1, terms_2 = grad.d1 * k1, grad.d2 * k2
 
     def pairings(f):
         lhs = pr.beta1 * vol * float(np.dot(w, np.sum(f(terms_q), axis=1))) \
@@ -333,10 +334,10 @@ def _duality_gap_at(problem: Problem, k1: np.ndarray, k2: np.ndarray,
     return abs(lhs - rhs), max(abs_lhs + abs_rhs, 1e-300)
 
 
-def _duality_report(problem: Problem, k, base: Trajectory, adj,
+def _duality_report(problem: Problem, k, grad: GradientBundle,
                     levels: int) -> CheckReport:
-    """duality_gap's report along k, given the nominal control's trajectory
-    base and adjoint adj on the problem's own grid (level 0).
+    """duality_gap's report along k, given the nominal control's gradient
+    bundle grad on the problem's own grid (level 0).
 
     gap = |<beta1 (phi - phi_q), phi_lin>_Q + <beta2 (phi(T) - phi_omega),
     phi_lin(T)> - <d, k>_Q| at u0, with u0 and k prolonged in time on level
@@ -351,11 +352,8 @@ def _duality_report(problem: Problem, k, base: Trajectory, adj,
         k1, k2 = (prolong(a, problem.grid, 1, scale) for a in k)
         try:
             if lev:
-                base = solve_state(prob.params, prob.pot, prob.hspec, prob.u0,
-                                   prob.init)
-                adj = solve_adjoint(prob.params, prob.pot, prob.hspec, base,
-                                    prob.u0, prob.targets)
-            gap, pairing = _duality_gap_at(prob, k1, k2, base, adj)
+                grad = gradient_bundle(prob, prob.u0)
+            gap, pairing = _duality_gap_at(prob, k1, k2, grad)
         except SolveFailure as exc:
             exc.args = (f"duality_gap level {lev}: {exc}",)
             raise
@@ -379,13 +377,13 @@ def verify_checks(problem: Problem) -> tuple[CheckReport, ...]:
     other init or targets).  Each check draws its directions from its own
     stream of problem.seed (see _draw).  Every forward solve the first two
     need on the problem's own grid marches in one solve_states batch with
-    u0, and u0's trajectory and adjoint serve all four checks.
+    u0, and u0's trajectory and gradient bundle serve all four checks.
 
     The linearized check's finest level, which refines h and tau by
     2 ** (REFINEMENT_LEVELS - 1), is the largest job, and no other needs
     its row.  So with more than one level it runs in a forked child (see
     _forked) while this process runs the rest: the nominal batch, the
-    adjoint, the gradient report, the lower linearized levels, every
+    gradient bundle, the gradient report, the lower linearized levels, every
     duality level and the separation monitor.  The reports are bit for bit
     those of the serial code.  A failed child's level runs again here, and
     failures keep the serial order (level 0, the linearized levels, the
@@ -401,14 +399,12 @@ def verify_checks(problem: Problem) -> tuple[CheckReport, ...]:
     with _forked(bool(levels), _linearized_rows, problem, lin_k,
                  levels[-1:]) as finest:
         base, costs, errs = _nominal_batch(problem, fd_dirs, lin_k)
-        adj = solve_adjoint(problem.params, problem.pot, problem.hspec, base,
-                            problem.u0, problem.targets)
-        fd = _fd_report(problem, base, adj, fd_dirs, costs)
+        grad = gradient_bundle(problem, problem.u0, base)
+        fd = _fd_report(problem, grad, fd_dirs, costs)
         rows = [_row(problem, 0, float(np.min(errs)))]
         rows += _linearized_rows(problem, lin_k, levels[:-1])
         try:
-            dual = _duality_report(problem, dual_k, base, adj,
-                                   REFINEMENT_LEVELS)
+            dual = _duality_report(problem, dual_k, grad, REFINEMENT_LEVELS)
             sep = separation_monitor(base, problem.pot)
         except Exception:
             finest()  # a failure on the finest level comes first

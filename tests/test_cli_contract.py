@@ -2,9 +2,11 @@
 
 Each row runs `tumorctrl <command> --config <cfg> --out <out>` in process
 (cli_run) and gives the exit code, the exact stderr lines and whether the
-run leaves its directory under --out; no exception may escape and nothing
-may be warned.  A new repro is one more row.  In an expected line, {cfg}
-and {out} stand for the config's path and for --out.
+run leaves a directory under --out; no exception may escape and nothing
+may be warned.  A run that fails after making its run directory removes
+it, also where the directory was there before the run.  A new repro is
+one more row.  In an expected line, {cfg} and {out} stand for the config's
+path and for --out.
 """
 
 import contextlib
@@ -26,7 +28,7 @@ def _tree(out):
 def cli_run(command, text, tmp, plant=None):
     """Run the command in process on the config text (str, or bytes written
     as they are) at tmp/exp.cfg with --out tmp/out, after plant(cfg, out)
-    if given: (exit code, stderr lines, whether a directory was made under
+    if given: (exit code, stderr lines, whether a directory is left under
     out).  Asserts that nothing was warned, that no field part is left and
     that an --out which is a file keeps its bytes; an exception escapes."""
     cfg, out = tmp / "exp.cfg", tmp / "out"
@@ -48,9 +50,9 @@ def cli_run(command, text, tmp, plant=None):
     if isinstance(before, bytes):
         assert _tree(out) == before
         return code, lines, False
-    new = _tree(out) - before
-    assert [p for p in new if p.name.endswith(".part")] == []
-    return code, lines, any(p.is_dir() for p in new)
+    after = _tree(out)
+    assert [p for p in after if p.name.endswith(".part")] == []
+    return code, lines, any(p.is_dir() for p in after)
 
 
 def no_config(cfg, out):
@@ -187,7 +189,8 @@ ROWS = [
       for command in ("optimize", "sweep-kappa", "threshold")],
     # an --out under which the run directory cannot be made, and an
     # artifact that cannot be written: by one process (mu.csv) and by the
-    # forked field writer of a 48 x 48 simulate (phi.csv)
+    # forked field writer of a 48 x 48 simulate (phi.csv).  The plant makes
+    # the run directory, and the failed run removes it all the same
     row("simulate-out-is-a-file", "simulate", preset(TSD), 2,
         "config error: range: <out>: cannot make {out}/d6927e71ec4b: Not a "
         "directory", plant=out_is_a_file),

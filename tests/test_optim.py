@@ -7,13 +7,13 @@ import pytest
 from oracles import random_admissible_controls
 from tumorctrl.fields import SpaceTimeField, TimeGrid, grid1d
 from tumorctrl import optim
-from tumorctrl.optim import (StepsizeCollapse, kappa_sweep,
+from tumorctrl.optim import (StepsizeCollapse, gradient_bundle, kappa_sweep,
                              proximal_gradient_solve, reduced_cost,
-                             smooth_gradient, support_measure,
-                             zero_control_threshold)
+                             support_measure, zero_control_threshold)
 from tumorctrl.presets import make_problem, preset_problem
 from tumorctrl.solver import (ControlPair, SolveFailure,
-                              adjoint_mismatch_fields, solve_state)
+                              adjoint_mismatch_fields, solve_adjoint,
+                              solve_state)
 from tumorctrl.sparsity import SparsityMode, prox, select_subgradient
 
 
@@ -73,14 +73,45 @@ class TestSmoothGradient:
         u = ControlPair(
             SpaceTimeField(p.timegrid, p.grid, rng.uniform(-1, 1, shape)),
             SpaceTimeField(p.timegrid, p.grid, rng.uniform(-1, 1, shape)))
-        g1, g2 = smooth_gradient(p, u)
-        assert np.array_equal(g1.values, p.params.nu * u.u1.values)
-        assert np.array_equal(g2.values, p.params.nu * u.u2.values)
+        b = gradient_bundle(p, u)
+        assert np.array_equal(b.g1, p.params.nu * u.u1.values)
+        assert np.array_equal(b.g2, p.params.nu * u.u2.values)
 
     def test_stationary_gradient_zero(self):
         p = stationary_problem()
-        g1, g2 = smooth_gradient(p, p.u0)
-        assert np.all(g1.values == 0.0) and np.all(g2.values == 0.0)
+        b = gradient_bundle(p, p.u0)
+        assert np.all(b.g1 == 0.0) and np.all(b.g2 == 0.0)
+
+    @pytest.mark.parametrize("preset", ["time-sparsity-demo",
+                                        "1D-logarithmic-default"])
+    def test_source_is_the_tracking_terms_phi_gradient(self, preset,
+                                                       monkeypatch):
+        # the adjoint's source, as gradient_bundle hands it to the solver:
+        # _cost's tracking terms are quadratic in phi, so their central
+        # difference along a node field delta is tau vol <source, delta>
+        # to round-off (a pulse target with beta2 = 0, and beta2 = 0.5)
+        p = preset_problem(preset)
+        sources = []
+
+        def recorded(*args):
+            sources.append(args[-1])
+            return solve_adjoint(*args)
+
+        monkeypatch.setattr(optim, "solve_adjoint", recorded)
+        traj = solve_state(p.params, p.pot, p.hspec, p.u0, p.init)
+        gradient_bundle(p, p.u0, traj)
+        [source] = sources
+        delta = np.random.default_rng(3).standard_normal(source.shape)
+
+        def cost(sign):
+            phi = SpaceTimeField(traj.timegrid, traj.grid,
+                                 traj.phi.values + sign * delta)
+            return optim._cost(p, p.u0, dataclasses.replace(traj, phi=phi))
+
+        fd = (cost(1.0) - cost(-1.0)) / 2.0
+        pairing = p.timegrid.tau * p.grid.cell_volume * float(
+            np.sum(source * delta))
+        assert fd == pytest.approx(pairing, rel=1e-12)
 
 
 class TestViResidual:
@@ -254,13 +285,11 @@ class TestThreshold:
 
     def test_time_mode_formula(self):
         # recompute the suprema directly from the adjoint at u = 0
-        from tumorctrl.solver import adjoint_mismatch_fields, solve_adjoint
-
         p = preset_problem("time-sparsity-demo")
         rep = zero_control_threshold(p)
         u0 = ControlPair.zeros(p.timegrid, p.grid)
         traj = solve_state(p.params, p.pot, p.hspec, u0, p.init)
-        adj = solve_adjoint(p.params, p.pot, p.hspec, traj, u0, p.targets)
+        adj = gradient_bundle(p, u0, traj).adjoint
         d1, d2 = adjoint_mismatch_fields(p.hspec, traj, adj)
         vol = p.grid.cell_volume
         k1 = np.max(np.sqrt(vol * np.sum(d1 ** 2, axis=1)))

@@ -444,9 +444,9 @@ class TestForkedFieldWriter:
         # formatting its time fails, in the child and then here
         text = FORKED_RUNS["simulate"]
         out = tmp_path / "out"
-        kept = out / parse_config_text(text).config_hash()
+        run_dir = out / parse_config_text(text).config_hash()
         if existing:
-            kept.mkdir(parents=True)
+            run_dir.mkdir(parents=True)
 
         def planted(x):
             if x == 0.2:
@@ -459,8 +459,8 @@ class TestForkedFieldWriter:
             try:
                 run(parse_config_text(text), out)
             except ValueError as exc:
-                # a failed run removes only the directory it made
-                assert kept.is_dir() == existing
+                # a failed run removes its run directory, made or not
+                assert not run_dir.exists()
                 assert not list(out.rglob("*.part"))
                 return type(exc), str(exc)
 
@@ -523,15 +523,16 @@ class TestCli:
 
     def test_solver_failure_leaves_no_run_directory(self, tmp_path):
         # phi loses separation at step 82; a run directory that was there
-        # before the failed run stays (one the run made goes: the contract
-        # table's rows)
+        # before the failed run goes too, with the manifest an earlier run
+        # left in it (one the run made goes: the contract table's rows)
         cfg = parse_config_text("[run]\npreset = stress-separation\n"
                                 "[controls]\nu0_1 = constant -40\n")
-        kept = tmp_path / "o" / cfg.config_hash()
-        kept.mkdir(parents=True)
+        earlier = tmp_path / "o" / cfg.config_hash()
+        earlier.mkdir(parents=True)
+        (earlier / "manifest.txt").write_text("command = simulate\n")
         with pytest.raises(SeparationLoss):
             run(cfg, tmp_path / "o")
-        assert list((tmp_path / "o").iterdir()) == [kept]
+        assert list((tmp_path / "o").iterdir()) == []
 
     def test_nan_gradient_error_fails_verify(self, tmp_path, capsys):
         # phi_q = 1e300 overflows the smooth cost, so every central

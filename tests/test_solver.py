@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import warnings
 
@@ -9,11 +10,12 @@ from tumorctrl.fields import (Field, SpaceTimeField, StateTriple, TimeGrid,
                               grid1d, grid2d, inner)
 from tumorctrl.model import (ModelParams, logarithmic_potential,
                              regular_potential, smoothstep7)
-from tumorctrl.presets import preset_names, preset_problem
+from tumorctrl.optim import gradient_bundle
+from tumorctrl.presets import Targets, preset_names, preset_problem
 from tumorctrl import solver
 from tumorctrl.solver import (ControlPair, LinearizedSpec, LinearSolveError,
                               NewtonDivergence, SeparationLoss, ShapeMismatch,
-                              SolveFailure, Targets, solve_adjoint, solve_linearized,
+                              SolveFailure, solve_adjoint, solve_linearized,
                               solve_state, solve_states, state_balance_report)
 
 HS = smoothstep7()
@@ -300,15 +302,14 @@ class TestHelmholtzSolver:
         prob = preset_problem(preset)
         traj = solve_state(prob.params, prob.pot, prob.hspec, prob.u0,
                            prob.init)
-        adj = solve_adjoint(prob.params, prob.pot, prob.hspec, traj, prob.u0,
-                            prob.targets)
+        adj = gradient_bundle(prob, prob.u0, traj).adjoint
         got = [np.linalg.norm(v) for v in (
             traj.mu.values[-1], traj.phi.values[-1], traj.sigma.values[-1],
             adj.psi2.values[0])]
         assert got == pytest.approx(norms, rel=1e-10, abs=0.0)
 
 
-class TestFactoredSweeps:
+class TestFusedSweeps:
     """The 1D solve's fused LU sweeps, which make their pivots on the way,
     against the one-pass oracle: by rows on Python floats (_one_pass) and
     by numpy columns (_thomas_columns)."""
@@ -783,33 +784,33 @@ class TestBatchedStates:
 
     # norms of mu, phi, sigma and of the adjoint's psi1, psi2, psi3 over all
     # nodes, recorded before batching, the 1D adjoint's norms with the
-    # direct 1D solve, and the 2D-regular-default and stress-separation rows
-    # with the phi-step Newton started from the extrapolated trajectory; the
+    # direct 1D solve, the 2D-regular-default and stress-separation rows
+    # with the phi-step Newton started from the extrapolated trajectory,
+    # and psi2 with its terminal layer stored at the last node; the
     # bound leaves room for another CPU's rounding of exp, log and the CG's
     # dot products, not for a change of the scheme
     @pytest.mark.parametrize("preset,state,adjoint", [
         ("1D-logarithmic-default",
          (4.988727181945142, 10.177261314915397, 43.83920297021787),
-         (0.4833669585711293, 3.965535164011666, 0.15161498343708074)),
+         (0.4833669585711293, 3.9654019937012386, 0.15161498343708074)),
         ("2D-regular-default",
          (3.2418693088171215, 5.6133787001418, 33.64938924239),
-         (0.19636164965244765, 1.9494218305946232, 0.05964457080690964)),
+         (0.19636164965244765, 1.9495793542817237, 0.05964457080690964)),
         ("stationary-trivial",
          (0.0, 8.48528137423857, 0.0), (0.0, 0.0, 0.0)),
         ("stress-separation",
          (372.0864494305147, 42.58429451458922, 55.713553108736484),
-         (0.5753675153095117, 4.6905879257096466, 0.5300953617447698)),
+         (0.5753675153095117, 4.690587925709653, 0.5300953617447698)),
         ("time-sparsity-demo",
          (0.2624462691257015, 0.8094792169508229, 12.221337130626152),
-         (0.04124776387819313, 0.3749011640135377, 0.008919566632027484)),
+         (0.04124776387819313, 0.3749037154745692, 0.008919566632027484)),
     ])
     def test_unbatched_solves_keep_their_values(self, preset, state,
                                                 adjoint):
         prob = preset_problem(preset)
         traj = solve_state(prob.params, prob.pot, prob.hspec, prob.u0,
                            prob.init)
-        adj = solve_adjoint(prob.params, prob.pot, prob.hspec, traj, prob.u0,
-                            prob.targets)
+        adj = gradient_bundle(prob, prob.u0, traj).adjoint
         got = [np.linalg.norm(f.values) for f in (
             traj.mu, traj.phi, traj.sigma, adj.psi1, adj.psi2, adj.psi3)]
         assert got == pytest.approx(state + adjoint, rel=1e-12, abs=0.0)
@@ -944,42 +945,70 @@ class TestAdjointSolver:
                                 Field.full(self.grid, 0.5))
         self.ctrl = controls_from(self.tg, self.grid, 0.1, -0.1)
         self.base = solve_state(self.pr, self.pot, HS, self.ctrl, self.init)
-        self.targets = Targets(
-            SpaceTimeField(self.tg, self.grid,
-                           np.tile(-0.1 + 0.0 * x, (self.tg.n_steps + 1, 1))),
-            Field.full(self.grid, 0.1))
+        self.source = np.random.default_rng(7).standard_normal(
+            self.base.phi.values.shape)
+
+    def adjoint(self, pr, source):
+        return solve_adjoint(pr, self.pot, HS, self.base, self.ctrl, source)
+
+    def terminal_layer(self, pr, b):
+        """The dense solve of (beta/tau + F1''(phi(T)) - Lap) x = b."""
+        f1dd = self.pot.split_eval(self.base.phi.values[-1], 2)[0]
+        hh = solver._HelmholtzSolver(self.grid)
+        return np.linalg.solve(np.diag(pr.beta / self.tg.tau + f1dd)
+                               + dense_neg_lap(hh, self.grid.n_cells), b)
 
     def test_zero_tracking_gives_zero_adjoint(self):
-        pr = params(beta1=0.0, beta2=0.0)
-        adj = solve_adjoint(pr, self.pot, HS, self.base, self.ctrl,
-                            self.targets)
+        adj = self.adjoint(self.pr, np.zeros_like(self.source))
         for comp in (adj.psi1, adj.psi2, adj.psi3):
             assert np.all(comp.values == 0.0)
 
     def test_terminal_conditions_exact(self):
-        adj = solve_adjoint(self.pr, self.pot, HS, self.base, self.ctrl,
-                            self.targets)
+        # psi2(T) is the terminal layer, which reads the last row alone
+        pr = params(beta=2.5)
+        adj = self.adjoint(pr, self.source)
         assert np.all(adj.psi1.values[-1] == 0.0)
         assert np.all(adj.psi3.values[-1] == 0.0)
-        expected = (self.pr.beta2 / self.pr.beta) \
-            * (self.base.phi.values[-1] - self.targets.phi_omega.values)
-        assert np.array_equal(adj.psi2.values[-1], expected)
+        psi2_t = adj.psi2.values[-1]
+        np.testing.assert_allclose(
+            psi2_t, self.terminal_layer(pr, self.source[-1]), rtol=1e-13,
+            atol=1e-13 * np.max(np.abs(psi2_t)))
+        other = self.source.copy()
+        other[:-1] = 0.0
+        assert np.array_equal(self.adjoint(pr, other).psi2.values[-1],
+                              psi2_t)
 
     def test_terminal_beta_one(self):
-        pr = params(beta1=0.0, beta2=1.0)
-        adj = solve_adjoint(pr, self.pot, HS, self.base, self.ctrl,
-                            self.targets)
-        expected = self.base.phi.values[-1] - self.targets.phi_omega.values
-        assert np.array_equal(adj.psi2.values[-1], expected)
+        # a source at T alone: the first backward step reads the terminal
+        # layer, psi1(T - tau) solving (alpha/tau - Lap) x = psi2(T)
+        source = np.zeros_like(self.source)
+        source[-1] = self.source[-1]
+        adj = self.adjoint(self.pr, source)
+        psi2_t = adj.psi2.values[-1]
+        np.testing.assert_allclose(
+            psi2_t, self.terminal_layer(self.pr, source[-1]), rtol=1e-13,
+            atol=1e-13 * np.max(np.abs(psi2_t)))
+        hh = solver._HelmholtzSolver(self.grid)
+        psi1 = adj.psi1.values[-2]
+        a = self.pr.alpha / self.tg.tau
+        np.testing.assert_allclose(a * psi1 - hh.lap(psi1), psi2_t,
+                                   rtol=1e-13, atol=1e-13)
+
+    def test_source_on_other_nodes_is_refused(self):
+        with pytest.raises(ShapeMismatch):
+            self.adjoint(self.pr, self.source[1:])
 
     def test_matched_targets_zero_adjoint(self):
         # targets equal to the realized trajectory with beta2 = 0: the
         # tracking source vanishes identically, so psi = 0
-        pr = params(beta2=0.0)
-        targets = Targets(self.base.phi, Field.full(self.grid, 0.0))
-        adj = solve_adjoint(pr, self.pot, HS, self.base, self.ctrl, targets)
+        p = preset_problem("1D-logarithmic-default", beta2=0.0, n=(16,),
+                           n_steps=12)
+        traj = solve_state(p.params, p.pot, p.hspec, p.u0, p.init)
+        matched = dataclasses.replace(p, targets=Targets(
+            traj.phi, p.targets.phi_omega))
+        adj = gradient_bundle(matched, p.u0, traj).adjoint
         for comp in (adj.psi1, adj.psi2, adj.psi3):
-            assert np.max(np.abs(comp.values)) <= 1e-14
+            assert np.all(comp.values == 0.0)
 
     def test_overflow_names_the_step(self):
         # beta1 = 1e308 overflows the backward recursion of
@@ -987,5 +1016,5 @@ class TestAdjointSolver:
         p = preset_problem("time-sparsity-demo", beta1=1e308)
         base = solve_state(p.params, p.pot, p.hspec, p.u0, p.init)
         with np.errstate(all="ignore"), pytest.raises(SolveFailure) as exc:
-            solve_adjoint(p.params, p.pot, p.hspec, base, p.u0, p.targets)
+            gradient_bundle(p, p.u0, base)
         assert str(exc.value) == "adjoint solve overflows at time step 22"

@@ -3,8 +3,9 @@ import pytest
 
 from tumorctrl.fields import SpaceTimeField, TimeGrid, grid1d, grid2d
 from tumorctrl.model import BoxBounds
+from tumorctrl.optim import gradient_bundle
 from tumorctrl.presets import preset_problem
-from tumorctrl.solver import ControlPair, solve_adjoint, solve_state
+from tumorctrl.solver import ControlPair, solve_state
 from tumorctrl.sparsity import (BadBounds, SparsityMode, certificate,
                                 certificate_to_csv, eval_g, prox,
                                 select_subgradient)
@@ -285,9 +286,7 @@ class TestCertificate:
                               beta1=beta1, beta2=beta2)
         traj = solve_state(prob.params, prob.pot, prob.hspec, prob.u0,
                            prob.init)
-        adj = solve_adjoint(prob.params, prob.pot, prob.hspec, traj, prob.u0,
-                            prob.targets)
-        return prob, traj, adj
+        return prob, traj, gradient_bundle(prob, prob.u0, traj).adjoint
 
     def test_zero_adjoint_flags_everything(self):
         prob, traj, adj = self.make_case(beta1=0.0, beta2=0.0)
