@@ -13,10 +13,10 @@ from .fields import (Field, GridSpec, ShapeMismatch, SpaceTimeField,
 from .model import (BoxBounds, InterpolantSpec, ModelParams, PotentialSpec,
                     ValidationReport, logarithmic_potential,
                     regular_potential, smoothstep7, validate_setup)
-from .optim import (GradientBundle, OptimizeOptions, OptimizeResult,
-                    StepsizeCollapse, ThresholdReport, gradient_bundle,
-                    kappa_sweep, proximal_gradient_solve, reduced_cost,
-                    support_measure, zero_control_threshold)
+from .optim import (GradientBundle, OptimizeResult, StepsizeCollapse,
+                    ThresholdReport, gradient_bundle, kappa_sweep,
+                    proximal_gradient_solve, reduced_cost, support_measure,
+                    tracking_term, zero_control_threshold)
 from .presets import (Problem, Targets, make_problem, preset_names,
                       preset_problem, preset_settings)
 from .solver import (AdjointTriple, ControlPair, LinearizedSpec,

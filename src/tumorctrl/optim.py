@@ -3,9 +3,10 @@
 The reduced cost splits into a smooth part (tracking + nu/2 ||u||^2, whose
 gradient comes from one forward and one adjoint solve) and the nonsmooth
 part kappa*g + box indicator handled entirely by the prox.  The tracking
-terms' time quadrature lives here only: _cost sums them, and
-gradient_bundle, the one call that solves an adjoint, hands their gradient
-in phi to the solver as the adjoint's source.  Stationarity is
+terms' time quadrature is written once, in tracking_term, which returns
+their value and their gradient in phi: _cost adds the control terms to the
+value, and gradient_bundle, the one call that solves an adjoint, hands the
+gradient to the solver as the adjoint's source.  Stationarity is
 measured by the variational-inequality residual
 ||u - P_box(-(d + kappa*lambda)/nu)||, which vanishes exactly at points
 satisfying the first-order conditions.  The optimizer iterates the
@@ -25,19 +26,16 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .fields import SpaceTimeField, inner
 from .model import BoxBounds
+from .presets import Problem
 from .solver import (AdjointTriple, ControlPair, SolveFailure, Trajectory,
                      adjoint_mismatch_fields, solve_adjoint, solve_state)
 from .sparsity import (SparsityMode, eval_g, group_layout, mode_norms,
                        prox_pair, select_subgradient)
-
-if TYPE_CHECKING:  # presets imports this module for OptimizeOptions
-    from .presets import Problem
 
 # a failed trial multiplies the step size by this factor
 BACKTRACK = 0.5
@@ -65,27 +63,11 @@ class StepsizeCollapse(SolveFailure):
 
 
 @dataclass(frozen=True)
-class OptimizeOptions:
-    """Stop at VI residual <= tol_vi (converged) or after max_iters steps.
-
-    These defaults are also the config defaults (presets.SETTINGS).
-    """
-
-    max_iters: int = 400
-    tol_vi: float = 1e-8
-
-    def __post_init__(self):
-        if not self.tol_vi > 0.0:
-            raise ValueError("tol_vi must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-
-
-@dataclass(frozen=True)
 class OptimizeResult:
     control: ControlPair
     trajectory: Trajectory
-    adjoint: AdjointTriple
+    # the control's adjoint mismatch d = (-psi1 h(phi), psi3) on the slices
+    d: ControlPair
     cost_history: np.ndarray
     vi_history: np.ndarray
     eta_history: np.ndarray
@@ -120,16 +102,37 @@ def _solve(problem: Problem, u: ControlPair) -> Trajectory:
                        problem.init)
 
 
-def _cost(problem: Problem, u: ControlPair, traj: Trajectory) -> float:
-    pr, targets = problem.params, problem.targets
-    diff = traj.phi.values - targets.phi_q.values
-    w = traj.phi.time_weights()
+def tracking_term(problem: Problem,
+                  traj: Trajectory) -> tuple[float, np.ndarray]:
+    """The tracking terms along traj and their gradient in phi.
+
+    The value is beta1/2 ||phi - phi_q||_Q^2 + beta2/2 ||phi(T) -
+    phi_omega||^2, with trapezoidal time quadrature for the first term.  The
+    gradient over tau * cell volume, one row per time node, is the adjoint's
+    source: beta1 w_m (phi_m - phi_q,m) at node m, with trapezoidal weights
+    w_m (1/2 at the end nodes, 1 inside), plus (beta2 / tau) (phi(T) -
+    phi_omega) at the last node.
+    """
+    pr, targets, tau = problem.params, problem.targets, traj.timegrid.tau
+    phi = traj.phi.values
+    diff = phi - targets.phi_q.values
+    dT = phi[-1] - targets.phi_omega.values
     vol = traj.grid.cell_volume
-    q_term = 0.5 * pr.beta1 * vol * float(np.dot(w, np.sum(diff ** 2, axis=1)))
-    dT = traj.phi.values[-1] - targets.phi_omega.values
+    q_term = 0.5 * pr.beta1 * vol * float(np.dot(traj.phi.time_weights(),
+                                                  np.sum(diff ** 2, axis=1)))
     o_term = 0.5 * pr.beta2 * vol * float(np.sum(dT ** 2))
+    w = np.ones(len(phi))
+    w[0] = 0.5
+    source = (pr.beta1 * w)[:, None] * diff
+    source[-1] = (pr.beta2 / tau) * dT + 0.5 * pr.beta1 * diff[-1]
+    return q_term + o_term, source
+
+
+def _cost(problem: Problem, u: ControlPair, traj: Trajectory) -> float:
+    pr = problem.params
     quad = 0.5 * pr.nu * (inner(u.u1, u.u1) + inner(u.u2, u.u2))
-    return (q_term + o_term) + (quad + pr.kappa * eval_g(problem.mode, u))
+    return tracking_term(problem, traj)[0] \
+        + (quad + pr.kappa * eval_g(problem.mode, u))
 
 
 def reduced_cost(problem: Problem, u: ControlPair,
@@ -162,23 +165,14 @@ def gradient_bundle(problem: Problem, u: ControlPair,
                     traj: Trajectory | None = None) -> GradientBundle:
     """Gradient of the smooth reduced cost at u, (-psi1 h(phi) + nu u1,
     psi3 + nu u2), from one forward (unless traj, u's trajectory, is given)
-    and one adjoint solve; the sparsity mode and kappa play no part.
-
-    The adjoint's source is the gradient in phi of _cost's tracking terms
-    over tau * cell volume: beta1 w_m (phi_m - phi_q,m) at node m, with
-    trapezoidal weights w_m (1/2 at the end nodes, 1 inside), plus
-    (beta2 / tau) (phi(T) - phi_omega) at the last node.
+    and one adjoint solve; the sparsity mode and kappa play no part.  The
+    adjoint's source is tracking_term's gradient in phi.
     """
     if traj is None:
         traj = _solve(problem, u)
-    pr, targets, tau = problem.params, problem.targets, u.timegrid.tau
-    phi = traj.phi.values
-    w = np.ones(len(phi))
-    w[0] = 0.5
-    source = (pr.beta1 * w)[:, None] * (phi - targets.phi_q.values)
-    source[-1] = ((pr.beta2 / tau) * (phi[-1] - targets.phi_omega.values)
-                  + 0.5 * pr.beta1 * (phi[-1] - targets.phi_q.values[-1]))
-    adj = solve_adjoint(pr, problem.pot, problem.hspec, traj, u, source)
+    pr = problem.params
+    adj = solve_adjoint(pr, problem.pot, problem.hspec, traj, u,
+                        tracking_term(problem, traj)[1])
     d1, d2 = adjoint_mismatch_fields(problem.hspec, traj, adj)
     return GradientBundle(traj, adj, d1, d2, d1 + pr.nu * u.u1.values,
                           d2 + pr.nu * u.u2.values)
@@ -269,24 +263,23 @@ def _anderson_point(hist, f: tuple, g: tuple, bounds: BoxBounds) -> tuple:
 def proximal_gradient_solve(problem: Problem) -> OptimizeResult:
     """Minimize the problem's reduced cost by accelerated proximal gradient.
 
-    Starts from problem.u0, clipped to the box, and stops as problem.opts
-    says.  Iterates the map G(u) = prox(u - eta grad J1(u)), where the
-    prox handles kappa*g + box jointly.  A step must decrease the full cost
-    by at least (DECREASE/eta) ||G(u) - u||_Q^2, so the cost history is
-    nonincreasing up to a rounding pad of 4 eps (1 + |cost|).  The first trial of a step
-    is the type-II Anderson point built from G(u) and up to AA_MEMORY
-    difference pairs of G at the same eta (_anderson_point); only if it
-    fails the test is the plain point G(u) solved.  eta starts at 1/nu and
-    is multiplied by BACKTRACK whenever the plain point fails the test too;
-    it is never raised again (Beck & Teboulle, SIAM J. Imaging Sci. 2,
-    2009), so the Anderson history, which belongs to one eta, lasts from
-    one backtrack to the next.  Stops at VI residual <= tol_vi or at
-    max_iters; converged means the last VI residual is <= tol_vi.
-    state_solves counts the state solves made when each VI residual was
-    recorded.  A prox step that overflows raises SolveFailure.
+    Starts from problem.u0, clipped to the box, and stops as the problem's
+    max_iters and tol_vi say.  Iterates the map G(u) = prox(u - eta grad
+    J1(u)), where the prox handles kappa*g + box jointly.  A step must
+    decrease the full cost by at least (DECREASE/eta) ||G(u) - u||_Q^2, so
+    the cost history is nonincreasing up to a rounding pad of 4 eps (1 +
+    |cost|).  The first trial of a step is the type-II Anderson point built
+    from G(u) and up to AA_MEMORY difference pairs of G at the same eta
+    (_anderson_point); only if it fails the test is the plain point G(u)
+    solved.  eta starts at 1/nu and is multiplied by BACKTRACK whenever the
+    plain point fails the test too; it is never raised again (Beck &
+    Teboulle, SIAM J. Imaging Sci. 2, 2009), so the Anderson history, which
+    belongs to one eta, lasts from one backtrack to the next.  Stops at VI
+    residual <= tol_vi or at max_iters; converged means the last VI residual
+    is <= tol_vi.  state_solves counts the state solves made when each VI
+    residual was recorded.  A prox step that overflows raises SolveFailure.
     """
-    pr, bounds, opts, u0 = (problem.params, problem.bounds, problem.opts,
-                            problem.u0)
+    pr, bounds, u0 = problem.params, problem.bounds, problem.u0
     tg, grid = u0.timegrid, u0.grid
     n_solves = 0
 
@@ -311,10 +304,10 @@ def proximal_gradient_solve(problem: Problem) -> OptimizeResult:
     hist: deque = deque(maxlen=AA_MEMORY)
     last = None
     # it counts accepted steps; every pass first records the VI residual
-    for it in range(opts.max_iters + 1):
+    for it in range(problem.max_iters + 1):
         vis.append(_vi_residual_from(problem, u, bundle.d1, bundle.d2))
         solves.append(n_solves)
-        if vis[-1] <= opts.tol_vi or it == opts.max_iters:
+        if vis[-1] <= problem.tol_vi or it == problem.max_iters:
             break
         while True:
             # eta = 1/nu with a tiny nu can overflow the step or the prox's
@@ -365,10 +358,11 @@ def proximal_gradient_solve(problem: Problem) -> OptimizeResult:
         etas.append(eta)
 
     return OptimizeResult(
-        control=u, trajectory=bundle.trajectory, adjoint=bundle.adjoint,
+        control=u, trajectory=bundle.trajectory,
+        d=ControlPair.from_arrays(tg, grid, bundle.d1, bundle.d2),
         cost_history=np.asarray(costs), vi_history=np.asarray(vis),
         eta_history=np.asarray(etas), n_iters=it,
-        converged=vis[-1] <= opts.tol_vi, state_solves=np.asarray(solves))
+        converged=vis[-1] <= problem.tol_vi, state_solves=np.asarray(solves))
 
 
 def zero_control_threshold(problem: Problem) -> ThresholdReport:

@@ -44,7 +44,6 @@ from .fields import (Field, GridSpec, ShapeMismatch, SpaceTimeField,
                      StateTriple, TimeGrid, prolong)
 from .model import (BoxBounds, InterpolantSpec, ModelParams, PotentialSpec,
                     logarithmic_potential, regular_potential, smoothstep7)
-from .optim import OptimizeOptions
 from .solver import ControlPair
 from .sparsity import SparsityMode
 
@@ -264,9 +263,8 @@ SETTINGS = {
              _choice_key([m.value for m in SparsityMode])),
     "u0_1": ("controls", "u0_1", "constant 0", _str_key),
     "u0_2": ("controls", "u0_2", "constant 0", _str_key),
-    "max_iters": ("optimizer", "max_iters", OptimizeOptions.max_iters,
-                  _int_key(lo=1)),
-    "tol_vi": ("optimizer", "tol_vi", OptimizeOptions.tol_vi, _POSITIVE),
+    "max_iters": ("optimizer", "max_iters", 400, _int_key(lo=1)),
+    "tol_vi": ("optimizer", "tol_vi", 1e-8, _POSITIVE),
 }
 
 DEFAULT_SETTINGS = {name: d for name, (_, _, d, _) in SETTINGS.items()}
@@ -291,8 +289,9 @@ class Problem:
     """One fully-specified experiment instance.
 
     The optimizer layer and the verification checks take it whole; a run
-    with other parts (a start, a kappa, no sparsity) is a
-    dataclasses.replace copy.
+    with other parts (a start, a kappa, no sparsity, a stopping rule) is a
+    dataclasses.replace copy.  The optimizer stops at VI residual <= tol_vi
+    (converged) or after max_iters steps.
     """
 
     params: ModelParams
@@ -305,9 +304,16 @@ class Problem:
     bounds: BoxBounds
     mode: SparsityMode
     u0: ControlPair
-    opts: OptimizeOptions
+    max_iters: int
+    tol_vi: float
     seed: int
     settings: MappingProxyType
+
+    def __post_init__(self):
+        if not self.tol_vi > 0.0:
+            raise ValueError("tol_vi must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
     def with_resolution(self, space_scale: int = 1,
                         time_scale: int = 1) -> "Problem":
@@ -383,11 +389,10 @@ def make_problem(settings: dict) -> Problem:
     u0 = ControlPair(
         eval_spacetime_recipe(s["u0_1"], grid, timegrid, False, rng),
         eval_spacetime_recipe(s["u0_2"], grid, timegrid, False, rng))
-    opts = OptimizeOptions(max_iters=int(s["max_iters"]),
-                           tol_vi=float(s["tol_vi"]))
 
     return Problem(params, pot, hspec, grid, timegrid, init, targets, bounds,
-                   mode, u0, opts, int(s["seed"]), MappingProxyType(dict(s)))
+                   mode, u0, int(s["max_iters"]), float(s["tol_vi"]),
+                   int(s["seed"]), MappingProxyType(dict(s)))
 
 
 PRESET_SETTINGS = {

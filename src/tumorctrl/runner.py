@@ -135,8 +135,8 @@ def _run_optimize(problem: Problem, out: Path, kappas):
                res.state_solves])
     files.append(p)
     if problem.mode is not SparsityMode.NONE:
-        cert = certificate(problem.mode, res.adjoint, res.trajectory,
-                           problem.hspec, problem.params.kappa, problem.bounds)
+        cert = certificate(problem.mode, res.d, problem.params.kappa,
+                           problem.bounds)
         p = out / "certificate.csv"
         certificate_to_csv(cert, p)
         files.append(p)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .fields import SpaceTimeField, group_norms, repr_column, write_csv
 from .model import BoxBounds
-from .solver import AdjointTriple, ControlPair, Trajectory, adjoint_mismatch_fields
+from .solver import ControlPair
 
 
 class BadBounds(ValueError):
@@ -189,7 +189,7 @@ def select_subgradient(mode: SparsityMode, u: ControlPair, d: tuple,
     """Pick the stationarity-relevant subgradient (lam1, lam2) of g at u.
 
     d = (d1, d2) and the returned lam1, lam2 are (steps, cells) arrays, d as
-    solver.adjoint_mismatch_fields returns it.  On nonzero slices/points the
+    optim.gradient_bundle returns it.  On nonzero slices/points the
     subdifferential is a singleton (sign or normalized slice).  On the zero
     set we take the projection of -d/kappa onto the unit ball (interval for
     full sparsity), which minimizes the variational-inequality residual
@@ -199,23 +199,22 @@ def select_subgradient(mode: SparsityMode, u: ControlPair, d: tuple,
             _select_component(mode, u.u2, d[1], kappa))
 
 
-def certificate(mode: SparsityMode, adjoint: AdjointTriple, base: Trajectory,
-                hspec, kappa: float, bounds: BoxBounds) -> CertificateReport:
-    """Sparsity certificate at a candidate control's trajectory.
+def certificate(mode: SparsityMode, d: ControlPair, kappa: float,
+                bounds: BoxBounds) -> CertificateReport:
+    """Sparsity certificate from a candidate control's adjoint mismatch d =
+    (-psi1 h(phi), psi3) on the control slices (OptimizeResult.d).
 
-    Builds d = (-psi1 h(phi), psi3) on the control slices and flags, per
-    component, every slice whose mode norm is <= kappa: there any locally
-    optimal control must vanish.  The slices are time steps (TIME), cells
-    (SPACE) or (step, cell) points (FULL_Q), and the report's coords name
-    each slice's time and cell center.  The equivalence needs lo < 0 < hi
-    on both boxes; with anything else the certificate is refused with
-    BadBounds rather than silently wrong.
+    Flags, per component, every slice whose mode norm of d is <= kappa:
+    there any locally optimal control must vanish.  The slices are time
+    steps (TIME), cells (SPACE) or (step, cell) points (FULL_Q), and the
+    report's coords name each slice's time and cell center.  The
+    equivalence needs lo < 0 < hi on both boxes; with anything else the
+    certificate is refused with BadBounds rather than silently wrong.
     """
     if not (bounds.lo1 < 0.0 < bounds.hi1 and bounds.lo2 < 0.0 < bounds.hi2):
         raise BadBounds("certificate requires lo < 0 < hi on both boxes")
-    tg, grid = base.timegrid, base.grid
-    n1, n2 = (mode_norms(mode, SpaceTimeField(tg, grid, d))
-              for d in adjoint_mismatch_fields(hspec, base, adjoint))
+    tg, grid = d.timegrid, d.grid
+    n1, n2 = mode_norms(mode, d.u1), mode_norms(mode, d.u2)
     times = tg.node_times()[:-1]
     cells = dict(zip("xy", grid.cell_centers()))
     if mode is SparsityMode.TIME:

@@ -1,18 +1,18 @@
 """Independent verification oracles.
 
-Every oracle here avoids the code path it checks: finite differences use
-only the forward solver and the reduced cost, and the duality gap pairs the
-linearized and adjoint solvers against each other.  The adjoint, the
-mismatch d and the gradient under check come from optim.gradient_bundle,
-the optimizer's own gradient call, on every level.  The duality gap forms
-its tracking pairing itself: that side of the identity does not pass
-through the adjoint's source.  The independent forward
-solves of a finite-difference ladder run as batched solve_states calls,
-which hand back each control with its trajectory.  The linearized and
-adjoint solvers are the exact discrete tangent and adjoint of the forward
-scheme, so each check passes on one absolute bound, a module constant, at
-every refinement level.  Reports carry measured values, tolerances and
-refinement tables; an error that is NaN fails its check.
+Every oracle here avoids the code path it checks: the gradient check
+compares <d, k>_Q with finite differences of optim.tracking_term's value
+from forward solves alone, and the duality gap pairs the linearized and
+adjoint solvers against each other.  The adjoint and the mismatch d under
+check come from optim.gradient_bundle, the optimizer's own gradient call,
+on every level.  The duality gap forms its tracking pairing itself: that
+side of the identity does not pass through the adjoint's source.  The
+independent forward solves of a finite-difference ladder run as batched
+solve_states calls, which hand back each control with its trajectory.  The
+linearized and adjoint solvers are the exact discrete tangent and adjoint
+of the forward scheme, so each check passes on one absolute bound, a module
+constant, at every refinement level.  Reports carry measured values,
+tolerances and refinement tables; an error that is NaN fails its check.
 
 verify_checks, the verify command's four checks, is the one entry point.
 Their solves on the problem's own grid are shared: the nominal control, the
@@ -36,17 +36,16 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fields import SpaceTimeField, Trajectory, prolong, write_csv
 from .forking import _forked
-from .optim import GradientBundle, gradient_bundle, reduced_cost
+from .optim import GradientBundle, gradient_bundle, tracking_term
 from .presets import Problem
 from .solver import (ControlPair, LinearizedSpec, SolveFailure,
                      solve_linearized, solve_states)
-from .sparsity import SparsityMode
 
 # random directions of fd_gradient_check, and levels of the linearized and
 # duality checks' refinement tables (level 0 is the problem's own grid,
@@ -179,17 +178,17 @@ def _prefix(member: int | None, n_fd: int, level: int) -> str:
 
 def _nominal_batch(problem: Problem, fd_directions, lin_direction,
                    level=0) -> tuple[Trajectory, list, list]:
-    """u0's trajectory, fd's smooth costs and the linearized check's errors
-    at level (0: the problem's own grid), from one solve_states batch.
+    """u0's trajectory, fd's tracking terms and the linearized check's
+    errors at level (0: the problem's own grid), from one solve_states batch.
 
-    The smooth cost, the FD oracle's objective, is the reduced cost with
-    mode none (no sparsity term).  The batch marches u0, then the
+    The FD oracle's objective is tracking_term's value: the control terms
+    are exact on both sides of the check.  The batch marches u0, then the
     FD_EPS_LADDER points of fd_gradient_check along each of fd_directions,
     then the LINEARIZED_EPS_LADDER points of linearized_fd_refinement along
     lin_direction.  The points are built lazily and each trajectory is
     reduced as it arrives.
     """
-    u, smooth = problem.u0, replace(problem, mode=SparsityMode.NONE)
+    u = problem.u0
     fd_points = (c for k1, k2 in fd_directions
                  for c in _fd_ladder(problem, u, k1, k2, FD_EPS_LADDER))
     lin_points = _fd_ladder(problem, u, *lin_direction, LINEARIZED_EPS_LADDER)
@@ -199,8 +198,8 @@ def _nominal_batch(problem: Problem, fd_directions, lin_direction,
     n_fd = 2 * len(FD_EPS_LADDER) * len(fd_directions)
     try:
         _, base = next(pairs)
-        costs = [reduced_cost(smooth, c, traj)
-                 for c, traj in itertools.islice(pairs, n_fd)]
+        costs = [tracking_term(problem, traj)[0]
+                 for _, traj in itertools.islice(pairs, n_fd)]
         errs = _linearized_vs_fd_error(problem, base, *lin_direction, pairs)
     except SolveFailure as exc:
         exc.args = (_prefix(exc.member, n_fd, level) + str(exc),)
@@ -211,15 +210,16 @@ def _nominal_batch(problem: Problem, fd_directions, lin_direction,
 def _fd_report(problem: Problem, grad: GradientBundle, directions,
                costs) -> CheckReport:
     """fd_gradient_check's report from u0's gradient bundle grad and the
-    smooth costs of its ladder points.
+    tracking terms of its ladder points.
 
-    For each random unit direction k, compares <grad J1(u0), k> with
-    (J1(u0 + eps k) - J1(u0 - eps k)) / (2 eps) over the eps ladder and
-    records the best relative error, relative to the larger side but at
-    least to FD_GRADIENT_FLOOR nu.  The adjoint gradient is the exact
-    derivative of the discrete cost, so the best-over-ladder selection only
-    steps past the central difference's eps^2 truncation and its round-off
-    floor.  Passes iff every direction's best error is at most
+    For each random unit direction k, compares <d(u0), k>_Q with (J_T(u0 +
+    eps k) - J_T(u0 - eps k)) / (2 eps) over the eps ladder, J_T the
+    tracking terms, and records the best relative error, relative to the
+    larger side but at least to FD_GRADIENT_FLOOR nu.  The control term's
+    exact derivative nu u, left out, would only mask an error in d.  d is
+    the exact derivative of the discrete J_T, so the best-over-ladder
+    selection only steps past the central difference's eps^2 truncation and
+    its round-off floor.  Passes iff every direction's best error is at most
     FD_GRADIENT_RTOL.
     """
     tau, vol = problem.timegrid.tau, problem.grid.cell_volume
@@ -228,8 +228,8 @@ def _fd_report(problem: Problem, grad: GradientBundle, directions,
     costs = iter(costs)
     metrics = []
     for j, (k1, k2) in enumerate(directions):
-        adj = tau * vol * (float(np.sum(grad.g1 * k1))
-                           + float(np.sum(grad.g2 * k2)))
+        adj = tau * vol * (float(np.sum(grad.d1 * k1))
+                           + float(np.sum(grad.d2 * k2)))
         errs = []
         for eps in FD_EPS_LADDER:
             fd = (next(costs) - next(costs)) / (2.0 * eps)

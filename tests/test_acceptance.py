@@ -17,7 +17,6 @@ from tumorctrl import verify
 from tumorctrl.fields import SpaceTimeField, TimeGrid, grid1d
 from tumorctrl.optim import _q_norm
 from tumorctrl.runner import load_config, run
-from tumorctrl.solver import adjoint_mismatch_fields
 from tumorctrl.sparsity import (SparsityMode, certificate, prox,
                                 select_subgradient)
 
@@ -295,8 +294,7 @@ def test_c5_optimizer_vs_brute_force():
 
 def _certificate_agreement(prob, res, norms_of):
     kappa = prob.params.kappa
-    cert = certificate(prob.mode, res.adjoint, res.trajectory, prob.hspec,
-                       kappa, prob.bounds)
+    cert = certificate(prob.mode, res.d, kappa, prob.bounds)
     mismatches = 0
     for norms, comp in ((cert.norms1, res.control.u1),
                         (cert.norms2, res.control.u2)):
@@ -327,11 +325,9 @@ def test_c7_vanishing_control_threshold():
     th = tc.zero_control_threshold(prob)
     k0 = th.kappa0_estimate
     assert k0 > 0
-    opts = dataclasses.replace(prob.opts, tol_vi=1e-8)
-
     def solve(u0, kappa):
         return tc.proximal_gradient_solve(dataclasses.replace(
-            prob, u0=u0, opts=opts,
+            prob, u0=u0, tol_vi=1e-8,
             params=dataclasses.replace(prob.params, kappa=kappa)))
 
     above_ok, below_ok = True, True
@@ -381,7 +377,7 @@ def test_c9_full_sparsity_lambda_formula():
     res = tc.proximal_gradient_solve(prob)
     kappa = prob.params.kappa
     u2 = res.control.u2.values
-    d = adjoint_mismatch_fields(prob.hspec, res.trajectory, res.adjoint)
+    d = (res.d.u1.values, res.d.u2.values)
     lam2 = select_subgradient(prob.mode, res.control, d, kappa)[1]
     psi3_slices = d[1]  # d2 is psi3 sampled on the control slices
     zero = u2 == 0.0

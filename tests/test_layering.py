@@ -10,8 +10,8 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tumorctrl"
 
-LAYERS = ("forking", "fields", "model", "solver", "sparsity", "optim",
-          "presets", "verify", "runner", "cli")
+LAYERS = ("forking", "fields", "model", "solver", "sparsity", "presets",
+          "optim", "verify", "runner", "cli")
 
 
 def _runtime_imports(tree: ast.Module) -> set:

@@ -11,10 +11,8 @@ import pytest
 from tumorctrl import fields, presets, runner
 from tumorctrl.cli import main as cli_main
 from tumorctrl.fields import Field, SpaceTimeField
-from tumorctrl.optim import OptimizeOptions
-from tumorctrl.presets import (_POTENTIALS, DEFAULT_SETTINGS, PRESET_SETTINGS,
-                               SETTINGS, make_problem, preset_names,
-                               preset_problem)
+from tumorctrl.presets import (_POTENTIALS, PRESET_SETTINGS, SETTINGS,
+                               make_problem, preset_names, preset_problem)
 from tumorctrl.runner import (ConfigError, load_config, parse_config_text,
                               run)
 from tumorctrl.solver import ControlPair, SeparationLoss
@@ -261,9 +259,17 @@ class TestSettingsTable:
             assert set(preset) <= set(SETTINGS), name
 
     def test_optimizer_defaults_are_the_config_defaults(self):
-        # a library caller's OptimizeOptions() runs the CLI's default cap
-        assert make_problem(DEFAULT_SETTINGS).opts == OptimizeOptions()
-        assert OptimizeOptions().max_iters == 400
+        # a library caller's make_problem runs the CLI's default stopping rule
+        p = make_problem({})
+        assert (p.max_iters, p.tol_vi) == (400, 1e-8)
+
+    @pytest.mark.parametrize("change,message", [
+        ({"tol_vi": 0.0}, "tol_vi must be positive"),
+        ({"max_iters": 0}, "max_iters must be at least 1")])
+    def test_problem_refuses_a_stopping_rule_that_never_stops(self, change,
+                                                              message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(make_problem({}), **change)
 
     def test_defaults_round_trip(self):
         for name, (sec, key, default, conv) in runner._KEYS.items():
@@ -535,7 +541,7 @@ class TestCli:
         assert list((tmp_path / "o").iterdir()) == []
 
     def test_nan_gradient_error_fails_verify(self, tmp_path, capsys):
-        # phi_q = 1e300 overflows the smooth cost, so every central
+        # phi_q = 1e300 overflows the tracking term, so every central
         # difference is inf - inf: a NaN error fails the gradient check
         cfgp = write_cfg(tmp_path, "[run]\npreset = 1D-logarithmic-default\n"
                                    "[grid]\nn = 12\n[time]\nn_steps = 16\n"

@@ -5,7 +5,7 @@ from tumorctrl.fields import SpaceTimeField, TimeGrid, grid1d, grid2d
 from tumorctrl.model import BoxBounds
 from tumorctrl.optim import gradient_bundle
 from tumorctrl.presets import preset_problem
-from tumorctrl.solver import ControlPair, solve_state
+from tumorctrl.solver import ControlPair
 from tumorctrl.sparsity import (BadBounds, SparsityMode, certificate,
                                 certificate_to_csv, eval_g, prox,
                                 select_subgradient)
@@ -284,31 +284,30 @@ class TestCertificate:
     def make_case(self, beta1=1.0, beta2=0.0):
         prob = preset_problem("time-sparsity-demo",
                               beta1=beta1, beta2=beta2)
-        traj = solve_state(prob.params, prob.pot, prob.hspec, prob.u0,
-                           prob.init)
-        return prob, traj, gradient_bundle(prob, prob.u0, traj).adjoint
+        b = gradient_bundle(prob, prob.u0)
+        return prob, ControlPair.from_arrays(prob.timegrid, prob.grid, b.d1,
+                                             b.d2)
 
     def test_zero_adjoint_flags_everything(self):
-        prob, traj, adj = self.make_case(beta1=0.0, beta2=0.0)
-        rep = certificate(prob.mode, adj, traj, prob.hspec, 1e-6, prob.bounds)
+        prob, d = self.make_case(beta1=0.0, beta2=0.0)
+        rep = certificate(prob.mode, d, 1e-6, prob.bounds)
         assert np.all(rep.flagged1) and np.all(rep.flagged2)
 
     def test_tiny_kappa_flags_nothing(self):
-        prob, traj, adj = self.make_case()
-        rep = certificate(prob.mode, adj, traj, prob.hspec, 1e-30, prob.bounds)
+        prob, d = self.make_case()
+        rep = certificate(prob.mode, d, 1e-30, prob.bounds)
         assert np.count_nonzero(rep.flagged1) == np.count_nonzero(rep.norms1 == 0.0)
         assert np.count_nonzero(rep.flagged2) == np.count_nonzero(rep.norms2 == 0.0)
 
     def test_unsigned_bounds_refused(self):
-        prob, traj, adj = self.make_case()
+        prob, d = self.make_case()
         bad = BoxBounds(0.0, 1.0, -1.0, 1.0)
         with pytest.raises(BadBounds):
-            certificate(prob.mode, adj, traj, prob.hspec, 0.1, bad)
+            certificate(prob.mode, d, 0.1, bad)
 
     def test_csv_roundtrip(self, tmp_path):
-        prob, traj, adj = self.make_case()
-        rep = certificate(prob.mode, adj, traj, prob.hspec,
-                          prob.params.kappa, prob.bounds)
+        prob, d = self.make_case()
+        rep = certificate(prob.mode, d, prob.params.kappa, prob.bounds)
         path = tmp_path / "cert.csv"
         certificate_to_csv(rep, path)
         lines = path.read_text().strip().splitlines()
