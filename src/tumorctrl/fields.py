@@ -241,26 +241,34 @@ class Trajectory:
         return self.mu.timegrid
 
 
+def _second_difference(v: np.ndarray, out: np.ndarray,
+                       h2: float) -> np.ndarray:
+    """out = the mirrored-ghost second difference of v along its last axis
+    (at least 2 long) over h2: a - 2 b + c inside, and at either end the
+    one neighbour's difference."""
+    out[..., 1:-1] = v[..., :-2] - 2.0 * v[..., 1:-1] + v[..., 2:]
+    out[..., 0] = v[..., 1] - v[..., 0]
+    out[..., -1] = v[..., -2] - v[..., -1]
+    out /= h2
+    return out
+
+
 def make_laplacian(grid: GridSpec):
     """Return a callable applying the mirrored-ghost Neumann Laplacian.
 
     Works on arrays whose last axis is the flat cell index, so a whole
-    space-time block can be processed in one call.
+    space-time block can be processed in one call.  On a 2D grid it is 0.0
+    plus the x part plus the y part, each part one second difference; an
+    axis of one cell has none (both mirror ghosts equal the cell).
     """
     if grid.dim == 1:
         h2 = grid.spacing[0] ** 2
         if grid.n[0] == 1:
-            # both mirror ghosts equal the single cell value
             return lambda v: np.zeros_like(np.asarray(v, dtype=float))
 
         def lap(v: np.ndarray) -> np.ndarray:
             v = np.asarray(v, dtype=float)
-            out = np.empty_like(v)
-            out[..., 1:-1] = v[..., :-2] - 2.0 * v[..., 1:-1] + v[..., 2:]
-            out[..., 0] = v[..., 1] - v[..., 0]
-            out[..., -1] = v[..., -2] - v[..., -1]
-            out /= h2
-            return out
+            return _second_difference(v, np.empty_like(v), h2)
 
         return lap
 
@@ -271,16 +279,12 @@ def make_laplacian(grid: GridSpec):
         v = np.asarray(v, dtype=float)
         w = v.reshape(v.shape[:-1] + (nx, ny))
         out = np.zeros_like(w)
-        if nx > 1:  # x-direction (axis -2)
-            out[..., 1:-1, :] += (w[..., :-2, :] - 2.0 * w[..., 1:-1, :]
-                                  + w[..., 2:, :]) / hx2
-            out[..., 0, :] += (w[..., 1, :] - w[..., 0, :]) / hx2
-            out[..., -1, :] += (w[..., -2, :] - w[..., -1, :]) / hx2
+        if nx > 1:  # x-direction (axis -2), as the last axis of a view
+            part = np.empty_like(w)
+            _second_difference(w.swapaxes(-1, -2), part.swapaxes(-1, -2), hx2)
+            out += part
         if ny > 1:  # y-direction (axis -1)
-            out[..., :, 1:-1] += (w[..., :, :-2] - 2.0 * w[..., :, 1:-1]
-                                  + w[..., :, 2:]) / hy2
-            out[..., :, 0] += (w[..., :, 1] - w[..., :, 0]) / hy2
-            out[..., :, -1] += (w[..., :, -2] - w[..., :, -1]) / hy2
+            out += _second_difference(w, np.empty_like(w), hy2)
         return out.reshape(v.shape)
 
     return lap

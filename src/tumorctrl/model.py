@@ -154,8 +154,9 @@ def smoothstep7() -> InterpolantSpec:
     The first three derivatives vanish at both endpoints, so the constant
     extension is C^3 and h' is globally bounded.
     """
-    def _y(r):
-        return np.clip(0.5 * (np.asarray(r, dtype=float) + 1.0), 0.0, 1.0)
+    def _y(r):  # y clipped to [0, 1] as PotentialSpec.clamp clips
+        return np.minimum(np.maximum(
+            0.5 * (np.asarray(r, dtype=float) + 1.0), 0.0), 1.0)
 
     def h(r):
         y = _y(r)

@@ -78,6 +78,8 @@ NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 # phi's least distance to a singular potential's interval bounds
 MIN_MARGIN = 1e-11
+# the phi-Newton's round-off floor, relative to the residual's scale
+ROUNDOFF_FLOOR = 8.0 * np.finfo(float).eps
 # solve_states marches at most this many bytes of states at once:
 # members x (steps + 1) x cells x 3 fields x 8 bytes
 BATCH_BYTES = 4 * 2 ** 20
@@ -219,17 +221,19 @@ def _dct_matrix(n: int) -> np.ndarray:
     return q
 
 
-def _freeze(done, rows, out, x, *arrays):
-    """Write the rows of x that done marks into out; return rows, x and
-    every per-row array cut to the other, working rows.
+def _freeze(done, rows, outs, *arrays):
+    """Write the rows that done marks of the leading arrays into outs, one
+    out per array; return rows and every per-row array cut to the other,
+    working rows.
 
-    rows maps the working rows x onto out (None until the first freeze).
+    rows maps the working rows onto the outs (None until the first freeze).
     """
     if rows is None:
         rows = np.arange(done.size)
     fin, keep = np.flatnonzero(done), np.flatnonzero(~done)
-    out[rows[fin]] = x[fin]
-    return [rows[keep]] + [a[keep] for a in (x,) + arrays]
+    for out, x in zip(outs, arrays):
+        out[rows[fin]] = x[fin]
+    return [rows[keep]] + [a[keep] for a in arrays]
 
 
 def _first(values, mask) -> float:
@@ -385,7 +389,7 @@ class _HelmholtzSolver:
                                        _first(rnorm / bnorm, ~done))
             if n_done:
                 rows, x, r, p, rz, tol, bnorm, coeff, inv_m = _freeze(
-                    done, rows, out, x, r, p, rz, tol, bnorm, coeff, inv_m)
+                    done, rows, (out,), x, r, p, rz, tol, bnorm, coeff, inv_m)
             ap = self.dct(coeff * self.idct(p)) + self.eig * p
             alpha = rz / np.vecdot(p, ap, keepdims=True)
             x += alpha * p
@@ -407,19 +411,22 @@ class _HelmholtzSolver:
         naming the cell and its diagonal in the first row whose pivot
         vanished."""
         diag = coeff + self.neg_lap_diag
-        if b.ndim == 2 and len(b) >= THOMAS_COLUMN_ROWS:
+        if b.ndim == 1:
+            return np.fromiter(_one_pass(self.e, diag.tolist(), b.tolist()),
+                               float)
+        if len(b) >= THOMAS_COLUMN_ROWS:
             return _thomas_columns(self.e, diag, b)
-        rows = [b.tolist()] if b.ndim == 1 else b.tolist()
         diags = (diag.tolist() if diag.ndim == 2
                  else itertools.repeat(diag.tolist()))
         return np.array([_one_pass(self.e, d, r)
-                         for d, r in zip(diags, rows)]).reshape(b.shape)
+                         for d, r in zip(diags, b.tolist())]).reshape(b.shape)
 
 
 def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
                      phi_n: np.ndarray, rhs: np.ndarray, start: np.ndarray,
-                     step: int) -> np.ndarray:
-    """Solve beta/tau (p - phi_n) - Lap p + F1'(p) = rhs by damped Newton.
+                     step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Solve beta/tau (p - phi_n) - Lap p + F1'(p) = rhs by damped Newton;
+    return p and Lap p, which the last residual made.
 
     phi_n, rhs and the first iterate start are a flat cell vector or one
     row per member; for a singular potential start must lie strictly
@@ -438,18 +445,27 @@ def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
     lo, hi = pot.r_minus + CLAMP_MARGIN, pot.r_plus - CLAMP_MARGIN
 
     def residual(q, pn, r):
-        return beta_tau * (q - pn) - hh.lap(q) + pot.f1[1](pot.clamp(q)) - r
+        """G(q), q clamped as F1' and F1'' read it, and Lap q."""
+        qc, lq = pot.clamp(q), hh.lap(q)
+        return beta_tau * (q - pn) - lq + pot.f1[1](qc) - r, qc, lq
 
     out = p = start.copy()
     rows = None
     pn, r = phi_n, rhs
-    g = residual(p, pn, r)
+    g, pc, lp = residual(p, pn, r)
+    out_lap = lp
     gnorm = norm(g)
-    floor = np.zeros_like(gnorm)
     for it in range(NEWTON_MAX_ITER + 1):
-        # np.fmax skips a NaN as Python's max does
-        done = gnorm <= np.fmax(tol, floor)
+        done = gnorm <= tol
         n_done = np.count_nonzero(done)
+        if it and n_done < done.size:
+            # one-ulp changes of the step's iterate move the residual by
+            # about diag * |p|, with the stencil's 2 diag(-Lap) (about
+            # 4/h^2) in diag: that caps the attainable residual on fine
+            # grids and where F1'' blows up
+            done |= gnorm <= ROUNDOFF_FLOOR * norm(
+                (jac + hh.lap_diag2) * np.maximum(np.abs(p_step), 1.0))
+            n_done = np.count_nonzero(done)
         if n_done == done.size:
             break
         if it == NEWTON_MAX_ITER:
@@ -459,51 +475,50 @@ def _phi_newton_step(pot: PotentialSpec, hh: _HelmholtzSolver, beta_tau: float,
                     raise SeparationLoss(step, margin)
             raise NewtonDivergence(step, _first(gnorm, ~done))
         if n_done:
-            rows, p, g, gnorm, floor, tol, pn, r = _freeze(
-                done, rows, out, p, g, gnorm, floor, tol, pn, r)
-        jac = beta_tau + pot.f1[2](pot.clamp(p))
-        # one-ulp changes of p move the residual by about diag * |p|, with
-        # the stencil's 2 diag(-Lap) (about 4/h^2) in diag: that caps the
-        # attainable residual on fine grids and where F1'' blows up
-        floor = 8.0 * np.finfo(float).eps * norm(
-            (jac + hh.lap_diag2) * np.maximum(np.abs(p), 1.0))
+            rows, p, lp, g, gnorm, tol, pn, r, pc = _freeze(
+                done, rows, (out, out_lap), p, lp, g, gnorm, tol, pn, r, pc)
+        jac = beta_tau + pot.f1[2](pc)
         delta = hh.solve(jac, -g)
-        step_len = np.ones_like(gnorm)
+        scale, move = 1.0, delta  # the step scale * delta, one scale per row
         if pot.is_singular:
             # fraction-to-boundary rule keeps iterates strictly interior:
-            # the room towards the bound delta points at, over |delta|
+            # the room towards the bound delta points at, over |delta|,
+            # infinite (or NaN, with no room either) where delta is 0,
+            # which np.fmin skips
             room = np.where(delta > 0.0, hi - p, p - lo)
-            to_bound = np.divide(room, np.abs(delta),
-                                 out=np.full_like(p, np.inf),
-                                 where=delta != 0.0)
-            step_len = np.fmin(step_len, 0.9 * np.fmin.reduce(
-                to_bound, axis=-1, keepdims=True))
-            if np.count_nonzero(~(step_len > 0.0)):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                to_bound = room / np.abs(delta)
+            scale = np.fmin(1.0, 0.9 * np.fmin.reduce(to_bound, axis=-1,
+                                                      keepdims=True))
+            if np.count_nonzero(scale > 0.0) < scale.size:
                 raise SeparationLoss(step, 0.0)
+            move = scale * delta
 
         # halve on residual increase, up to 40 trials per row; a row that
         # is not halved repeats its trial bit for bit
         for halving in range(40):
-            trial = p + step_len * delta
-            g_trial = residual(trial, pn, r)
+            trial = p + move
+            g_trial, trial_c, trial_lap = residual(trial, pn, r)
             trial_norm = norm(g_trial)
             better = trial_norm <= np.fmax(gnorm, tol)
             if np.count_nonzero(better) == better.size:
                 break
             if halving == 39:
                 raise NewtonDivergence(step, _first(gnorm, ~better))
-            step_len = np.where(better, step_len, 0.5 * step_len)
-        p, g, gnorm = trial, g_trial, trial_norm
+            scale = np.where(better, scale, 0.5 * scale)
+            move = scale * delta
+        p_step = p
+        p, g, gnorm, pc, lp = trial, g_trial, trial_norm, trial_c, trial_lap
 
     if rows is not None:
-        out[rows] = p
-        p = out
+        out[rows], out_lap[rows] = p, lp
+        p, lp = out, out_lap
     if pot.is_singular:
         margin = pot.margin(p)
         low = margin <= MIN_MARGIN
         if np.count_nonzero(low):
             raise SeparationLoss(step, _first(margin, low))
-    return p
+    return p, lp
 
 
 def _trajectory(tg: TimeGrid, grid: GridSpec, mu, phi, sig) -> Trajectory:
@@ -556,14 +571,15 @@ def _march(params: ModelParams, pot: PotentialSpec, hspec: InterpolantSpec,
         h_n = hspec.h(phi[n])
         # (i) phi-step, implicit convex part
         rhs_phi = mu[n] + pr.chi * sig[n] - pot.f2[1](pot.clamp(phi[n]))
-        phi[n + 1] = _phi_newton_step(pot, hh, pr.beta / tau, phi[n], rhs_phi,
-                                      _newton_start(pot, phi, n), n)
+        phi[n + 1], lap_phi = _phi_newton_step(
+            pot, hh, pr.beta / tau, phi[n], rhs_phi,
+            _newton_start(pot, phi, n), n)
         # (ii) mu-step
         source = (pr.p_rate * sig[n] - pr.a_rate - u1[n]) * h_n
         b_mu = (pr.alpha / tau) * mu[n] + source - (phi[n + 1] - phi[n]) / tau
         mu[n + 1] = hh.solve(pr.alpha / tau, b_mu)
         # (iii) sigma-step, implicit supply/consumption decay
-        b_sig = (sig[n] / tau - pr.chi * hh.lap(phi[n + 1])
+        b_sig = (sig[n] / tau - pr.chi * lap_phi
                  + pr.b_rate * pr.sigma_s + u2[n])
         coeff = 1.0 / tau + pr.b_rate + pr.e_rate * h_n
         sig[n + 1] = hh.solve(coeff, b_sig)
@@ -704,6 +720,10 @@ def solve_linearized(params: ModelParams, pot: PotentialSpec,
     # every step's coefficients are known: form them at once
     phi_c = pr.beta / tau + l1 * f1dd_all[1:]
     sig_c = 1.0 / tau + l1 * (pr.b_rate + pr.e_rate * h_all[:nt])
+    # so are the right-hand sides' products of known factors
+    c1 = (pr.p_rate * sigb[:nt] - pr.a_rate - u1b) * hp_all[:nt]
+    c3 = l1 * pr.e_rate * sigb[1:] * hp_all[:nt]
+    k1h = slice_or_zero(spec.k1, slice(nt)) * h_all[:nt]
     for n in range(nt):
         # phi-step
         b_phi = ((pr.beta / tau) * phi[n] + mu[n]
@@ -712,16 +732,14 @@ def solve_linearized(params: ModelParams, pot: PotentialSpec,
         phi[n + 1] = hh.solve(phi_c[n], b_phi)
         # mu-step
         b_mu = ((pr.alpha / tau) * mu[n]
-                + l1 * (pr.p_rate * sig[n] * h_all[n]
-                        + (pr.p_rate * sigb[n] - pr.a_rate - u1b[n])
-                        * hp_all[n] * phi[n])
-                - slice_or_zero(spec.k1, n) * h_all[n]
+                + l1 * (pr.p_rate * sig[n] * h_all[n] + c1[n] * phi[n])
+                - k1h[n]
                 + slice_or_zero(spec.f1, n)
                 - (phi[n + 1] - phi[n]) / tau)
         mu[n + 1] = hh.solve(pr.alpha / tau, b_mu)
         # sigma-step
         b_sig = (sig[n] / tau - pr.chi * hh.lap(phi[n + 1])
-                 - l1 * pr.e_rate * sigb[n + 1] * hp_all[n] * phi[n]
+                 - c3[n] * phi[n]
                  + slice_or_zero(spec.k2, n)
                  + slice_or_zero(spec.f3, n))
         sig[n + 1] = hh.solve(sig_c[n], b_sig)
@@ -773,6 +791,10 @@ def solve_adjoint(params: ModelParams, pot: PotentialSpec,
     psi2_c = pr.beta / tau + f1dd_all
     psi3_c = (1.0 / tau + pr.b_rate
               + pr.e_rate * h_all[np.maximum(np.arange(nt) - 1, 0)])
+    # so are the right-hand sides' products of known factors
+    ph = pr.p_rate * h_all[:nt]
+    c1 = (pr.p_rate * sigb[:nt] - pr.a_rate - u1b) * hp_all[:nt]
+    c3 = pr.e_rate * sigb[1:] * hp_all[:nt]
     psi2[nt] = hh.solve(psi2_c[nt], source[nt])
 
     for m in range(nt - 1, -1, -1):
@@ -780,7 +802,7 @@ def solve_adjoint(params: ModelParams, pot: PotentialSpec,
         b1 = (pr.alpha / tau) * psi1[m + 1] + psi2[m + 1]
         psi1[m] = hh.solve(pr.alpha / tau, b1)
         # psi3-step (implicit decay)
-        b3 = ((1.0 / tau) * psi3[m + 1] + pr.p_rate * h_all[m] * psi1[m + 1]
+        b3 = ((1.0 / tau) * psi3[m + 1] + ph[m] * psi1[m + 1]
               + pr.chi * psi2[m + 1])
         psi3[m] = hh.solve(psi3_c[m], b3)
         # psi2-step; (psi1[m+1] - psi1[m])/tau realizes the substituted
@@ -788,9 +810,8 @@ def solve_adjoint(params: ModelParams, pot: PotentialSpec,
         b2 = ((pr.beta / tau) * psi2[m + 1]
               - f2dd_all[m] * psi2[m + 1]
               + (psi1[m + 1] - psi1[m]) / tau
-              + (pr.p_rate * sigb[m] - pr.a_rate - u1b[m]) * hp_all[m]
-              * psi1[m + 1]
-              - pr.e_rate * sigb[m + 1] * hp_all[m] * psi3[m + 1]
+              + c1[m] * psi1[m + 1]
+              - c3[m] * psi3[m + 1]
               - pr.chi * hh.lap(psi3[m])
               + source[m])
         psi2[m] = hh.solve(psi2_c[m], b2)

@@ -75,7 +75,7 @@ def test_c2_gradient_fidelity(default_checks):
 def test_c3_linearized_map_fidelity(default_checks):
     rep = default_checks[0]["linearized_fd_refinement"]
     errs = [r[3] for r in rep.refinement]
-    ok = len(errs) >= 2 and max(errs) <= 1e-6
+    ok = len(errs) >= 2 and max(errs) <= verify.LINEARIZED_RTOL
     report(3, "linearized map fidelity", ok,
            f" [default {errs[0]:.2e} -> refined {errs[-1]:.2e}]")
 

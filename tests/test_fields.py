@@ -112,6 +112,60 @@ class TestLaplacian:
             lap_a = Field(grid, make_laplacian(grid)(a.values))
             assert inner(lap_a, a) <= 1e-12
 
+    @staticmethod
+    def stencil(grid, v):
+        """The mirrored-ghost stencil cell by cell on Python floats: per
+        axis the neighbour differences over h^2, a - 2 b + c inside and
+        the one neighbour's difference at an end (none on a 1-cell axis);
+        on a 2D grid 0.0 + x part + y part."""
+        def axis(line, i, h2):
+            n = len(line)
+            if i == 0:
+                return (line[1] - line[0]) / h2
+            if i == n - 1:
+                return (line[n - 2] - line[n - 1]) / h2
+            return (line[i - 1] - 2.0 * line[i] + line[i + 1]) / h2
+
+        h2s = [h * h for h in grid.spacing]
+        if grid.dim == 1:
+            n = grid.n[0]
+            return [0.0 if n == 1 else axis(v, i, h2s[0]) for i in range(n)]
+        (nx, ny), w = grid.n, [v[i * grid.n[1]:(i + 1) * grid.n[1]]
+                               for i in range(grid.n[0])]
+        out = []
+        for i in range(nx):
+            for j in range(ny):
+                acc = 0.0
+                if nx > 1:
+                    acc += axis([row[j] for row in w], i, h2s[0])
+                if ny > 1:
+                    acc += axis(w[i], j, h2s[1])
+                out.append(acc)
+        return out
+
+    @pytest.mark.parametrize("grid", [
+        grid1d(1, 1.3), grid1d(2, 1.3), grid1d(3, 1.3), grid1d(16, 1.3),
+        grid2d(1, 5, 1.3, 0.8), grid2d(5, 1, 1.3, 0.8),
+        grid2d(4, 6, 1.3, 0.8)], ids=lambda g: "x".join(map(str, g.n)))
+    def test_bits_are_the_stencils(self, grid, rng):
+        # signed values of one magnitude per member, over many magnitudes
+        # (neighbours of one magnitude round apart where the order of the
+        # operations differs), with zeros of both signs in four members
+        # and only such zeros in four more, as a (members, cells) batch
+        # and one field at a time: every bit, and the sign of every zero,
+        # is the per-cell stencil's
+        v = (rng.standard_normal((12, grid.n_cells))
+             * 10.0 ** rng.integers(-20, 21, (12, 1)))
+        v[8:] = 0.0
+        v[:4][rng.random((4, grid.n_cells)) < 0.2] = 0.0
+        v[:4][rng.random((4, grid.n_cells)) < 0.2] = -0.0
+        v[8:][rng.random((4, grid.n_cells)) < 0.5] = -0.0
+        lap = make_laplacian(grid)
+        want = np.array([self.stencil(grid, row.tolist()) for row in v])
+        assert lap(v).tobytes() == want.tobytes()
+        for row, expected in zip(v, want):
+            assert lap(row).tobytes() == expected.tobytes()
+
 
 class TestInnerProducts:
     def test_single_cell_arithmetic(self):

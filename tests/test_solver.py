@@ -407,13 +407,103 @@ class TestPhiNewtonStep:
                           0.5 * np.sin(np.pi * x)])
         rhs = np.stack([rhs_scale * (1.0 + 0.25 * np.cos(np.pi * x)),
                         0.01 * x, np.full(16, -0.75 * rhs_scale)])
-        batch = solver._phi_newton_step(pot, solver._HelmholtzSolver(grid),
-                                        1.0, phi_n, rhs, phi_n, 0)
+        batch, _ = solver._phi_newton_step(
+            pot, solver._HelmholtzSolver(grid), 1.0, phi_n, rhs, phi_n, 0)
         for row in range(3):
-            alone = solver._phi_newton_step(
+            alone, _ = solver._phi_newton_step(
                 pot, solver._HelmholtzSolver(grid), 1.0, phi_n[row],
                 rhs[row], phi_n[row], 0)
             assert np.array_equal(batch[row], alone)
+
+    @staticmethod
+    def counted_step(pot, grid, beta_tau, phi_n, rhs, start):
+        """_phi_newton_step's p and Lap p, the rows of its Jacobian solves
+        (one per row and solve), its residual evaluations and its
+        Newton updates delta."""
+        hh = solver._HelmholtzSolver(grid)
+        solve, lap = hh.solve, hh.lap
+        count = {"solves": 0, "evaluations": 0, "deltas": []}
+
+        def counted_solve(coeff, b):
+            count["solves"] += len(b) if b.ndim == 2 else 1
+            count["deltas"].append(solve(coeff, b))
+            return count["deltas"][-1]
+
+        def counted_lap(v):
+            count["evaluations"] += 1
+            return lap(v)
+
+        hh.solve, hh.lap = counted_solve, counted_lap
+        p, lap_p = solver._phi_newton_step(pot, hh, beta_tau, phi_n, rhs,
+                                           start, 0)
+        return p, lap_p, count
+
+    def test_stopping_branches_bit_for_bit(self):
+        # on 2048 cells the stencil's 4/h^2 sets the round-off floor near
+        # 3e-8 |p|: a smooth O(1) row stops on the floor, above its
+        # tolerance of 8e-12; a row of 1e9 started near its solution stops
+        # on its tolerance of 1.25e-3; a row of 1e6 from phi^n needs 10
+        # line-search halvings.  Each row takes its own solves and trials,
+        # and gets its own bits, in the batch
+        pot, grid = regular_potential(), grid1d(2048)
+        x = grid.cell_centers()[0]
+        phi_n = np.tile(0.5 * np.cos(np.pi * x), (3, 1))
+        wave = 1.0 + 0.25 * np.cos(np.pi * x)
+        rhs = np.stack([0.75 * np.sin(np.pi * x), 1e9 * wave,
+                        np.full(2048, 1e6)])
+        start = np.stack([phi_n[0], 1e3 * np.cbrt(wave), phi_n[2]])
+        batch, batch_lap, counts = self.counted_step(pot, grid, 8.0, phi_n,
+                                                     rhs, start)
+        lap = solver._HelmholtzSolver(grid).lap
+        assert counts["solves"] == 3 + 2 + 5
+        assert batch_lap.tobytes() == lap(batch).tobytes()
+        for row, (solves, halvings, on_tol) in enumerate(
+                [(3, 0, False), (2, 0, True), (5, 10, True)]):
+            p, lap_p, alone = self.counted_step(pot, grid, 8.0, phi_n[row],
+                                                rhs[row], start[row])
+            assert p.tobytes() == batch[row].tobytes()
+            assert lap_p.tobytes() == batch_lap[row].tobytes()
+            assert alone["solves"] == solves
+            assert alone["evaluations"] == 1 + solves + halvings
+            g = 8.0 * (p - phi_n[row]) - lap(p) + pot.f1[1](p) - rhs[row]
+            tol = solver.NEWTON_TOL * max(np.abs(rhs[row]).max(), 8.0)
+            assert bool(np.abs(g).max() <= tol) is on_tol
+
+    def test_zero_updates_have_no_bound(self):
+        # on cells 1e150 wide the coupling 1/h^2 = 2.6e-300 underflows two
+        # cells away from the one cell whose residual is not 0: 14 entries
+        # of every delta are exact zeros, whose room to the log potential's
+        # walls over |delta| is infinite and does not cut the step
+        pot, grid = logarithmic_potential(), grid1d(16, 1e151)
+        phi_n = np.full(16, 0.3)
+        rhs = pot.f1[1](phi_n)
+        rhs[0] += 1.0
+        p, _, count = self.counted_step(pot, grid, 8.0, phi_n, rhs, phi_n)
+        assert count["solves"] == 3
+        assert [np.count_nonzero(d == 0.0)
+                for d in count["deltas"]] == [14, 14, 14]
+        assert np.array_equal(p[1:], phi_n[1:])
+        assert p[0] == pytest.approx(0.39727703, rel=1e-8)
+        g = 8.0 * (p[0] - 0.3) + pot.f1[1](p[0]) - rhs[0]
+        assert abs(g) <= solver.NEWTON_TOL * 8.0
+
+    @pytest.mark.parametrize("pot", [regular_potential(),
+                                     logarithmic_potential()],
+                             ids=["regular", "logarithmic"])
+    def test_nan_right_hand_side_stalls(self, pot):
+        # a NaN row stalls its line search, alone and beside a finite row
+        grid = grid1d(16)
+        phi_n = 0.5 * np.cos(np.pi * grid.cell_centers()[0])
+        rhs = np.zeros(16)
+        rhs[3] = np.nan
+        for args in ((phi_n, rhs, phi_n),
+                     (np.stack([phi_n, phi_n]), np.stack([0 * phi_n, rhs]),
+                      np.stack([phi_n, phi_n]))):
+            with pytest.raises(NewtonDivergence) as got:
+                solver._phi_newton_step(pot, solver._HelmholtzSolver(grid),
+                                        8.0, *args, 5)
+            assert str(got.value) == ("phi-step Newton stalled at step 5: "
+                                      "|G| = nan")
 
     @pytest.mark.parametrize("preset", ["1D-logarithmic-default",
                                         "time-sparsity-demo"])
@@ -467,7 +557,7 @@ class TestPhiNewtonStep:
         assert np.allclose(start[~wall], 4.0 * slope[~wall], rtol=1e-15)
         hh = solver._HelmholtzSolver(grid)
         rhs = pot.f1[1](phi[2])
-        p = solver._phi_newton_step(pot, hh, 10.0, phi[2], rhs, start, 2)
+        p, _ = solver._phi_newton_step(pot, hh, 10.0, phi[2], rhs, start, 2)
         g = 10.0 * (p - phi[2]) - hh.lap(p) + pot.f1[1](p) - rhs
         assert np.abs(g).max() <= solver.NEWTON_TOL * np.abs(rhs).max()
         assert np.abs(p).max() < 1.0

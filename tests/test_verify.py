@@ -204,11 +204,11 @@ class TestLinearizedChecks:
 
     # a base coefficient off by a relative error, and what the tangent and
     # duality checks measure (None: the duality gap stays at round-off).
-    # F1'' fails the tangent against differences, while the tangent and
-    # the adjoint, which share it, stay each other's transpose; h breaks
-    # the duality pairing, since the h inside d is not planted; h' shows
-    # only where its factor P sigma - A - u1 is large (u1 = -16 on
-    # stress-separation)
+    # F1'' and h' fail the tangent against differences, while the tangent
+    # and the adjoint, which share them, stay each other's transpose; h
+    # breaks the duality pairing, since the h inside d is not planted.  h'
+    # reads 100 times more where its factor P sigma - A - u1 is large
+    # (u1 = -16 on stress-separation)
     @pytest.mark.parametrize("coefficient,error,preset,lin,dual", [
         pytest.param("F1''", 1e-2, "time-sparsity-demo", 1.26e-4, None,
                      id="F1dd-time-sparsity-demo"),
@@ -248,6 +248,8 @@ class TestLinearizedChecks:
             else:
                 assert value == pytest.approx(measured, rel=0.05)
             assert reps[name].passed is (value <= tol)
+        # the tangent against differences fails every F1'' and h' plant
+        assert reps["linearized_fd_refinement"].passed is (coefficient == "h")
 
 
 class TestDualityGap:
