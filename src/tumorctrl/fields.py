@@ -11,7 +11,7 @@ CSV output has one cell format (write_csv).  A field file can be written
 in two parts at a snapshot boundary, the header and the snapshots before it
 (write_field_csv with stop) and the rest (_write_snapshots), whose
 concatenation is the whole file byte for byte: runner writes a large run's
-second halves in a forked child.
+later snapshots in a forked child.
 """
 
 from __future__ import annotations
@@ -241,12 +241,16 @@ class Trajectory:
         return self.mu.timegrid
 
 
+# a ufunc takes a 0-d array faster than a Python float, with the same bits
+_TWO = np.array(2.0)
+
+
 def _second_difference(v: np.ndarray, out: np.ndarray,
                        h2: float) -> np.ndarray:
     """out = the mirrored-ghost second difference of v along its last axis
     (at least 2 long) over h2: a - 2 b + c inside, and at either end the
     one neighbour's difference."""
-    out[..., 1:-1] = v[..., :-2] - 2.0 * v[..., 1:-1] + v[..., 2:]
+    out[..., 1:-1] = v[..., :-2] - _TWO * v[..., 1:-1] + v[..., 2:]
     out[..., 0] = v[..., 1] - v[..., 0]
     out[..., -1] = v[..., -2] - v[..., -1]
     out /= h2
@@ -262,7 +266,7 @@ def make_laplacian(grid: GridSpec):
     axis of one cell has none (both mirror ghosts equal the cell).
     """
     if grid.dim == 1:
-        h2 = grid.spacing[0] ** 2
+        h2 = np.array(grid.spacing[0] ** 2)  # 0-d, as _TWO
         if grid.n[0] == 1:
             return lambda v: np.zeros_like(np.asarray(v, dtype=float))
 
@@ -273,7 +277,7 @@ def make_laplacian(grid: GridSpec):
         return lap
 
     nx, ny = grid.n
-    hx2, hy2 = (s ** 2 for s in grid.spacing)
+    hx2, hy2 = (np.array(s ** 2) for s in grid.spacing)
 
     def lap(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)

@@ -1,7 +1,7 @@
 """One job in a forked child while the caller works on.
 
 verify runs its linearized check's finest level this way, and runner the
-second halves of a run's field CSVs.  _forked(fork, fn, *args) yields a
+later halves of a run's field CSVs.  _forked(fork, fn, *args) yields a
 function that returns fn(*args): computed meanwhile in a child when a fork
 helps (_fork_helps), otherwise in-process when it is called.  Either way
 the caller sees fn's own result, or fn's own failure raised in-process.

@@ -11,7 +11,7 @@ source terms off in healthy tissue (phi = -1) and on in tumor tissue
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -20,6 +20,13 @@ import numpy as np
 CLAMP_MARGIN = 1e-12
 # sample points per interval in validate_setup's potential and h checks
 SETUP_SAMPLES = 257
+
+# the potentials' and the interpolant's constants as 0-d arrays: a ufunc
+# takes one faster than a Python float, with the same bits (see solver)
+_ZERO, _QUARTER, _HALF, _ONE, _TWO, _THREE, _MINUS_TWO = map(
+    np.array, (0.0, 0.25, 0.5, 1.0, 2.0, 3.0, -2.0))
+# smoothstep7's Horner constants, -84 with its sign
+_H35, _H84, _H70, _H20 = map(np.array, (35.0, -84.0, 70.0, 20.0))
 
 
 @dataclass(frozen=True)
@@ -76,29 +83,38 @@ class PotentialSpec:
     CLAMP_MARGIN).  The state solver keeps its iterates inside that
     interval by a fraction-to-boundary rule and raises SeparationLoss
     rather than clamp phi.
+
+    Made once when the spec is built, since the solvers read them at every
+    Newton iteration: is_singular, and the evaluation interval's ends lo
+    and hi as 0-d arrays (-inf and inf for a regular potential), with the
+    bits of r_minus + CLAMP_MARGIN and r_plus - CLAMP_MARGIN.
     """
 
     r_minus: float
     r_plus: float
     f1: tuple[ScalarFunc, ScalarFunc, ScalarFunc]
     f2: tuple[ScalarFunc, ScalarFunc, ScalarFunc]
+    is_singular: bool = field(init=False, repr=False, compare=False)
+    lo: np.ndarray = field(init=False, repr=False, compare=False)
+    hi: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_singular(self) -> bool:
-        return math.isfinite(self.r_minus) or math.isfinite(self.r_plus)
+    def __post_init__(self):
+        object.__setattr__(self, "is_singular", math.isfinite(self.r_minus)
+                           or math.isfinite(self.r_plus))
+        object.__setattr__(self, "lo", np.array(self.r_minus + CLAMP_MARGIN))
+        object.__setattr__(self, "hi", np.array(self.r_plus - CLAMP_MARGIN))
 
     def clamp(self, r: np.ndarray) -> np.ndarray:
         """r clipped to the evaluation interval (unchanged if regular)."""
         if not self.is_singular:
             return r
         # np.clip's own definition, at a fraction of its per-call cost
-        return np.minimum(np.maximum(r, self.r_minus + CLAMP_MARGIN),
-                          self.r_plus - CLAMP_MARGIN)
+        return np.minimum(np.maximum(r, self.lo), self.hi)
 
     def margin(self, r: np.ndarray) -> np.ndarray:
         """Least distance of r to the interval ends, along the last axis."""
-        return np.minimum(r.min(axis=-1) - self.r_minus,
-                          self.r_plus - r.max(axis=-1))
+        return np.minimum(np.minimum.reduce(r, axis=-1) - self.r_minus,
+                          self.r_plus - np.maximum.reduce(r, axis=-1))
 
     def split_eval(self, r: np.ndarray,
                    order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -113,12 +129,12 @@ def regular_potential() -> PotentialSpec:
     Split so that F1 is convex with F1(0) = 0:
     F1 = r^4/4 + r^2/2 and F2 = 1/4 - r^2.
     """
-    f1 = (lambda r: 0.25 * r**4 + 0.5 * r**2,
+    f1 = (lambda r: _QUARTER * r**4 + _HALF * r**2,
           lambda r: r**3 + r,
-          lambda r: 3.0 * r**2 + 1.0)
-    f2 = (lambda r: 0.25 - r**2,
-          lambda r: -2.0 * r,
-          lambda r: -2.0 * np.ones_like(r))
+          lambda r: _THREE * r**2 + _ONE)
+    f2 = (lambda r: _QUARTER - r**2,
+          lambda r: _MINUS_TWO * r,
+          lambda r: _MINUS_TWO * np.ones_like(r))
     return PotentialSpec(-math.inf, math.inf, f1, f2)
 
 
@@ -130,12 +146,13 @@ def logarithmic_potential(k: float = 2.0) -> PotentialSpec:
     """
     if not k > 1.0:
         raise ValueError(f"logarithmic potential requires k > 1, got {k!r}")
-    f1 = (lambda r: (1.0 + r) * np.log1p(r) + (1.0 - r) * np.log1p(-r),
+    minus_k, minus_2k = np.array(-k), np.array(-2.0 * k)
+    f1 = (lambda r: (_ONE + r) * np.log1p(r) + (_ONE - r) * np.log1p(-r),
           lambda r: np.log1p(r) - np.log1p(-r),
-          lambda r: 2.0 / (1.0 - r**2))
-    f2 = (lambda r, k=k: -k * r**2,
-          lambda r, k=k: -2.0 * k * r,
-          lambda r, k=k: -2.0 * k * np.ones_like(r))
+          lambda r: _TWO / (_ONE - r**2))
+    f2 = (lambda r: minus_k * r**2,
+          lambda r: minus_2k * r,
+          lambda r: minus_2k * np.ones_like(r))
     return PotentialSpec(-1.0, 1.0, f1, f2)
 
 
@@ -156,15 +173,15 @@ def smoothstep7() -> InterpolantSpec:
     """
     def _y(r):  # y clipped to [0, 1] as PotentialSpec.clamp clips
         return np.minimum(np.maximum(
-            0.5 * (np.asarray(r, dtype=float) + 1.0), 0.0), 1.0)
+            _HALF * (np.asarray(r, dtype=float) + _ONE), _ZERO), _ONE)
 
     def h(r):
         y = _y(r)
-        return y**4 * (35.0 + y * (-84.0 + y * (70.0 - 20.0 * y)))
+        return y**4 * (_H35 + y * (_H84 + y * (_H70 - _H20 * y)))
 
     def hd(r):
         y = _y(r)
-        return 0.5 * 140.0 * y**3 * (1.0 - y) ** 3
+        return _H70 * y**3 * (_ONE - y) ** 3  # 70 = 0.5 * 140
 
     return InterpolantSpec(h, hd)
 

@@ -311,9 +311,12 @@ def proximal_gradient_solve(problem: Problem) -> OptimizeResult:
             break
         while True:
             # eta = 1/nu with a tiny nu can overflow the step or the prox's
-            # group norms
+            # group norms, or be inf itself: inf * g raises no flag where g
+            # has no 0 entry
             try:
                 with np.errstate(over="raise", invalid="raise"):
+                    if math.isinf(eta):
+                        raise FloatingPointError("1/nu overflows")
                     v1 = SpaceTimeField(tg, grid,
                                         u.u1.values - eta * bundle.g1)
                     v2 = SpaceTimeField(tg, grid,

@@ -12,8 +12,8 @@ files.  A run that fails, in its command or while it writes, removes its
 run directory, whether it made it or an earlier run did, so no cut-short
 artifact stays beside an older manifest.  simulate and optimize write their
 field CSVs from two processes when they hold FIELD_FORK_ROWS values or more
-in all (_write_fields): a forked child writes the second half of every
-file, with the same bytes.
+in all (_write_fields): a forked child writes the later snapshots of every
+file, at most half of them, with the same bytes.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .verify import separation_monitor, verify_checks, write_check_csv
 
 _STATE_NAMES = ("mu", "phi", "sigma")
 # field values (CSV rows) of a run's field files from which a forked child
-# writes the second half of every file (_write_fields).  Whole runs timed on
+# writes the later half of every file (_write_fields).  Whole runs timed on
 # two CPUs, forked against in-process in interleaved pairs (median ratios):
 # runs of 10k and 13k values took 4 % and 11 % longer forked, runs of 26k
 # and 29k values 4 % and 8 % less but longer in a third of the pairs or
@@ -67,12 +67,15 @@ def _write_fields(out, fields):
     """One field CSV per (file stem, field, column name); returns the paths.
 
     With FIELD_FORK_ROWS values or more in all, where a fork helps
-    (forking._fork_helps), every file is split at snapshot n_slices // 2:
-    one forked child writes the second halves to sibling <stem>.csv.part
-    files while this process writes each header and first half into its
-    file, then appends each part and deletes it.  So the bytes are
-    write_field_csv's.  A failure in the child's share is raised here by
-    writing that share again (forking._forked), and no part is left behind.
+    (forking._fork_helps), every file is split at snapshot
+    (n_slices + 1) // 2: one forked child writes the later snapshots to
+    sibling <stem>.csv.part files while this process writes each header
+    and earlier snapshots into its file, then appends each part and
+    deletes it.  With an odd count this process takes the extra snapshot,
+    as the child also pays for the fork and its copy-on-write faults.  So
+    the bytes are write_field_csv's.  A failure in the child's share is
+    raised here by writing that share again (forking._forked), and no part
+    is left behind.
     """
     files = [out / f"{stem}.csv" for stem, _, _ in fields]
     if sum(u.values.size for _, u, _ in fields) < FIELD_FORK_ROWS \
@@ -80,13 +83,13 @@ def _write_fields(out, fields):
         for p, (_, u, name) in zip(files, fields):
             write_field_csv(p, u, name)
         return files
-    parts = [(p.with_name(p.name + ".part"), u, u.n_slices // 2)
+    parts = [(p.with_name(p.name + ".part"), u, (u.n_slices + 1) // 2)
              for p, (_, u, _) in zip(files, fields)]
     try:
-        with _forked(True, _write_parts, parts) as second_halves:
+        with _forked(True, _write_parts, parts) as later_halves:
             for p, (_, u, name), (_, _, stop) in zip(files, fields, parts):
                 write_field_csv(p, u, name, stop)
-            second_halves()
+            later_halves()
         for p, (part, _, _) in zip(files, parts):
             with open(p, "ab") as fh, open(part, "rb") as rest:
                 shutil.copyfileobj(rest, fh)

@@ -6,7 +6,9 @@ shares no code with the proximal-gradient path it checks.
 random_admissible_controls draws optimizer and gradient-check starts.
 thomas_one_pass is the 1D Helmholtz solve as one forward sweep that makes
 its pivots on the way, written apart from the solver: its row and column
-sweeps must match it bit for bit.
+sweeps must match it bit for bit.  fraction_to_boundary is the phi-Newton's
+step rule with no full-step shortcut: the solver's rule must match it bit
+for bit.
 """
 
 import itertools
@@ -14,9 +16,11 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from tumorctrl.model import CLAMP_MARGIN
 from tumorctrl.optim import reduced_cost
 from tumorctrl.presets import Problem
-from tumorctrl.solver import ControlPair, SolveFailure, solve_states
+from tumorctrl.solver import (ControlPair, SeparationLoss, SolveFailure,
+                              solve_states)
 from tumorctrl.sparsity import SparsityMode
 
 # brute_force_optimize: lattice points per axis, shrink-and-rescan rounds,
@@ -146,3 +150,21 @@ def thomas_one_pass(hh, coeff, b: np.ndarray) -> np.ndarray:
             ys[i] = x
         out.append(ys)
     return np.array(out).reshape(b.shape)
+
+
+def fraction_to_boundary(pot, p: np.ndarray, delta: np.ndarray, step: int):
+    """The phi-Newton's step rule for a singular potential, one formula for
+    every batch: (scale, scale * delta) with the column of row scales
+    min(1, 0.9 min(room / |delta|)), where room is the distance from p to
+    the evaluation-interval bound delta points at and np.fmin skips the
+    infinite or NaN ratios where delta is 0.  A row with no room raises
+    SeparationLoss(step, 0.0)."""
+    lo, hi = pot.r_minus + CLAMP_MARGIN, pot.r_plus - CLAMP_MARGIN
+    room = np.where(delta > 0.0, hi - p, p - lo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        to_bound = room / np.abs(delta)
+    scale = np.fmin(1.0, 0.9 * np.fmin.reduce(to_bound, axis=-1,
+                                              keepdims=True))
+    if np.count_nonzero(scale > 0.0) < scale.size:
+        raise SeparationLoss(step, 0.0)
+    return scale, scale * delta

@@ -222,6 +222,11 @@ ROWS = [
     row("optimize-prox-nu-5e-324", "optimize",
         preset(TSD, "[model]\nnu = 5e-324\n"), 1,
         "solver error: prox step overflows at iteration 0 with eta inf"),
+    # eta = inf times a gradient with no 0 entry, which raises no flag
+    row("optimize-prox-nu-5e-324-no-zero-gradient", "optimize",
+        preset(STRESS, "[grid]\nn = 8\n[time]\nn_steps = 8\n"
+                       "[model]\nnu = 5e-324\n"), 1,
+        "solver error: prox step overflows at iteration 0 with eta inf"),
     row("optimize-prox-nu-1e-200", "optimize",
         preset(TSD, "[model]\nnu = 1e-200\n"), 1,
         "solver error: prox step overflows at iteration 0 with eta "

@@ -411,7 +411,7 @@ FORKED_RUNS = {
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 class TestForkedFieldWriter:
-    # a forked child writes the second half of every field file of a large
+    # a forked child writes the later half of every field file of a large
     # run; the files are those of the in-process writer, byte for byte
 
     @pytest.mark.parametrize("command", sorted(FORKED_RUNS))
@@ -425,6 +425,26 @@ class TestForkedFieldWriter:
         assert (n_forked, n_in_process) == (1, 0)
         assert forked == in_process
         assert "phi.csv" in forked
+
+    def test_this_process_writes_the_larger_share(self, tmp_path,
+                                                  monkeypatch,
+                                                  forked_and_in_process):
+        # simulate's field files hold 33 snapshots each: this process
+        # writes the first 17, and the forked child, which also pays for
+        # the fork, the last 16
+        splits = []
+        forked = runner._forked
+
+        def recorded(fork, fn, parts):
+            splits.extend((u.n_slices, start) for _, u, start in parts)
+            return forked(fork, fn, parts)
+
+        monkeypatch.setattr(runner, "_forked", recorded)
+        outs = iter(["forked", "in-process"])
+        (_, n_forked), _ = forked_and_in_process(lambda: artifacts(
+            FORKED_RUNS["simulate"], tmp_path / next(outs)))
+        assert n_forked == 1
+        assert splits == [(33, 17)] * 3
 
     def test_one_cpu_forks_nothing(self, tmp_path, monkeypatch,
                                    forked_and_in_process):

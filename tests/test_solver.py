@@ -5,11 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import random_admissible_controls, thomas_one_pass
+from oracles import (fraction_to_boundary, random_admissible_controls,
+                     thomas_one_pass)
 from tumorctrl.fields import (Field, SpaceTimeField, StateTriple, TimeGrid,
                               grid1d, grid2d, inner)
-from tumorctrl.model import (ModelParams, logarithmic_potential,
-                             regular_potential, smoothstep7)
+from tumorctrl.model import (ModelParams, PotentialSpec,
+                             logarithmic_potential, regular_potential,
+                             smoothstep7)
 from tumorctrl.optim import gradient_bundle
 from tumorctrl.presets import Targets, preset_names, preset_problem
 from tumorctrl import solver
@@ -91,6 +93,19 @@ class TestHelmholtzSolver:
         assert hh.iterations == 0
         resid = b - (3.0 * x - hh.lap(x))
         assert np.linalg.norm(resid) <= 1e-13 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("grid", [
+        grid1d(16), grid2d(6, 5), grid2d(24, 16)], ids=str)
+    def test_0d_coefficient_is_the_float(self, grid, rng):
+        # the solvers pass their scalar coefficients as 0-d arrays: on a 2D
+        # grid one DCT solve with no CG iteration, and on either grid the
+        # float's bits, for one system and for batches of rows and columns
+        hh = solver._HelmholtzSolver(grid)
+        b = rng.standard_normal((solver.THOMAS_COLUMN_ROWS, grid.n_cells))
+        for rhs in (b[0], b[:3], b):
+            x = hh.solve(np.array(2.5), rhs)
+            assert hh.iterations == 0
+            assert x.tobytes() == hh.solve(2.5, rhs).tobytes()
 
     @pytest.mark.parametrize("n", [12, 24, 48, 96])
     def test_variable_coefficient_meets_the_stencil_residual(self, n):
@@ -561,6 +576,171 @@ class TestPhiNewtonStep:
         g = 10.0 * (p - phi[2]) - hh.lap(p) + pot.f1[1](p) - rhs
         assert np.abs(g).max() <= solver.NEWTON_TOL * np.abs(rhs).max()
         assert np.abs(p).max() < 1.0
+
+
+def linear_singular_potential():
+    """F1 = r^2/2 and F2 = 0 on (-1, 1): the phi-step is linear, so a
+    Newton update is the iterate's distance to the solution."""
+    return PotentialSpec(-1.0, 1.0,
+                         (lambda r: 0.5 * r**2, lambda r: 1.0 * r,
+                          np.ones_like),
+                         (np.zeros_like, np.zeros_like, np.zeros_like))
+
+
+def steps_towards_bounds(pot, p, ratios):
+    """delta with room / |delta| = ratios, cell by cell (rows of p and
+    ratios broadcast), pointing at the upper bound in even cells and at the
+    lower one in odd cells."""
+    up = np.arange(p.shape[-1]) % 2 == 0
+    room = np.where(up, pot.hi - p, p - pot.lo)
+    return np.where(up, 1.0, -1.0) * room / ratios
+
+
+def cell_ratios(row_ratios, cells=8):
+    """One row per ratio: that ratio in cell 3, 3.0 in the other cells."""
+    out = np.full((len(row_ratios), cells), 3.0)
+    out[:, 3] = row_ratios
+    return out
+
+
+# room / |delta| at and around 1 / FULL_STEP_ROOM = 1.25, and between the
+# exact rule's full step (1 / 0.9) and no room at all
+NEAR_THE_GUARD = ([1.25 * (1.0 + k * 2.0 ** -52) for k in (-3, -1, 0, 1, 3)]
+                  + [2.0, 1.3, 1.2, 1.15, 1.0 / 0.9, 1.1, 1.08, 1.06, 1.0,
+                     0.6])
+
+
+class TestFractionToBoundary:
+    # the phi-Newton's step rule skips the ratios when every cell of the
+    # batch has |delta| <= FULL_STEP_ROOM x room; its scales and steps are
+    # those of the rule without the shortcut (oracles.fraction_to_boundary)
+    # bit for bit, and so is every Newton iteration that uses it
+    pot = logarithmic_potential()
+
+    @staticmethod
+    def outcome(rule, pot, p, delta):
+        """The rule's column of scales and its step, as bytes, or the text
+        of its SeparationLoss."""
+        try:
+            scale, move = rule(pot, p, delta, 7)
+        except SeparationLoss as exc:
+            return str(exc)
+        return (np.broadcast_to(scale, p.shape[:-1] + (1,)).tobytes(),
+                move.tobytes())
+
+    def assert_exact(self, p, delta):
+        assert self.outcome(solver._to_boundary, self.pot, p, delta) \
+            == self.outcome(fraction_to_boundary, self.pot, p, delta)
+
+    def test_steps_near_the_guard(self):
+        p = np.tile(np.linspace(-0.6, 0.6, 8), (len(NEAR_THE_GUARD), 1))
+        delta = steps_towards_bounds(self.pot, p, cell_ratios(NEAR_THE_GUARD))
+        self.assert_exact(p, delta)
+        for ratio, row, d in zip(NEAR_THE_GUARD, p, delta):
+            self.assert_exact(row, d)
+            self.assert_exact(row[None], d[None])
+            full = np.ndim(solver._to_boundary(self.pot, row, d, 7)[0]) == 0
+            if not 1.2 < ratio < 1.3:
+                assert full is (ratio >= 1.3)
+
+    def test_zero_updates_without_room(self):
+        # delta = +-0 where p sits on the lower bound: room 0, and a NaN
+        # ratio that np.fmin skips; beside full steps, beside a damped
+        # step, alone in a row, and beside a step with no room
+        p = np.tile(np.linspace(-0.6, 0.6, 8), (4, 1))
+        p[:, 1:3] = self.pot.lo
+        delta = steps_towards_bounds(self.pot, p, cell_ratios([2.0, 1.08,
+                                                               2.0, 2.0]))
+        delta[:, 1], delta[:, 2] = 0.0, -0.0
+        delta[2, 3:] = 0.0
+        p[2, 3:] = self.pot.lo
+        delta[3, 7] = -1e-3  # at the lower bound, pointing at it
+        p[3, 7] = self.pot.lo
+        for rows in (slice(0, 1), slice(1, 2), slice(2, 3), slice(0, 3),
+                     slice(3, 4), slice(0, 4)):
+            self.assert_exact(p[rows], delta[rows])
+            if rows.stop - rows.start == 1:
+                self.assert_exact(p[rows][0], delta[rows][0])
+        assert self.outcome(solver._to_boundary, self.pot, p, delta) == (
+            "separation lost at time step 7: margin 0.000e+00")
+        assert np.ndim(solver._to_boundary(self.pot, p[0], delta[0],
+                                           7)[0]) == 0
+
+    @pytest.mark.parametrize("damped", [0, 2, 4])
+    def test_one_damped_row(self, damped):
+        ratios = np.full(5, 2.0)
+        ratios[damped] = 1.08
+        p = np.tile(np.linspace(-0.6, 0.6, 8), (5, 1))
+        delta = steps_towards_bounds(self.pot, p, cell_ratios(ratios))
+        self.assert_exact(p, delta)
+        scale, _ = solver._to_boundary(self.pot, p, delta, 7)
+        assert np.flatnonzero(scale != 1.0).tolist() == [damped]
+
+    @staticmethod
+    def newton(monkeypatch, rule, pot, grid, phi_n, rhs):
+        """_phi_newton_step from phi_n with the step rule given: p and
+        Lap p as bytes (or the text of its failure) and every update."""
+        monkeypatch.setattr(solver, "_to_boundary", rule)
+        hh = solver._HelmholtzSolver(grid)
+        solve, deltas = hh.solve, []
+
+        def recorded(coeff, b):
+            deltas.append(solve(coeff, b))
+            return deltas[-1]
+
+        hh.solve = recorded
+        try:
+            p, lap_p = solver._phi_newton_step(pot, hh, 4.0, phi_n, rhs,
+                                               phi_n, 7)
+            end = (p.tobytes(), lap_p.tobytes())
+        except SolveFailure as exc:
+            end = str(exc)
+        return end, [d.tobytes() for d in deltas]
+
+    def assert_newton_exact(self, monkeypatch, pot, grid, phi_n, rhs):
+        rows = [(phi_n, rhs)] + (list(zip(phi_n, rhs)) if phi_n.ndim == 2
+                                 else [])
+        for args in rows:
+            got = self.newton(monkeypatch, solver._to_boundary, pot, grid,
+                              *args)
+            assert got == self.newton(monkeypatch, fraction_to_boundary,
+                                      pot, grid, *args)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("damped", [None, 0, 2, 4])
+    def test_newton_on_a_linear_step(self, monkeypatch, damped):
+        # the phi-step's solution lies room / ratio away from phi_n in
+        # every cell, so the first update steps near the guard in cell 3
+        pot, grid = linear_singular_potential(), grid1d(8)
+        x = grid.cell_centers()[0]
+        if damped is None:
+            ratios = np.array(NEAR_THE_GUARD)
+        else:
+            ratios = np.full(5, 2.0)
+            ratios[damped] = 1.08
+        phi_n = np.tile(0.3 + 0.1 * np.cos(np.pi * x), (len(ratios), 1))
+        target = phi_n + steps_towards_bounds(pot, phi_n, cell_ratios(ratios))
+        lap = solver._HelmholtzSolver(grid).lap
+        rhs = 4.0 * (target - phi_n) - lap(target) + target
+        self.assert_newton_exact(monkeypatch, pot, grid, phi_n, rhs)
+        _, deltas = self.newton(monkeypatch, solver._to_boundary, pot, grid,
+                                phi_n, rhs)
+        assert len(deltas) > 1  # a damped row takes a second update
+
+    def test_newton_with_zero_updates_without_room(self, monkeypatch):
+        # on cells 1e150 wide the coupling underflows two cells away from
+        # the one cell whose residual is not 0: there delta is 0 and phi_n
+        # sits on the lower bound, which the end test then refuses.  The
+        # first row alone takes the full step, the batch the exact rule
+        pot, grid = linear_singular_potential(), grid1d(16, 1e151)
+        phi_n = np.full((2, 16), pot.lo)
+        rhs = 1.0 * phi_n
+        rhs[:, 0] += [0.5, 9.25]  # a full step, and one damped to 0.97
+        self.assert_newton_exact(monkeypatch, pot, grid, phi_n, rhs)
+        end, deltas = self.newton(monkeypatch, solver._to_boundary, pot,
+                                  grid, phi_n, rhs)
+        assert end.startswith("separation lost at time step 7")
+        assert np.count_nonzero(np.frombuffer(deltas[0]) == 0.0) == 2 * 14
 
 
 class TestStateSolver:
