@@ -22,6 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# scalar constants of the step code here, in model and in solver, as 0-d
+# float64 arrays: a ufunc converts a Python float operand on every call
+# but takes a 0-d array as it is, with the same bits
+_ZERO, _HALF, _ONE, _TWO, _THREE = map(np.array, (0.0, 0.5, 1.0, 2.0, 3.0))
+
 
 class ShapeMismatch(ValueError):
     """Fields do not live on compatible grids."""
@@ -241,10 +246,6 @@ class Trajectory:
         return self.mu.timegrid
 
 
-# a ufunc takes a 0-d array faster than a Python float, with the same bits
-_TWO = np.array(2.0)
-
-
 def _second_difference(v: np.ndarray, out: np.ndarray,
                        h2: float) -> np.ndarray:
     """out = the mirrored-ghost second difference of v along its last axis
@@ -266,7 +267,7 @@ def make_laplacian(grid: GridSpec):
     axis of one cell has none (both mirror ghosts equal the cell).
     """
     if grid.dim == 1:
-        h2 = np.array(grid.spacing[0] ** 2)  # 0-d, as _TWO
+        h2 = np.array(grid.spacing[0] ** 2)  # 0-d, as _TWO is
         if grid.n[0] == 1:
             return lambda v: np.zeros_like(np.asarray(v, dtype=float))
 

@@ -16,16 +16,16 @@ from typing import Callable
 
 import numpy as np
 
+from .fields import _HALF, _ONE, _THREE, _TWO, _ZERO
+
 # a singular potential is evaluated at least this far inside its bounds
 CLAMP_MARGIN = 1e-12
 # sample points per interval in validate_setup's potential and h checks
 SETUP_SAMPLES = 257
 
-# the potentials' and the interpolant's constants as 0-d arrays: a ufunc
-# takes one faster than a Python float, with the same bits (see solver)
-_ZERO, _QUARTER, _HALF, _ONE, _TWO, _THREE, _MINUS_TWO = map(
-    np.array, (0.0, 0.25, 0.5, 1.0, 2.0, 3.0, -2.0))
-# smoothstep7's Horner constants, -84 with its sign
+# the regular potential's other constants and smoothstep7's Horner
+# constants, -84 with its sign, as 0-d arrays (see fields)
+_QUARTER, _MINUS_TWO = np.array(0.25), np.array(-2.0)
 _H35, _H84, _H70, _H20 = map(np.array, (35.0, -84.0, 70.0, 20.0))
 
 

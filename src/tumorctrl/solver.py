@@ -64,12 +64,13 @@ converts one on every call, where it takes a 0-d float64 array as it is.
 So every scalar a time step reads is a 0-d array made once: the model's
 coefficients and tau and their quotients per call of _march, solve_adjoint
 and solve_linearized, the evaluation interval's ends per PotentialSpec,
-and the constants of the potentials, the interpolant, the Laplacian and
-this module at import.  With numpy 2.4 on an Intel Xeon, 2.0 * a on 64
-entries took 0.76 us against 0.57 us with a 0-d 2.0 (minimum of 7 repeats;
-0.2-0.4 us a call over repeated timings).  Each operation and its order
-are unchanged, and integer powers (x**3) keep their Python ints, so the
-bits are those of the float code.
+and at import the constants of the potentials, the interpolant, the
+Laplacian and this module (the shared ones are fields' _ZERO ... _THREE).
+With numpy 2.4 on an Intel Xeon, 2.0 * a on 64 entries took 0.76 us
+against 0.57 us with a 0-d 2.0 (minimum of 7 repeats; 0.2-0.4 us a call
+over repeated timings).  Each operation and its order are unchanged,
+and integer powers (x**3) keep their Python ints, so the bits are those
+of the float code.
 """
 
 from __future__ import annotations
@@ -81,8 +82,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (GridSpec, ShapeMismatch, SpaceTimeField, StateTriple,
-                     TimeGrid, Trajectory, make_laplacian)
+from .fields import (_HALF, _ONE, _THREE, _TWO, _ZERO, GridSpec,
+                     ShapeMismatch, SpaceTimeField, StateTriple, TimeGrid,
+                     Trajectory, make_laplacian)
 from .model import InterpolantSpec, ModelParams, PotentialSpec
 
 CG_RTOL = 1e-12
@@ -95,13 +97,15 @@ ROUNDOFF_FLOOR = 8.0 * np.finfo(float).eps
 # a Newton update with |delta| <= FULL_STEP_ROOM x the room to the bound
 # it points at, in every cell of every row, is a full step: the
 # fraction-to-boundary scale min(1, 0.9 min(room / |delta|)) is then
-# min(1, 0.9 x 1.25 or more) = 1 exactly
+# min(1, 0.9 x 1.25 or more) = 1 exactly.  Every one of the about 205
+# rule calls of a 64-cell log-potential optimize op takes that path
+# (verify-1d and the regular op make none); over 10 alternating pairs of
+# perfbench optimize-1d (24 s runs on an Intel Xeon) it cut wall_norm_s
+# 2.6 %, 10 of 10, against the same code without it
 FULL_STEP_ROOM = 0.8
-# the step code's constants as 0-d arrays (see the module docstring)
-_ZERO, _HALF, _ONE, _TWO, _THREE, _NINE_TENTHS = map(
-    np.array, (0.0, 0.5, 1.0, 2.0, 3.0, 0.9))
-_CG_RTOL, _NEWTON_TOL, _FLOOR, _FULL_STEP_ROOM = map(
-    np.array, (CG_RTOL, NEWTON_TOL, ROUNDOFF_FLOOR, FULL_STEP_ROOM))
+# this module's own constants as 0-d arrays (see the module docstring)
+_NINE_TENTHS, _CG_RTOL, _NEWTON_TOL, _FLOOR, _FULL_STEP_ROOM = map(
+    np.array, (0.9, CG_RTOL, NEWTON_TOL, ROUNDOFF_FLOOR, FULL_STEP_ROOM))
 # solve_states marches at most this many bytes of states at once:
 # members x (steps + 1) x cells x 3 fields x 8 bytes
 BATCH_BYTES = 4 * 2 ** 20
@@ -299,7 +303,7 @@ def _thomas_columns(e: float, diag: np.ndarray, b: np.ndarray) -> np.ndarray:
     piv, ys, ws = np.empty((3,) + d.shape)
     y = w = np.zeros(len(b))
     t = np.empty(len(b))
-    e0 = np.array(e)  # a ufunc takes a 0-d array faster than a float
+    e0 = np.array(e)  # 0-d, as fields' constants are
     # as Python floats do, a 0 pivot or an overflow warns of nothing
     with np.errstate(all="ignore"):
         for di, ri, mi, yi, wi in zip(d, b.T, piv, ys, ws):

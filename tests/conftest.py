@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-# Tier-1 runs "suite"; HYPOTHESIS_PROFILE=large runs ten times its
-# examples, as the CI's larger fuzz step does for tests/test_fuzz.py
+# Tier-1 runs "suite"; pytest --hypothesis-profile=large runs ten times
+# its examples, as the CI's larger fuzz step does for tests/test_fuzz.py
 settings.register_profile(
     "suite", max_examples=40, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow])
 settings.register_profile("large", settings.get_profile("suite"),
                           max_examples=400)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))
+settings.load_profile("suite")
 
 
 @pytest.fixture
